@@ -116,8 +116,15 @@ def _print_velocity_block(tag: str, block):
     )
 
 
+def _print_oracle_progress(steps_done: int, n_steps: int, t: float) -> None:
+    print(f"oracle: step {steps_done}/{n_steps}, t = {t:.6e} s", file=sys.stderr)
+
+
 def cmd_run(args) -> int:
     sc = _load_scenario(args)
+    if args.oracle:
+        dt = args.oracle_dt if args.oracle_dt is not None else sc.snapshot_dt / 1000.0
+        cfg = oracle.OracleConfig(dt=dt, snapshot_dt=sc.snapshot_dt)
     out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)
     result = solver.simulate(
@@ -173,11 +180,9 @@ def cmd_run(args) -> int:
     written = [snap_path, coef_path, summary_path]
 
     if args.oracle:
-        dt = args.oracle_dt if args.oracle_dt is not None else sc.snapshot_dt / 1000.0
-        cfg = oracle.OracleConfig(dt=dt, snapshot_dt=sc.snapshot_dt)
         start = oracle_initial_state(sc.medium, sc.grid, sc.pulse, sc.schedule)
         states = oracle.integrate_reduced(
-            sc.medium, sc.grid, start, sc.schedule, sc.horizon, cfg
+            sc.medium, sc.grid, start, sc.schedule, sc.horizon, cfg, _print_oracle_progress
         )
         oracle_path = os.path.join(out_dir, "oracle_snapshots.csv")
         oracle.write_oracle_csv(states, oracle_path, cfg, stride=args.csv_stride)

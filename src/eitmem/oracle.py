@@ -15,10 +15,10 @@ shares the grid containers, the parameter record, and the control schedule.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .control import ControlSchedule
 from .errors import ConfigError, InvalidComparisonError, SimulationError
@@ -27,6 +27,36 @@ from .model import MediumParams
 
 SCHEMES = ("splitting_spectral_advection", "explicit_upwind")
 STIFF_HANDLERS = ("exact_exponential", "implicit")
+
+# Coupling propagators are built for at most this many step midpoints at a
+# time, so memory stays flat however small dt is.
+CHUNK_STEPS = 1024
+# The 3x3 mode update runs on column blocks this wide. OpenBLAS hands a
+# gemm to its thread pool once m*n*k passes a build-time threshold (between
+# 3*3*4096 and 3*3*8192 for the OpenBLAS bundled with numpy 2.4), and for
+# products this small the hand-off costs far more than it saves.
+BLOCK_POINTS = 2048
+
+# Pade-13 coefficients and scaling threshold: Higham, SIAM J. Matrix Anal.
+# Appl. 26, 1179 (2005); Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31,
+# 970 (2009).
+_PADE13 = (
+    64764752532480000.0,
+    32382376266240000.0,
+    7771770303897600.0,
+    1187353796428800.0,
+    129060195264000.0,
+    10559470521600.0,
+    670442572800.0,
+    33522128640.0,
+    1323241920.0,
+    40840800.0,
+    960960.0,
+    16380.0,
+    182.0,
+    1.0,
+)
+_THETA13 = 4.25
 
 
 @dataclass(frozen=True)
@@ -52,8 +82,8 @@ class OracleConfig:
     snapshot_dt: float | None = None  # s, defaults to horizon/10
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ConfigError(f"dt must be positive, got {self.dt}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
         if self.stiff_handling not in STIFF_HANDLERS:
@@ -62,8 +92,10 @@ class OracleConfig:
             )
         if not 0.0 < self.c_scale <= 1.0:
             raise ConfigError(f"c_scale must lie in (0, 1], got {self.c_scale}")
-        if self.snapshot_dt is not None and self.snapshot_dt <= 0:
-            raise ConfigError(f"snapshot_dt must be positive, got {self.snapshot_dt}")
+        if self.snapshot_dt is not None and not (
+            math.isfinite(self.snapshot_dt) and self.snapshot_dt > 0
+        ):
+            raise ConfigError(f"snapshot_dt must be positive and finite, got {self.snapshot_dt}")
 
 
 def _substeps(horizon: float, dt: float, snapshot_dt: float) -> tuple[int, int]:
@@ -80,18 +112,91 @@ def _substeps(horizon: float, dt: float, snapshot_dt: float) -> tuple[int, int]:
     return n_steps, per_snap
 
 
-def _coupling_matrix(params: MediumParams, omega: float) -> np.ndarray:
+def expm(a) -> np.ndarray:
+    """Matrix exponential of every square matrix in a (..., n, n) stack.
+
+    Pade-13 with scaling and squaring, numpy only. The scaling power comes
+    from the norms of low matrix powers, ||A^k||^(1/k), rather than from
+    ||A||, so a strongly non-normal matrix is not over-scaled.
+    """
+    a = np.asarray(a, dtype=complex)
+    shape = a.shape
+    a = a.reshape((-1,) + shape[-2:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        a2 = a @ a
+        a4 = a2 @ a2
+        a8 = a4 @ a4
+        eta = np.minimum(
+            np.maximum(_norm1(a4) ** (1 / 4), _norm1(a4 @ a2) ** (1 / 6)),
+            np.maximum(_norm1(a8) ** (1 / 8), _norm1(a8 @ a2) ** (1 / 10)),
+        )
+    # where a power overflows, ||A|| stands in: it bounds every ||A^k||^(1/k)
+    eta = np.where(np.isfinite(eta), eta, _norm1(a))
+    # smallest s >= 0 (up to one) with eta / 2**s < theta
+    s = np.maximum(np.frexp(eta / _THETA13)[1], 0)
+    a = a * (0.5**s)[:, None, None]
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    b = _PADE13
+    eye = np.eye(shape[-1])
+    u = a @ (
+        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye
+    )
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    x = np.linalg.solve(v - u, v + u)
+    for j in range(int(s.max(initial=0))):
+        squaring = s > j
+        x[squaring] = x[squaring] @ x[squaring]
+    return x.reshape(shape)
+
+
+def _norm1(a: np.ndarray) -> np.ndarray:
+    """Largest absolute column sum of each matrix in a stack."""
+    return np.abs(a).sum(axis=-2).max(axis=-1)
+
+
+def _coupling_matrix(params: MediumParams, omega: np.ndarray) -> np.ndarray:
+    """Balanced generator of the local atomic block, one per control value.
+
+    The block acting on (E, sigma_ba, sigma_bc) is
+    M = [[0, i g N, 0], [i g, -d_ba, i Omega], [0, i Omega*, -d_bc]].
+    Returned is D M D^-1 with D = diag(1, sqrt N, sqrt N): both field
+    couplings become i g sqrt N, which cuts the norm by a factor of about
+    sqrt N and with it the squarings expm needs.
+    """
+    omega = np.asarray(omega)
     d_ba = complex(params.gamma_ba, params.delta + params.delta_p)
     d_bc = complex(params.gamma_bc, params.delta_p)
-    gn = params.g * params.n_atoms
-    return np.array(
-        [
-            [0.0, 1j * gn, 0.0],
-            [1j * params.g, -d_ba, 1j * omega],
-            [0.0, 1j * np.conj(omega), -d_bc],
-        ],
-        dtype=complex,
-    )
+    m = np.zeros(omega.shape + (3, 3), dtype=complex)
+    m[..., 0, 1] = m[..., 1, 0] = 1j * params.g_root_n
+    m[..., 1, 1] = -d_ba
+    m[..., 1, 2] = 1j * omega
+    m[..., 2, 1] = 1j * np.conj(omega)
+    m[..., 2, 2] = -d_bc
+    return m
+
+
+def _propagators(params: MediumParams, omega: np.ndarray, dt: float) -> np.ndarray:
+    """exp(M dt) for each control value, by way of the balanced generator."""
+    p = expm(_coupling_matrix(params, omega) * dt)
+    root_n = math.sqrt(params.n_atoms)
+    p[..., 0, 1:] *= root_n
+    p[..., 1:, 0] /= root_n
+    return p
+
+
+def _step_propagators(params, schedule, t0, dt, n_steps):
+    """Yield the coupling propagator of each step, frozen at its midpoint."""
+    if schedule.kind == "constant":
+        propagator = _propagators(params, schedule.eval(params, t0).omega, dt)
+        for _ in range(n_steps):
+            yield propagator
+        return
+    for start in range(0, n_steps, CHUNK_STEPS):
+        t_mid = t0 + (np.arange(start, min(start + CHUNK_STEPS, n_steps)) + 0.5) * dt
+        omega = np.array([schedule.eval(params, t).omega for t in t_mid.tolist()])
+        yield from _propagators(params, omega, dt)
 
 
 def integrate_reduced(
@@ -101,6 +206,7 @@ def integrate_reduced(
     schedule: ControlSchedule,
     horizon: float,
     cfg: OracleConfig,
+    progress: Callable[[int, int, float], None] | None = None,
 ) -> list[OracleState]:
     """March the reduced system and return states at snapshot cadence.
 
@@ -109,17 +215,18 @@ def integrate_reduced(
     matrix exponential of its generator frozen at the midpoint, composed as
     a symmetric (second order) splitting. The alternative explicit upwind
     scheme is first order and CFL limited; it exists as a cross-check.
+    progress, if given, is called as progress(steps_done, n_steps, t) after
+    each snapshot.
     """
     if initial.e_field.grid != grid:
         raise ConfigError("initial state grid does not match the run grid")
     snapshot_dt = cfg.snapshot_dt if cfg.snapshot_dt is not None else horizon / 10.0
     n_steps, per_snap = _substeps(horizon, cfg.dt, snapshot_dt)
-    if cfg.scheme == "splitting_spectral_advection":
-        return _run_splitting(params, grid, initial, schedule, n_steps, per_snap, cfg)
-    return _run_upwind(params, grid, initial, schedule, n_steps, per_snap, cfg)
+    run = _run_splitting if cfg.scheme == "splitting_spectral_advection" else _run_upwind
+    return run(params, grid, initial, schedule, n_steps, per_snap, cfg, progress)
 
 
-def _run_splitting(params, grid, initial, schedule, n_steps, per_snap, cfg):
+def _run_splitting(params, grid, initial, schedule, n_steps, per_snap, cfg, progress):
     n = grid.n_points
     dt = cfg.dt
     c_eff = params.c * cfg.c_scale
@@ -132,21 +239,16 @@ def _run_splitting(params, grid, initial, schedule, n_steps, per_snap, cfg):
             np.fft.fft(initial.sigma_bc.values),
         ]
     )
+    spare = np.empty_like(stack)
     t0 = initial.t
-    constant_omega = schedule.kind == "constant"
-    propagator = None
-    if constant_omega:
-        omega = schedule.eval(params, t0).omega
-        propagator = expm(_coupling_matrix(params, omega) * dt)
 
     states = [initial]
-    for i in range(n_steps):
-        t_mid = t0 + (i + 0.5) * dt
-        if not constant_omega:
-            omega = schedule.eval(params, t_mid).omega
-            propagator = expm(_coupling_matrix(params, omega) * dt)
+    for i, propagator in enumerate(_step_propagators(params, schedule, t0, dt, n_steps)):
         stack[0] *= half_phase
-        stack = propagator @ stack
+        for c in range(0, n, BLOCK_POINTS):
+            block = slice(c, c + BLOCK_POINTS)
+            np.matmul(propagator, stack[:, block], out=spare[:, block])
+        stack, spare = spare, stack
         stack[0] *= half_phase
         if not np.all(np.isfinite(stack)):
             raise SimulationError(
@@ -162,10 +264,12 @@ def _run_splitting(params, grid, initial, schedule, n_steps, per_snap, cfg):
                     t=t0 + (i + 1) * dt,
                 )
             )
+            if progress is not None:
+                progress(i + 1, n_steps, states[-1].t)
     return states
 
 
-def _run_upwind(params, grid, initial, schedule, n_steps, per_snap, cfg):
+def _run_upwind(params, grid, initial, schedule, n_steps, per_snap, cfg, progress):
     dt = cfg.dt
     dz = grid.dz
     c_eff = params.c * cfg.c_scale
@@ -216,6 +320,8 @@ def _run_upwind(params, grid, initial, schedule, n_steps, per_snap, cfg):
                     t=t0 + (i + 1) * dt,
                 )
             )
+            if progress is not None:
+                progress(i + 1, n_steps, states[-1].t)
     return states
 
 

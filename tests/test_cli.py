@@ -186,7 +186,13 @@ def test_run_with_reference_comparison(tmp_path, capsys):
         ]
     )
     assert rc == 0
-    assert "oracle:" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "oracle:" in captured.out
+    assert "step" not in captured.out
+    # one progress line per snapshot interval: 8 intervals of 500 steps
+    assert captured.err.splitlines() == [
+        f"oracle: step {500 * j}/4000, t = {0.5 * j:.6e} s" for j in range(1, 9)
+    ]
     comparison = json.loads((out / "comparison.json").read_text())
     assert comparison["max_linf"] < 0.01
     assert comparison["attribution"].startswith("all adiabaticity checks passed")
@@ -194,6 +200,16 @@ def test_run_with_reference_comparison(tmp_path, capsys):
     assert first.startswith("# scheme=splitting_spectral_advection dt=0.001")
     summary = json.loads((out / "summary.json").read_text())
     assert summary["oracle_comparison"]["max_linf"] == comparison["max_linf"]
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_run_rejects_non_finite_oracle_dt(tmp_path, capsys, bad):
+    out = tmp_path / "out"
+    rc = main(["run", "--out-dir", str(out), "--oracle", "--oracle-dt", bad])
+    assert rc == 2
+    assert f"dt must be positive and finite, got {bad}" in capsys.readouterr().err
+    # rejected before the spectral run writes anything
+    assert not out.exists()
 
 
 def test_cli_requires_a_subcommand():

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import SCALED_OMEGA, scaled_medium, scaled_pass_scenario
 
@@ -16,9 +21,11 @@ from eitmem.oracle import (
     OracleConfig,
     OracleState,
     compare_to_adiabatic,
+    expm,
     integrate_reduced,
     write_oracle_csv,
 )
+from eitmem.scenario import default_scenario
 from eitmem.solver import simulate
 
 GRID = GridSpec(-2.0, 2.0, 1024)
@@ -52,6 +59,11 @@ def test_config_rejects_bad_values():
         OracleConfig(dt=1e-3, c_scale=1.5)
     with pytest.raises(ConfigError, match="snapshot_dt"):
         OracleConfig(dt=1e-3, snapshot_dt=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="dt must be positive and finite"):
+            OracleConfig(dt=bad)
+        with pytest.raises(ConfigError, match="snapshot_dt must be positive and finite"):
+            OracleConfig(dt=1e-3, snapshot_dt=bad)
 
 
 def test_step_cadence_must_divide():
@@ -186,6 +198,130 @@ def test_stiff_handlers_agree():
     peak = np.max(np.abs(exact[-1].e_field.values))
     diff = np.max(np.abs(implicit[-1].e_field.values - exact[-1].e_field.values))
     assert diff / peak < 0.05
+
+
+def rel_diff(got, ref) -> float:
+    return float(np.linalg.norm(got - ref) / np.linalg.norm(ref))
+
+
+def unbalanced(params, balanced: np.ndarray) -> np.ndarray:
+    """D^-1 M D for D = diag(1, sqrt N, sqrt N): the oracle's generator as written."""
+    d = np.array([1.0, math.sqrt(params.n_atoms), math.sqrt(params.n_atoms)])
+    return balanced * d[None, :] / d[:, None]
+
+
+def medium_controls():
+    """(params, dt, control values at several schedule times), per medium."""
+    sc = default_scenario()
+    sched = sc.schedule
+    times = (0.0, sched.t1, 0.5 * (sched.t1 + sched.t2), sched.t2 + 1.0 / sched.steepness)
+    yield sc.medium, sc.snapshot_dt / 1000.0, [sched.eval(sc.medium, t).omega for t in times]
+    p = scaled_medium()
+    tanh = ControlSchedule(
+        kind="tanh_profile", scale=0.3, floor=0.02, steepness=10.0, t1=1.0, t2=3.0
+    )
+    omega = [tanh.eval(p, t).omega for t in (0.0, 1.0, 2.0, 3.05)] + [SCALED_OMEGA]
+    for dt in (5e-4, 1e-3):
+        yield p, dt, omega
+
+
+def test_expm_matches_scipy_on_oracle_generators():
+    for params, dt, omega in medium_controls():
+        generators = eitmem.oracle._coupling_matrix(params, np.array(omega)) * dt
+        for m in generators:
+            for a in (m, unbalanced(params, m)):
+                assert rel_diff(expm(a), scipy.linalg.expm(a)) < 1e-12
+        # the propagators the oracle builds: balanced, exponentiated, unbalanced
+        built = eitmem.oracle._propagators(params, np.array(omega), dt)
+        for m, got in zip(generators, built):
+            assert rel_diff(got, scipy.linalg.expm(unbalanced(params, m))) < 1e-12
+
+
+def test_expm_batches_over_leading_axes():
+    params, dt, omega = next(medium_controls())
+    generators = eitmem.oracle._coupling_matrix(params, np.array(omega)) * dt
+    rng = np.random.default_rng(7)
+    batch = generators[rng.integers(0, len(generators), size=(2, 5))]
+    batch = batch * rng.uniform(0.1, 3.0, size=(2, 5, 1, 1))
+    got = expm(batch)
+    assert got.shape == (2, 5, 3, 3)
+    for idx in np.ndindex(2, 5):
+        assert rel_diff(got[idx], scipy.linalg.expm(batch[idx])) < 1e-12
+
+
+def test_expm_of_zero_is_identity_and_of_upwind_block_matches_scipy():
+    assert rel_diff(expm(np.zeros((3, 3))), scipy.linalg.expm(np.zeros((3, 3)))) < 1e-12
+    assert rel_diff(expm(np.zeros((4, 3, 3))), np.broadcast_to(np.eye(3), (4, 3, 3))) < 1e-12
+    # the 2x2 coherence block the upwind exact_exponential handler exponentiates
+    p = scaled_medium(n_atoms=1e4)
+    d_ba = complex(p.gamma_ba, p.delta + p.delta_p)
+    d_bc = complex(p.gamma_bc, p.delta_p)
+    for omega in (100.0, SCALED_OMEGA):
+        a = np.array([[-d_ba, 1j * omega], [1j * omega, -d_bc]]) * 5e-4
+        assert rel_diff(expm(a), scipy.linalg.expm(a)) < 1e-12
+
+
+def test_expm_survives_overflowing_powers():
+    # A^6 and higher powers overflow, so the scaling falls back on ||A||.
+    # Both eigenvalues are hugely negative: exp(A) is 0 to double precision.
+    for a in (np.diag([-1.0e60, -3.0e59]), np.array([[-1.0e60, 1.0e59], [0.0, -2.0e60]])):
+        with np.errstate(over="raise", invalid="raise"):
+            got = expm(a)
+        assert np.array_equal(got, np.zeros((2, 2)))
+
+
+def test_chunked_propagators_follow_step_midpoints(monkeypatch):
+    # Chunks of 16 steps against snapshots every 7 steps: no chunk boundary
+    # falls on a snapshot boundary, and the last chunk is partial.
+    monkeypatch.setattr(eitmem.oracle, "CHUNK_STEPS", 16)
+    p = scaled_medium()
+    sched = ControlSchedule(
+        kind="tanh_profile", scale=0.3, floor=0.02, steepness=10.0, t1=0.3, t2=0.8
+    )
+    dt, snapshot_dt, horizon = 0.01, 0.07, 1.05
+    initial = probe_state()
+    states = integrate_reduced(
+        p, GRID, initial, sched, horizon, OracleConfig(dt=dt, snapshot_dt=snapshot_dt)
+    )
+    assert len(states) == 16
+
+    k = 2.0 * np.pi * np.fft.fftfreq(GRID.n_points, d=GRID.dz)
+    half_phase = np.exp(-1j * k * p.c * dt / 2.0)
+    stack = np.fft.fft(
+        np.vstack([initial.e_field.values, initial.sigma_ba.values, initial.sigma_bc.values]),
+        axis=1,
+    )
+    d_ba = complex(p.gamma_ba, p.delta + p.delta_p)
+    d_bc = complex(p.gamma_bc, p.delta_p)
+    for i in range(105):
+        omega = sched.eval(p, initial.t + (i + 0.5) * dt).omega
+        m = np.array(
+            [
+                [0.0, 1j * p.g * p.n_atoms, 0.0],
+                [1j * p.g, -d_ba, 1j * omega],
+                [0.0, 1j * np.conj(omega), -d_bc],
+            ]
+        )
+        stack[0] *= half_phase
+        stack = scipy.linalg.expm(m * dt) @ stack
+        stack[0] *= half_phase
+        if (i + 1) % 7 == 0:
+            state = states[(i + 1) // 7]
+            assert state.t == pytest.approx((i + 1) * dt, rel=1e-12)
+            fields = np.fft.ifft(stack, axis=1)
+            for got, ref in zip((state.e_field, state.sigma_ba, state.sigma_bc), fields):
+                assert np.max(np.abs(got.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_cli_import_leaves_scipy_linalg_unloaded():
+    # scipy.linalg costs a third of a second to import; the oracle does not need it.
+    src = str(pathlib.Path(eitmem.oracle.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, eitmem.cli; print('scipy.linalg' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_reference_integrator_stays_independent():
