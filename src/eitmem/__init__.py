@@ -23,7 +23,7 @@ from .coefficients import (
     max_transit_time,
     v_g_min,
 )
-from .control import ControlSchedule, eval_schedule, omega_from_theta, theta_from_omega
+from .control import ControlSchedule, omega_from_theta, theta_from_omega
 from .errors import (
     ConfigError,
     EitmemError,
@@ -71,7 +71,6 @@ __all__ = [
     "compute_g_from_dipole",
     "default_scenario",
     "design_limits",
-    "eval_schedule",
     "exponent_integrand",
     "fit_decay",
     "fit_velocity",

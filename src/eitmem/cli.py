@@ -125,8 +125,6 @@ def cmd_run(args) -> int:
     if args.oracle:
         dt = args.oracle_dt if args.oracle_dt is not None else sc.snapshot_dt / 1000.0
         cfg = oracle.OracleConfig(dt=dt, snapshot_dt=sc.snapshot_dt)
-    out_dir = args.out_dir
-    os.makedirs(out_dir, exist_ok=True)
     result = solver.simulate(
         sc.medium,
         sc.grid,
@@ -172,6 +170,17 @@ def cmd_run(args) -> int:
         f"phase shift {dist['phase_shift']:.4g} rad)"
     )
 
+    # The oracle runs before any artifact is written, so a run it rejects
+    # leaves no partial set behind.
+    if args.oracle:
+        start = oracle_initial_state(sc.medium, sc.grid, sc.pulse, sc.schedule)
+        states = oracle.integrate_reduced(
+            sc.medium, sc.grid, start, sc.schedule, sc.horizon, cfg, _print_oracle_progress
+        )
+        report = oracle.compare_to_adiabatic(states, result, observable="e_field")
+
+    out_dir = args.out_dir
+    os.makedirs(out_dir, exist_ok=True)
     snap_path = os.path.join(out_dir, "snapshots.csv")
     coef_path = os.path.join(out_dir, "coefficients.csv")
     summary_path = os.path.join(out_dir, "summary.json")
@@ -180,13 +189,8 @@ def cmd_run(args) -> int:
     written = [snap_path, coef_path, summary_path]
 
     if args.oracle:
-        start = oracle_initial_state(sc.medium, sc.grid, sc.pulse, sc.schedule)
-        states = oracle.integrate_reduced(
-            sc.medium, sc.grid, start, sc.schedule, sc.horizon, cfg, _print_oracle_progress
-        )
         oracle_path = os.path.join(out_dir, "oracle_snapshots.csv")
         oracle.write_oracle_csv(states, oracle_path, cfg, stride=args.csv_stride)
-        report = oracle.compare_to_adiabatic(states, result, observable="e_field")
         comparison_path = os.path.join(out_dir, "comparison.json")
         with open(comparison_path, "w", encoding="utf-8") as fh:
             json.dump(report.to_dict(), fh, indent=2, sort_keys=True)

@@ -202,13 +202,15 @@ class ControlSchedule:
                     np.array([0.0, 0.5 * (self.t1 + self.t2), self.t2 + 1.5 * w]),
                 ]
             )
-            return np.unique(pts[pts >= 0.0])
+            return _sorted_distinct(pts[pts >= 0.0])
         t = np.asarray(self.times)
-        return np.unique(np.concatenate([t, 0.5 * (t[:-1] + t[1:])]))
+        return _sorted_distinct(np.concatenate([t, 0.5 * (t[:-1] + t[1:])]))
 
 
-def eval_schedule(schedule: ControlSchedule, params: MediumParams, t: float) -> ControlSample:
-    return schedule.eval(params, t)
+def _sorted_distinct(x: np.ndarray) -> np.ndarray:
+    """np.unique for a 1-D float array without NaN; np.unique imports numpy.ma."""
+    x = np.sort(x)
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
 
 
 def default_storage_schedule() -> ControlSchedule:

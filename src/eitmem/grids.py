@@ -77,3 +77,32 @@ def gaussian_field(grid: GridSpec, amplitude: complex, center_z: float, width: f
     z = grid.z_array()
     vals = amplitude * np.exp(-(((z - center_z) / width) ** 2))
     return FieldGrid(grid, vals.astype(complex))
+
+
+def field_columns(t: float, z: np.ndarray, fields) -> list[np.ndarray]:
+    """Columns t, z, then Re, Im and |.| of each field, one entry per grid point.
+
+    |.| is np.hypot of the parts: numpy's vectorised complex abs can differ
+    in the last bit from the scalar abs that earlier artifacts were written
+    with, and hypot does not.
+    """
+    cols = [np.full(len(z), t), z]
+    for vals in fields:
+        cols += [vals.real, vals.imag, np.hypot(vals.real, vals.imag)]
+    return cols
+
+
+def write_csv(path, header: str, tables, stride: int = 1) -> None:
+    """Write header, then every stride-th row of each table as comma-separated floats.
+
+    A table is a sequence of equal-length columns. Each value is written
+    with 17 significant digits, which round-trips a double exactly and keeps
+    artifacts byte-identical across runs.
+    """
+    if stride < 1:
+        raise ConfigError(f"stride must be at least 1, got {stride}")
+    with open(path, "w", newline="") as fh:
+        fh.write(header)
+        for columns in tables:
+            for row in zip(*[np.asarray(c, dtype=float)[::stride].tolist() for c in columns]):
+                fh.write(",".join([format(float(x), ".17g") for x in row]) + "\n")

@@ -9,7 +9,8 @@ atomic coherences respond locally,
 
 No adiabatic elimination, no closed-form coefficients: this module must stay
 independent of the spectral engine so the two can check each other. It only
-shares the grid containers, the parameter record, and the control schedule.
+shares the grid containers and CSV writer, the parameter record, and the
+control schedule.
 """
 
 from __future__ import annotations
@@ -22,11 +23,8 @@ import numpy as np
 
 from .control import ControlSchedule
 from .errors import ConfigError, InvalidComparisonError, SimulationError
-from .grids import FieldGrid, GridSpec
+from .grids import FieldGrid, GridSpec, field_columns, write_csv
 from .model import MediumParams
-
-SCHEMES = ("splitting_spectral_advection", "explicit_upwind")
-STIFF_HANDLERS = ("exact_exponential", "implicit")
 
 # Coupling propagators are built for at most this many step midpoints at a
 # time, so memory stays flat however small dt is.
@@ -76,22 +74,11 @@ class OracleState:
 @dataclass(frozen=True)
 class OracleConfig:
     dt: float  # s
-    scheme: str = "splitting_spectral_advection"
-    stiff_handling: str = "exact_exponential"
-    c_scale: float = 1.0  # rescales the advection speed, must be <= 1
     snapshot_dt: float | None = None  # s, defaults to horizon/10
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ConfigError(f"dt must be positive and finite, got {self.dt}")
-        if self.scheme not in SCHEMES:
-            raise ConfigError(f"unknown scheme {self.scheme!r}, expected one of {SCHEMES}")
-        if self.stiff_handling not in STIFF_HANDLERS:
-            raise ConfigError(
-                f"unknown stiff_handling {self.stiff_handling!r}, expected one of {STIFF_HANDLERS}"
-            )
-        if not 0.0 < self.c_scale <= 1.0:
-            raise ConfigError(f"c_scale must lie in (0, 1], got {self.c_scale}")
         if self.snapshot_dt is not None and not (
             math.isfinite(self.snapshot_dt) and self.snapshot_dt > 0
         ):
@@ -210,28 +197,19 @@ def integrate_reduced(
 ) -> list[OracleState]:
     """March the reduced system and return states at snapshot cadence.
 
-    The default scheme treats the advection term by an exact spectral phase
-    over each half step and the local atomic-coupling block by the exact
-    matrix exponential of its generator frozen at the midpoint, composed as
-    a symmetric (second order) splitting. The alternative explicit upwind
-    scheme is first order and CFL limited; it exists as a cross-check.
-    progress, if given, is called as progress(steps_done, n_steps, t) after
-    each snapshot.
+    Symmetric (second order, Strang) splitting: the advection term is an
+    exact spectral phase over each half step, and the local atomic-coupling
+    block is the exact matrix exponential of its generator frozen at the
+    step midpoint. progress, if given, is called as
+    progress(steps_done, n_steps, t) after each snapshot.
     """
     if initial.e_field.grid != grid:
         raise ConfigError("initial state grid does not match the run grid")
     snapshot_dt = cfg.snapshot_dt if cfg.snapshot_dt is not None else horizon / 10.0
     n_steps, per_snap = _substeps(horizon, cfg.dt, snapshot_dt)
-    run = _run_splitting if cfg.scheme == "splitting_spectral_advection" else _run_upwind
-    return run(params, grid, initial, schedule, n_steps, per_snap, cfg, progress)
-
-
-def _run_splitting(params, grid, initial, schedule, n_steps, per_snap, cfg, progress):
     n = grid.n_points
     dt = cfg.dt
-    c_eff = params.c * cfg.c_scale
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.dz)
-    half_phase = np.exp(-1j * k * c_eff * dt / 2.0)
+    half_phase = np.exp(-1j * grid.k_array() * params.c * dt / 2.0)
     stack = np.vstack(
         [
             np.fft.fft(initial.e_field.values),
@@ -250,78 +228,26 @@ def _run_splitting(params, grid, initial, schedule, n_steps, per_snap, cfg, prog
             np.matmul(propagator, stack[:, block], out=spare[:, block])
         stack, spare = spare, stack
         stack[0] *= half_phase
-        if not np.all(np.isfinite(stack)):
-            raise SimulationError(
-                f"oracle produced non-finite values at step {i + 1} "
-                f"(t = {t0 + (i + 1) * dt:.6e} s)"
-            )
         if (i + 1) % per_snap == 0:
+            t = t0 + (i + 1) * dt
+            # A non-finite value never turns finite in later steps, so one
+            # check per interval catches it; it must come before FieldGrid,
+            # which would reject the samples as a configuration error.
+            if not np.all(np.isfinite(stack)):
+                raise SimulationError(
+                    f"oracle produced non-finite values in "
+                    f"[{t - per_snap * dt:.6e}, {t:.6e}] s"
+                )
             states.append(
                 OracleState(
                     e_field=FieldGrid(grid, np.fft.ifft(stack[0])),
                     sigma_ba=FieldGrid(grid, np.fft.ifft(stack[1])),
                     sigma_bc=FieldGrid(grid, np.fft.ifft(stack[2])),
-                    t=t0 + (i + 1) * dt,
+                    t=t,
                 )
             )
             if progress is not None:
-                progress(i + 1, n_steps, states[-1].t)
-    return states
-
-
-def _run_upwind(params, grid, initial, schedule, n_steps, per_snap, cfg, progress):
-    dt = cfg.dt
-    dz = grid.dz
-    c_eff = params.c * cfg.c_scale
-    if c_eff * dt > dz * (1.0 + 1e-12):
-        raise ConfigError(
-            f"CFL violation: c*dt = {c_eff * dt:.3e} exceeds dz = {dz:.3e}; "
-            f"shrink dt or use the splitting scheme"
-        )
-    gn = params.g * params.n_atoms
-    d_ba = complex(params.gamma_ba, params.delta + params.delta_p)
-    d_bc = complex(params.gamma_bc, params.delta_p)
-    e = initial.e_field.values.copy()
-    sba = initial.sigma_ba.values.copy()
-    sbc = initial.sigma_bc.values.copy()
-    t0 = initial.t
-    eye = np.eye(2, dtype=complex)
-
-    states = [initial]
-    for i in range(n_steps):
-        t_mid = t0 + (i + 0.5) * dt
-        omega = schedule.eval(params, t_mid).omega
-        a = np.array([[-d_ba, 1j * omega], [1j * np.conj(omega), -d_bc]], dtype=complex)
-        e_new = e - (c_eff * dt / dz) * (e - np.roll(e, 1)) + dt * 1j * gn * sba
-        if cfg.stiff_handling == "exact_exponential":
-            u = expm(a * dt)
-            drive = np.linalg.solve(a, (u - eye) @ np.array([1j * params.g, 0.0]))
-            sba, sbc = (
-                u[0, 0] * sba + u[0, 1] * sbc + drive[0] * e_new,
-                u[1, 0] * sba + u[1, 1] * sbc + drive[1] * e_new,
-            )
-        else:
-            inv = np.linalg.inv(eye - dt * a)
-            rhs0 = sba + dt * 1j * params.g * e_new
-            rhs1 = sbc
-            sba, sbc = inv[0, 0] * rhs0 + inv[0, 1] * rhs1, inv[1, 0] * rhs0 + inv[1, 1] * rhs1
-        e = e_new
-        if not (np.all(np.isfinite(e)) and np.all(np.isfinite(sba)) and np.all(np.isfinite(sbc))):
-            raise SimulationError(
-                f"oracle produced non-finite values at step {i + 1} "
-                f"(t = {t0 + (i + 1) * dt:.6e} s)"
-            )
-        if (i + 1) % per_snap == 0:
-            states.append(
-                OracleState(
-                    e_field=FieldGrid(grid, e.copy()),
-                    sigma_ba=FieldGrid(grid, sba.copy()),
-                    sigma_bc=FieldGrid(grid, sbc.copy()),
-                    t=t0 + (i + 1) * dt,
-                )
-            )
-            if progress is not None:
-                progress(i + 1, n_steps, states[-1].t)
+                progress(i + 1, n_steps, t)
     return states
 
 
@@ -419,30 +345,16 @@ def compare_to_adiabatic(
 
 def write_oracle_csv(states: list[OracleState], path, cfg: OracleConfig, stride: int = 1):
     """Snapshot rows in the solver CSV layout, with a provenance header."""
-    if stride < 1:
-        raise ConfigError(f"stride must be at least 1, got {stride}")
     if not states:
         raise ConfigError("no states to write")
     z = states[0].e_field.grid.z_array()
-    n = states[0].e_field.grid.n_points
-    with open(path, "w", newline="") as fh:
-        fh.write(
-            f"# scheme={cfg.scheme} dt={_fmt(cfg.dt)} "
-            f"stiff_handling={cfg.stiff_handling} c_scale={_fmt(cfg.c_scale)}\n"
-        )
-        fh.write(
-            "t,z,re_e,im_e,abs_e,re_sigma_ba,im_sigma_ba,abs_sigma_ba,"
-            "re_sigma_bc,im_sigma_bc,abs_sigma_bc\n"
-        )
-        for st in states:
-            fields = (st.e_field.values, st.sigma_ba.values, st.sigma_bc.values)
-            for j in range(0, n, stride):
-                row = [_fmt(st.t), _fmt(z[j])]
-                for vals in fields:
-                    v = vals[j]
-                    row.extend((_fmt(v.real), _fmt(v.imag), _fmt(abs(v))))
-                fh.write(",".join(row) + "\n")
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+    header = (
+        f"# scheme=splitting_spectral_advection dt={cfg.dt!r}\n"
+        "t,z,re_e,im_e,abs_e,re_sigma_ba,im_sigma_ba,abs_sigma_ba,"
+        "re_sigma_bc,im_sigma_bc,abs_sigma_bc\n"
+    )
+    tables = (
+        field_columns(st.t, z, (st.e_field.values, st.sigma_ba.values, st.sigma_bc.values))
+        for st in states
+    )
+    write_csv(path, header, tables, stride)

@@ -23,7 +23,7 @@ from .errors import (
     SimulationError,
     ValidityError,
 )
-from .grids import FieldGrid, GridSpec, gaussian_field
+from .grids import FieldGrid, GridSpec, field_columns, gaussian_field, write_csv
 from .model import BLOCKING_CHECKS, MediumParams, PulseSpec, ValidityReport, check_regime
 
 # Per-interval cap on log modal gain; a detuned run that amplifies any mode
@@ -356,39 +356,22 @@ def simulate(
 
 def write_snapshots_csv(result: SimulationResult, path, stride: int = 1):
     """Dump every snapshot as rows of t, z, and Re/Im/abs of each field."""
-    if stride < 1:
-        raise ConfigError(f"stride must be at least 1, got {stride}")
     z = result.grid.z_array()
-    cols = (
+    header = (
         "t,z,re_psi,im_psi,abs_psi,re_phi,im_phi,abs_phi,"
-        "re_e,im_e,abs_e,re_sigma_bc,im_sigma_bc,abs_sigma_bc"
+        "re_e,im_e,abs_e,re_sigma_bc,im_sigma_bc,abs_sigma_bc\n"
     )
-    with open(path, "w", newline="") as fh:
-        fh.write(cols + "\n")
-        for snap in result.snapshots:
-            fields = (snap.psi.values, snap.phi.values, snap.e_field.values, snap.sigma_bc.values)
-            for j in range(0, result.grid.n_points, stride):
-                row = [_fmt(snap.t), _fmt(z[j])]
-                for vals in fields:
-                    v = vals[j]
-                    row.extend((_fmt(v.real), _fmt(v.imag), _fmt(abs(v))))
-                fh.write(",".join(row) + "\n")
+    tables = (
+        field_columns(
+            snap.t, z, (snap.psi.values, snap.phi.values, snap.e_field.values, snap.sigma_bc.values)
+        )
+        for snap in result.snapshots
+    )
+    write_csv(path, header, tables, stride)
 
 
 def write_coefficient_csv(trace, path):
     """Coefficient trace rows: t, alpha1, alpha2, beta, v_g."""
-    with open(path, "w", newline="") as fh:
-        fh.write("t,alpha1,alpha2,beta,v_g\n")
-        for cs in trace:
-            fh.write(
-                ",".join(
-                    (_fmt(cs.t), _fmt(cs.alpha1), _fmt(cs.alpha2), _fmt(cs.beta), _fmt(cs.v_g))
-                )
-                + "\n"
-            )
-
-
-def _fmt(x: float) -> str:
-    # 17 significant digits round-trips doubles exactly, keeping artifacts
-    # byte-identical across runs.
-    return format(float(x), ".17g")
+    names = ("t", "alpha1", "alpha2", "beta", "v_g")
+    columns = [[getattr(cs, name) for cs in trace] for name in names]
+    write_csv(path, ",".join(names) + "\n", [columns])

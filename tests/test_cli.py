@@ -197,7 +197,7 @@ def test_run_with_reference_comparison(tmp_path, capsys):
     assert comparison["max_linf"] < 0.01
     assert comparison["attribution"].startswith("all adiabaticity checks passed")
     first = (out / "oracle_snapshots.csv").read_text().splitlines()[0]
-    assert first.startswith("# scheme=splitting_spectral_advection dt=0.001")
+    assert first == "# scheme=splitting_spectral_advection dt=0.001"
     summary = json.loads((out / "summary.json").read_text())
     assert summary["oracle_comparison"]["max_linf"] == comparison["max_linf"]
 
@@ -210,6 +210,14 @@ def test_run_rejects_non_finite_oracle_dt(tmp_path, capsys, bad):
     assert f"dt must be positive and finite, got {bad}" in capsys.readouterr().err
     # rejected before the spectral run writes anything
     assert not out.exists()
+
+
+def test_run_rejects_oracle_dt_that_does_not_divide_before_writing(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["run", "--out-dir", str(out), "--oracle", "--oracle-dt", "7e-9"])
+    assert rc == 2
+    assert "must divide" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_cli_requires_a_subcommand():

@@ -13,7 +13,7 @@ from eitmem.errors import (
     QuadratureError,
     ValidityError,
 )
-from eitmem.grids import FieldGrid, GridSpec, gaussian_field
+from eitmem.grids import FieldGrid, GridSpec, field_columns, gaussian_field
 from eitmem.model import PulseSpec
 from eitmem.solver import (
     QuadratureSpec,
@@ -254,6 +254,21 @@ def test_snapshot_csv_layout_and_determinism(tmp_path, default_result):
     )
     n_rows = len(data.decode().splitlines()) - 1
     assert n_rows == len(default_result.snapshots) * (16384 // 256)
+
+
+def test_field_columns_take_the_scalar_complex_abs():
+    # Artifacts written before the shared CSV helper used Python's scalar
+    # abs per sample; numpy's vectorised complex abs can differ in the last
+    # bit, which would change the written bytes.
+    rng = np.random.default_rng(SEED)
+    vals = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
+    z = np.linspace(0.0, 1.0, vals.size)
+    t, zs, re, im, mag = (col.tolist() for col in field_columns(0.5, z, (vals,)))
+    assert t == [0.5] * vals.size
+    assert zs == z.tolist()
+    assert re == vals.real.tolist()
+    assert im == vals.imag.tolist()
+    assert mag == [abs(v) for v in vals]
 
 
 def test_coefficient_csv_layout(tmp_path, default_result):
