@@ -8,14 +8,13 @@ predictor, and computes the detuning/bandwidth/transit design bounds.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .coefficients import alpha1_slow_light, max_transit_time, v_g_min
 from .control import ControlSchedule
-from .errors import ConfigError, InvalidComparisonError, UntrackableFieldError
+from .errors import ConfigError, InvalidComparisonError, UntrackableFieldError, require_finite
 from .grids import FieldGrid
 from .model import MediumParams
 from .solver import QuadratureSpec, SimulationResult, accumulate_exponent, adaptive_simpson
@@ -23,6 +22,7 @@ from .solver import QuadratureSpec, SimulationResult, accumulate_exponent, adapt
 TRACK_AMPLITUDE_FLOOR = 1e-12
 DISTORTION_THRESHOLD = 0.1  # aligned_l2 above this reads as destroyed
 HIGH_K_BANDWIDTH_FACTOR = 3.0  # spectral energy beyond this many input widths
+DECAY_FIT_RMS_LIMIT = 0.05  # log-amplitude residual above which a decay fit reads as poor
 PROBE_CONTROL_LIMIT = 0.1  # max tolerated probe/control Rabi ratio
 
 # Prefactor of the detuning and bandwidth bounds. Kept as a named constant:
@@ -136,12 +136,14 @@ def fit_decay(
     t0: float,
     t1: float,
     exclude_windows: tuple[tuple[float, float], ...] = (),
-) -> float:
-    """Exponential decay rate of the peak amplitude over [t0, t1], 1/s.
+) -> tuple[float, float]:
+    """Exponential decay rate of the peak amplitude over [t0, t1] (1/s) and its fit residual.
 
     exclude_windows lists (center, halfwidth) pairs to drop, e.g. switching
-    transients where the rate briefly deviates. Warns when the log-linear
-    fit is poor instead of failing.
+    transients where the rate briefly deviates. The residual is the rms of
+    the log-linear fit; above DECAY_FIT_RMS_LIMIT the window likely spans a
+    switch or a distorted stretch, and callers report that instead of
+    failing.
     """
     idx = _window(track, t0, t1)
     t = np.asarray(track.times)[idx]
@@ -156,14 +158,7 @@ def fit_decay(
     log_amp = np.log(amp)
     slope, intercept = np.polyfit(t, log_amp, 1)
     resid = log_amp - (slope * t + intercept)
-    rms = float(np.sqrt(np.mean(resid**2)))
-    if rms > 0.05:
-        warnings.warn(
-            f"decay fit residual rms {rms:.3f} is large; the window may span a "
-            f"switch or a distorted stretch",
-            stacklevel=2,
-        )
-    return float(-slope)
+    return float(-slope), float(np.sqrt(np.mean(resid**2)))
 
 
 def predict_output(
@@ -189,22 +184,18 @@ def predict_output(
     if t0_duration < 0:
         raise ConfigError(f"storage duration must be nonnegative, got {t0_duration}")
     quad = quad or QuadratureSpec()
-    _, i_w = accumulate_exponent(params, schedule, t_start, t_start + t0_duration, quad)
+    t_end = t_start + t0_duration
+    _, i_w = accumulate_exponent(params, schedule, t_start, t_end, quad)
     displacement = i_w.real
     if mode == "simple":
         factor = math.exp(-params.gamma_bc * t0_duration)
     else:
-        def integrand(t: float) -> np.ndarray:
+        def integrand(t: np.ndarray) -> np.ndarray:
             theta, theta_dot, _ = schedule.eval(params, t)
-            return np.array([alpha1_slow_light(theta, theta_dot, params)])
+            return alpha1_slow_light(theta, theta_dot, params)
 
-        cuts = [t_start] + [
-            b for b in schedule.breakpoints() if t_start < b < t_start + t0_duration
-        ] + [t_start + t0_duration]
-        total = 0.0
-        for a, b in zip(cuts[:-1], cuts[1:]):
-            total += float(adaptive_simpson(integrand, a, b, quad)[0].real)
-        factor = math.exp(-total)
+        total = adaptive_simpson(integrand, t_start, t_end, quad, schedule.breakpoints())
+        factor = math.exp(-float(total))
     n = input_field.grid.n_points
     k = 2.0 * np.pi * np.fft.fftfreq(n, d=input_field.grid.dz)
     shifted = np.fft.ifft(np.fft.fft(input_field.values) * np.exp(-1j * k * displacement))
@@ -313,6 +304,8 @@ def design_limits(params: MediumParams, l_p: float, t0: float) -> DesignLimits:
     detuning and the individual bandwidths carry the loose one. The transit
     ceiling is how long the residual drift takes to cross the cell.
     """
+    require_finite("l_p", l_p)
+    require_finite("t0", t0)
     if l_p <= 0 or t0 <= 0:
         raise ConfigError(f"l_p and t0 must be positive, got {l_p}, {t0}")
     base = BOUND_PREFACTOR * params.g2n * l_p / (params.c * math.pi * t0)
@@ -360,9 +353,9 @@ def check_low_intensity(
     """
     times, probe, control, flagged = [], [], [], []
     worst = 0.0
-    for snap in result.snapshots:
+    omegas = schedule.eval(params, np.array([snap.t for snap in result.snapshots])).omega
+    for snap, omega_c in zip(result.snapshots, omegas.tolist()):
         omega_p = params.g * float(np.max(np.abs(snap.e_field.values)))
-        omega_c = schedule.eval(params, snap.t).omega
         ratio = omega_p / omega_c
         worst = max(worst, ratio)
         times.append(snap.t)
@@ -398,35 +391,42 @@ def assemble_summary(result: SimulationResult, output_time: float | None = None)
         "low_intensity": check_low_intensity(result, params, schedule).to_dict(),
     }
 
-    def measured_velocity(t0: float, t1: float):
-        try:
-            v, resid = fit_velocity(track, t0, t1)
-        except ConfigError:
-            return None
-        # predicted value is the model's mean velocity over the same window,
-        # so switch curvature does not masquerade as disagreement
-        _, i_w = accumulate_exponent(params, schedule, t0, t1)
-        return {"measured": v, "fit_residual_rms": resid, "predicted": i_w.real / (t1 - t0)}
-
     if schedule.kind == "tanh_profile":
         margin = 3.0 / schedule.steepness
-        summary["v_g_on"] = measured_velocity(0.0, schedule.t1)
-        off = measured_velocity(schedule.t1 + margin, schedule.t2 - margin)
-        summary["v_g_off"] = off
-        if off is not None:
-            try:
-                rate = fit_decay(track, schedule.t1 + margin, schedule.t2 - margin)
-                summary["decay_rate"] = {"measured": rate, "predicted": params.gamma_bc}
-            except (ConfigError, UntrackableFieldError):
-                summary["decay_rate"] = None
+        off_window = (schedule.t1 + margin, schedule.t2 - margin)
+        windows = {"v_g_on": (0.0, schedule.t1), "v_g_off": off_window}
     else:
-        summary["v_g_overall"] = measured_velocity(snaps[0].t, snaps[-1].t)
+        windows = {"v_g_overall": (snaps[0].t, snaps[-1].t)}
+    fits = {}
+    for name, (t0, t1) in windows.items():
+        try:
+            fits[name] = fit_velocity(track, t0, t1)
+        except ConfigError:
+            summary[name] = None
+    if "v_g_off" in fits:
+        try:
+            rate, rms = fit_decay(track, *off_window)
+            summary["decay_rate"] = {
+                "measured": rate,
+                "fit_residual_rms": rms,
+                "predicted": params.gamma_bc,
+            }
+        except (ConfigError, UntrackableFieldError):
+            summary["decay_rate"] = None
 
+    # One quadrature pass covers every fitted velocity window and the
+    # output-peak window. The predicted velocity is the model's mean over
+    # the same window, so switch curvature does not masquerade as
+    # disagreement.
     out_snap = result.snapshot_at(output_time)
+    spans = [windows[name] for name in fits] + [(snaps[0].t, out_snap.t)]
+    i_s, i_w = accumulate_exponent(params, schedule, *np.array(spans).T)
+    for j, (name, (v, resid)) in enumerate(fits.items()):
+        t0, t1 = windows[name]
+        summary[name] = {"measured": v, "fit_residual_rms": resid, "predicted": i_w[j].real / (t1 - t0)}
     _, peak0 = interpolated_peak(snaps[0].psi)
     _, peak_out = interpolated_peak(out_snap.psi)
-    i_s, _ = accumulate_exponent(params, schedule, snaps[0].t, out_snap.t)
-    predicted_peak = peak0 * math.exp(-i_s.real)
+    predicted_peak = peak0 * math.exp(-i_s[-1].real)
     output = {
         "t": out_snap.t,
         "measured_peak": peak_out,

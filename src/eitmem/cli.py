@@ -159,6 +159,9 @@ def cmd_run(args) -> int:
             f"stored decay rate: measured {decay['measured']:.6g} /s, "
             f"model {decay['predicted']:.6g} /s"
         )
+        warning = _decay_fit_warning(decay["fit_residual_rms"])
+        if warning is not None:
+            print(f"warning: {warning}", file=sys.stderr)
     out_peak = summary["output_peak"]
     print(
         f"output peak at t = {out_peak['t']:.6g} s: measured "
@@ -263,7 +266,17 @@ SWEEP_COLUMNS = (
 )
 
 
-def _sweep_row(sc: Scenario, result) -> dict:
+def _decay_fit_warning(rms: float) -> str | None:
+    if rms <= analysis.DECAY_FIT_RMS_LIMIT:
+        return None
+    return (
+        f"decay fit residual rms {rms:.3f} is large; the window may span a "
+        f"switch or a distorted stretch"
+    )
+
+
+def _sweep_row(sc: Scenario, result) -> tuple[dict, str | None]:
+    """The sweep.csv fields of one run, and its decay-fit warning if the fit is poor."""
     out_snap = result.snapshot_at(sc.output_time)
     _, peak = analysis.interpolated_peak(out_snap.psi)
     report = analysis.measure_distortion(result.snapshots[0].psi, out_snap.psi)
@@ -282,16 +295,19 @@ def _sweep_row(sc: Scenario, result) -> dict:
         "v_g_off": "",
         "decay_rate": "",
     }
+    warning = None
     if sc.schedule.kind == "tanh_profile":
         margin = 3.0 / sc.schedule.steepness
         t0, t1 = sc.schedule.t1 + margin, sc.schedule.t2 - margin
         track = analysis.track_pulse(result, "psi")
         try:
             row["v_g_off"] = repr(analysis.fit_velocity(track, t0, t1)[0])
-            row["decay_rate"] = repr(analysis.fit_decay(track, t0, t1))
+            rate, rms = analysis.fit_decay(track, t0, t1)
+            row["decay_rate"] = repr(rate)
+            warning = _decay_fit_warning(rms)
         except (ConfigError, UntrackableFieldError):
             pass
-    return row
+    return row, warning
 
 
 def cmd_sweep(args) -> int:
@@ -313,6 +329,7 @@ def cmd_sweep(args) -> int:
     for value in values:
         sc_v = with_medium(sc, **{args.axis: value})
         row = {"value": repr(value)}
+        warning = None
         try:
             result = solver.simulate(
                 sc_v.medium,
@@ -324,7 +341,8 @@ def cmd_sweep(args) -> int:
                 force=args.force,
                 extra_notes=sc_v.notes,
             )
-            row.update(_sweep_row(sc_v, result))
+            fields, warning = _sweep_row(sc_v, result)
+            row.update(fields)
         except EitmemError as exc:
             row.update(
                 {name: "" for name in SWEEP_COLUMNS if name not in ("value", "status")}
@@ -339,6 +357,8 @@ def cmd_sweep(args) -> int:
                 else ""
             )
         )
+        if warning is not None:
+            print(f"warning: {args.axis} = {value:.6g}: {warning}", file=sys.stderr)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=SWEEP_COLUMNS)
         writer.writeheader()

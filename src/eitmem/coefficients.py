@@ -9,12 +9,15 @@ A0 and B0 carry the non-ideal corrections (decay and detunings). The real and
 imaginary parts of (s_part, w_part) are the damping alpha1, phase rate beta,
 k-linear gain alpha2, and group velocity v_g. This module holds the exact
 forms, the high-density first-order forms, and the resonance special cases.
+The exact forms take a float or an array of mixing angles, elementwise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import SingularParametersError
 from .model import MediumParams
@@ -26,16 +29,16 @@ SINGULAR_DENOMINATOR_FRACTION = 1e-30
 
 @dataclass(frozen=True)
 class CoefficientSample:
-    """The complex pair (s_part, w_part) at one instant.
+    """The complex pair (s_part, w_part) at one instant, or arrays over many.
 
     The named coefficients are fixed projections of the pair, so the
     decomposition s_part + i k w_part = alpha1 + i beta + k alpha2 + i k v_g
     holds for every real k by construction.
     """
 
-    t: float  # s
-    s_part: complex  # 1/s
-    w_part: complex  # m/s
+    t: float | np.ndarray  # s
+    s_part: complex | np.ndarray  # 1/s
+    w_part: complex | np.ndarray  # m/s
 
     @property
     def alpha1(self) -> float:
@@ -58,52 +61,50 @@ class CoefficientSample:
         return self.w_part.real
 
 
-def a0_b0(theta: float, theta_dot: float, params: MediumParams) -> tuple[complex, complex]:
-    """Exact correction pair (A0, B0) at one control-field instant.
+def _denominator(s2, params: MediumParams, what: str):
+    """g^2 N + D_ba D_bc sin^2(theta), checked against the singular guard."""
+    d_ba, d_bc = params.coherence_factors()
+    den = params.g2n + d_ba * d_bc * s2
+    smallest = np.abs(den).min(initial=math.inf)
+    if smallest < SINGULAR_DENOMINATOR_FRACTION * params.g2n:
+        raise SingularParametersError(
+            f"{what} denominator of magnitude {smallest:.3e} vanished relative to g^2 N; "
+            f"parameters sit outside the high-density regime"
+        )
+    return den
+
+
+def a0_b0(theta, theta_dot, params: MediumParams):
+    """Exact correction pair (A0, B0) at control-field instants.
 
     A0 has units 1/s and enters s_part; B0 is dimensionless and enters
     w_part. Both vanish in the ideal lossless resonant limit.
     """
     d_ba, d_bc = params.coherence_factors()
-    sin_t = math.sin(theta)
+    sin_t = np.sin(theta)
     s2 = sin_t * sin_t
     dg = d_ba * d_bc
-    den = params.g2n + dg * s2
-    if abs(den) < SINGULAR_DENOMINATOR_FRACTION * params.g2n:
-        raise SingularParametersError(
-            f"coefficient denominator {den} vanished relative to g^2 N; "
-            f"parameters sit outside the high-density regime"
-        )
-    if theta_dot != 0.0:
-        switch = dg * math.tan(theta) * s2 * theta_dot
-    else:
-        switch = 0.0 + 0.0j
+    den = _denominator(s2, params, "coefficient")
+    switch = np.where(theta_dot != 0.0, dg * np.tan(theta) * s2 * theta_dot, 0.0j)
     a0 = (switch - d_ba * d_bc * d_bc * s2 * s2) / den
     b0 = dg * s2 * s2 / den
     return a0, b0
 
 
-def bright_ratio(theta: float, params: MediumParams) -> complex:
+def bright_ratio(theta, params: MediumParams):
     """Adiabatic bright/dark amplitude ratio Phi/Psi, dimensionless."""
     d_ba, d_bc = params.coherence_factors()
-    sin_t = math.sin(theta)
+    sin_t = np.sin(theta)
     s2 = sin_t * sin_t
-    dg = d_ba * d_bc
-    den = params.g2n + dg * s2
-    if abs(den) < SINGULAR_DENOMINATOR_FRACTION * params.g2n:
-        raise SingularParametersError(
-            f"bright-ratio denominator {den} vanished relative to g^2 N"
-        )
-    return dg * math.tan(theta) * s2 / den
+    den = _denominator(s2, params, "bright-ratio")
+    return d_ba * d_bc * np.tan(theta) * s2 / den
 
 
-def exponent_integrand(
-    theta: float, theta_dot: float, params: MediumParams, t: float = 0.0
-) -> CoefficientSample:
+def exponent_integrand(theta, theta_dot, params: MediumParams, t=0.0) -> CoefficientSample:
     """Exact (s_part, w_part) built from a0_b0. The general code path."""
     a0, b0 = a0_b0(theta, theta_dot, params)
     _, d_bc = params.coherence_factors()
-    s2 = math.sin(theta) ** 2
+    s2 = np.sin(theta) ** 2
     s_part = d_bc * s2 + a0
     w_part = params.c * ((1.0 - s2) + b0)
     return CoefficientSample(t=t, s_part=s_part, w_part=w_part)
@@ -156,20 +157,15 @@ def max_transit_time(params: MediumParams, remaining_length: float | None = None
     return length / floor
 
 
-def alpha1_slow_light(
-    theta: float, theta_dot: float, params: MediumParams, assume_sin_one: bool = False
-) -> float:
+def alpha1_slow_light(theta, theta_dot, params: MediumParams, assume_sin_one: bool = False):
     """Resonant damping rate with the switching correction, 1/s.
 
     The full form carries a sin^2(theta) factor; with assume_sin_one the
     deep slow-light simplification drops it and the rate is gamma_bc plus a
     small term active only while theta moves.
     """
-    if theta_dot != 0.0:
-        switch = math.tan(theta) * theta_dot
-    else:
-        switch = 0.0
+    switch = np.where(theta_dot != 0.0, np.tan(theta) * theta_dot, 0.0)
     rate = params.gamma_bc + (params.gamma_bc * params.gamma_ba / params.g2n) * switch
     if assume_sin_one:
         return rate
-    return rate * math.sin(theta) ** 2
+    return rate * np.sin(theta) ** 2

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 from .model import MediumParams
 
 SCHEDULE_KINDS = ("constant", "tanh_profile", "tabulated")
@@ -25,9 +25,11 @@ TABULATED_DENSITY_TOL = 1e-6  # rad
 
 
 class ControlSample(NamedTuple):
-    theta: float  # rad
-    theta_dot: float  # rad/s
-    omega: float  # rad/s
+    """One sample per requested time: floats for a float time, arrays for an array."""
+
+    theta: float | np.ndarray  # rad
+    theta_dot: float | np.ndarray  # rad/s
+    omega: float | np.ndarray  # rad/s
 
 
 def theta_from_omega(omega: float, g: float, n_atoms: float) -> float:
@@ -40,16 +42,16 @@ def theta_from_omega(omega: float, g: float, n_atoms: float) -> float:
     return math.atan2(g * math.sqrt(n_atoms), omega)
 
 
-def omega_from_theta(theta: float, g: float, n_atoms: float) -> float:
-    """Inverse of theta_from_omega on (0, pi/2)."""
-    if not 0.0 < theta < 0.5 * math.pi:
+def omega_from_theta(theta, g: float, n_atoms: float):
+    """Inverse of theta_from_omega on (0, pi/2), elementwise for arrays."""
+    if not np.all((0.0 < theta) & (theta < 0.5 * math.pi)):
         raise ConfigError(f"theta must lie in (0, pi/2), got {theta}")
-    return g * math.sqrt(n_atoms) / math.tan(theta)
+    return g * math.sqrt(n_atoms) / np.tan(theta)
 
 
-def _sech2(y: float) -> float:
+def _sech2(y):
     """sech^2(y), overflow-safe for large |y|."""
-    e = math.exp(-2.0 * abs(y))
+    e = np.exp(-2.0 * np.abs(y))
     return 4.0 * e / (1.0 + e) ** 2
 
 
@@ -79,6 +81,8 @@ class ControlSchedule:
     thetas: tuple[float, ...] = ()  # rad, tabulated values
 
     def __post_init__(self):
+        for name in ("omega", "scale", "floor", "steepness", "t1", "t2", "times", "thetas"):
+            require_finite(name, getattr(self, name))
         if self.kind not in SCHEDULE_KINDS:
             raise ConfigError(f"unknown schedule kind {self.kind!r}, expected one of {SCHEDULE_KINDS}")
         if self.kind == "constant":
@@ -130,32 +134,34 @@ class ControlSchedule:
         object.__setattr__(self, "_interp", interp)
         object.__setattr__(self, "_interp_dot", interp.derivative())
 
-    def _cot_theta(self, t: float) -> tuple[float, float]:
+    def _cot_theta(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """tanh profile: (x, dx/dt) with x = cot(theta)."""
         s = self.steepness
-        x = (
-            self.scale
-            * (1.0 - 0.5 * math.tanh(s * (t - self.t1)) + 0.5 * math.tanh(s * (t - self.t2)))
-            + self.floor
-        )
-        xdot = self.scale * s * (-0.5 * _sech2(s * (t - self.t1)) + 0.5 * _sech2(s * (t - self.t2)))
+        y1 = s * (t - self.t1)
+        y2 = s * (t - self.t2)
+        x = self.scale * (1.0 - 0.5 * np.tanh(y1) + 0.5 * np.tanh(y2)) + self.floor
+        xdot = self.scale * s * (-0.5 * _sech2(y1) + 0.5 * _sech2(y2))
         return x, xdot
 
-    def eval(self, params: MediumParams, t: float) -> ControlSample:
-        """Sample (theta, theta_dot, omega) at time t."""
+    def eval(self, params: MediumParams, t) -> ControlSample:
+        """Sample (theta, theta_dot, omega) at time t, a float or an array of times."""
+        t = np.asarray(t, dtype=float)
         if self.kind == "constant":
-            theta = theta_from_omega(self.omega, params.g, params.n_atoms)
-            return ControlSample(theta, 0.0, self.omega)
+            theta = np.full(t.shape, theta_from_omega(self.omega, params.g, params.n_atoms))
+            omega = np.full(t.shape, self.omega)
+            return ControlSample(theta[()], np.zeros(t.shape)[()], omega[()])
         if self.kind == "tanh_profile":
             x, xdot = self._cot_theta(t)
-            theta = math.atan(1.0 / x)  # x > 0 always, so theta in (0, pi/2)
+            theta = np.arctan(1.0 / x)  # x > 0 always, so theta in (0, pi/2)
             theta_dot = -xdot / (1.0 + x * x)
-            return ControlSample(theta, theta_dot, params.g_root_n * x)
+            return ControlSample(theta[()], theta_dot[()], (params.g_root_n * x)[()])
         # tabulated: hold the endpoint values outside the table
-        tc = min(max(t, self.times[0]), self.times[-1])
-        theta = float(self._interp(tc))
-        theta_dot = float(self._interp_dot(tc)) if self.times[0] < t < self.times[-1] else 0.0
-        return ControlSample(theta, theta_dot, omega_from_theta(theta, params.g, params.n_atoms))
+        tc = np.clip(t, self.times[0], self.times[-1])
+        theta = self._interp(tc)
+        inside = (self.times[0] < t) & (t < self.times[-1])
+        theta_dot = np.where(inside, self._interp_dot(tc), 0.0)
+        omega = omega_from_theta(theta, params.g, params.n_atoms)
+        return ControlSample(theta[()], theta_dot[()], omega[()])
 
     def breakpoints(self) -> tuple[float, ...]:
         """Times where the profile changes character; quadrature splits here."""

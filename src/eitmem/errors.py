@@ -1,10 +1,12 @@
-"""Exception taxonomy shared by the whole package.
+"""Exception taxonomy shared by the whole package, and its finite-value check.
 
 The CLI maps these onto process exit codes, so keep the hierarchy flat and
 stable: ConfigError -> 2, ValidityError -> 3, SimulationError -> 4.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 
 class EitmemError(Exception):
@@ -13,6 +15,18 @@ class EitmemError(Exception):
 
 class ConfigError(EitmemError):
     """Scenario file or parameter-set construction problem."""
+
+
+def require_finite(name: str, value) -> None:
+    """Raise ConfigError naming `name` unless value is finite.
+
+    value may be real, complex, or a sequence of either; NaN and infinities
+    slip through the usual `x <= 0` range tests, so constructors call this
+    first.
+    """
+    if not np.all(np.isfinite(value)):
+        shown = value if np.ndim(value) == 0 else "a non-finite entry"
+        raise ConfigError(f"{name} must be finite, got {shown}")
 
 
 class ValidityError(EitmemError):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 
 
 @dataclass(frozen=True)
@@ -23,6 +23,8 @@ class GridSpec:
     n_points: int
 
     def __post_init__(self):
+        require_finite("z_min", self.z_min)
+        require_finite("z_max", self.z_max)
         if not self.z_max > self.z_min:
             raise ConfigError(f"z_max ({self.z_max}) must exceed z_min ({self.z_min})")
         n = self.n_points

@@ -10,12 +10,12 @@ pulse/switching scales, and the low-intensity (weak probe) limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from .control import ControlSchedule
@@ -54,6 +54,8 @@ class MediumParams:
     c: float = C_VACUUM  # light speed, m/s; adjustable for scaled runs
 
     def __post_init__(self):
+        for f in fields(self):
+            require_finite(f.name, getattr(self, f.name))
         if self.g <= 0:
             raise ConfigError(f"g must be positive, got {self.g}")
         if self.n_atoms < 1:
@@ -118,6 +120,10 @@ class PulseSpec:
     l_p: float | None = None  # pulse length in the medium, m; defaults to 2*width
 
     def __post_init__(self):
+        for name in ("amplitude", "center_z", "width"):
+            require_finite(name, getattr(self, name))
+        if self.l_p is not None:
+            require_finite("l_p", self.l_p)
         if self.width <= 0:
             raise ConfigError(f"pulse width must be positive, got {self.width}")
         if self.l_p is not None and self.l_p <= 0:
@@ -223,9 +229,8 @@ def check_regime(
     adiab_length_scale = math.sqrt(params.gamma_ba * params.c * params.length / params.g2n)
     adiab_length = pulse.pulse_length / adiab_length_scale
 
-    times = schedule.sample_times()
-    theta0, _, _ = schedule.eval(params, float(times[0]))
-    v_g0 = _resonant_group_velocity(theta0, params)
+    sample = schedule.eval(params, schedule.sample_times())
+    v_g0 = _resonant_group_velocity(float(sample.theta[0]), params)
     adiab_time_scale = (params.gamma_ba / params.g2n) * (v_g0 / params.c)  # s
     adiab_time = turn_time / adiab_time_scale if adiab_time_scale > 0 else math.inf
 
@@ -237,14 +242,10 @@ def check_regime(
     # |cos(theta) + sin(theta) f| |Psi| where f is the adiabatic bright/dark
     # ratio, and the probe Rabi scale is g |E| (calibrated against the
     # post-run check in the analysis module).
-    worst = 0.0
-    amp = abs(pulse.amplitude)
-    for t in times:
-        theta, _, omega = schedule.eval(params, float(t))
-        f = bright_ratio(theta, params)
-        e_est = amp * abs(math.cos(theta) + math.sin(theta) * f)
-        ratio = params.g * e_est / omega
-        worst = max(worst, ratio)
+    theta = sample.theta
+    f = bright_ratio(theta, params)
+    e_est = abs(pulse.amplitude) * np.abs(np.cos(theta) + np.sin(theta) * f)
+    worst = float(np.max(params.g * e_est / sample.omega))
 
     checks = {
         "high_density": high_density >= PASS_FACTOR,

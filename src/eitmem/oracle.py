@@ -182,7 +182,7 @@ def _step_propagators(params, schedule, t0, dt, n_steps):
         return
     for start in range(0, n_steps, CHUNK_STEPS):
         t_mid = t0 + (np.arange(start, min(start + CHUNK_STEPS, n_steps)) + 0.5) * dt
-        omega = np.array([schedule.eval(params, t).omega for t in t_mid.tolist()])
+        omega = schedule.eval(params, t_mid).omega
         yield from _propagators(params, omega, dt)
 
 

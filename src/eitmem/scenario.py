@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 
 from .control import SCHEDULE_KINDS, ControlSchedule
-from .errors import ConfigError
+from .errors import ConfigError, require_finite
 from .grids import GridSpec
 from .model import C_VACUUM, MediumParams, PulseSpec
 from .solver import check_pulse_fits
@@ -42,8 +42,10 @@ class Scenario:
     notes: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
-            raise ConfigError("horizon must be a positive finite time")
+        for name in ("horizon", "snapshot_dt", "output_time"):
+            require_finite(name, getattr(self, name))
+        if not self.horizon > 0.0:
+            raise ConfigError("horizon must be positive")
         if not (0.0 < self.snapshot_dt <= self.horizon):
             raise ConfigError("snapshot_dt must lie in (0, horizon]")
         ratio = self.horizon / self.snapshot_dt
@@ -157,11 +159,13 @@ def _parse_float(section, key: str, section_name: str, default: float | None = N
             raise ConfigError(f"[{section_name}] is missing required key {key!r}")
         return default
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(
             f"[{section_name}] {key} = {raw!r} cannot be parsed as a number"
         ) from None
+    require_finite(f"[{section_name}] {key}", value)
+    return value
 
 
 def _parse_int(section, key: str, section_name: str) -> int:
@@ -191,6 +195,7 @@ def _parse_float_list(section, key: str, section_name: str) -> tuple[float, ...]
             raise ConfigError(
                 f"[{section_name}] {key}: entry {piece!r} cannot be parsed as a number"
             ) from None
+    require_finite(f"[{section_name}] {key}", out)
     return tuple(out)
 
 

@@ -3,13 +3,15 @@
 The polariton field is evolved exactly in k-space: each interval contributes
 integrals I_s and I_w of the closed-form coefficients, and every mode is
 multiplied by exp(-I_s - i k I_w). Reconstruction of the bright state, the
-probe field, and the lower-level coherence from the dark field is pointwise.
+probe field, and the lower-level coherence from the dark field is pointwise
+and happens only when a snapshot's derived field is first read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,52 +57,95 @@ class QuadratureSpec:
             raise ConfigError(f"max_depth must be at least 4, got {self.max_depth}")
 
 
-def adaptive_simpson(f, a: float, b: float, spec: QuadratureSpec) -> np.ndarray:
-    """Integrate a vector-valued complex function over [a, b].
+def adaptive_simpson(f, a, b, spec: QuadratureSpec, breakpoints=()) -> np.ndarray:
+    """Integrate f over every interval [a, b] in one breadth-first pass.
 
-    Classic adaptive Simpson with Richardson extrapolation; the local
-    acceptance test runs on the worst component so every component meets
-    spec.abs_tol. Raises QuadratureError with the achieved estimate when the
-    depth budget runs out before the tolerance is met.
+    a and b are floats or equal-shape arrays of interval ends. f takes a 1-D
+    array of times and returns its values with time on the last axis, so a
+    vector-valued complex integrand returns shape (components, times). Each
+    interval is cut at the breakpoints inside it, and each panel runs
+    classic adaptive Simpson with Richardson extrapolation: the local
+    acceptance test runs on the worst component, so every component meets
+    spec.abs_tol, and a rejected panel is halved with half the tolerance
+    for each half. All open panels of one level share one call to f.
+    Accepted halves are summed pairwise back up the tree and the panels of
+    an interval left to right, so on the same nodes the result equals the
+    depth-first recursion bit for bit. Returns the component shape followed
+    by the shape of a. Raises QuadratureError, with the achieved estimate,
+    for the earliest panel whose depth budget runs out before the tolerance
+    is met.
     """
-    if b < a:
-        raise ConfigError(f"integration interval reversed: [{a}, {b}]")
-    if b == a:
-        probe = np.asarray(f(a))
-        return np.zeros_like(probe)
-    fa = np.asarray(f(a))
-    fm = np.asarray(f(0.5 * (a + b)))
-    fb = np.asarray(f(b))
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    failures: list[float] = []
-    value = _simpson_recurse(f, a, b, fa, fm, fb, whole, spec.abs_tol, 0, spec.max_depth, failures)
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    if np.any(b < a):
+        i = int(np.argmax(b.ravel() < a.ravel()))
+        raise ConfigError(f"integration interval reversed: [{a.flat[i]}, {b.flat[i]}]")
+    lo, hi, owner = [], [], []
+    for i, (t0, t1) in enumerate(zip(a.ravel().tolist(), b.ravel().tolist())):
+        if t1 == t0:
+            continue
+        cuts = [t0] + [c for c in breakpoints if t0 < c < t1] + [t1]
+        lo += cuts[:-1]
+        hi += cuts[1:]
+        owner += [i] * (len(cuts) - 1)
+
+    pa, pb = np.array(lo), np.array(hi)
+    x = np.stack([pa, 0.5 * (pa + pb), pb])  # (a, m, b) of every open panel
+    y = np.asarray(f(x.ravel()))
+    shape = y.shape[:-1]  # of one integrand value
+    n_comp = math.prod(shape)
+    fx = y.reshape(n_comp, 3, pa.size)  # components x (a, m, b) x panels
+    whole = (pb - pa) / 6.0 * (fx[:, 0] + 4.0 * fx[:, 1] + fx[:, 2])
+    root = np.arange(pa.size)
+    tol = spec.abs_tol
+    levels = []  # per depth: (accepted mask, accepted values)
+    failures = []  # (root panel, local error estimate)
+    for depth in range(spec.max_depth + 1):
+        if root.size == 0:
+            break
+        pa, pm, pb = x
+        fa, fm, fb = fx[:, 0], fx[:, 1], fx[:, 2]
+        lm = 0.5 * (pa + pm)
+        rm = 0.5 * (pm + pb)
+        y = np.asarray(f(np.concatenate([lm, rm]))).reshape(n_comp, 2, root.size)
+        flm, frm = y[:, 0], y[:, 1]
+        left = (pm - pa) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (pb - pm) / 6.0 * (fm + 4.0 * frm + fb)
+        delta = left + right - whole
+        err = np.abs(delta).max(axis=0)
+        done = err <= 15.0 * tol
+        if depth == spec.max_depth:
+            failures += zip(root[~done].tolist(), (err[~done] / 15.0).tolist())
+            done[:] = True
+        levels.append((done, (left + right + delta / 15.0)[:, done]))
+        # Children of the rejected panels: all left halves, then all right halves.
+        split = ~done
+        x5 = np.stack([pa, lm, pm, rm, pb])[:, split]
+        f5 = np.stack([fa, flm, fm, frm, fb], axis=1)[..., split]
+        x = np.concatenate([x5[0:3], x5[2:5]], axis=1)
+        fx = np.concatenate([f5[:, 0:3], f5[:, 2:5]], axis=2)
+        whole = np.concatenate([left[:, split], right[:, split]], axis=1)
+        root = np.concatenate([root[split], root[split]])
+        tol = 0.5 * tol
     if failures:
+        first = min(panel for panel, _ in failures)
+        worst = max(e for panel, e in failures if panel == first)
         raise QuadratureError(
-            f"quadrature did not converge on [{a}, {b}]: worst local error "
-            f"estimate {max(failures):.3e} exceeds tolerance {spec.abs_tol:.1e} "
+            f"quadrature did not converge on [{lo[first]}, {hi[first]}]: worst local error "
+            f"estimate {worst:.3e} exceeds tolerance {spec.abs_tol:.1e} "
             f"at depth {spec.max_depth}"
         )
-    return value
 
-
-def _simpson_recurse(f, a, b, fa, fm, fb, whole, tol, depth, max_depth, failures):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = np.asarray(f(lm))
-    frm = np.asarray(f(rm))
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    err = float(np.max(np.abs(delta)))
-    if err <= 15.0 * tol or depth >= max_depth:
-        if err > 15.0 * tol:
-            failures.append(err / 15.0)
-        return left + right + delta / 15.0
-    half = 0.5 * tol
-    return _simpson_recurse(
-        f, a, m, fa, flm, fm, left, half, depth + 1, max_depth, failures
-    ) + _simpson_recurse(f, m, b, fm, frm, fb, right, half, depth + 1, max_depth, failures)
+    values = whole[:, :0]  # value of every panel of the level below
+    for done, accepted in reversed(levels):
+        node = np.empty(accepted.shape[:1] + done.shape, dtype=accepted.dtype)
+        node[:, done] = accepted
+        half = values.shape[1] // 2
+        node[:, ~done] = values[:, :half] + values[:, half:]
+        values = node
+    total = np.zeros((values.shape[0], a.size), dtype=values.dtype)
+    for j, i in enumerate(owner):
+        total[:, i] += values[:, j]
+    return total.reshape(shape + a.shape)
 
 
 @dataclass(frozen=True)
@@ -137,36 +182,50 @@ def inverse_transform(state: SpectralState) -> FieldGrid:
 def accumulate_exponent(
     params: MediumParams,
     schedule: ControlSchedule,
-    t0: float,
-    t1: float,
+    t0,
+    t1,
     quad: QuadratureSpec | None = None,
     trace: list[CoefficientSample] | None = None,
-) -> tuple[complex, complex]:
-    """Integrate (s_part, w_part) over [t0, t1].
+):
+    """Integrate (s_part, w_part) over [t0, t1]; returns (I_s, I_w).
 
-    Re(I_w) is exactly the pulse displacement over the interval. The
-    integration interval is split at the schedule's breakpoints so the
-    quadrature never straddles a switch. When a trace list is supplied,
-    every integrand evaluation is recorded into it.
+    t0 and t1 are floats, or equal-shape arrays of interval ends that are
+    all integrated in one quadrature pass, giving arrays of I_s and I_w.
+    Re(I_w) is exactly the pulse displacement over the interval. Each
+    interval is split at the schedule's breakpoints so the quadrature never
+    straddles a switch. When a trace list is supplied, every batch of
+    integrand evaluations is appended to it.
     """
-    if t1 < t0:
-        raise ConfigError(f"time interval reversed: [{t0}, {t1}]")
-    if t1 == t0:
-        return 0.0 + 0.0j, 0.0 + 0.0j
     quad = quad or QuadratureSpec()
 
-    def integrand(t: float) -> np.ndarray:
+    def integrand(t: np.ndarray) -> np.ndarray:
         theta, theta_dot, _ = schedule.eval(params, t)
         cs = exponent_integrand(theta, theta_dot, params, t=t)
         if trace is not None:
             trace.append(cs)
         return np.array([cs.s_part, cs.w_part])
 
-    cuts = [t0] + [b for b in schedule.breakpoints() if t0 < b < t1] + [t1]
-    total = np.zeros(2, dtype=complex)
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        total += adaptive_simpson(integrand, a, b, quad)
-    return complex(total[0]), complex(total[1])
+    i_s, i_w = adaptive_simpson(integrand, t0, t1, quad, schedule.breakpoints())
+    return i_s, i_w
+
+
+def mode_factor(k_grid: np.ndarray, i_s: complex, i_w: complex) -> np.ndarray:
+    """exp(-I_s - i k I_w) on an FFT-ordered wavenumber grid, from two short tables.
+
+    With B = 2^floor(log2(n)/2), FFT order lists the modes as blocks of B,
+    mode qB + r at row q, column r, and the rows run q = 0, 1, ..., -1.
+    So the factor is the outer product of exp(-I_s - i k_qB I_w) over the
+    block starts and exp(-i k_r I_w) over 0 <= r < B: about 2 sqrt(n)
+    exponentials instead of n. The column table's largest log gain is moved
+    into the row table, so neither table can overflow where the product
+    does not.
+    """
+    block = 1 << (k_grid.size.bit_length() - 1) // 2
+    k_col = k_grid[:block]
+    shift = max(float(k_col[-1]) * i_w.imag, 0.0)
+    rows = np.exp(shift - i_s - 1j * k_grid[::block] * i_w)
+    cols = np.exp(-shift - 1j * k_col * i_w)
+    return np.outer(rows, cols).ravel()
 
 
 def apply_evolution(
@@ -180,20 +239,21 @@ def apply_evolution(
     A nonzero Im(I_w) makes the magnitude k-dependent: one spectral wing is
     amplified, the other attenuated. That gain is the distortion mechanism
     for detuned runs, so the largest log modal gain of the step is kept as a
-    diagnostic and guarded against overflow.
+    diagnostic and guarded against overflow. The log gain is linear in k,
+    so its largest value sits at the most positive or most negative mode.
     """
-    log_gain = -i_s.real + state.k_grid * i_w.imag
-    max_gain = float(np.max(log_gain))
+    half = state.grid.n_points // 2
+    extremes = state.k_grid[[half - 1, half]]  # largest and most negative k, FFT order
+    max_gain = float(np.max(-i_s.real + extremes * i_w.imag))
     if max_gain > overflow_guard:
         raise AmplificationOverflowError(
             f"modal log gain {max_gain:.2f} exceeds guard {overflow_guard:.0f} in one "
             f"interval; the scenario is too far off resonance for a meaningful run"
         )
-    factor = np.exp(-i_s - 1j * state.k_grid * i_w)
     return SpectralState(
         grid=state.grid,
         k_grid=state.k_grid,
-        modes=state.modes * factor,
+        modes=state.modes * mode_factor(state.k_grid, i_s, i_w),
         accumulated_s=state.accumulated_s + i_s,
         accumulated_w=state.accumulated_w + i_w,
         max_log_gain=max_gain,
@@ -222,17 +282,39 @@ def reconstruct(
 
 @dataclass(frozen=True)
 class Snapshot:
+    """The dark field at one time, with the control sample that reconstructs the rest.
+
+    phi, e_field and sigma_bc are built by reconstruct on first access and
+    cached, so a run that reads only psi never builds them.
+    """
+
     t: float  # s
     psi: FieldGrid
-    phi: FieldGrid
-    e_field: FieldGrid
-    sigma_bc: FieldGrid
+    theta: float  # rad
+    theta_dot: float  # rad/s
+    params: MediumParams
+
+    @cached_property
+    def _reconstructed(self) -> tuple[FieldGrid, FieldGrid, FieldGrid]:
+        return reconstruct(self.psi, self.theta, self.theta_dot, self.params)
+
+    @property
+    def phi(self) -> FieldGrid:
+        return self._reconstructed[0]
+
+    @property
+    def e_field(self) -> FieldGrid:
+        return self._reconstructed[1]
+
+    @property
+    def sigma_bc(self) -> FieldGrid:
+        return self._reconstructed[2]
 
 
 @dataclass(frozen=True)
 class SimulationResult:
     snapshots: tuple[Snapshot, ...]
-    coefficient_trace: tuple[CoefficientSample, ...]
+    coefficient_trace: CoefficientSample  # arrays over the distinct quadrature nodes, by time
     validity: ValidityReport
     params: MediumParams
     grid: GridSpec
@@ -260,12 +342,24 @@ def check_pulse_fits(grid: GridSpec, pulse: PulseSpec):
         )
 
 
-def _check_wraparound(psi: FieldGrid, pulse: PulseSpec, t: float):
-    n = psi.grid.n_points
-    spectrum = np.fft.fft(psi.values)
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=psi.grid.dz)
+def _edge_probe(k_grid: np.ndarray, pulse: PulseSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Retained modes of the wraparound low-pass and their inverse-transform basis.
+
+    Returns the indices of the modes with |k| below the cutoff and the
+    (retained x 4) matrix that takes those modes to the low-passed field at
+    grid samples 0, 1, n-2 and n-1.
+    """
+    n = k_grid.size
     cutoff = WRAPAROUND_LOWPASS_HARMONICS * 2.0 * np.pi / pulse.pulse_length
-    lowpassed = np.abs(np.fft.ifft(np.where(np.abs(k) <= cutoff, spectrum, 0.0)))
+    index = np.flatnonzero(np.abs(k_grid) <= cutoff)
+    m = np.where(index < n // 2, index, index - n)  # signed mode numbers, FFT order
+    edges = np.array([0.0, 1.0, -2.0, -1.0])  # samples 0, 1, n-2, n-1, taken mod n
+    return index, np.exp(2j * np.pi * np.outer(m, edges) / n) / n
+
+
+def _check_wraparound(
+    state: SpectralState, psi: FieldGrid, probe: tuple[np.ndarray, np.ndarray], t: float
+):
     # The floor is relative to the full field, not the low-passed one: a run
     # whose high-k modes were amplified into garbage leaves ~1e-16 * garbage
     # of transform roundoff in every retained mode, and measuring support
@@ -274,8 +368,9 @@ def _check_wraparound(psi: FieldGrid, pulse: PulseSpec, t: float):
     peak = psi.peak()
     if peak == 0.0:
         return
-    support = lowpassed >= WRAPAROUND_SUPPORT_FLOOR * peak
-    if support[0] or support[1] or support[-2] or support[-1]:
+    index, basis = probe
+    lowpassed = np.abs(state.modes[index] @ basis)
+    if np.any(lowpassed >= WRAPAROUND_SUPPORT_FLOOR * peak):
         raise DomainOverflowError(
             t, f"pulse support reached the domain edge at t = {t:.6e} s"
         )
@@ -293,12 +388,13 @@ def simulate(
     initial_field: FieldGrid | None = None,
     extra_notes: tuple[str, ...] = (),
 ) -> SimulationResult:
-    """Run the spectral evolution and reconstruct all fields per snapshot.
+    """Run the spectral evolution and take a snapshot every snapshot_dt.
 
     The initial dark field comes from the pulse spec unless initial_field
     overrides it (same grid required); the override exists for linearity and
     translation checks where the initial shape is not a fresh Gaussian.
-    Regime checks run first and block the run unless force is set.
+    Regime checks run first and block the run unless force is set. The
+    exponents of all snapshot intervals come from one quadrature pass.
     """
     if horizon <= 0:
         raise ConfigError(f"horizon must be positive, got {horizon}")
@@ -322,35 +418,46 @@ def simulate(
         blocking = [name for name in validity.failed() if name in BLOCKING_CHECKS]
         raise ValidityError("regime checks failed: " + ", ".join(blocking))
 
-    quad = quad or QuadratureSpec()
+    times = [0.0] + [i * snapshot_dt for i in range(1, n_steps)] + [horizon]
+    t = np.array(times)
     trace: list[CoefficientSample] = []
+    i_s, i_w = accumulate_exponent(params, schedule, t[:-1], t[1:], quad, trace)
+    theta, theta_dot, _ = schedule.eval(params, t)
     state = forward_transform(psi0)
+    probe = _edge_probe(state.k_grid, pulse)
 
-    def take_snapshot(t: float, psi: FieldGrid) -> Snapshot:
-        theta, theta_dot, _ = schedule.eval(params, t)
-        phi, e_field, sigma_bc = reconstruct(psi, theta, theta_dot, params)
-        return Snapshot(t=t, psi=psi, phi=phi, e_field=e_field, sigma_bc=sigma_bc)
+    def take_snapshot(i: int, psi: FieldGrid) -> Snapshot:
+        return Snapshot(times[i], psi, float(theta[i]), float(theta_dot[i]), params)
 
-    snapshots = [take_snapshot(0.0, psi0)]
+    snapshots = [take_snapshot(0, psi0)]
     for i in range(1, n_steps + 1):
-        t_prev = (i - 1) * snapshot_dt
-        t_now = i * snapshot_dt if i < n_steps else horizon
-        i_s, i_w = accumulate_exponent(params, schedule, t_prev, t_now, quad, trace)
-        state = apply_evolution(state, i_s, i_w)
+        state = apply_evolution(state, i_s[i - 1], i_w[i - 1])
         psi = inverse_transform(state)
-        _check_wraparound(psi, pulse, t_now)
-        snapshots.append(take_snapshot(t_now, psi))
+        _check_wraparound(state, psi, probe, times[i])
+        snapshots.append(take_snapshot(i, psi))
 
-    by_time = {cs.t: cs for cs in trace}
-    ordered = tuple(by_time[t] for t in sorted(by_time))
     return SimulationResult(
         snapshots=tuple(snapshots),
-        coefficient_trace=ordered,
+        coefficient_trace=_distinct_nodes(trace),
         validity=validity,
         params=params,
         grid=grid,
         pulse=pulse,
         schedule=schedule,
+    )
+
+
+def _distinct_nodes(trace: list[CoefficientSample]) -> CoefficientSample:
+    """All traced integrand evaluations in time order, one per distinct node."""
+    t = np.concatenate([cs.t for cs in trace])
+    order = np.argsort(t, kind="stable")
+    t = t[order]
+    first = np.concatenate(([True], t[1:] != t[:-1]))
+    pick = order[first]
+    return CoefficientSample(
+        t=t[first],
+        s_part=np.concatenate([cs.s_part for cs in trace])[pick],
+        w_part=np.concatenate([cs.w_part for cs in trace])[pick],
     )
 
 
@@ -370,8 +477,8 @@ def write_snapshots_csv(result: SimulationResult, path, stride: int = 1):
     write_csv(path, header, tables, stride)
 
 
-def write_coefficient_csv(trace, path):
-    """Coefficient trace rows: t, alpha1, alpha2, beta, v_g."""
+def write_coefficient_csv(trace: CoefficientSample, path):
+    """Coefficient trace rows: t, alpha1, alpha2, beta, v_g, one per node."""
     names = ("t", "alpha1", "alpha2", "beta", "v_g")
-    columns = [[getattr(cs, name) for cs in trace] for name in names]
+    columns = [getattr(trace, name) for name in names]
     write_csv(path, ",".join(names) + "\n", [columns])

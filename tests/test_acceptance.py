@@ -79,7 +79,7 @@ def test_criterion_01_off_window_velocity_tracks_rate_product(plateau_runs):
 def test_criterion_02_stored_decay_matches_spin_rate(plateau_runs):
     for g_bc in (1e4, 1e3):
         result, _ = plateau_runs[(1e8, g_bc)]
-        rate = fit_decay(track_pulse(result, "psi"), *OFF_WINDOW)
+        rate, _ = fit_decay(track_pulse(result, "psi"), *OFF_WINDOW)
         rel = abs(rate - g_bc) / g_bc
         print(f"criterion 2: gamma_bc={g_bc:.0e} fitted decay {rate:.6g} /s ({100 * rel:.3f}%)")
         assert rel <= 0.02

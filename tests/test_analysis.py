@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from eitmem.analysis import (
+    DECAY_FIT_RMS_LIMIT,
     DISTORTION_THRESHOLD,
     PROBE_CONTROL_LIMIT,
     PulseTrack,
@@ -83,8 +84,9 @@ def test_velocity_fit_is_exact_on_linear_track():
 
 def test_decay_fit_is_exact_on_exponential_track():
     track = synthetic_track()
-    rate = fit_decay(track, 0.0, 120e-6)
+    rate, rms = fit_decay(track, 0.0, 120e-6)
     assert rate == pytest.approx(437.0, rel=1e-10)
+    assert rms < 1e-12
     with pytest.raises(ConfigError, match="at least 3"):
         fit_decay(track, 0.0, 1e-6)
 
@@ -100,13 +102,15 @@ def test_decay_fit_exclusion_windows_drop_corrupt_samples():
         width=track.width,
         imag_fraction=track.imag_fraction,
     )
-    with pytest.warns(UserWarning, match="residual"):
-        biased = fit_decay(corrupted, 0.0, 120e-6)
+    # the corrupt sample shows in the residual, which callers report
+    biased, biased_rms = fit_decay(corrupted, 0.0, 120e-6)
     assert abs(biased - 437.0) > 1.0
-    clean = fit_decay(
+    assert biased_rms > DECAY_FIT_RMS_LIMIT
+    clean, clean_rms = fit_decay(
         corrupted, 0.0, 120e-6, exclude_windows=((track.times[9], 1e-6),)
     )
     assert clean == pytest.approx(437.0, rel=1e-10)
+    assert clean_rms < 1e-12
 
 
 def test_decay_fit_rejects_zero_amplitude():
@@ -234,6 +238,10 @@ def test_design_limits_scaling_laws(default_sc):
     assert math.isinf(design_limits(no_spin_decay, 1e-3, 53e-6).delta_max)
     with pytest.raises(ConfigError, match="positive"):
         design_limits(p, 0.0, 53e-6)
+    with pytest.raises(ConfigError, match="l_p must be finite"):
+        design_limits(p, math.nan, 53e-6)
+    with pytest.raises(ConfigError, match="t0 must be finite"):
+        design_limits(p, 1e-3, math.inf)
     d = base.to_dict()
     assert isinstance(d["notes"], list) and d["delta_p_max"] == base.delta_p_max
 

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import configparser
 import csv
+import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from eitmem.cli import SWEEP_COLUMNS, main
+from eitmem.control import ControlSchedule
 from eitmem.scenario import default_scenario, save_scenario, with_medium
 
 from conftest import scaled_pass_scenario
@@ -152,6 +156,16 @@ def test_sweep_captures_per_row_failures(tmp_path):
     assert rows[1]["verdict"] == ""
 
 
+def test_sweep_reports_a_poor_decay_fit_in_one_stderr_line(tmp_path, capsys):
+    rc = main(["sweep", "--axis", "delta_p", "--values", "0,800", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("warning: delta_p = 800: decay fit residual rms ")
+    rows = read_sweep(tmp_path / "sweep.csv")
+    assert rows[1]["decay_rate"] != ""
+
+
 def test_sweep_rejects_unparsable_values(tmp_path, capsys):
     rc = main(
         ["sweep", "--axis", "delta_p", "--values", "0,banana", "--out-dir", str(tmp_path)]
@@ -223,3 +237,66 @@ def test_run_rejects_oracle_dt_that_does_not_divide_before_writing(tmp_path, cap
 def test_cli_requires_a_subcommand():
     with pytest.raises(SystemExit):
         main([])
+
+
+def _ini_bases():
+    """One scenario per schedule kind, so every INI key exists somewhere."""
+    base = default_scenario()
+    knots = np.linspace(0.0, 180e-6, 4001)
+    thetas = base.schedule.eval(base.medium, knots).theta
+    pulse = dataclasses.replace(base.pulse, l_p=2e-3)
+    return {
+        "tanh_profile": dataclasses.replace(base, pulse=pulse),
+        "constant": dataclasses.replace(base, schedule=ControlSchedule(kind="constant", omega=5.0e9)),
+        "tabulated": dataclasses.replace(
+            base, schedule=ControlSchedule(kind="tabulated", times=tuple(knots), thetas=tuple(thetas))
+        ),
+    }
+
+
+NUMERIC_INI_KEYS = [
+    ("tanh_profile", "medium", key)
+    for key in (
+        "g", "n_atoms", "length", "cell_diameter", "nu_p",
+        "gamma_ba", "gamma_bc", "delta", "delta_p", "c",
+    )
+] + [
+    ("tanh_profile", "grid", "z_min"),
+    ("tanh_profile", "grid", "z_max"),
+    ("tanh_profile", "grid", "n_points"),
+    ("tanh_profile", "pulse", "amplitude_re"),
+    ("tanh_profile", "pulse", "amplitude_im"),
+    ("tanh_profile", "pulse", "center_z"),
+    ("tanh_profile", "pulse", "width"),
+    ("tanh_profile", "pulse", "l_p"),
+    ("tanh_profile", "schedule", "scale"),
+    ("tanh_profile", "schedule", "floor"),
+    ("tanh_profile", "schedule", "steepness"),
+    ("tanh_profile", "schedule", "t1"),
+    ("tanh_profile", "schedule", "t2"),
+    ("constant", "schedule", "omega"),
+    ("tabulated", "schedule", "times"),
+    ("tabulated", "schedule", "thetas"),
+    ("tanh_profile", "run", "horizon"),
+    ("tanh_profile", "run", "snapshot_dt"),
+    ("tanh_profile", "run", "output_time"),
+]
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("kind,section,key", NUMERIC_INI_KEYS)
+def test_non_finite_ini_value_exits_2_naming_the_key(tmp_path, capsys, kind, section, key, bad):
+    ini = tmp_path / "bad.ini"
+    save_scenario(_ini_bases()[kind], ini)
+    cp = configparser.ConfigParser()
+    cp.read(ini)
+    if key in ("times", "thetas"):
+        entries = cp[section][key].split(", ")
+        entries[len(entries) // 2] = bad
+        cp[section][key] = ", ".join(entries)
+    else:
+        cp[section][key] = bad
+    with open(ini, "w") as fh:
+        cp.write(fh)
+    assert main(["validate", str(ini)]) == 2
+    assert f"[{section}] {key} " in capsys.readouterr().err

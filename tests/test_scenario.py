@@ -48,6 +48,26 @@ def test_timing_validation():
         dataclasses.replace(sc, output_time=181e-6)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_constructors_reject_non_finite_values(bad):
+    sc = default_scenario()
+    cases = {
+        "gamma_bc": lambda: with_medium(sc, gamma_bc=bad),
+        "delta_p": lambda: with_medium(sc, delta_p=bad),
+        "z_max": lambda: GridSpec(-1e-2, bad, 1024),
+        "width": lambda: PulseSpec(amplitude=0.2, center_z=0.0, width=bad),
+        "amplitude": lambda: PulseSpec(amplitude=complex(0.2, bad), center_z=0.0, width=1e-3),
+        "l_p": lambda: PulseSpec(amplitude=0.2, center_z=0.0, width=1e-3, l_p=bad),
+        "t1": lambda: ControlSchedule(kind="tanh_profile", t1=bad),
+        "thetas": lambda: ControlSchedule(kind="tabulated", times=(0.0, 1.0), thetas=(1.0, bad)),
+        "horizon": lambda: dataclasses.replace(sc, horizon=bad),
+        "output_time": lambda: dataclasses.replace(sc, output_time=bad),
+    }
+    for name, build in cases.items():
+        with pytest.raises(ConfigError, match=f"^{name} must be finite"):
+            build()
+
+
 def test_pulse_must_fit_grid():
     sc = default_scenario()
     with pytest.raises(ConfigError):

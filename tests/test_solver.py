@@ -13,16 +13,24 @@ from eitmem.errors import (
     QuadratureError,
     ValidityError,
 )
+from eitmem.coefficients import exponent_integrand
 from eitmem.grids import FieldGrid, GridSpec, field_columns, gaussian_field
 from eitmem.model import PulseSpec
+from eitmem.control import ControlSchedule
 from eitmem.solver import (
+    LOG_GAIN_GUARD,
+    WRAPAROUND_LOWPASS_HARMONICS,
+    WRAPAROUND_SUPPORT_FLOOR,
     QuadratureSpec,
+    _check_wraparound,
+    _edge_probe,
     accumulate_exponent,
     adaptive_simpson,
     apply_evolution,
     check_pulse_fits,
     forward_transform,
     inverse_transform,
+    mode_factor,
     reconstruct,
     simulate,
     write_coefficient_csv,
@@ -276,7 +284,7 @@ def test_coefficient_csv_layout(tmp_path, default_result):
     write_coefficient_csv(default_result.coefficient_trace, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,alpha1,alpha2,beta,v_g"
-    assert len(lines) == len(default_result.coefficient_trace) + 1
+    assert len(lines) == len(default_result.coefficient_trace.t) + 1
     first = [float(x) for x in lines[1].split(",")]
     assert len(first) == 5
 
@@ -291,3 +299,216 @@ def test_snapshot_cadence_must_divide_horizon(default_sc):
             100e-6,
             15e-6,
         )
+
+
+# ---------------------------------------------------------------------------
+# The spectral update against the direct forms it replaced.
+
+
+def _full_grid_lowpass(psi: FieldGrid, pulse: PulseSpec) -> np.ndarray:
+    """The wraparound monitor's low-passed |field|, by FFT over the whole grid."""
+    n = psi.grid.n_points
+    spectrum = np.fft.fft(psi.values)
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=psi.grid.dz)
+    cutoff = WRAPAROUND_LOWPASS_HARMONICS * 2.0 * np.pi / pulse.pulse_length
+    return np.abs(np.fft.ifft(np.where(np.abs(k) <= cutoff, spectrum, 0.0)))
+
+
+def _full_grid_edge_hit(psi: FieldGrid, pulse: PulseSpec) -> bool:
+    peak = psi.peak()
+    if peak == 0.0:
+        return False
+    support = _full_grid_lowpass(psi, pulse) >= WRAPAROUND_SUPPORT_FLOOR * peak
+    return bool(support[0] or support[1] or support[-2] or support[-1])
+
+
+def _edge_check_against_full_grid(sc, params) -> float | None:
+    """March a run interval by interval with both edge checks.
+
+    Asserts that the four low-passed edge samples agree and that both checks
+    fire together; returns the time they fired, or None.
+    """
+    times = np.arange(sc.horizon / sc.snapshot_dt + 1) * sc.snapshot_dt
+    i_s, i_w = accumulate_exponent(params, sc.schedule, times[:-1], times[1:])
+    state = forward_transform(gaussian_field(sc.grid, sc.pulse.amplitude, sc.pulse.center_z, sc.pulse.width))
+    probe = _edge_probe(state.k_grid, sc.pulse)
+    index, basis = probe
+    for j in range(len(i_s)):
+        state = apply_evolution(state, i_s[j], i_w[j])
+        psi = inverse_transform(state)
+        reference = _full_grid_lowpass(psi, sc.pulse)[[0, 1, -2, -1]]
+        edges = np.abs(state.modes[index] @ basis)
+        assert np.max(np.abs(edges - reference)) <= 1e-12 * psi.peak()
+        hit = _full_grid_edge_hit(psi, sc.pulse)
+        try:
+            _check_wraparound(state, psi, probe, times[j + 1])
+        except DomainOverflowError:
+            assert hit
+            return times[j + 1]
+        assert not hit
+    return None
+
+
+def test_edge_check_fires_with_the_full_grid_check(default_sc):
+    # the same drifting pulse as test_run_aborts_when_pulse_reaches_the_edge
+    p = dataclasses.replace(default_sc.medium, gamma_ba=1e9)
+    t_hit = _edge_check_against_full_grid(default_sc, p)
+    assert t_hit is not None
+    with pytest.raises(DomainOverflowError) as err:
+        simulate(p, default_sc.grid, default_sc.pulse, default_sc.schedule, default_sc.horizon, default_sc.snapshot_dt)
+    assert err.value.t == pytest.approx(t_hit, rel=1e-12)
+
+
+def test_edge_check_ignores_amplified_floor_of_distorted_run(default_sc):
+    p = dataclasses.replace(default_sc.medium, delta_p=800.0)
+    assert _edge_check_against_full_grid(default_sc, p) is None
+    res = simulate(p, default_sc.grid, default_sc.pulse, default_sc.schedule, default_sc.horizon, default_sc.snapshot_dt)
+    assert len(res.snapshots) == 13
+
+
+def test_mode_factor_matches_direct_exponential():
+    rng = np.random.default_rng(SEED)
+    for power in range(6, 17):
+        n = 2**power
+        grid = GridSpec(-1.5e-2, 0.5e-2, n)
+        k = grid.k_array()
+        k_max = np.max(np.abs(k))
+        for _ in range(4):
+            i_w = complex(rng.uniform(-1.0, 1.0) * grid.length, rng.uniform(-40.0, 40.0) / k_max)
+            # keep the largest log modal gain inside the guard
+            edge_gain = k_max * abs(i_w.imag)
+            i_s = complex(rng.uniform(edge_gain - LOG_GAIN_GUARD, edge_gain + 30.0), rng.uniform(-100.0, 100.0))
+            got = mode_factor(k, i_s, i_w)
+            want = np.exp(-i_s - 1j * k * i_w)
+            bound = 1e-13 * (1.0 + np.abs(k * i_w.real)) * np.abs(want)
+            assert np.all(np.abs(got - want) <= bound), (n, i_s, i_w)
+
+
+def test_mode_factor_stays_finite_under_heavy_damping():
+    # a block's column table alone would span e^(+-3000) here
+    grid = GridSpec(-1e-2, 1e-2, 16384)
+    k = grid.k_array()
+    i_w = complex(1e-3, 2e5 / np.max(k))
+    i_s = complex(2e5 - 10.0, 0.0)
+    got = mode_factor(k, i_s, i_w)
+    want = np.exp(-i_s - 1j * k * i_w)
+    assert np.all(np.isfinite(got))
+    assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def test_apply_evolution_max_log_gain_is_the_full_grid_maximum():
+    grid = GridSpec(-1e-2, 1e-2, 1024)
+    state = forward_transform(gaussian_field(grid, 1.0, 0.0, 1e-3))
+    for i_w in (complex(1e-4, 2e-4), complex(1e-4, -2e-4), complex(1e-4, 0.0)):
+        out = apply_evolution(state, complex(0.25, 1.0), i_w)
+        assert out.max_log_gain == float(np.max(-0.25 + state.k_grid * i_w.imag))
+
+
+def _recursive_simpson(f, a, b, spec, nodes):
+    """Depth-first adaptive Simpson on one panel, the form the batched pass replaced."""
+
+    def g(t):
+        nodes.append(t)
+        return f(np.array([t]))[..., 0]
+
+    def recurse(a, b, fa, fm, fb, whole, tol, depth):
+        m = 0.5 * (a + b)
+        lm = 0.5 * (a + m)
+        rm = 0.5 * (m + b)
+        flm = g(lm)
+        frm = g(rm)
+        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+        delta = left + right - whole
+        err = float(np.max(np.abs(delta)))
+        if err <= 15.0 * tol or depth >= spec.max_depth:
+            return left + right + delta / 15.0
+        half = 0.5 * tol
+        return recurse(a, m, fa, flm, fm, left, half, depth + 1) + recurse(
+            m, b, fm, frm, fb, right, half, depth + 1
+        )
+
+    fa, fm, fb = g(a), g(0.5 * (a + b)), g(b)
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    return recurse(a, b, fa, fm, fb, whole, spec.abs_tol, 0)
+
+
+def _schedules(default_sc):
+    p = default_sc.medium
+    knots = np.linspace(0.0, 180e-6, 4001)
+    thetas = default_sc.schedule.eval(p, knots).theta
+    return {
+        "constant": ControlSchedule(kind="constant", omega=5.0e9),
+        "tanh": default_sc.schedule,
+        "tabulated": ControlSchedule(kind="tabulated", times=tuple(knots), thetas=tuple(thetas)),
+    }
+
+
+@pytest.mark.parametrize("kind", ["constant", "tanh", "tabulated"])
+def test_batched_simpson_matches_recursive_form(default_sc, kind):
+    p = dataclasses.replace(default_sc.medium, delta_p=300.0)
+    schedule = _schedules(default_sc)[kind]
+    spec = QuadratureSpec()
+    edges = np.arange(13) * 15e-6
+
+    def integrand(t):
+        theta, theta_dot, _ = schedule.eval(p, t)
+        cs = exponent_integrand(theta, theta_dot, p)
+        return np.array([cs.s_part, cs.w_part])
+
+    batched_nodes = []
+
+    def traced(t):
+        batched_nodes.extend(t.tolist())
+        return integrand(t)
+
+    got = adaptive_simpson(traced, edges[:-1], edges[1:], spec, schedule.breakpoints())
+    ref_nodes = []
+    want = np.zeros((2, 12), dtype=complex)
+    for i, (t0, t1) in enumerate(zip(edges[:-1], edges[1:])):
+        cuts = [t0] + [c for c in schedule.breakpoints() if t0 < c < t1] + [t1]
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            want[:, i] += _recursive_simpson(integrand, a, b, spec, ref_nodes)
+    assert sorted(batched_nodes) == sorted(ref_nodes)
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+
+def test_batched_simpson_names_the_earliest_exhausted_panel():
+    spec = QuadratureSpec(abs_tol=1e-15, max_depth=4)
+    # the first interval is a cubic, done at once; the next two cannot converge
+    f = lambda t: np.where(t <= 1.0, t**3, np.exp(1j * 999.0 * t))  # noqa: E731
+    with pytest.raises(QuadratureError, match=r"\[1\.0, 2\.0\].*depth 4"):
+        adaptive_simpson(f, np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0]), spec)
+
+
+def test_batched_simpson_skips_empty_and_rejects_reversed_intervals():
+    spec = QuadratureSpec()
+    val = adaptive_simpson(lambda t: np.asarray(t * t), np.array([0.0, 1.0]), np.array([3.0, 1.0]), spec)
+    assert val[0] == pytest.approx(9.0, rel=1e-14)
+    assert val[1] == 0.0
+    with pytest.raises(ConfigError, match="reversed"):
+        adaptive_simpson(lambda t: t, 1.0, 0.0, spec)
+
+
+def test_snapshot_fields_are_built_once_on_demand(default_sc, default_result, monkeypatch):
+    import eitmem.solver as solver_module
+
+    calls = []
+    real = solver_module.reconstruct
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(solver_module, "reconstruct", counting)
+    res = simulate(default_sc.medium, default_sc.grid, default_sc.pulse, default_sc.schedule, 30e-6, 15e-6)
+    assert calls == []
+    snap = res.snapshots[-1]
+    e_field = snap.e_field
+    assert snap.phi is snap.phi and snap.sigma_bc is snap.sigma_bc and snap.e_field is e_field
+    assert len(calls) == 1
+    theta, theta_dot, _ = default_sc.schedule.eval(default_sc.medium, snap.t)
+    phi, e_ref, sigma_bc = real(snap.psi, float(theta), float(theta_dot), default_sc.medium)
+    assert np.array_equal(e_field.values, e_ref.values)
+    assert np.array_equal(snap.phi.values, phi.values)
+    assert np.array_equal(snap.sigma_bc.values, sigma_bc.values)
