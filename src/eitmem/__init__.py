@@ -18,7 +18,6 @@ from .analysis import (
 )
 from .coefficients import (
     CoefficientSample,
-    coeffs_high_density,
     exponent_integrand,
     max_transit_time,
     v_g_min,
@@ -31,14 +30,7 @@ from .errors import (
     ValidityError,
 )
 from .grids import FieldGrid, GridSpec, gaussian_field
-from .model import (
-    DipoleSpec,
-    MediumParams,
-    PulseSpec,
-    ValidityReport,
-    check_regime,
-    compute_g_from_dipole,
-)
+from .model import MediumParams, PulseSpec, ValidityReport, check_regime
 from .oracle import OracleConfig, OracleState, compare_to_adiabatic, integrate_reduced
 from .scenario import Scenario, default_scenario, load_scenario, save_scenario
 from .solver import SimulationResult, Snapshot, simulate
@@ -48,7 +40,6 @@ __all__ = [
     "ConfigError",
     "ControlSchedule",
     "DesignLimits",
-    "DipoleSpec",
     "DistortionReport",
     "EitmemError",
     "FieldGrid",
@@ -66,9 +57,7 @@ __all__ = [
     "ValidityReport",
     "check_low_intensity",
     "check_regime",
-    "coeffs_high_density",
     "compare_to_adiabatic",
-    "compute_g_from_dipole",
     "default_scenario",
     "design_limits",
     "exponent_integrand",

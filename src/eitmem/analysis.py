@@ -17,7 +17,7 @@ from .control import ControlSchedule
 from .errors import ConfigError, InvalidComparisonError, UntrackableFieldError, require_finite
 from .grids import FieldGrid
 from .model import MediumParams
-from .solver import QuadratureSpec, SimulationResult, accumulate_exponent, adaptive_simpson
+from .solver import SimulationResult, accumulate_exponent, adaptive_simpson
 
 TRACK_AMPLITUDE_FLOOR = 1e-12
 DISTORTION_THRESHOLD = 0.1  # aligned_l2 above this reads as destroyed
@@ -28,14 +28,6 @@ PROBE_CONTROL_LIMIT = 0.1  # max tolerated probe/control Rabi ratio
 # Prefactor of the detuning and bandwidth bounds. Kept as a named constant:
 # it encodes "distortion stays negligible", not a derived quantity.
 BOUND_PREFACTOR = 0.01
-
-_FIELD_ATTRS = {
-    "psi": "psi",
-    "phi": "phi",
-    "e": "e_field",
-    "e_field": "e_field",
-    "sigma_bc": "sigma_bc",
-}
 
 
 def _quadratic_peak(z: np.ndarray, a: np.ndarray) -> tuple[float, float]:
@@ -74,26 +66,22 @@ class PulseTrack:
     imag_fraction: tuple[float, ...]  # max|Im| / max|abs| per snapshot
 
 
-def track_pulse(result: SimulationResult, field: str = "psi") -> PulseTrack:
-    """Follow the |field| peak across snapshots.
+def track_pulse(result: SimulationResult) -> PulseTrack:
+    """Follow the |psi| peak across snapshots.
 
-    field is one of psi, phi, e, sigma_bc. Raises when the field never rises
-    above the amplitude floor.
+    Raises when psi falls below the amplitude floor at any snapshot.
     """
-    attr = _FIELD_ATTRS.get(field.lower())
-    if attr is None:
-        raise ConfigError(f"unknown field {field!r}, expected one of {sorted(_FIELD_ATTRS)}")
     if len(result.snapshots) < 2:
         raise ConfigError("tracking needs at least 2 snapshots")
     z = result.grid.z_array()
     times, peak_z, peak_amp, width, imag_frac = [], [], [], [], []
     for snap in result.snapshots:
-        values = getattr(snap, attr).values
+        values = snap.psi.values
         a = np.abs(values)
         top = float(np.max(a))
         if top < TRACK_AMPLITUDE_FLOOR:
             raise UntrackableFieldError(
-                f"field {field!r} fell below the tracking floor at t = {snap.t:.6e} s"
+                f"field 'psi' fell below the tracking floor at t = {snap.t:.6e} s"
             )
         pz, pa = _quadratic_peak(z, a)
         power = a * a
@@ -131,26 +119,16 @@ def fit_velocity(track: PulseTrack, t0: float, t1: float) -> tuple[float, float]
     return float(slope), float(np.sqrt(np.mean(resid**2)))
 
 
-def fit_decay(
-    track: PulseTrack,
-    t0: float,
-    t1: float,
-    exclude_windows: tuple[tuple[float, float], ...] = (),
-) -> tuple[float, float]:
+def fit_decay(track: PulseTrack, t0: float, t1: float) -> tuple[float, float]:
     """Exponential decay rate of the peak amplitude over [t0, t1] (1/s) and its fit residual.
 
-    exclude_windows lists (center, halfwidth) pairs to drop, e.g. switching
-    transients where the rate briefly deviates. The residual is the rms of
-    the log-linear fit; above DECAY_FIT_RMS_LIMIT the window likely spans a
-    switch or a distorted stretch, and callers report that instead of
-    failing.
+    The residual is the rms of the log-linear fit; above DECAY_FIT_RMS_LIMIT
+    the window likely spans a switch or a distorted stretch, and callers
+    report that instead of failing.
     """
     idx = _window(track, t0, t1)
     t = np.asarray(track.times)[idx]
     amp = np.asarray(track.peak_amp)[idx]
-    for center, halfwidth in exclude_windows:
-        keep = np.abs(t - center) > halfwidth
-        t, amp = t[keep], amp[keep]
     if len(t) < 3:
         raise ConfigError(f"decay fit needs at least 3 samples in [{t0}, {t1}]")
     if np.any(amp <= 0):
@@ -167,10 +145,8 @@ def predict_output(
     input_field: FieldGrid,
     t0_duration: float,
     mode: str = "simple",
-    t_start: float = 0.0,
-    quad: QuadratureSpec | None = None,
 ) -> tuple[FieldGrid, float]:
-    """Closed-form output after storage time T0: shifted and damped input.
+    """Closed-form output after storage time T0 from t = 0: shifted and damped input.
 
     simple mode applies the uniform factor exp(-gamma_bc T0); exact mode
     integrates the resonant damping rate including the switching term. Both
@@ -183,9 +159,7 @@ def predict_output(
         raise ConfigError(f"{mode} mode predicts resonant output only; detunings are set")
     if t0_duration < 0:
         raise ConfigError(f"storage duration must be nonnegative, got {t0_duration}")
-    quad = quad or QuadratureSpec()
-    t_end = t_start + t0_duration
-    _, i_w = accumulate_exponent(params, schedule, t_start, t_end, quad)
+    _, i_w = accumulate_exponent(params, schedule, 0.0, t0_duration)
     displacement = i_w.real
     if mode == "simple":
         factor = math.exp(-params.gamma_bc * t0_duration)
@@ -194,10 +168,9 @@ def predict_output(
             theta, theta_dot, _ = schedule.eval(params, t)
             return alpha1_slow_light(theta, theta_dot, params)
 
-        total = adaptive_simpson(integrand, t_start, t_end, quad, schedule.breakpoints())
+        total = adaptive_simpson(integrand, 0.0, t0_duration, schedule.breakpoints())
         factor = math.exp(-float(total))
-    n = input_field.grid.n_points
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=input_field.grid.dz)
+    k = input_field.grid.k_array()
     shifted = np.fft.ifft(np.fft.fft(input_field.values) * np.exp(-1j * k * displacement))
     z_in, _ = interpolated_peak(input_field)
     return FieldGrid(input_field.grid, factor * shifted), z_in + displacement
@@ -221,11 +194,7 @@ class DistortionReport:
         }
 
 
-def measure_distortion(
-    input_field: FieldGrid,
-    output_field: FieldGrid,
-    threshold: float = DISTORTION_THRESHOLD,
-) -> DistortionReport:
+def measure_distortion(input_field: FieldGrid, output_field: FieldGrid) -> DistortionReport:
     """Best-case mismatch between output and a shifted, rescaled input.
 
     The optimal circular shift comes from the cross-correlation peak with
@@ -255,7 +224,7 @@ def measure_distortion(
     if shift_cells > n / 2:
         shift_cells -= n  # report the short way around the periodic domain
     shift = shift_cells * dz
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=dz)
+    k = input_field.grid.k_array()
     vin_shift = np.fft.ifft(f_in * np.exp(-1j * k * shift))
     scale = np.vdot(vin_shift, vout) / np.vdot(vin_shift, vin_shift)
     aligned_l2 = float(np.linalg.norm(vout - scale * vin_shift)) / norm_in
@@ -272,7 +241,7 @@ def measure_distortion(
         high_k_fraction=high_k,
         phase_shift=math.atan2(scale.imag, scale.real),
         shift=shift,
-        verdict="distorted" if aligned_l2 > threshold else "clean",
+        verdict="distorted" if aligned_l2 > DISTORTION_THRESHOLD else "clean",
     )
 
 
@@ -373,6 +342,18 @@ def check_low_intensity(
     )
 
 
+def stored_window(schedule: ControlSchedule) -> tuple[float, float] | None:
+    """Where the off-window fits run: [t1, t2] of a tanh switch, less 3/steepness at each end.
+
+    The margin keeps both switching transients out. Other schedules have no
+    stored window and give None.
+    """
+    if schedule.kind != "tanh_profile":
+        return None
+    margin = 3.0 / schedule.steepness
+    return schedule.t1 + margin, schedule.t2 - margin
+
+
 def assemble_summary(result: SimulationResult, output_time: float | None = None) -> dict:
     """Measured-vs-predicted digest of one run, JSON-compatible.
 
@@ -385,15 +366,14 @@ def assemble_summary(result: SimulationResult, output_time: float | None = None)
     horizon = snaps[-1].t
     if output_time is None:
         output_time = horizon
-    track = track_pulse(result, "psi")
+    track = track_pulse(result)
     summary: dict = {
         "validity": result.validity.to_dict(),
         "low_intensity": check_low_intensity(result, params, schedule).to_dict(),
     }
 
-    if schedule.kind == "tanh_profile":
-        margin = 3.0 / schedule.steepness
-        off_window = (schedule.t1 + margin, schedule.t2 - margin)
+    off_window = stored_window(schedule)
+    if off_window is not None:
         windows = {"v_g_on": (0.0, schedule.t1), "v_g_off": off_window}
     else:
         windows = {"v_g_overall": (snaps[0].t, snaps[-1].t)}

@@ -16,14 +16,13 @@ import argparse
 import csv
 import dataclasses
 import json
-import math
 import os
 import sys
 
 import numpy as np
 
 from . import analysis, oracle, solver
-from .coefficients import bright_ratio, exponent_integrand
+from .coefficients import exponent_integrand
 from .errors import ConfigError, EitmemError, UntrackableFieldError, ValidityError
 from .grids import FieldGrid, gaussian_field
 from .model import BLOCKING_CHECKS, check_regime
@@ -67,16 +66,13 @@ def oracle_initial_state(params, grid, pulse, schedule) -> oracle.OracleState:
     """
     psi0 = gaussian_field(grid, pulse.amplitude, pulse.center_z, pulse.width)
     sample = schedule.eval(params, 0.0)
-    _, e_field, sigma_bc = solver.reconstruct(psi0, sample.theta, sample.theta_dot, params)
+    _, e_field, sigma_bc = solver.reconstruct(psi0, sample.theta, params)
     cs = exponent_integrand(sample.theta, sample.theta_dot, params)
     k = grid.k_array()
-    dpsi = np.fft.ifft(-(cs.s_part + 1j * k * cs.w_part) * np.fft.fft(psi0.values))
-    f = bright_ratio(sample.theta, params)
-    ratio_bc = -(math.sin(sample.theta) - math.cos(sample.theta) * f) / math.sqrt(
-        params.n_atoms
-    )
+    dpsi = FieldGrid(grid, np.fft.ifft(-(cs.s_part + 1j * k * cs.w_part) * np.fft.fft(psi0.values)))
+    dsigma_bc = solver.reconstruct(dpsi, sample.theta, params)[2]
     _, d_bc = params.coherence_factors()
-    sba = (ratio_bc * dpsi + d_bc * sigma_bc.values) / (1j * sample.omega)
+    sba = (dsigma_bc.values + d_bc * sigma_bc.values) / (1j * sample.omega)
     return oracle.OracleState(
         e_field=e_field,
         sigma_ba=FieldGrid(grid, sba),
@@ -121,6 +117,8 @@ def _print_oracle_progress(steps_done: int, n_steps: int, t: float) -> None:
 
 
 def cmd_run(args) -> int:
+    if args.csv_stride < 1:
+        raise ConfigError(f"stride must be at least 1, got {args.csv_stride}")
     sc = _load_scenario(args)
     if args.oracle:
         dt = args.oracle_dt if args.oracle_dt is not None else sc.snapshot_dt / 1000.0
@@ -215,7 +213,7 @@ def cmd_run(args) -> int:
 
 def cmd_validate(args) -> int:
     sc = _load_scenario(args)
-    report = check_regime(sc.medium, sc.pulse, sc.schedule, sc.schedule.turn_time(), sc.notes)
+    report = check_regime(sc.medium, sc.pulse, sc.schedule, sc.notes)
     _print_validity(report)
     if not report.blocking_pass:
         blocking = [name for name in report.failed() if name in BLOCKING_CHECKS]
@@ -296,10 +294,10 @@ def _sweep_row(sc: Scenario, result) -> tuple[dict, str | None]:
         "decay_rate": "",
     }
     warning = None
-    if sc.schedule.kind == "tanh_profile":
-        margin = 3.0 / sc.schedule.steepness
-        t0, t1 = sc.schedule.t1 + margin, sc.schedule.t2 - margin
-        track = analysis.track_pulse(result, "psi")
+    window = analysis.stored_window(sc.schedule)
+    if window is not None:
+        t0, t1 = window
+        track = analysis.track_pulse(result)
         try:
             row["v_g_off"] = repr(analysis.fit_velocity(track, t0, t1)[0])
             rate, rms = analysis.fit_decay(track, t0, t1)

@@ -8,7 +8,7 @@ The polariton spectral law multiplies each k-mode by exp(-I_s - i k I_w) with
 A0 and B0 carry the non-ideal corrections (decay and detunings). The real and
 imaginary parts of (s_part, w_part) are the damping alpha1, phase rate beta,
 k-linear gain alpha2, and group velocity v_g. This module holds the exact
-forms, the high-density first-order forms, and the resonance special cases.
+forms and the resonance special cases.
 The exact forms take a float or an array of mixing angles, elementwise.
 """
 
@@ -110,35 +110,6 @@ def exponent_integrand(theta, theta_dot, params: MediumParams, t=0.0) -> Coeffic
     return CoefficientSample(t=t, s_part=s_part, w_part=w_part)
 
 
-def coeffs_high_density(
-    theta: float, theta_dot: float, params: MediumParams, t: float = 0.0
-) -> CoefficientSample:
-    """First order in |D G|/g^2 N: the four closed-form coefficients.
-
-    Valid when the high-density ratio is large; agrees with
-    exponent_integrand to first order and is cheaper to reason about.
-    """
-    g2n = params.g2n
-    gbc = params.gamma_bc
-    dp = params.delta_p
-    dsum = params.delta + params.delta_p
-    re_dg = params.gamma_ba * gbc - dp * dsum
-    im_dg = dsum * gbc + dp * params.gamma_ba
-    sin_t = math.sin(theta)
-    s2 = sin_t * sin_t
-    c2 = 1.0 - s2
-    if theta_dot != 0.0:
-        switch = math.tan(theta) * theta_dot
-    else:
-        switch = 0.0
-    common = switch - gbc * s2
-    alpha1 = gbc * s2 + (s2 / g2n) * (re_dg * common + im_dg * dp * s2)
-    beta = dp * s2 + (s2 / g2n) * (im_dg * common - re_dg * dp * s2)
-    alpha2 = -params.c * im_dg * s2 * s2 / g2n
-    v_g = params.c * (c2 + re_dg * s2 * s2 / g2n)
-    return CoefficientSample(t=t, s_part=complex(alpha1, beta), w_part=complex(v_g, -alpha2))
-
-
 def v_g_min(params: MediumParams) -> float:
     """Residual group velocity c gamma_bc gamma_ba / g^2 N at resonance, m/s.
 
@@ -148,24 +119,20 @@ def v_g_min(params: MediumParams) -> float:
     return params.c * params.gamma_bc * params.gamma_ba / params.g2n
 
 
-def max_transit_time(params: MediumParams, remaining_length: float | None = None) -> float:
-    """Time for the residual drift to traverse the remaining cell, s."""
+def max_transit_time(params: MediumParams) -> float:
+    """Time for the residual drift to traverse the cell, s."""
     floor = v_g_min(params)
-    length = params.length if remaining_length is None else remaining_length
     if floor == 0.0:
         return math.inf
-    return length / floor
+    return params.length / floor
 
 
-def alpha1_slow_light(theta, theta_dot, params: MediumParams, assume_sin_one: bool = False):
+def alpha1_slow_light(theta, theta_dot, params: MediumParams):
     """Resonant damping rate with the switching correction, 1/s.
 
-    The full form carries a sin^2(theta) factor; with assume_sin_one the
-    deep slow-light simplification drops it and the rate is gamma_bc plus a
-    small term active only while theta moves.
+    gamma_bc, plus a small term active only while theta moves, scaled by
+    sin^2(theta).
     """
     switch = np.where(theta_dot != 0.0, np.tan(theta) * theta_dot, 0.0)
     rate = params.gamma_bc + (params.gamma_bc * params.gamma_ba / params.g2n) * switch
-    if assume_sin_one:
-        return rate
     return rate * np.sin(theta) ** 2

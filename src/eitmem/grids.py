@@ -14,6 +14,17 @@ import numpy as np
 from .errors import ConfigError, require_finite
 
 
+def whole_steps(span: float, step: float) -> int:
+    """How many times step fits in span, or 0 unless it divides span evenly.
+
+    Evenly means to within 1e-9 of span; every cadence check uses this rule.
+    """
+    n = int(round(span / step))
+    if n < 1 or abs(n * step - span) > 1e-9 * span:
+        return 0
+    return n
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform grid on [z_min, z_max), periodic by construction."""

@@ -20,8 +20,6 @@ from .errors import ConfigError, require_finite
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from .control import ControlSchedule
 
-HBAR = 1.054571817e-34  # J s
-EPS0 = 8.8541878128e-12  # F/m
 C_VACUUM = 2.99792458e8  # m/s
 
 # Reading of "much greater/smaller than" used by every validity check:
@@ -94,23 +92,6 @@ class MediumParams:
 
 
 @dataclass(frozen=True)
-class DipoleSpec:
-    """Inputs for deriving the vacuum Rabi frequency from atomic data."""
-
-    dipole_moment: float  # C m
-    field_polarization_overlap: float  # dimensionless, in [0, 1]
-    quantization_volume: float  # m^3
-
-    def __post_init__(self):
-        if self.dipole_moment <= 0:
-            raise ConfigError("dipole_moment must be positive")
-        if not 0 < self.field_polarization_overlap <= 1:
-            raise ConfigError("field_polarization_overlap must be in (0, 1]")
-        if self.quantization_volume <= 0:
-            raise ConfigError("quantization_volume must be positive")
-
-
-@dataclass(frozen=True)
 class PulseSpec:
     """Gaussian information pulse: amplitude * exp(-((z-center)/width)^2)."""
 
@@ -134,19 +115,6 @@ class PulseSpec:
     @property
     def pulse_length(self) -> float:
         return self.l_p if self.l_p is not None else 2.0 * self.width
-
-
-def cylinder_volume(length: float, diameter: float) -> float:
-    """Quantization volume of the cylindrical cell, m^3."""
-    return math.pi * (diameter / 2.0) ** 2 * length
-
-
-def compute_g_from_dipole(spec: DipoleSpec, nu_p: float) -> float:
-    """Vacuum Rabi frequency (dipole/hbar) sqrt(hbar nu_p / (2 eps0 V)), rad/s."""
-    if nu_p <= 0:
-        raise ConfigError(f"nu_p must be positive, got {nu_p}")
-    coupling = spec.dipole_moment * spec.field_polarization_overlap / HBAR
-    return coupling * math.sqrt(HBAR * nu_p / (2.0 * EPS0 * spec.quantization_volume))
 
 
 @dataclass(frozen=True)
@@ -212,13 +180,11 @@ def check_regime(
     params: MediumParams,
     pulse: PulseSpec,
     schedule: "ControlSchedule",
-    turn_time: float,
     extra_notes: tuple[str, ...] = (),
 ) -> ValidityReport:
     """Evaluate every regime assumption; reports, never raises on physics.
 
-    turn_time is the characteristic control switching duration in seconds
-    (schedules expose their own via ControlSchedule.turn_time()).
+    The switching duration is the schedule's own ControlSchedule.turn_time().
     """
     from .coefficients import bright_ratio  # local import, avoids a cycle
 
@@ -232,6 +198,7 @@ def check_regime(
     sample = schedule.eval(params, schedule.sample_times())
     v_g0 = _resonant_group_velocity(float(sample.theta[0]), params)
     adiab_time_scale = (params.gamma_ba / params.g2n) * (v_g0 / params.c)  # s
+    turn_time = schedule.turn_time()
     adiab_time = turn_time / adiab_time_scale if adiab_time_scale > 0 else math.inf
 
     pulse_duration = pulse.pulse_length / v_g0  # s

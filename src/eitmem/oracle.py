@@ -23,7 +23,7 @@ import numpy as np
 
 from .control import ControlSchedule
 from .errors import ConfigError, InvalidComparisonError, SimulationError
-from .grids import FieldGrid, GridSpec, field_columns, write_csv
+from .grids import FieldGrid, GridSpec, field_columns, whole_steps, write_csv
 from .model import MediumParams
 
 # Coupling propagators are built for at most this many step midpoints at a
@@ -74,23 +74,21 @@ class OracleState:
 @dataclass(frozen=True)
 class OracleConfig:
     dt: float  # s
-    snapshot_dt: float | None = None  # s, defaults to horizon/10
+    snapshot_dt: float  # s
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ConfigError(f"dt must be positive and finite, got {self.dt}")
-        if self.snapshot_dt is not None and not (
-            math.isfinite(self.snapshot_dt) and self.snapshot_dt > 0
-        ):
+        if not (math.isfinite(self.snapshot_dt) and self.snapshot_dt > 0):
             raise ConfigError(f"snapshot_dt must be positive and finite, got {self.snapshot_dt}")
 
 
 def _substeps(horizon: float, dt: float, snapshot_dt: float) -> tuple[int, int]:
-    n_steps = int(round(horizon / dt))
-    if n_steps < 1 or abs(n_steps * dt - horizon) > 1e-9 * horizon:
+    n_steps = whole_steps(horizon, dt)
+    if not n_steps:
         raise ConfigError(f"dt {dt} must divide the horizon {horizon} evenly")
-    per_snap = int(round(snapshot_dt / dt))
-    if per_snap < 1 or abs(per_snap * dt - snapshot_dt) > 1e-9 * snapshot_dt:
+    per_snap = whole_steps(snapshot_dt, dt)
+    if not per_snap:
         raise ConfigError(f"dt {dt} must divide snapshot_dt {snapshot_dt} evenly")
     if n_steps % per_snap != 0:
         raise ConfigError(
@@ -153,8 +151,7 @@ def _coupling_matrix(params: MediumParams, omega: np.ndarray) -> np.ndarray:
     sqrt N and with it the squarings expm needs.
     """
     omega = np.asarray(omega)
-    d_ba = complex(params.gamma_ba, params.delta + params.delta_p)
-    d_bc = complex(params.gamma_bc, params.delta_p)
+    d_ba, d_bc = params.coherence_factors()
     m = np.zeros(omega.shape + (3, 3), dtype=complex)
     m[..., 0, 1] = m[..., 1, 0] = 1j * params.g_root_n
     m[..., 1, 1] = -d_ba
@@ -205,8 +202,7 @@ def integrate_reduced(
     """
     if initial.e_field.grid != grid:
         raise ConfigError("initial state grid does not match the run grid")
-    snapshot_dt = cfg.snapshot_dt if cfg.snapshot_dt is not None else horizon / 10.0
-    n_steps, per_snap = _substeps(horizon, cfg.dt, snapshot_dt)
+    n_steps, per_snap = _substeps(horizon, cfg.dt, cfg.snapshot_dt)
     n = grid.n_points
     dt = cfg.dt
     half_phase = np.exp(-1j * grid.k_array() * params.c * dt / 2.0)

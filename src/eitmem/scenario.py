@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .control import SCHEDULE_KINDS, ControlSchedule
 from .errors import ConfigError, require_finite
-from .grids import GridSpec
+from .grids import GridSpec, whole_steps
 from .model import C_VACUUM, MediumParams, PulseSpec
 from .solver import check_pulse_fits
 
@@ -48,11 +48,10 @@ class Scenario:
             raise ConfigError("horizon must be positive")
         if not (0.0 < self.snapshot_dt <= self.horizon):
             raise ConfigError("snapshot_dt must lie in (0, horizon]")
-        ratio = self.horizon / self.snapshot_dt
-        if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
+        if not whole_steps(self.horizon, self.snapshot_dt):
             raise ConfigError(
                 "snapshot_dt must divide the horizon evenly "
-                f"(horizon/snapshot_dt = {ratio!r})"
+                f"(horizon/snapshot_dt = {self.horizon / self.snapshot_dt!r})"
             )
         if not (0.0 <= self.output_time <= self.horizon):
             raise ConfigError("output_time must lie within [0, horizon]")

@@ -25,7 +25,7 @@ from .errors import (
     SimulationError,
     ValidityError,
 )
-from .grids import FieldGrid, GridSpec, field_columns, gaussian_field, write_csv
+from .grids import FieldGrid, GridSpec, field_columns, gaussian_field, whole_steps, write_csv
 from .model import BLOCKING_CHECKS, MediumParams, PulseSpec, ValidityReport, check_regime
 
 # Per-interval cap on log modal gain; a detuned run that amplifies any mode
@@ -42,22 +42,13 @@ DOMAIN_PADDING_FACTOR = 4.0
 WRAPAROUND_LOWPASS_HARMONICS = 32.0
 WRAPAROUND_SUPPORT_FLOOR = 1e-6  # relative to the full-field peak
 
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Adaptive Simpson controls for the coefficient time integrals."""
-
-    abs_tol: float = 1e-10  # absolute, per component of (I_s, I_w)
-    max_depth: int = 48
-
-    def __post_init__(self):
-        if self.abs_tol <= 0:
-            raise ConfigError(f"abs_tol must be positive, got {self.abs_tol}")
-        if self.max_depth < 4:
-            raise ConfigError(f"max_depth must be at least 4, got {self.max_depth}")
+# Adaptive Simpson controls for the coefficient time integrals, read at
+# call time.
+QUAD_ABS_TOL = 1e-10  # absolute, per component of (I_s, I_w)
+QUAD_MAX_DEPTH = 48
 
 
-def adaptive_simpson(f, a, b, spec: QuadratureSpec, breakpoints=()) -> np.ndarray:
+def adaptive_simpson(f, a, b, breakpoints=()) -> np.ndarray:
     """Integrate f over every interval [a, b] in one breadth-first pass.
 
     a and b are floats or equal-shape arrays of interval ends. f takes a 1-D
@@ -66,7 +57,7 @@ def adaptive_simpson(f, a, b, spec: QuadratureSpec, breakpoints=()) -> np.ndarra
     interval is cut at the breakpoints inside it, and each panel runs
     classic adaptive Simpson with Richardson extrapolation: the local
     acceptance test runs on the worst component, so every component meets
-    spec.abs_tol, and a rejected panel is halved with half the tolerance
+    QUAD_ABS_TOL, and a rejected panel is halved with half the tolerance
     for each half. All open panels of one level share one call to f.
     Accepted halves are summed pairwise back up the tree and the panels of
     an interval left to right, so on the same nodes the result equals the
@@ -96,10 +87,11 @@ def adaptive_simpson(f, a, b, spec: QuadratureSpec, breakpoints=()) -> np.ndarra
     fx = y.reshape(n_comp, 3, pa.size)  # components x (a, m, b) x panels
     whole = (pb - pa) / 6.0 * (fx[:, 0] + 4.0 * fx[:, 1] + fx[:, 2])
     root = np.arange(pa.size)
-    tol = spec.abs_tol
+    tol = QUAD_ABS_TOL
+    max_depth = QUAD_MAX_DEPTH
     levels = []  # per depth: (accepted mask, accepted values)
     failures = []  # (root panel, local error estimate)
-    for depth in range(spec.max_depth + 1):
+    for depth in range(max_depth + 1):
         if root.size == 0:
             break
         pa, pm, pb = x
@@ -113,7 +105,7 @@ def adaptive_simpson(f, a, b, spec: QuadratureSpec, breakpoints=()) -> np.ndarra
         delta = left + right - whole
         err = np.abs(delta).max(axis=0)
         done = err <= 15.0 * tol
-        if depth == spec.max_depth:
+        if depth == max_depth:
             failures += zip(root[~done].tolist(), (err[~done] / 15.0).tolist())
             done[:] = True
         levels.append((done, (left + right + delta / 15.0)[:, done]))
@@ -131,8 +123,8 @@ def adaptive_simpson(f, a, b, spec: QuadratureSpec, breakpoints=()) -> np.ndarra
         worst = max(e for panel, e in failures if panel == first)
         raise QuadratureError(
             f"quadrature did not converge on [{lo[first]}, {hi[first]}]: worst local error "
-            f"estimate {worst:.3e} exceeds tolerance {spec.abs_tol:.1e} "
-            f"at depth {spec.max_depth}"
+            f"estimate {worst:.3e} exceeds tolerance {QUAD_ABS_TOL:.1e} "
+            f"at depth {max_depth}"
         )
 
     values = whole[:, :0]  # value of every panel of the level below
@@ -164,7 +156,7 @@ def forward_transform(f: FieldGrid) -> SpectralState:
     """Discrete transform of a field; checked against Parseval at construction."""
     n = f.grid.n_points
     modes = np.fft.fft(f.values)
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=f.grid.dz)
+    k = f.grid.k_array()
     lhs = float(np.sum(np.abs(f.values) ** 2))
     rhs = float(np.sum(np.abs(modes) ** 2)) / n
     scale = max(lhs, rhs, 1e-300)
@@ -184,7 +176,6 @@ def accumulate_exponent(
     schedule: ControlSchedule,
     t0,
     t1,
-    quad: QuadratureSpec | None = None,
     trace: list[CoefficientSample] | None = None,
 ):
     """Integrate (s_part, w_part) over [t0, t1]; returns (I_s, I_w).
@@ -196,8 +187,6 @@ def accumulate_exponent(
     straddles a switch. When a trace list is supplied, every batch of
     integrand evaluations is appended to it.
     """
-    quad = quad or QuadratureSpec()
-
     def integrand(t: np.ndarray) -> np.ndarray:
         theta, theta_dot, _ = schedule.eval(params, t)
         cs = exponent_integrand(theta, theta_dot, params, t=t)
@@ -205,7 +194,7 @@ def accumulate_exponent(
             trace.append(cs)
         return np.array([cs.s_part, cs.w_part])
 
-    i_s, i_w = adaptive_simpson(integrand, t0, t1, quad, schedule.breakpoints())
+    i_s, i_w = adaptive_simpson(integrand, t0, t1, schedule.breakpoints())
     return i_s, i_w
 
 
@@ -228,12 +217,7 @@ def mode_factor(k_grid: np.ndarray, i_s: complex, i_w: complex) -> np.ndarray:
     return np.outer(rows, cols).ravel()
 
 
-def apply_evolution(
-    state: SpectralState,
-    i_s: complex,
-    i_w: complex,
-    overflow_guard: float = LOG_GAIN_GUARD,
-) -> SpectralState:
+def apply_evolution(state: SpectralState, i_s: complex, i_w: complex) -> SpectralState:
     """Multiply every mode by exp(-I_s - i k I_w) and update the accumulators.
 
     A nonzero Im(I_w) makes the magnitude k-dependent: one spectral wing is
@@ -245,9 +229,9 @@ def apply_evolution(
     half = state.grid.n_points // 2
     extremes = state.k_grid[[half - 1, half]]  # largest and most negative k, FFT order
     max_gain = float(np.max(-i_s.real + extremes * i_w.imag))
-    if max_gain > overflow_guard:
+    if max_gain > LOG_GAIN_GUARD:
         raise AmplificationOverflowError(
-            f"modal log gain {max_gain:.2f} exceeds guard {overflow_guard:.0f} in one "
+            f"modal log gain {max_gain:.2f} exceeds guard {LOG_GAIN_GUARD:.0f} in one "
             f"interval; the scenario is too far off resonance for a meaningful run"
         )
     return SpectralState(
@@ -260,15 +244,13 @@ def apply_evolution(
     )
 
 
-def reconstruct(
-    psi: FieldGrid, theta: float, theta_dot: float, params: MediumParams
-) -> tuple[FieldGrid, FieldGrid, FieldGrid]:
+def reconstruct(psi: FieldGrid, theta: float, params: MediumParams) -> tuple[FieldGrid, FieldGrid, FieldGrid]:
     """Bright field, probe field, and lower-level coherence from the dark field.
 
-    theta_dot is accepted alongside theta because callers sample both from
-    the schedule; the zeroth-order bright ratio itself does not depend on it.
-    Inverting the dark/bright superposition on (Psi, Phi) returns the probe
-    and coherence exactly, so the round trip back to (Psi, Phi) is identity.
+    The zeroth-order bright ratio depends on theta alone. Inverting the
+    dark/bright superposition on (Psi, Phi) returns the probe and coherence
+    exactly, so the round trip back to (Psi, Phi) is identity. Each field is
+    linear in psi, so a time derivative of psi maps to that of each field.
     """
     ratio = bright_ratio(theta, params)
     cos_t = math.cos(theta)
@@ -291,12 +273,11 @@ class Snapshot:
     t: float  # s
     psi: FieldGrid
     theta: float  # rad
-    theta_dot: float  # rad/s
     params: MediumParams
 
     @cached_property
     def _reconstructed(self) -> tuple[FieldGrid, FieldGrid, FieldGrid]:
-        return reconstruct(self.psi, self.theta, self.theta_dot, self.params)
+        return reconstruct(self.psi, self.theta, self.params)
 
     @property
     def phi(self) -> FieldGrid:
@@ -383,7 +364,6 @@ def simulate(
     schedule: ControlSchedule,
     horizon: float,
     snapshot_dt: float,
-    quad: QuadratureSpec | None = None,
     force: bool = False,
     initial_field: FieldGrid | None = None,
     extra_notes: tuple[str, ...] = (),
@@ -400,8 +380,8 @@ def simulate(
         raise ConfigError(f"horizon must be positive, got {horizon}")
     if snapshot_dt <= 0:
         raise ConfigError(f"snapshot_dt must be positive, got {snapshot_dt}")
-    n_steps = int(round(horizon / snapshot_dt))
-    if n_steps < 1 or abs(n_steps * snapshot_dt - horizon) > 1e-9 * horizon:
+    n_steps = whole_steps(horizon, snapshot_dt)
+    if not n_steps:
         raise ConfigError(
             f"snapshot_dt {snapshot_dt} must divide the horizon {horizon} evenly"
         )
@@ -413,7 +393,7 @@ def simulate(
             raise ConfigError("initial_field grid does not match the run grid")
         psi0 = initial_field
 
-    validity = check_regime(params, pulse, schedule, schedule.turn_time(), extra_notes)
+    validity = check_regime(params, pulse, schedule, extra_notes)
     if not validity.blocking_pass and not force:
         blocking = [name for name in validity.failed() if name in BLOCKING_CHECKS]
         raise ValidityError("regime checks failed: " + ", ".join(blocking))
@@ -421,13 +401,13 @@ def simulate(
     times = [0.0] + [i * snapshot_dt for i in range(1, n_steps)] + [horizon]
     t = np.array(times)
     trace: list[CoefficientSample] = []
-    i_s, i_w = accumulate_exponent(params, schedule, t[:-1], t[1:], quad, trace)
-    theta, theta_dot, _ = schedule.eval(params, t)
+    i_s, i_w = accumulate_exponent(params, schedule, t[:-1], t[1:], trace)
+    theta = schedule.eval(params, t).theta
     state = forward_transform(psi0)
     probe = _edge_probe(state.k_grid, pulse)
 
     def take_snapshot(i: int, psi: FieldGrid) -> Snapshot:
-        return Snapshot(times[i], psi, float(theta[i]), float(theta_dot[i]), params)
+        return Snapshot(times[i], psi, float(theta[i]), params)
 
     snapshots = [take_snapshot(0, psi0)]
     for i in range(1, n_steps + 1):

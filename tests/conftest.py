@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import pytest
 
+from eitmem.coefficients import CoefficientSample
 from eitmem.control import ControlSchedule
 from eitmem.grids import GridSpec
 from eitmem.model import MediumParams, PulseSpec
@@ -77,3 +79,32 @@ def default_result(default_sc):
 
 def medium_with(default: MediumParams, **overrides) -> MediumParams:
     return dataclasses.replace(default, **overrides)
+
+
+def coeffs_high_density(
+    theta: float, theta_dot: float, params: MediumParams, t: float = 0.0
+) -> CoefficientSample:
+    """First order in |D G|/g^2 N: the four closed-form coefficients.
+
+    An independent check on exponent_integrand, to which it agrees to first
+    order when the high-density ratio is large.
+    """
+    g2n = params.g2n
+    gbc = params.gamma_bc
+    dp = params.delta_p
+    dsum = params.delta + params.delta_p
+    re_dg = params.gamma_ba * gbc - dp * dsum
+    im_dg = dsum * gbc + dp * params.gamma_ba
+    sin_t = math.sin(theta)
+    s2 = sin_t * sin_t
+    c2 = 1.0 - s2
+    if theta_dot != 0.0:
+        switch = math.tan(theta) * theta_dot
+    else:
+        switch = 0.0
+    common = switch - gbc * s2
+    alpha1 = gbc * s2 + (s2 / g2n) * (re_dg * common + im_dg * dp * s2)
+    beta = dp * s2 + (s2 / g2n) * (im_dg * common - re_dg * dp * s2)
+    alpha2 = -params.c * im_dg * s2 * s2 / g2n
+    v_g = params.c * (c2 + re_dg * s2 * s2 / g2n)
+    return CoefficientSample(t=t, s_part=complex(alpha1, beta), w_part=complex(v_g, -alpha2))

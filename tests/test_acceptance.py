@@ -26,14 +26,14 @@ from eitmem.analysis import (
     track_pulse,
 )
 from eitmem.cli import main, oracle_initial_state
-from eitmem.coefficients import bright_ratio, coeffs_high_density, exponent_integrand, v_g_min
+from eitmem.coefficients import bright_ratio, exponent_integrand, v_g_min
 from eitmem.grids import gaussian_field
 from eitmem.model import MediumParams
 from eitmem.oracle import OracleConfig, compare_to_adiabatic, integrate_reduced
 from eitmem.scenario import default_scenario
 from eitmem.solver import forward_transform, inverse_transform, reconstruct, simulate
 
-from conftest import medium_with, scaled_pass_scenario, scaled_violating_scenario
+from conftest import coeffs_high_density, medium_with, scaled_pass_scenario, scaled_violating_scenario
 
 VELOCITY_SETS = ((1e8, 1e4), (1e8, 1e3), (1e9, 1e4))
 PLATEAU_HORIZON = 120e-6  # s, long enough to cover the storage plateau
@@ -65,7 +65,7 @@ def no_spin_decay_result():
 def test_criterion_01_off_window_velocity_tracks_rate_product(plateau_runs):
     for (g_ba, g_bc), (result, elapsed) in plateau_runs.items():
         expected = result.params.c * g_ba * g_bc / result.params.g2n + 0.03
-        measured, _ = fit_velocity(track_pulse(result, "psi"), *OFF_WINDOW)
+        measured, _ = fit_velocity(track_pulse(result), *OFF_WINDOW)
         rel = abs(measured - expected) / expected
         print(
             f"criterion 1: gamma_ba={g_ba:.0e} gamma_bc={g_bc:.0e} "
@@ -79,7 +79,7 @@ def test_criterion_01_off_window_velocity_tracks_rate_product(plateau_runs):
 def test_criterion_02_stored_decay_matches_spin_rate(plateau_runs):
     for g_bc in (1e4, 1e3):
         result, _ = plateau_runs[(1e8, g_bc)]
-        rate, _ = fit_decay(track_pulse(result, "psi"), *OFF_WINDOW)
+        rate, _ = fit_decay(track_pulse(result), *OFF_WINDOW)
         rel = abs(rate - g_bc) / g_bc
         print(f"criterion 2: gamma_bc={g_bc:.0e} fitted decay {rate:.6g} /s ({100 * rel:.3f}%)")
         assert rel <= 0.02
@@ -114,7 +114,7 @@ def test_criterion_04_on_window_velocity(default_sc):
         default_sc.medium, default_sc.grid, default_sc.pulse, default_sc.schedule,
         horizon=15e-6, snapshot_dt=2.5e-6,
     )
-    measured, _ = fit_velocity(track_pulse(result, "psi"), 0.0, 15e-6)
+    measured, _ = fit_velocity(track_pulse(result), 0.0, 15e-6)
     expected = 75.0 + v_g_min(default_sc.medium)
     rel = abs(measured - expected) / expected
     print(f"criterion 4: v_on {measured:.3f} m/s vs {expected:.3f} m/s ({100 * rel:.2f}%)")
@@ -282,7 +282,7 @@ def test_criterion_08_structural_invariants(default_sc, default_result, no_spin_
     worst_rt = 0.0
     for theta in (0.3, 1.0, math.pi / 2 - 1e-4):
         psi = type(f)(grid, rng.normal(size=grid.n_points) + 1j * rng.normal(size=grid.n_points))
-        phi, e_field, sigma_bc = reconstruct(psi, theta, 0.0, resonant)
+        phi, e_field, sigma_bc = reconstruct(psi, theta, resonant)
         root_n = math.sqrt(resonant.n_atoms)
         psi_back = math.cos(theta) * e_field.values - root_n * math.sin(theta) * sigma_bc.values
         phi_back = math.sin(theta) * e_field.values + root_n * math.cos(theta) * sigma_bc.values

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -19,9 +20,11 @@ from eitmem.analysis import (
     interpolated_peak,
     measure_distortion,
     predict_output,
+    stored_window,
     track_pulse,
 )
 from eitmem.coefficients import max_transit_time
+from eitmem.control import ControlSchedule
 from eitmem.errors import ConfigError, InvalidComparisonError, UntrackableFieldError
 from eitmem.grids import FieldGrid, GridSpec, gaussian_field
 from eitmem.model import MediumParams
@@ -50,13 +53,14 @@ def test_interpolated_peak_rejects_dead_field():
 
 
 def test_track_pulse_recovers_width_and_rejects_bad_fields(default_result):
-    track = track_pulse(default_result, "psi")
+    track = track_pulse(default_result)
     assert len(track.times) == len(default_result.snapshots)
     # second-moment width of |exp(-(z/w)^2)|^2 is w
     assert track.width[0] == pytest.approx(1e-3, rel=1e-3)
     assert track.imag_fraction[0] < 1e-12
-    with pytest.raises(ConfigError, match="unknown field"):
-        track_pulse(default_result, "psi_tilde")
+    one_snapshot = dataclasses.replace(default_result, snapshots=default_result.snapshots[:1])
+    with pytest.raises(ConfigError, match="at least 2 snapshots"):
+        track_pulse(one_snapshot)
 
 
 def synthetic_track(n: int = 13) -> PulseTrack:
@@ -106,9 +110,8 @@ def test_decay_fit_exclusion_windows_drop_corrupt_samples():
     biased, biased_rms = fit_decay(corrupted, 0.0, 120e-6)
     assert abs(biased - 437.0) > 1.0
     assert biased_rms > DECAY_FIT_RMS_LIMIT
-    clean, clean_rms = fit_decay(
-        corrupted, 0.0, 120e-6, exclude_windows=((track.times[9], 1e-6),)
-    )
+    # a window that ends before the corrupt sample fits the clean rate
+    clean, clean_rms = fit_decay(corrupted, 0.0, track.times[8])
     assert clean == pytest.approx(437.0, rel=1e-10)
     assert clean_rms < 1e-12
 
@@ -262,8 +265,6 @@ def test_low_intensity_check_passes_default_run(default_sc, default_result):
 
 
 def test_low_intensity_check_flags_hot_probe(default_sc):
-    import dataclasses
-
     hot_pulse = dataclasses.replace(default_sc.pulse, amplitude=1e3)
     result = simulate(
         default_sc.medium,
@@ -304,6 +305,19 @@ def test_summary_digest_of_default_run(default_sc, default_result):
     assert summary["distortion"]["verdict"] == "clean"
     assert summary["v_g_floor"] == pytest.approx(2.99792458, rel=1e-12)
     json.dumps(summary)  # digest must survive serialization as-is
+
+
+def test_summary_fits_the_stored_window(default_sc, default_result):
+    sch = default_sc.schedule
+    window = stored_window(sch)
+    assert window == (sch.t1 + 3.0 / sch.steepness, sch.t2 - 3.0 / sch.steepness)
+    assert stored_window(ControlSchedule(kind="constant", omega=1e9)) is None
+    # the summary's off-window fits run over exactly that window
+    track = track_pulse(default_result)
+    summary = assemble_summary(default_result)
+    v, resid = fit_velocity(track, *window)
+    assert (summary["v_g_off"]["measured"], summary["v_g_off"]["fit_residual_rms"]) == (v, resid)
+    assert summary["decay_rate"]["measured"] == fit_decay(track, *window)[0]
 
 
 def test_summary_handles_constant_schedule():

@@ -234,6 +234,20 @@ def test_run_rejects_oracle_dt_that_does_not_divide_before_writing(tmp_path, cap
     assert not out.exists() or not any(out.iterdir())
 
 
+@pytest.mark.parametrize("stride", ["0", "-1"])
+def test_run_rejects_a_bad_csv_stride_before_any_work(tmp_path, capsys, stride):
+    out = tmp_path / "out"
+    rc = main(["run", "--out-dir", str(out), "--oracle", "--csv-stride", stride])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"config error: stride must be at least 1, got {stride}\n"
+    assert not out.exists()
+    # checked before the scenario file is even read
+    assert main(["run", str(tmp_path / "nope.ini"), "--csv-stride", stride]) == 2
+    assert "stride must be at least 1" in capsys.readouterr().err
+
+
 def test_cli_requires_a_subcommand():
     with pytest.raises(SystemExit):
         main([])

@@ -7,17 +7,7 @@ import pytest
 
 from eitmem.control import ControlSchedule
 from eitmem.errors import ConfigError
-from eitmem.model import (
-    EPS0,
-    HBAR,
-    DipoleSpec,
-    MediumParams,
-    PulseSpec,
-    ValidityReport,
-    check_regime,
-    compute_g_from_dipole,
-    cylinder_volume,
-)
+from eitmem.model import MediumParams, PulseSpec, ValidityReport, check_regime
 from eitmem.scenario import default_scenario
 
 SEED = 1021
@@ -68,41 +58,6 @@ def test_coherence_factors_pack_detunings():
     assert default_scenario().medium.is_resonant()
 
 
-def test_cylinder_volume():
-    v = cylinder_volume(5e-3, 2e-4)
-    assert v == pytest.approx(math.pi * 1e-8 * 5e-3, rel=1e-15)
-
-
-def test_coupling_from_dipole_matches_direct_formula():
-    spec = DipoleSpec(
-        dipole_moment=2.5e-29,  # C m
-        field_polarization_overlap=1.0,
-        quantization_volume=cylinder_volume(5e-3, 2e-4),
-    )
-    nu_p = 2 * math.pi * 5e14
-    g = compute_g_from_dipole(spec, nu_p)
-    # same quantity, grouped differently: p * sqrt(nu / (2 eps0 V hbar))
-    expected = spec.dipole_moment * math.sqrt(
-        nu_p / (2.0 * EPS0 * spec.quantization_volume * HBAR)
-    )
-    assert g == pytest.approx(expected, rel=1e-12)
-    assert g > 0.0
-
-
-def test_coupling_scales_inversely_with_root_volume():
-    nu_p = 2 * math.pi * 5e14
-    g1 = compute_g_from_dipole(DipoleSpec(1e-29, 1.0, 1e-10), nu_p)
-    g4 = compute_g_from_dipole(DipoleSpec(1e-29, 1.0, 4e-10), nu_p)
-    assert g1 / g4 == pytest.approx(2.0, rel=1e-12)
-
-
-def test_dipole_spec_rejects_bad_overlap():
-    with pytest.raises(ConfigError):
-        DipoleSpec(1e-29, 0.0, 1e-10)
-    with pytest.raises(ConfigError):
-        DipoleSpec(1e-29, 1.5, 1e-10)
-
-
 def test_pulse_spec_length_defaults_to_twice_width():
     p = PulseSpec(amplitude=0.2, center_z=0.0, width=1e-3)
     assert p.pulse_length == pytest.approx(2e-3)
@@ -112,7 +67,7 @@ def test_pulse_spec_length_defaults_to_twice_width():
 
 def test_regime_report_default_scenario():
     sc = default_scenario()
-    report = check_regime(sc.medium, sc.pulse, sc.schedule, sc.schedule.turn_time())
+    report = check_regime(sc.medium, sc.pulse, sc.schedule)
     # collective coupling 1e20 over the 1e12 decoherence product
     assert report.high_density_ratio == pytest.approx(1e8, rel=1e-12)
     # 2 mm pulse against sqrt(gamma_ba c L / g^2 N) = 1.22 mm
@@ -132,7 +87,7 @@ def test_regime_report_default_scenario():
 def test_regime_report_flags_strong_probe():
     sc = default_scenario()
     hot = PulseSpec(amplitude=1e3, center_z=sc.pulse.center_z, width=sc.pulse.width)
-    report = check_regime(sc.medium, hot, sc.schedule, sc.schedule.turn_time())
+    report = check_regime(sc.medium, hot, sc.schedule)
     assert not report.checks["low_intensity"]
     assert not report.blocking_pass
 
@@ -158,12 +113,11 @@ def test_regime_checks_monotone_in_detuning():
     import dataclasses
 
     sc = default_scenario()
-    turn = sc.schedule.turn_time()
     rng = np.random.default_rng(SEED)
-    prev = check_regime(sc.medium, sc.pulse, sc.schedule, turn).high_density_ratio
+    prev = check_regime(sc.medium, sc.pulse, sc.schedule).high_density_ratio
     for scale in (1e6, 1e7, 1e8):
         p = dataclasses.replace(sc.medium, delta=float(rng.uniform(0.5, 1.0)) * scale)
-        ratio = check_regime(p, sc.pulse, sc.schedule, turn).high_density_ratio
+        ratio = check_regime(p, sc.pulse, sc.schedule).high_density_ratio
         assert ratio < prev
         prev = ratio
 
@@ -172,5 +126,5 @@ def test_constant_schedule_has_infinite_turn_time():
     sch = ControlSchedule(kind="constant", omega=1e9)
     assert math.isinf(sch.turn_time())
     sc = default_scenario()
-    report = check_regime(sc.medium, sc.pulse, sch, sch.turn_time())
+    report = check_regime(sc.medium, sc.pulse, sch)
     assert report.checks["adiabatic_time"]

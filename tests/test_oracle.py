@@ -14,6 +14,7 @@ from conftest import SCALED_OMEGA, scaled_medium, scaled_pass_scenario
 
 import eitmem.oracle
 from eitmem.cli import oracle_initial_state
+from eitmem.coefficients import bright_ratio, exponent_integrand
 from eitmem.control import ControlSchedule
 from eitmem.errors import ConfigError, InvalidComparisonError, SimulationError
 from eitmem.grids import FieldGrid, GridSpec, gaussian_field
@@ -50,12 +51,12 @@ def constant_schedule(omega: float = SCALED_OMEGA) -> ControlSchedule:
 
 def test_config_rejects_bad_values():
     with pytest.raises(ConfigError, match="dt"):
-        OracleConfig(dt=0.0)
+        OracleConfig(dt=0.0, snapshot_dt=1.0)
     with pytest.raises(ConfigError, match="snapshot_dt"):
         OracleConfig(dt=1e-3, snapshot_dt=-1.0)
     for bad in (math.nan, math.inf):
         with pytest.raises(ConfigError, match="dt must be positive and finite"):
-            OracleConfig(dt=bad)
+            OracleConfig(dt=bad, snapshot_dt=1.0)
         with pytest.raises(ConfigError, match="snapshot_dt must be positive and finite"):
             OracleConfig(dt=1e-3, snapshot_dt=bad)
 
@@ -64,7 +65,7 @@ def test_step_cadence_must_divide():
     p = scaled_medium()
     with pytest.raises(ConfigError, match="divide"):
         integrate_reduced(
-            p, GRID, probe_state(), constant_schedule(), 1.0, OracleConfig(dt=0.3)
+            p, GRID, probe_state(), constant_schedule(), 1.0, OracleConfig(dt=0.3, snapshot_dt=0.1)
         )
     with pytest.raises(ConfigError, match="divide"):
         integrate_reduced(
@@ -93,7 +94,7 @@ def test_state_fields_must_share_grid():
             probe_state(),
             constant_schedule(),
             1.0,
-            OracleConfig(dt=0.125),
+            OracleConfig(dt=0.125, snapshot_dt=0.25),
         )
 
 
@@ -119,7 +120,7 @@ def test_zero_initial_state_stays_zero():
         OracleState(e_field=zero_field(), sigma_ba=zero_field(), sigma_bc=zero_field(), t=0.0),
         constant_schedule(),
         1.0,
-        OracleConfig(dt=0.1),
+        OracleConfig(dt=0.1, snapshot_dt=0.1),
     )
     for s in states:
         assert np.max(np.abs(s.e_field.values)) == 0.0
@@ -360,6 +361,27 @@ def test_oracle_csv_provenance_and_layout(tmp_path):
         write_oracle_csv(states, path, cfg, stride=0)
     with pytest.raises(ConfigError, match="states"):
         write_oracle_csv([], path, cfg)
+
+
+@pytest.mark.parametrize("make", [default_scenario, scaled_pass_scenario])
+def test_initial_optical_coherence_solves_the_spin_equation(make):
+    # sigma_ba = (d sigma_bc/dt + d_bc sigma_bc) / (i Omega) at t = 0, with
+    # d sigma_bc/dt taken from the modal law dpsi/dt = -(s_part + i k w_part) psi
+    sc = make()
+    p = sc.medium
+    initial = oracle_initial_state(p, sc.grid, sc.pulse, sc.schedule)
+    sample = sc.schedule.eval(p, 0.0)
+    psi0 = gaussian_field(sc.grid, sc.pulse.amplitude, sc.pulse.center_z, sc.pulse.width)
+    cs = exponent_integrand(sample.theta, sample.theta_dot, p)
+    k = sc.grid.k_array()
+    dpsi = np.fft.ifft(-(cs.s_part + 1j * k * cs.w_part) * np.fft.fft(psi0.values))
+    f = bright_ratio(sample.theta, p)
+    ratio_bc = -(math.sin(sample.theta) - math.cos(sample.theta) * f) / math.sqrt(p.n_atoms)
+    assert np.array_equal(initial.sigma_bc.values, ratio_bc * psi0.values)
+    _, d_bc = p.coherence_factors()
+    expected = (ratio_bc * dpsi + d_bc * initial.sigma_bc.values) / (1j * sample.omega)
+    got = initial.sigma_ba.values
+    assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 def test_comparison_error_paths():

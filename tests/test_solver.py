@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import eitmem.solver as solver_module
 from eitmem.errors import (
     AmplificationOverflowError,
     ConfigError,
@@ -14,14 +15,13 @@ from eitmem.errors import (
     ValidityError,
 )
 from eitmem.coefficients import exponent_integrand
-from eitmem.grids import FieldGrid, GridSpec, field_columns, gaussian_field
+from eitmem.grids import FieldGrid, GridSpec, field_columns, gaussian_field, whole_steps
 from eitmem.model import PulseSpec
 from eitmem.control import ControlSchedule
 from eitmem.solver import (
     LOG_GAIN_GUARD,
     WRAPAROUND_LOWPASS_HARMONICS,
     WRAPAROUND_SUPPORT_FLOOR,
-    QuadratureSpec,
     _check_wraparound,
     _edge_probe,
     accumulate_exponent,
@@ -85,25 +85,26 @@ def test_apply_evolution_guards_runaway_gain():
         apply_evolution(state, complex(-60.0, 0.0), 0j)
 
 
-def test_adaptive_simpson_is_exact_on_cubics():
-    spec = QuadratureSpec(abs_tol=1e-12)
-    val = adaptive_simpson(lambda t: np.asarray(t**3 - 2 * t + 1.0), 0.0, 2.0, spec)
+def test_adaptive_simpson_is_exact_on_cubics(monkeypatch):
+    monkeypatch.setattr(solver_module, "QUAD_ABS_TOL", 1e-12)
+    val = adaptive_simpson(lambda t: np.asarray(t**3 - 2 * t + 1.0), 0.0, 2.0)
     assert complex(val) == pytest.approx(2.0, abs=1e-12)
 
 
-def test_adaptive_simpson_oscillatory_reference():
-    spec = QuadratureSpec(abs_tol=1e-12)
+def test_adaptive_simpson_oscillatory_reference(monkeypatch):
+    monkeypatch.setattr(solver_module, "QUAD_ABS_TOL", 1e-12)
     a = 37.0
-    val = adaptive_simpson(lambda t: np.exp(1j * a * t), 0.0, 1.0, spec)
+    val = adaptive_simpson(lambda t: np.exp(1j * a * t), 0.0, 1.0)
     expected = (np.exp(1j * a) - 1.0) / (1j * a)
     assert abs(complex(val) - expected) <= 1e-10
 
 
-def test_adaptive_simpson_reports_depth_exhaustion():
+def test_adaptive_simpson_reports_depth_exhaustion(monkeypatch):
     # at depth 4 the panels are still dozens of radians wide for this phase
-    spec = QuadratureSpec(abs_tol=1e-15, max_depth=4)
+    monkeypatch.setattr(solver_module, "QUAD_ABS_TOL", 1e-15)
+    monkeypatch.setattr(solver_module, "QUAD_MAX_DEPTH", 4)
     with pytest.raises(QuadratureError, match="depth"):
-        adaptive_simpson(lambda t: np.exp(1j * 999.0 * t), 0.0, 1.0, spec)
+        adaptive_simpson(lambda t: np.exp(1j * 999.0 * t), 0.0, 1.0)
 
 
 def test_norm_conserved_without_spin_decay(default_sc):
@@ -189,7 +190,7 @@ def test_reconstruction_round_trip(default_sc):
     psi = _random_field(grid, rng)
     root_n = math.sqrt(p.n_atoms)
     for theta in (0.3, 1.0, math.pi / 2 - 1e-4):
-        phi, e_field, sigma_bc = reconstruct(psi, theta, 0.0, p)
+        phi, e_field, sigma_bc = reconstruct(psi, theta, p)
         psi_back = math.cos(theta) * e_field.values - root_n * math.sin(theta) * sigma_bc.values
         phi_back = math.sin(theta) * e_field.values + root_n * math.cos(theta) * sigma_bc.values
         scale = np.max(np.abs(psi.values))
@@ -287,6 +288,15 @@ def test_coefficient_csv_layout(tmp_path, default_result):
     assert len(lines) == len(default_result.coefficient_trace.t) + 1
     first = [float(x) for x in lines[1].split(",")]
     assert len(first) == 5
+
+
+def test_whole_steps_counts_even_divisions_only():
+    assert whole_steps(180e-6, 15e-6) == 12
+    assert whole_steps(1.0, 1.0) == 1
+    assert whole_steps(1.0, 0.1) == 10  # 10 * 0.1 misses 1.0 by one ulp
+    assert whole_steps(180e-6, 14e-6) == 0
+    assert whole_steps(1.0, 3.0) == 0  # rounds to no step at all
+    assert whole_steps(1.0, 1.0 / 3.0 * (1 + 2e-9)) == 0  # off by more than 1e-9
 
 
 def test_snapshot_cadence_must_divide_horizon(default_sc):
@@ -404,7 +414,7 @@ def test_apply_evolution_max_log_gain_is_the_full_grid_maximum():
         assert out.max_log_gain == float(np.max(-0.25 + state.k_grid * i_w.imag))
 
 
-def _recursive_simpson(f, a, b, spec, nodes):
+def _recursive_simpson(f, a, b, nodes):
     """Depth-first adaptive Simpson on one panel, the form the batched pass replaced."""
 
     def g(t):
@@ -421,7 +431,7 @@ def _recursive_simpson(f, a, b, spec, nodes):
         right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
         delta = left + right - whole
         err = float(np.max(np.abs(delta)))
-        if err <= 15.0 * tol or depth >= spec.max_depth:
+        if err <= 15.0 * tol or depth >= solver_module.QUAD_MAX_DEPTH:
             return left + right + delta / 15.0
         half = 0.5 * tol
         return recurse(a, m, fa, flm, fm, left, half, depth + 1) + recurse(
@@ -430,7 +440,7 @@ def _recursive_simpson(f, a, b, spec, nodes):
 
     fa, fm, fb = g(a), g(0.5 * (a + b)), g(b)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return recurse(a, b, fa, fm, fb, whole, spec.abs_tol, 0)
+    return recurse(a, b, fa, fm, fb, whole, solver_module.QUAD_ABS_TOL, 0)
 
 
 def _schedules(default_sc):
@@ -448,7 +458,6 @@ def _schedules(default_sc):
 def test_batched_simpson_matches_recursive_form(default_sc, kind):
     p = dataclasses.replace(default_sc.medium, delta_p=300.0)
     schedule = _schedules(default_sc)[kind]
-    spec = QuadratureSpec()
     edges = np.arange(13) * 15e-6
 
     def integrand(t):
@@ -462,37 +471,35 @@ def test_batched_simpson_matches_recursive_form(default_sc, kind):
         batched_nodes.extend(t.tolist())
         return integrand(t)
 
-    got = adaptive_simpson(traced, edges[:-1], edges[1:], spec, schedule.breakpoints())
+    got = adaptive_simpson(traced, edges[:-1], edges[1:], schedule.breakpoints())
     ref_nodes = []
     want = np.zeros((2, 12), dtype=complex)
     for i, (t0, t1) in enumerate(zip(edges[:-1], edges[1:])):
         cuts = [t0] + [c for c in schedule.breakpoints() if t0 < c < t1] + [t1]
         for a, b in zip(cuts[:-1], cuts[1:]):
-            want[:, i] += _recursive_simpson(integrand, a, b, spec, ref_nodes)
+            want[:, i] += _recursive_simpson(integrand, a, b, ref_nodes)
     assert sorted(batched_nodes) == sorted(ref_nodes)
     assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
 
 
-def test_batched_simpson_names_the_earliest_exhausted_panel():
-    spec = QuadratureSpec(abs_tol=1e-15, max_depth=4)
+def test_batched_simpson_names_the_earliest_exhausted_panel(monkeypatch):
+    monkeypatch.setattr(solver_module, "QUAD_ABS_TOL", 1e-15)
+    monkeypatch.setattr(solver_module, "QUAD_MAX_DEPTH", 4)
     # the first interval is a cubic, done at once; the next two cannot converge
     f = lambda t: np.where(t <= 1.0, t**3, np.exp(1j * 999.0 * t))  # noqa: E731
     with pytest.raises(QuadratureError, match=r"\[1\.0, 2\.0\].*depth 4"):
-        adaptive_simpson(f, np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0]), spec)
+        adaptive_simpson(f, np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
 
 
 def test_batched_simpson_skips_empty_and_rejects_reversed_intervals():
-    spec = QuadratureSpec()
-    val = adaptive_simpson(lambda t: np.asarray(t * t), np.array([0.0, 1.0]), np.array([3.0, 1.0]), spec)
+    val = adaptive_simpson(lambda t: np.asarray(t * t), np.array([0.0, 1.0]), np.array([3.0, 1.0]))
     assert val[0] == pytest.approx(9.0, rel=1e-14)
     assert val[1] == 0.0
     with pytest.raises(ConfigError, match="reversed"):
-        adaptive_simpson(lambda t: t, 1.0, 0.0, spec)
+        adaptive_simpson(lambda t: t, 1.0, 0.0)
 
 
 def test_snapshot_fields_are_built_once_on_demand(default_sc, default_result, monkeypatch):
-    import eitmem.solver as solver_module
-
     calls = []
     real = solver_module.reconstruct
 
@@ -507,8 +514,8 @@ def test_snapshot_fields_are_built_once_on_demand(default_sc, default_result, mo
     e_field = snap.e_field
     assert snap.phi is snap.phi and snap.sigma_bc is snap.sigma_bc and snap.e_field is e_field
     assert len(calls) == 1
-    theta, theta_dot, _ = default_sc.schedule.eval(default_sc.medium, snap.t)
-    phi, e_ref, sigma_bc = real(snap.psi, float(theta), float(theta_dot), default_sc.medium)
+    theta = default_sc.schedule.eval(default_sc.medium, snap.t).theta
+    phi, e_ref, sigma_bc = real(snap.psi, float(theta), default_sc.medium)
     assert np.array_equal(e_field.values, e_ref.values)
     assert np.array_equal(snap.phi.values, phi.values)
     assert np.array_equal(snap.sigma_bc.values, sigma_bc.values)
