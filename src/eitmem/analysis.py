@@ -144,36 +144,35 @@ def predict_output(
     schedule: ControlSchedule,
     input_field: FieldGrid,
     t0_duration: float,
-    mode: str = "simple",
-) -> tuple[FieldGrid, float]:
+) -> tuple[FieldGrid, FieldGrid, float]:
     """Closed-form output after storage time T0 from t = 0: shifted and damped input.
 
-    simple mode applies the uniform factor exp(-gamma_bc T0); exact mode
-    integrates the resonant damping rate including the switching term. Both
-    displace the pulse by the integral of the group velocity. Returns the
-    predicted field and the predicted output peak position.
+    The input is displaced once, by the integral of the group velocity, and
+    damped two ways: by the uniform factor exp(-gamma_bc T0) (simple), and
+    by the integrated resonant damping rate including the switching term
+    (exact). Returns the simple field, the exact field and the predicted
+    output peak position.
     """
-    if mode not in ("simple", "exact"):
-        raise ConfigError(f"mode must be simple or exact, got {mode!r}")
     if not params.is_resonant():
-        raise ConfigError(f"{mode} mode predicts resonant output only; detunings are set")
+        raise ConfigError("output prediction is for resonant media only; detunings are set")
     if t0_duration < 0:
         raise ConfigError(f"storage duration must be nonnegative, got {t0_duration}")
     _, i_w = accumulate_exponent(params, schedule, 0.0, t0_duration)
     displacement = i_w.real
-    if mode == "simple":
-        factor = math.exp(-params.gamma_bc * t0_duration)
-    else:
-        def integrand(t: np.ndarray) -> np.ndarray:
-            theta, theta_dot, _ = schedule.eval(params, t)
-            return alpha1_slow_light(theta, theta_dot, params)
 
-        total = adaptive_simpson(integrand, 0.0, t0_duration, schedule.breakpoints())
-        factor = math.exp(-float(total))
+    def integrand(t: np.ndarray) -> np.ndarray:
+        theta, theta_dot, _ = schedule.eval(params, t)
+        return alpha1_slow_light(theta, theta_dot, params)
+
+    exact_exponent = adaptive_simpson(integrand, 0.0, t0_duration, schedule.breakpoints())
     k = input_field.grid.k_array()
     shifted = np.fft.ifft(np.fft.fft(input_field.values) * np.exp(-1j * k * displacement))
     z_in, _ = interpolated_peak(input_field)
-    return FieldGrid(input_field.grid, factor * shifted), z_in + displacement
+    return (
+        FieldGrid(input_field.grid, math.exp(-params.gamma_bc * t0_duration) * shifted),
+        FieldGrid(input_field.grid, math.exp(-float(exact_exponent)) * shifted),
+        z_in + displacement,
+    )
 
 
 @dataclass(frozen=True)
@@ -413,8 +412,7 @@ def assemble_summary(result: SimulationResult, output_time: float | None = None)
         "predicted_peak": predicted_peak,
     }
     if params.is_resonant():
-        field_simple, _ = predict_output(params, schedule, snaps[0].psi, out_snap.t, "simple")
-        field_exact, _ = predict_output(params, schedule, snaps[0].psi, out_snap.t, "exact")
+        field_simple, field_exact, _ = predict_output(params, schedule, snaps[0].psi, out_snap.t)
         output["predicted_peak_simple"] = interpolated_peak(field_simple)[1]
         output["predicted_peak_exact"] = interpolated_peak(field_exact)[1]
     summary["output_peak"] = output

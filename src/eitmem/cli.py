@@ -25,7 +25,7 @@ from . import analysis, oracle, solver
 from .coefficients import exponent_integrand
 from .errors import ConfigError, EitmemError, UntrackableFieldError, ValidityError
 from .grids import FieldGrid, gaussian_field
-from .model import BLOCKING_CHECKS, check_regime
+from .model import BLOCKING_CHECKS, REGIME_CHECKS, check_regime
 from .scenario import Scenario, default_scenario, load_scenario, with_medium
 
 EXIT_OK = 0
@@ -35,14 +35,6 @@ EXIT_RUNTIME = 4
 
 SWEEP_AXES = ("delta", "delta_p", "gamma_bc", "gamma_ba")
 MAX_SWEEP_VALUES = 1000
-
-CHECK_ORDER = (
-    "high_density",
-    "adiabatic_length",
-    "adiabatic_time",
-    "adiabatic_parameter",
-    "low_intensity",
-)
 
 
 def _load_scenario(args) -> Scenario:
@@ -82,14 +74,7 @@ def oracle_initial_state(params, grid, pulse, schedule) -> oracle.OracleState:
 
 
 def _print_validity(report):
-    ratios = {
-        "high_density": report.high_density_ratio,
-        "adiabatic_length": report.adiabatic_length_ratio,
-        "adiabatic_time": report.adiabatic_time_ratio,
-        "adiabatic_parameter": report.adiabatic_parameter,
-        "low_intensity": report.low_intensity_ratio,
-    }
-    for name in CHECK_ORDER:
+    for name, _, _ in REGIME_CHECKS:
         if report.strong[name]:
             status = "strong pass"
         elif report.checks[name]:
@@ -98,7 +83,7 @@ def _print_validity(report):
             status = "FAIL"
         else:
             status = "fail (advisory)"
-        print(f"{name:<22} {ratios[name]:<12.4g} {status}")
+        print(f"{name:<22} {report.ratios[name]:<12.4g} {status}")
     for note in report.notes:
         print(f"note: {note}")
 
@@ -321,11 +306,12 @@ def cmd_sweep(args) -> int:
             raise ConfigError(f"sweep value {piece!r} cannot be parsed as a number") from None
     if len(values) > MAX_SWEEP_VALUES:
         raise ConfigError(f"sweep asks for {len(values)} runs, limit is {MAX_SWEEP_VALUES}")
+    # Every value is checked before anything runs or is written.
+    scenarios = [with_medium(sc, **{args.axis: value}) for value in values]
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, "sweep.csv")
     rows = []
-    for value in values:
-        sc_v = with_medium(sc, **{args.axis: value})
+    for value, sc_v in zip(values, scenarios):
         row = {"value": repr(value)}
         warning = None
         try:

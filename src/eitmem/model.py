@@ -10,7 +10,7 @@ pulse/switching scales, and the low-intensity (weak probe) limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -117,22 +117,37 @@ class PulseSpec:
         return self.l_p if self.l_p is not None else 2.0 * self.width
 
 
+# The regime checks, in report order: (check name, key of its ratio in the
+# JSON artifacts, whether the ratio must be small rather than large).
+REGIME_CHECKS = (
+    ("high_density", "high_density_ratio", False),  # collective coupling vs decoherence
+    ("adiabatic_length", "adiabatic_length_ratio", False),  # pulse vs adiabatic length
+    ("adiabatic_time", "adiabatic_time_ratio", False),  # switching vs adiabatic time
+    ("adiabatic_parameter", "adiabatic_parameter", True),  # 1/(g sqrt(N) T)
+    ("low_intensity", "low_intensity_ratio", True),  # max probe Rabi over min control Rabi
+)
+
+
 @dataclass(frozen=True)
 class ValidityReport:
-    """Quantified regime assumptions with per-check pass flags.
+    """Quantified regime assumptions; pass flags follow from the ratios."""
 
-    Ratios are oriented so that bigger is better except adiabatic_parameter
-    and low_intensity_ratio, which must be small.
-    """
-
-    high_density_ratio: float  # collective coupling vs decoherence product
-    adiabatic_length_ratio: float  # pulse length vs adiabatic length scale
-    adiabatic_time_ratio: float  # switching time vs adiabatic time scale
-    adiabatic_parameter: float  # 1/(g sqrt(N) T), must be << 1
-    low_intensity_ratio: float  # max probe Rabi scale over min control Rabi
-    checks: dict[str, bool] = field(default_factory=dict)
-    strong: dict[str, bool] = field(default_factory=dict)
+    ratios: dict[str, float]  # by check name, one entry per REGIME_CHECKS row
     notes: tuple[str, ...] = ()
+
+    def _passes(self, factor: float) -> dict[str, bool]:
+        return {
+            name: self.ratios[name] <= 1.0 / factor if small else self.ratios[name] >= factor
+            for name, _, small in REGIME_CHECKS
+        }
+
+    @property
+    def checks(self) -> dict[str, bool]:
+        return self._passes(PASS_FACTOR)
+
+    @property
+    def strong(self) -> dict[str, bool]:
+        return self._passes(STRONG_PASS_FACTOR)
 
     @property
     def all_pass(self) -> bool:
@@ -156,15 +171,15 @@ class ValidityReport:
                 )
         return msgs
 
+    def keyed_ratios(self) -> dict[str, float]:
+        """The ratios by their JSON keys."""
+        return {key: self.ratios[name] for name, key, _ in REGIME_CHECKS}
+
     def to_dict(self) -> dict:
         return {
-            "high_density_ratio": self.high_density_ratio,
-            "adiabatic_length_ratio": self.adiabatic_length_ratio,
-            "adiabatic_time_ratio": self.adiabatic_time_ratio,
-            "adiabatic_parameter": self.adiabatic_parameter,
-            "low_intensity_ratio": self.low_intensity_ratio,
-            "checks": dict(self.checks),
-            "strong": dict(self.strong),
+            **self.keyed_ratios(),
+            "checks": self.checks,
+            "strong": self.strong,
             "notes": list(self.notes),
         }
 
@@ -214,27 +229,11 @@ def check_regime(
     e_est = abs(pulse.amplitude) * np.abs(np.cos(theta) + np.sin(theta) * f)
     worst = float(np.max(params.g * e_est / sample.omega))
 
-    checks = {
-        "high_density": high_density >= PASS_FACTOR,
-        "adiabatic_length": adiab_length >= PASS_FACTOR,
-        "adiabatic_time": adiab_time >= PASS_FACTOR,
-        "adiabatic_parameter": adiab_parameter <= 1.0 / PASS_FACTOR,
-        "low_intensity": worst <= 1.0 / PASS_FACTOR,
+    ratios = {
+        "high_density": high_density,
+        "adiabatic_length": adiab_length,
+        "adiabatic_time": adiab_time,
+        "adiabatic_parameter": adiab_parameter,
+        "low_intensity": worst,
     }
-    strong = {
-        "high_density": high_density >= STRONG_PASS_FACTOR,
-        "adiabatic_length": adiab_length >= STRONG_PASS_FACTOR,
-        "adiabatic_time": adiab_time >= STRONG_PASS_FACTOR,
-        "adiabatic_parameter": adiab_parameter <= 1.0 / STRONG_PASS_FACTOR,
-        "low_intensity": worst <= 1.0 / STRONG_PASS_FACTOR,
-    }
-    return ValidityReport(
-        high_density_ratio=high_density,
-        adiabatic_length_ratio=adiab_length,
-        adiabatic_time_ratio=adiab_time,
-        adiabatic_parameter=adiab_parameter,
-        low_intensity_ratio=worst,
-        checks=checks,
-        strong=strong,
-        notes=tuple(extra_notes),
-    )
+    return ValidityReport(ratios=ratios, notes=tuple(extra_notes))

@@ -312,17 +312,9 @@ def compare_to_adiabatic(
         raise InvalidComparisonError("no snapshot times matched between the two runs")
     validity = adiabatic_run.validity
     failed = tuple(validity.failed())
-    ratios = {
-        "high_density_ratio": validity.high_density_ratio,
-        "adiabatic_length_ratio": validity.adiabatic_length_ratio,
-        "adiabatic_time_ratio": validity.adiabatic_time_ratio,
-        "adiabatic_parameter": validity.adiabatic_parameter,
-        "low_intensity_ratio": validity.low_intensity_ratio,
-    }
     if failed:
         attribution = "discrepancy attributable to failed checks: " + ", ".join(
-            f"{name} ({ratios.get(name + '_ratio', ratios.get(name, float('nan'))):.3g})"
-            for name in failed
+            f"{name} ({validity.ratios[name]:.3g})" for name in failed
         )
     else:
         attribution = "all adiabaticity checks passed; runs should agree"
@@ -334,7 +326,7 @@ def compare_to_adiabatic(
         max_linf=max(linf),
         max_l2=max(l2),
         failed_checks=failed,
-        ratios=ratios,
+        ratios=validity.keyed_ratios(),
         attribution=attribution,
     )
 

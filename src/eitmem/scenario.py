@@ -3,7 +3,8 @@
 A scenario file is an INI document with sections [medium], [grid],
 [pulse], [schedule] and [run].  Every number is written back with
 repr-level precision so that save -> load round-trips to the exact
-same floats.
+same floats.  The key tables below are the format's one definition:
+load_scenario and save_scenario both read them.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from .control import SCHEDULE_KINDS, ControlSchedule
 from .errors import ConfigError, require_finite
 from .grids import GridSpec, whole_steps
-from .model import C_VACUUM, MediumParams, PulseSpec
+from .model import MediumParams, PulseSpec
 from .solver import check_pulse_fits
 
 DEFAULT_LABEL = "storage_default"
@@ -25,6 +26,42 @@ DEFAULT_LABEL = "storage_default"
 # reduced equations only ever see the two coherence rates, so optical
 # population decay constants in a config are accepted and flagged.
 IGNORED_MEDIUM_KEYS = ("gamma_a", "gamma_c")
+
+# A key with no default must be present in the file.
+REQUIRED = dataclasses.MISSING
+
+# One (key, type, default) row per key, in the order the file is written.
+# The type is float, int, str, tuple (comma-separated floats) or complex
+# (keys <key>_re and <key>_im, the imaginary part defaulting to 0). A field
+# that is None is left out of the file. A callable default is computed from
+# the keys of its section read before it.
+MEDIUM_KEYS = tuple((f.name, float, f.default) for f in dataclasses.fields(MediumParams))
+GRID_KEYS = (("z_min", float, REQUIRED), ("z_max", float, REQUIRED), ("n_points", int, REQUIRED))
+PULSE_KEYS = (
+    ("amplitude", complex, REQUIRED),
+    ("center_z", float, REQUIRED),
+    ("width", float, REQUIRED),
+    ("l_p", float, None),  # absent: twice the width
+)
+_KIND_KEYS = {
+    "constant": (("omega", float, REQUIRED),),
+    "tabulated": (("times", tuple, REQUIRED), ("thetas", tuple, REQUIRED)),
+}
+# The tanh switch owns every defaulted ControlSchedule field no other kind reads.
+_claimed = {key for rows in _KIND_KEYS.values() for key, _, _ in rows}
+_KIND_KEYS["tanh_profile"] = tuple(
+    (f.name, float, f.default)
+    for f in dataclasses.fields(ControlSchedule)
+    if f.default is not REQUIRED and f.name not in _claimed
+)
+SCHEDULE_KEYS = {kind: (("kind", str, REQUIRED),) + _KIND_KEYS[kind] for kind in SCHEDULE_KINDS}
+RUN_KEYS = (
+    ("horizon", float, REQUIRED),
+    ("snapshot_dt", float, REQUIRED),
+    # absent: the start of the last stored interval
+    ("output_time", float, lambda run: run["horizon"] - run["snapshot_dt"]),
+    ("label", str, DEFAULT_LABEL),
+)
 
 
 @dataclass(frozen=True)
@@ -90,122 +127,99 @@ def default_scenario() -> Scenario:
     )
 
 
-def _fmt(value: float) -> str:
-    return repr(float(value))
-
-
 def save_scenario(scenario: Scenario, path: str):
-    cp = configparser.ConfigParser()
-    m = scenario.medium
-    cp["medium"] = {
-        "g": _fmt(m.g),
-        "n_atoms": _fmt(m.n_atoms),
-        "length": _fmt(m.length),
-        "cell_diameter": _fmt(m.cell_diameter),
-        "nu_p": _fmt(m.nu_p),
-        "gamma_ba": _fmt(m.gamma_ba),
-        "gamma_bc": _fmt(m.gamma_bc),
-        "delta": _fmt(m.delta),
-        "delta_p": _fmt(m.delta_p),
-        "c": _fmt(m.c),
-    }
-    g = scenario.grid
-    cp["grid"] = {
-        "z_min": _fmt(g.z_min),
-        "z_max": _fmt(g.z_max),
-        "n_points": str(g.n_points),
-    }
-    p = scenario.pulse
-    pulse_section = {
-        "amplitude_re": _fmt(p.amplitude.real),
-        "amplitude_im": _fmt(p.amplitude.imag),
-        "center_z": _fmt(p.center_z),
-        "width": _fmt(p.width),
-    }
-    if p.l_p is not None:
-        pulse_section["l_p"] = _fmt(p.l_p)
-    cp["pulse"] = pulse_section
-    s = scenario.schedule
-    sched_section = {"kind": s.kind}
-    if s.kind == "constant":
-        sched_section["omega"] = _fmt(s.omega)
-    elif s.kind == "tanh_profile":
-        sched_section.update(
-            scale=_fmt(s.scale),
-            floor=_fmt(s.floor),
-            steepness=_fmt(s.steepness),
-            t1=_fmt(s.t1),
-            t2=_fmt(s.t2),
-        )
-    else:
-        sched_section["times"] = ", ".join(_fmt(t) for t in s.times)
-        sched_section["thetas"] = ", ".join(_fmt(th) for th in s.thetas)
-    cp["schedule"] = sched_section
-    cp["run"] = {
-        "horizon": _fmt(scenario.horizon),
-        "snapshot_dt": _fmt(scenario.snapshot_dt),
-        "output_time": _fmt(scenario.output_time),
-        "label": scenario.label,
-    }
+    cp = configparser.ConfigParser(interpolation=None)
+    sections = (
+        ("medium", scenario.medium, MEDIUM_KEYS),
+        ("grid", scenario.grid, GRID_KEYS),
+        ("pulse", scenario.pulse, PULSE_KEYS),
+        ("schedule", scenario.schedule, SCHEDULE_KEYS[scenario.schedule.kind]),
+        ("run", scenario, RUN_KEYS),
+    )
+    for name, obj, rows in sections:
+        cp[name] = _format_section(obj, rows)
     with open(path, "w", encoding="utf-8") as fh:
         cp.write(fh)
 
 
-def _parse_float(section, key: str, section_name: str, default: float | None = None) -> float:
-    raw = section.get(key)
-    if raw is None:
-        if default is None:
-            raise ConfigError(f"[{section_name}] is missing required key {key!r}")
-        return default
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(
-            f"[{section_name}] {key} = {raw!r} cannot be parsed as a number"
-        ) from None
-    require_finite(f"[{section_name}] {key}", value)
+def _format_section(obj, rows) -> dict[str, str]:
+    """The text of each row's field of obj, by key; a None field is left out."""
+    out = {}
+    for key, kind, _ in rows:
+        value = getattr(obj, key)
+        if value is None:
+            continue
+        if kind is complex:
+            out[key + "_re"] = repr(float(value.real))
+            out[key + "_im"] = repr(float(value.imag))
+        elif kind is tuple:
+            out[key] = ", ".join(repr(float(v)) for v in value)
+        else:
+            out[key] = repr(float(value)) if kind is float else str(value)
+    return out
+
+
+def _parse(kind, raw: str, where: str):
+    """One value of a row's type, named `where` in errors; floats must be finite."""
+    if kind is str:
+        return raw
+    if kind is int:
+        try:
+            return int(raw)
+        except ValueError:
+            raise ConfigError(f"{where} = {raw!r} cannot be parsed as an integer") from None
+    if kind is tuple:
+        value = []
+        for piece in filter(None, (p.strip() for p in raw.split(","))):
+            try:
+                value.append(float(piece))
+            except ValueError:
+                raise ConfigError(
+                    f"{where}: entry {piece!r} cannot be parsed as a number"
+                ) from None
+        value = tuple(value)
+    else:
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ConfigError(f"{where} = {raw!r} cannot be parsed as a number") from None
+    require_finite(where, value)
     return value
 
 
-def _parse_int(section, key: str, section_name: str) -> int:
-    raw = section.get(key)
-    if raw is None:
-        raise ConfigError(f"[{section_name}] is missing required key {key!r}")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(
-            f"[{section_name}] {key} = {raw!r} cannot be parsed as an integer"
-        ) from None
+def _read_section(cp, name: str, rows, tolerated: tuple[str, ...] = ()) -> dict:
+    """Section [name] parsed by its rows, as constructor keywords by key.
 
-
-def _parse_float_list(section, key: str, section_name: str) -> tuple[float, ...]:
-    raw = section.get(key)
-    if raw is None:
-        raise ConfigError(f"[{section_name}] is missing required key {key!r}")
-    out = []
-    for piece in raw.split(","):
-        piece = piece.strip()
-        if not piece:
-            continue
-        try:
-            out.append(float(piece))
-        except ValueError:
-            raise ConfigError(
-                f"[{section_name}] {key}: entry {piece!r} cannot be parsed as a number"
-            ) from None
-    require_finite(f"[{section_name}] {key}", out)
-    return tuple(out)
-
-
-def _reject_unknown_keys(section, section_name: str, allowed: tuple[str, ...]):
+    A key outside the rows is an error unless tolerated. An absent key
+    takes its row's default; an absent REQUIRED key is an error.
+    """
+    section = cp[name]
+    known = set(tolerated)
+    for key, kind, _ in rows:
+        known.update((key + "_re", key + "_im") if kind is complex else (key,))
     for key in section:
-        if key not in allowed:
-            raise ConfigError(f"[{section_name}] has unrecognized key {key!r}")
+        if key not in known:
+            raise ConfigError(f"[{name}] has unrecognized key {key!r}")
+
+    def read(key, kind, default):
+        raw = section.get(key)
+        if raw is not None:
+            return _parse(kind, raw, f"[{name}] {key}")
+        if default is REQUIRED:
+            raise ConfigError(f"[{name}] is missing required key {key!r}")
+        return default(values) if callable(default) else default
+
+    values = {}
+    for key, kind, default in rows:
+        if kind is complex:
+            values[key] = complex(read(key + "_re", float, default), read(key + "_im", float, 0.0))
+        else:
+            values[key] = read(key, kind, default)
+    return values
 
 
 def load_scenario(path: str) -> Scenario:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     try:
         read = cp.read(path, encoding="utf-8")
     except configparser.Error as exc:
@@ -216,112 +230,28 @@ def load_scenario(path: str) -> Scenario:
         if name not in cp:
             raise ConfigError(f"scenario file {path} is missing section [{name}]")
 
-    notes = []
-    msec = cp["medium"]
-    _reject_unknown_keys(
-        msec,
-        "medium",
-        (
-            "g",
-            "n_atoms",
-            "length",
-            "cell_diameter",
-            "nu_p",
-            "gamma_ba",
-            "gamma_bc",
-            "delta",
-            "delta_p",
-            "c",
-        )
-        + IGNORED_MEDIUM_KEYS,
+    medium = MediumParams(**_read_section(cp, "medium", MEDIUM_KEYS, IGNORED_MEDIUM_KEYS))
+    notes = tuple(
+        f"[medium] {key} = {cp['medium'][key]} accepted but unused: the reduced "
+        "field-coherence dynamics never reference optical population decay"
+        for key in IGNORED_MEDIUM_KEYS
+        if key in cp["medium"]
     )
-    for key in IGNORED_MEDIUM_KEYS:
-        if key in msec:
-            notes.append(
-                f"[medium] {key} = {msec[key]} accepted but unused: the reduced "
-                "field-coherence dynamics never reference optical population decay"
-            )
-    medium = MediumParams(
-        g=_parse_float(msec, "g", "medium"),
-        n_atoms=_parse_float(msec, "n_atoms", "medium"),
-        length=_parse_float(msec, "length", "medium"),
-        cell_diameter=_parse_float(msec, "cell_diameter", "medium"),
-        nu_p=_parse_float(msec, "nu_p", "medium"),
-        gamma_ba=_parse_float(msec, "gamma_ba", "medium"),
-        gamma_bc=_parse_float(msec, "gamma_bc", "medium"),
-        delta=_parse_float(msec, "delta", "medium", default=0.0),
-        delta_p=_parse_float(msec, "delta_p", "medium", default=0.0),
-        c=_parse_float(msec, "c", "medium", default=C_VACUUM),
-    )
-
-    gsec = cp["grid"]
-    _reject_unknown_keys(gsec, "grid", ("z_min", "z_max", "n_points"))
-    grid = GridSpec(
-        z_min=_parse_float(gsec, "z_min", "grid"),
-        z_max=_parse_float(gsec, "z_max", "grid"),
-        n_points=_parse_int(gsec, "n_points", "grid"),
-    )
-
-    psec = cp["pulse"]
-    _reject_unknown_keys(
-        psec, "pulse", ("amplitude_re", "amplitude_im", "center_z", "width", "l_p")
-    )
-    l_p = _parse_float(psec, "l_p", "pulse", default=-1.0)
-    pulse = PulseSpec(
-        amplitude=complex(
-            _parse_float(psec, "amplitude_re", "pulse"),
-            _parse_float(psec, "amplitude_im", "pulse", default=0.0),
-        ),
-        center_z=_parse_float(psec, "center_z", "pulse"),
-        width=_parse_float(psec, "width", "pulse"),
-        l_p=None if l_p <= 0.0 else l_p,
-    )
-
-    ssec = cp["schedule"]
-    kind = ssec.get("kind")
+    grid = GridSpec(**_read_section(cp, "grid", GRID_KEYS))
+    pulse = PulseSpec(**_read_section(cp, "pulse", PULSE_KEYS))
+    kind = cp["schedule"].get("kind")
     if kind not in SCHEDULE_KINDS:
         raise ConfigError(
             f"[schedule] kind must be one of {SCHEDULE_KINDS}, got {kind!r}"
         )
-    if kind == "constant":
-        _reject_unknown_keys(ssec, "schedule", ("kind", "omega"))
-        schedule = ControlSchedule(kind=kind, omega=_parse_float(ssec, "omega", "schedule"))
-    elif kind == "tanh_profile":
-        _reject_unknown_keys(
-            ssec, "schedule", ("kind", "scale", "floor", "steepness", "t1", "t2")
-        )
-        defaults = ControlSchedule(kind="tanh_profile")
-        schedule = ControlSchedule(
-            kind=kind,
-            scale=_parse_float(ssec, "scale", "schedule", default=defaults.scale),
-            floor=_parse_float(ssec, "floor", "schedule", default=defaults.floor),
-            steepness=_parse_float(ssec, "steepness", "schedule", default=defaults.steepness),
-            t1=_parse_float(ssec, "t1", "schedule", default=defaults.t1),
-            t2=_parse_float(ssec, "t2", "schedule", default=defaults.t2),
-        )
-    else:
-        _reject_unknown_keys(ssec, "schedule", ("kind", "times", "thetas"))
-        schedule = ControlSchedule(
-            kind=kind,
-            times=_parse_float_list(ssec, "times", "schedule"),
-            thetas=_parse_float_list(ssec, "thetas", "schedule"),
-        )
-
-    rsec = cp["run"]
-    _reject_unknown_keys(rsec, "run", ("horizon", "snapshot_dt", "output_time", "label"))
-    horizon = _parse_float(rsec, "horizon", "run")
-    snapshot_dt = _parse_float(rsec, "snapshot_dt", "run")
-    output_time = _parse_float(rsec, "output_time", "run", default=horizon - snapshot_dt)
+    schedule = ControlSchedule(**_read_section(cp, "schedule", SCHEDULE_KEYS[kind]))
     return Scenario(
         medium=medium,
         grid=grid,
         pulse=pulse,
         schedule=schedule,
-        horizon=horizon,
-        snapshot_dt=snapshot_dt,
-        output_time=output_time,
-        label=rsec.get("label", DEFAULT_LABEL),
-        notes=tuple(notes),
+        notes=notes,
+        **_read_section(cp, "run", RUN_KEYS),
     )
 
 

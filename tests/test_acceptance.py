@@ -89,13 +89,8 @@ def test_criterion_03_output_peak_matches_prediction(default_sc, default_result)
     out_snap = default_result.snapshot_at(165e-6)
     assert out_snap.t == pytest.approx(165e-6, rel=1e-12)
     _, measured = interpolated_peak(out_snap.psi)
-    field_simple, _ = predict_output(
-        default_sc.medium, default_sc.schedule, default_result.snapshots[0].psi,
-        out_snap.t, "simple",
-    )
-    field_exact, _ = predict_output(
-        default_sc.medium, default_sc.schedule, default_result.snapshots[0].psi,
-        out_snap.t, "exact",
+    field_simple, field_exact, _ = predict_output(
+        default_sc.medium, default_sc.schedule, default_result.snapshots[0].psi, out_snap.t
     )
     _, simple = interpolated_peak(field_simple)
     _, exact = interpolated_peak(field_exact)

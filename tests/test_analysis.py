@@ -181,15 +181,14 @@ def test_distortion_error_paths():
 
 def test_predict_output_with_zero_storage_is_identity(default_sc):
     field = gaussian_field(default_sc.grid, 0.2, -2e-3, 1e-3)
-    out, z_out = predict_output(default_sc.medium, default_sc.schedule, field, 0.0)
-    assert np.max(np.abs(out.values - field.values)) < 1e-12
+    simple, exact, z_out = predict_output(default_sc.medium, default_sc.schedule, field, 0.0)
+    assert np.max(np.abs(simple.values - field.values)) < 1e-12
+    assert np.max(np.abs(exact.values - field.values)) < 1e-12
     assert z_out == pytest.approx(-2e-3, abs=1e-8)
 
 
 def test_predict_output_rejects_bad_requests(default_sc):
     field = gaussian_field(default_sc.grid, 0.2, -2e-3, 1e-3)
-    with pytest.raises(ConfigError, match="simple or exact"):
-        predict_output(default_sc.medium, default_sc.schedule, field, 1e-6, mode="fancy")
     with pytest.raises(ConfigError, match="nonnegative"):
         predict_output(default_sc.medium, default_sc.schedule, field, -1e-6)
     detuned = medium_with(default_sc.medium, delta_p=100.0)
@@ -200,17 +199,12 @@ def test_predict_output_rejects_bad_requests(default_sc):
 def test_predict_output_amplitude_and_displacement(default_sc):
     field = gaussian_field(default_sc.grid, 0.2, -2e-3, 1e-3)
     t0 = 75e-6
-    out_simple, z_simple = predict_output(
-        default_sc.medium, default_sc.schedule, field, t0, "simple"
-    )
+    out_simple, out_exact, z_out = predict_output(default_sc.medium, default_sc.schedule, field, t0)
     _, amp = interpolated_peak(out_simple)
     assert amp == pytest.approx(0.2 * math.exp(-default_sc.medium.gamma_bc * t0), rel=1e-6)
-    z_peak, _ = interpolated_peak(out_simple)
-    assert z_peak == pytest.approx(z_simple, abs=default_sc.grid.dz / 10)
-    out_exact, z_exact = predict_output(
-        default_sc.medium, default_sc.schedule, field, t0, "exact"
-    )
-    assert z_exact == z_simple
+    for out in (out_simple, out_exact):
+        z_peak, _ = interpolated_peak(out)
+        assert z_peak == pytest.approx(z_out, abs=default_sc.grid.dz / 10)
     _, amp_exact = interpolated_peak(out_exact)
     # resonant switch correction is parts-per-million here
     assert amp_exact == pytest.approx(amp, rel=1e-5)

@@ -175,6 +175,16 @@ def test_sweep_rejects_unparsable_values(tmp_path, capsys):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+def test_sweep_rejects_a_bad_value_before_running_or_writing(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    rc = main(["sweep", "--axis", "gamma_bc", "--values", "1e4,-1", "--out-dir", str(out_dir)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "gamma_bc must be nonnegative" in captured.err
+    assert not out_dir.exists()
+
+
 def test_sweep_with_no_values_writes_header_only(tmp_path):
     rc = main(["sweep", "--axis", "delta_p", "--values", ",", "--out-dir", str(tmp_path)])
     assert rc == 0

@@ -69,9 +69,9 @@ def test_regime_report_default_scenario():
     sc = default_scenario()
     report = check_regime(sc.medium, sc.pulse, sc.schedule)
     # collective coupling 1e20 over the 1e12 decoherence product
-    assert report.high_density_ratio == pytest.approx(1e8, rel=1e-12)
+    assert report.ratios["high_density"] == pytest.approx(1e8, rel=1e-12)
     # 2 mm pulse against sqrt(gamma_ba c L / g^2 N) = 1.22 mm
-    assert report.adiabatic_length_ratio == pytest.approx(
+    assert report.ratios["adiabatic_length"] == pytest.approx(
         2e-3 / math.sqrt(1e8 * sc.medium.c * 5e-3 / 1e20), rel=1e-12
     )
     assert report.checks["high_density"]
@@ -94,17 +94,29 @@ def test_regime_report_flags_strong_probe():
 
 def test_validity_report_to_dict_round_trips_checks():
     report = ValidityReport(
-        high_density_ratio=1e8,
-        adiabatic_length_ratio=0.5,
-        adiabatic_time_ratio=1e3,
-        adiabatic_parameter=1e-5,
-        low_intensity_ratio=1e-3,
-        checks={"high_density": True, "adiabatic_length": False},
-        strong={"high_density": True, "adiabatic_length": False},
+        ratios={
+            "high_density": 1e8,
+            "adiabatic_length": 0.5,
+            "adiabatic_time": 50.0,
+            "adiabatic_parameter": 1e-5,
+            "low_intensity": 0.5,
+        },
         notes=("hello",),
     )
     d = report.to_dict()
-    assert d["checks"]["adiabatic_length"] is False
+    assert d["high_density_ratio"] == 1e8
+    assert d["adiabatic_parameter"] == 1e-5
+    assert d["low_intensity_ratio"] == 0.5
+    assert d["checks"] == {
+        "high_density": True,
+        "adiabatic_length": False,
+        "adiabatic_time": True,
+        "adiabatic_parameter": True,
+        "low_intensity": False,
+    }
+    assert d["strong"]["high_density"] and not d["strong"]["adiabatic_time"]
+    assert report.failed() == ["adiabatic_length", "low_intensity"]
+    assert not report.blocking_pass
     assert d["notes"] == ["hello"]
 
 
@@ -114,10 +126,10 @@ def test_regime_checks_monotone_in_detuning():
 
     sc = default_scenario()
     rng = np.random.default_rng(SEED)
-    prev = check_regime(sc.medium, sc.pulse, sc.schedule).high_density_ratio
+    prev = check_regime(sc.medium, sc.pulse, sc.schedule).ratios["high_density"]
     for scale in (1e6, 1e7, 1e8):
         p = dataclasses.replace(sc.medium, delta=float(rng.uniform(0.5, 1.0)) * scale)
-        ratio = check_regime(p, sc.pulse, sc.schedule).high_density_ratio
+        ratio = check_regime(p, sc.pulse, sc.schedule).ratios["high_density"]
         assert ratio < prev
         prev = ratio
 

@@ -135,13 +135,36 @@ def test_missing_file_and_sections(tmp_path):
         load_scenario(path)
 
 
+REQUIRED_KEYS = {
+    "tanh_profile": (
+        "g", "n_atoms", "length", "cell_diameter", "nu_p", "gamma_ba", "gamma_bc",
+        "z_min", "z_max", "n_points", "amplitude_re", "center_z", "width",
+        "horizon", "snapshot_dt",
+    ),
+    "constant": ("omega",),
+    "tabulated": ("times", "thetas"),
+}
+
+
 def test_missing_key_is_named(tmp_path):
+    base = default_scenario()
+    t = tuple(np.linspace(0.0, 180e-6, 4001))
+    schedules = {
+        "tanh_profile": base.schedule,
+        "constant": ControlSchedule(kind="constant", omega=5.0e9),
+        "tabulated": ControlSchedule(
+            kind="tabulated", times=t, thetas=tuple(base.schedule.eval(base.medium, t).theta)
+        ),
+    }
     path = tmp_path / "gapped.ini"
-    save_scenario(default_scenario(), path)
-    lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("gamma_ba")]
-    path.write_text("\n".join(lines))
-    with pytest.raises(ConfigError, match="gamma_ba"):
-        load_scenario(path)
+    for kind, keys in REQUIRED_KEYS.items():
+        save_scenario(dataclasses.replace(base, schedule=schedules[kind]), path)
+        text = path.read_text()
+        for key in keys:
+            lines = [ln for ln in text.splitlines() if not ln.startswith(f"{key} = ")]
+            path.write_text("\n".join(lines))
+            with pytest.raises(ConfigError, match=rf"^\[\w+\] is missing required key '{key}'$"):
+                load_scenario(path)
 
 
 def test_unknown_key_is_named(tmp_path):
@@ -180,15 +203,34 @@ def test_optional_keys_have_defaults(tmp_path):
     keep = [
         ln
         for ln in path.read_text().splitlines()
-        if not ln.startswith(("delta", "delta_p", "c ", "output_time", "label"))
+        if not ln.startswith(
+            (
+                "delta", "delta_p", "c ", "amplitude_im", "output_time", "label",
+                "scale", "floor", "steepness", "t1", "t2",
+            )
+        )
     ]
     path.write_text("\n".join(keep))
     sc = load_scenario(path)
+    assert sc.pulse == default_scenario().pulse
+    assert sc.schedule == ControlSchedule(kind="tanh_profile")
     assert sc.medium.delta == 0.0 and sc.medium.delta_p == 0.0
     assert sc.medium.c == pytest.approx(2.99792458e8)
     # omitted output_time falls back to the last stored interval
     assert sc.output_time == pytest.approx(sc.horizon - sc.snapshot_dt)
     assert sc.label == DEFAULT_LABEL
+
+
+@pytest.mark.parametrize("bad", ["-5.0", "0.0"])
+def test_pulse_length_is_optional_and_must_be_positive(tmp_path, bad):
+    path = tmp_path / "pulse.ini"
+    save_scenario(default_scenario(), path)
+    text = path.read_text()
+    assert "l_p" not in text
+    assert load_scenario(path).pulse.l_p is None
+    path.write_text(text.replace("[pulse]", f"[pulse]\nl_p = {bad}"))
+    with pytest.raises(ConfigError, match="l_p must be positive"):
+        load_scenario(path)
 
 
 def test_with_medium_overrides():

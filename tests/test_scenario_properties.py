@@ -1,0 +1,156 @@
+"""Property tests of the scenario INI format: exact round trips, clean rejections."""
+
+from __future__ import annotations
+
+import configparser
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from eitmem.cli import main
+from eitmem.control import ControlSchedule
+from eitmem.grids import GridSpec
+from eitmem.model import MediumParams, PulseSpec
+from eitmem.scenario import Scenario, load_scenario, save_scenario
+
+# Few examples keep tier-1 fast; no example database is written.
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, database=None)
+
+# Keys a scenario file must give, as README documents them.
+REQUIRED_KEYS = {
+    "medium": {"g", "n_atoms", "length", "cell_diameter", "nu_p", "gamma_ba", "gamma_bc"},
+    "grid": {"z_min", "z_max", "n_points"},
+    "pulse": {"amplitude_re", "center_z", "width"},
+    "schedule": {"kind", "omega", "times", "thetas"},
+    "run": {"horizon", "snapshot_dt"},
+}
+
+
+def _real(lo: float, hi: float):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def scenarios(draw) -> Scenario:
+    """Valid scenarios of every schedule kind, with margins that rounding cannot cross."""
+    medium = MediumParams(
+        g=draw(_real(1e-3, 1e9)),
+        n_atoms=draw(_real(1.0, 1e12)),
+        length=draw(_real(1e-6, 1e3)),
+        cell_diameter=draw(_real(1e-6, 1e3)),
+        nu_p=draw(_real(1e-3, 1e16)),
+        gamma_ba=draw(_real(1e-3, 1e10)),
+        gamma_bc=draw(_real(0.0, 1e8)),
+        delta=draw(_real(-1e9, 1e9)),
+        delta_p=draw(_real(-1e6, 1e6)),
+        c=draw(_real(1e-3, 1e9)),
+    )
+    z_min = draw(_real(-1e3, 1e3))
+    span = draw(_real(1e-3, 1e3))
+    grid = GridSpec(z_min, z_min + span, 2 ** draw(st.integers(6, 20)))
+    # The pulse length stays under a quarter of the domain (DOMAIN_PADDING_FACTOR
+    # is 4), and the center keeps more than one pulse length from either edge.
+    width = span * draw(_real(1e-4, 0.1))
+    l_p = draw(st.none() | _real(1e-4, 0.2).map(lambda f: span * f))
+    pulse = PulseSpec(
+        amplitude=complex(draw(_real(1e-3, 10.0)), draw(_real(-10.0, 10.0))),
+        center_z=z_min + span * draw(_real(0.3, 0.7)),
+        width=width,
+        l_p=l_p,
+    )
+    horizon = draw(_real(1e-6, 1e3))
+    kind = draw(st.sampled_from(("constant", "tanh_profile", "tabulated")))
+    if kind == "constant":
+        schedule = ControlSchedule(kind=kind, omega=draw(_real(1e-3, 1e12)))
+    elif kind == "tanh_profile":
+        t1 = draw(_real(0.0, 1e-3))
+        schedule = ControlSchedule(
+            kind=kind,
+            scale=draw(_real(1e-6, 1.0)),
+            floor=draw(_real(1e-8, 1e-2)),
+            steepness=draw(_real(1.0, 1e7)),
+            t1=t1,
+            t2=t1 + draw(_real(1e-6, 1e-3)),
+        )
+    else:
+        # Knots from 0 to the horizon; theta linear in t, which the monotone
+        # cubic reproduces, so the density check passes.
+        steps = np.cumsum(draw(st.lists(_real(0.1, 1.0), min_size=1, max_size=12)))
+        times = np.concatenate(([0.0], horizon * steps / steps[-1]))
+        times[-1] = horizon
+        th0, th1 = draw(_real(0.1, 1.4)), draw(_real(0.1, 1.4))
+        schedule = ControlSchedule(
+            kind=kind,
+            times=tuple(times.tolist()),
+            thetas=tuple((th0 + (th1 - th0) * times / horizon).tolist()),
+        )
+    labels = st.text(alphabet="abcXYZ019_-.:%#; ", max_size=12)
+    label = draw(labels.filter(lambda s: s == s.strip()))
+    return Scenario(
+        medium=medium,
+        grid=grid,
+        pulse=pulse,
+        schedule=schedule,
+        horizon=horizon,
+        snapshot_dt=horizon / draw(st.integers(1, 50)),
+        output_time=horizon * draw(_real(0.0, 1.0)),
+        label=label,
+    )
+
+
+@PROPERTY_SETTINGS
+@given(sc=scenarios())
+def test_save_then_load_gives_the_same_scenario(sc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.ini"
+        save_scenario(sc, path)
+        again = load_scenario(path)
+        assert again == sc
+        save_scenario(again, Path(tmp) / "again.ini")
+        assert (Path(tmp) / "again.ini").read_bytes() == path.read_bytes()
+
+
+BAD_VALUES = st.sampled_from(
+    ("nan", "inf", "-inf", "NaN", "abc", "1.0.0", "1e", "0x1p3")
+) | st.from_regex(r"[a-z]{1,6}[!?]", fullmatch=True)
+NEW_KEYS = st.from_regex(r"[a-z][a-z0-9_]{0,10}", fullmatch=True)
+
+
+@PROPERTY_SETTINGS
+@given(sc=scenarios(), data=st.data())
+def test_one_corrupted_key_exits_2_naming_it(sc, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bad.ini"
+        save_scenario(sc, path)
+        cp = configparser.ConfigParser(interpolation=None)
+        cp.read(path, encoding="utf-8")
+        section = data.draw(st.sampled_from(cp.sections()))
+        keys = list(cp[section])
+        corruption = data.draw(st.sampled_from(("value", "unknown", "missing")))
+        if corruption == "value":
+            key = data.draw(st.sampled_from([k for k in keys if k != "label"]))
+            cp[section][key] = data.draw(BAD_VALUES)
+        elif corruption == "unknown":
+            # l_p is a valid key that a scenario without one leaves out
+            valid = keys + ["gamma_a", "gamma_c", "l_p"]
+            key = data.draw(NEW_KEYS.filter(lambda k: k not in valid))
+            cp[section][key] = "1.0"
+        else:
+            key = data.draw(st.sampled_from(sorted(REQUIRED_KEYS[section] & set(keys))))
+            del cp[section][key]
+        with open(path, "w", encoding="utf-8") as fh:
+            cp.write(fh)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main(["validate", str(path)]) == 2
+    err = err.getvalue()
+    assert err.startswith("config error: ")
+    assert f"[{section}]" in err and key in err
+    assert "Traceback" not in err
+    if corruption == "value":
+        assert f"[{section}] {key}" in err
