@@ -30,7 +30,7 @@ PROBE_CONTROL_LIMIT = 0.1  # max tolerated probe/control Rabi ratio
 BOUND_PREFACTOR = 0.01
 
 
-def _quadratic_peak(z: np.ndarray, a: np.ndarray) -> tuple[float, float]:
+def quadratic_peak(z: np.ndarray, a: np.ndarray) -> tuple[float, float]:
     """Sub-cell peak location and amplitude from a parabola through the maximum."""
     i = int(np.argmax(a))
     if i == 0 or i == len(a) - 1:
@@ -52,18 +52,22 @@ def interpolated_peak(field: FieldGrid) -> tuple[float, float]:
             f"field peak {float(np.max(a)):.3e} lies below the tracking floor "
             f"{TRACK_AMPLITUDE_FLOOR:.0e}"
         )
-    return _quadratic_peak(field.grid.z_array(), a)
+    return quadratic_peak(field.grid.z_array(), a)
 
 
 @dataclass(frozen=True)
 class PulseTrack:
-    """Peak trajectory and shape diagnostics over the snapshot series."""
+    """Peak trajectory and shape diagnostics over the snapshot series.
+
+    The fits read the peaks alone; a track of only the snapshots a fit
+    reads leaves the shape diagnostics empty.
+    """
 
     times: tuple[float, ...]  # s
     peak_z: tuple[float, ...]  # m
     peak_amp: tuple[float, ...]
-    width: tuple[float, ...]  # m, second-moment width of |f|^2
-    imag_fraction: tuple[float, ...]  # max|Im| / max|abs| per snapshot
+    width: tuple[float, ...] = ()  # m, second-moment width of |f|^2
+    imag_fraction: tuple[float, ...] = ()  # max|Im| / max|abs| per snapshot
 
 
 def track_pulse(result: SimulationResult) -> PulseTrack:
@@ -83,7 +87,7 @@ def track_pulse(result: SimulationResult) -> PulseTrack:
             raise UntrackableFieldError(
                 f"field 'psi' fell below the tracking floor at t = {snap.t:.6e} s"
             )
-        pz, pa = _quadratic_peak(z, a)
+        pz, pa = quadratic_peak(z, a)
         power = a * a
         total = float(np.sum(power))
         centroid = float(np.sum(power * z)) / total

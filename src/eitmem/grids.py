@@ -25,6 +25,11 @@ def whole_steps(span: float, step: float) -> int:
     return n
 
 
+# Largest grid a run may ask for. The 13 snapshots of a default-length run
+# on 2^22 points already hold about 0.9 GB of complex samples.
+MAX_POINTS = 2**22
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform grid on [z_min, z_max), periodic by construction."""
@@ -41,6 +46,8 @@ class GridSpec:
         n = self.n_points
         if n < 64:
             raise ConfigError(f"n_points must be at least 64, got {n}")
+        if n > MAX_POINTS:
+            raise ConfigError(f"n_points must be at most {MAX_POINTS}, got {n}")
         if n & (n - 1) != 0:
             raise ConfigError(f"n_points must be a power of two, got {n}")
 

@@ -92,6 +92,10 @@ class Scenario:
             )
         if not (0.0 <= self.output_time <= self.horizon):
             raise ConfigError("output_time must lie within [0, horizon]")
+        # configparser strips a value's edge whitespace on load, so such a
+        # label could not survive a save and load.
+        if self.label != self.label.strip():
+            raise ConfigError(f"label must not start or end with whitespace, got {self.label!r}")
         check_pulse_fits(self.grid, self.pulse)
         if self.schedule.kind == "tabulated":
             times = self.schedule.times

@@ -2,9 +2,11 @@
 
 The polariton field is evolved exactly in k-space: each interval contributes
 integrals I_s and I_w of the closed-form coefficients, and every mode is
-multiplied by exp(-I_s - i k I_w). Reconstruction of the bright state, the
-probe field, and the lower-level coherence from the dark field is pointwise
-and happens only when a snapshot's derived field is first read.
+multiplied by exp(-I_s - i k I_w). Media that share grid, pulse, schedule
+and horizon evolve together as one block, and a single run is a block of
+one. Reconstruction of the bright state, the probe field, and the
+lower-level coherence from the dark field is pointwise and happens only when
+a snapshot's derived field is first read.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from .errors import (
     AmplificationOverflowError,
     ConfigError,
     DomainOverflowError,
+    EitmemError,
     QuadratureError,
     SimulationError,
     ValidityError,
@@ -140,23 +143,10 @@ def adaptive_simpson(f, a, b, breakpoints=()) -> np.ndarray:
     return total.reshape(shape + a.shape)
 
 
-@dataclass(frozen=True)
-class SpectralState:
-    """Mode amplitudes plus the exponent bookkeeping accumulated so far."""
-
-    grid: GridSpec
-    k_grid: np.ndarray  # rad/m
-    modes: np.ndarray  # complex
-    accumulated_s: complex = 0.0 + 0.0j  # dimensionless
-    accumulated_w: complex = 0.0 + 0.0j  # m
-    max_log_gain: float = 0.0  # diagnostic from the latest evolution step
-
-
-def forward_transform(f: FieldGrid) -> SpectralState:
-    """Discrete transform of a field; checked against Parseval at construction."""
+def forward_transform(f: FieldGrid) -> np.ndarray:
+    """Discrete transform of a field's samples; checked against Parseval."""
     n = f.grid.n_points
     modes = np.fft.fft(f.values)
-    k = f.grid.k_array()
     lhs = float(np.sum(np.abs(f.values) ** 2))
     rhs = float(np.sum(np.abs(modes) ** 2)) / n
     scale = max(lhs, rhs, 1e-300)
@@ -164,11 +154,12 @@ def forward_transform(f: FieldGrid) -> SpectralState:
         raise SimulationError(
             f"Parseval mismatch at transform construction: {lhs} vs {rhs}"
         )
-    return SpectralState(grid=f.grid, k_grid=k, modes=modes)
+    return modes
 
 
-def inverse_transform(state: SpectralState) -> FieldGrid:
-    return FieldGrid(state.grid, np.fft.ifft(state.modes))
+def inverse_transform(modes: np.ndarray) -> np.ndarray:
+    """Samples of every row of a block of modes, from one FFT along the last axis."""
+    return np.fft.ifft(modes, axis=-1)
 
 
 def accumulate_exponent(
@@ -217,31 +208,26 @@ def mode_factor(k_grid: np.ndarray, i_s: complex, i_w: complex) -> np.ndarray:
     return np.outer(rows, cols).ravel()
 
 
-def apply_evolution(state: SpectralState, i_s: complex, i_w: complex) -> SpectralState:
-    """Multiply every mode by exp(-I_s - i k I_w) and update the accumulators.
+def apply_evolution(modes: np.ndarray, k_grid: np.ndarray, i_s: complex, i_w: complex) -> float:
+    """Multiply one field's modes in place by exp(-I_s - i k I_w); returns the largest log modal gain.
 
     A nonzero Im(I_w) makes the magnitude k-dependent: one spectral wing is
     amplified, the other attenuated. That gain is the distortion mechanism
-    for detuned runs, so the largest log modal gain of the step is kept as a
-    diagnostic and guarded against overflow. The log gain is linear in k,
-    so its largest value sits at the most positive or most negative mode.
+    for detuned runs, so the largest log modal gain of the step is guarded
+    against overflow before the modes are touched. The log gain is linear
+    in k, so its largest value sits at the most positive or most negative
+    mode.
     """
-    half = state.grid.n_points // 2
-    extremes = state.k_grid[[half - 1, half]]  # largest and most negative k, FFT order
+    half = k_grid.size // 2
+    extremes = k_grid[[half - 1, half]]  # largest and most negative k, FFT order
     max_gain = float(np.max(-i_s.real + extremes * i_w.imag))
     if max_gain > LOG_GAIN_GUARD:
         raise AmplificationOverflowError(
             f"modal log gain {max_gain:.2f} exceeds guard {LOG_GAIN_GUARD:.0f} in one "
             f"interval; the scenario is too far off resonance for a meaningful run"
         )
-    return SpectralState(
-        grid=state.grid,
-        k_grid=state.k_grid,
-        modes=state.modes * mode_factor(state.k_grid, i_s, i_w),
-        accumulated_s=state.accumulated_s + i_s,
-        accumulated_w=state.accumulated_w + i_w,
-        max_log_gain=max_gain,
-    )
+    modes *= mode_factor(k_grid, i_s, i_w)
+    return max_gain
 
 
 def reconstruct(psi: FieldGrid, theta: float, params: MediumParams) -> tuple[FieldGrid, FieldGrid, FieldGrid]:
@@ -274,6 +260,7 @@ class Snapshot:
     psi: FieldGrid
     theta: float  # rad
     params: MediumParams
+    peak: float  # max |psi|
 
     @cached_property
     def _reconstructed(self) -> tuple[FieldGrid, FieldGrid, FieldGrid]:
@@ -338,23 +325,141 @@ def _edge_probe(k_grid: np.ndarray, pulse: PulseSpec) -> tuple[np.ndarray, np.nd
     return index, np.exp(2j * np.pi * np.outer(m, edges) / n) / n
 
 
-def _check_wraparound(
-    state: SpectralState, psi: FieldGrid, probe: tuple[np.ndarray, np.ndarray], t: float
-):
-    # The floor is relative to the full field, not the low-passed one: a run
-    # whose high-k modes were amplified into garbage leaves ~1e-16 * garbage
-    # of transform roundoff in every retained mode, and measuring support
-    # against the tiny smooth remnant would abort sweeps whose whole point
-    # is to report that garbage as a distorted verdict.
-    peak = psi.peak()
+def _check_wraparound(modes: np.ndarray, peak: float, probe: tuple[np.ndarray, np.ndarray], t: float):
+    """Raise when the low-passed field of one row of modes reaches an edge sample.
+
+    peak is the row's max |psi|. The floor is relative to the full field, not
+    the low-passed one: a run whose high-k modes were amplified into garbage
+    leaves ~1e-16 * garbage of transform roundoff in every retained mode, and
+    measuring support against the tiny smooth remnant would abort sweeps
+    whose whole point is to report that garbage as a distorted verdict.
+    """
     if peak == 0.0:
         return
     index, basis = probe
-    lowpassed = np.abs(state.modes[index] @ basis)
+    lowpassed = np.abs(modes[index] @ basis)
     if np.any(lowpassed >= WRAPAROUND_SUPPORT_FLOOR * peak):
         raise DomainOverflowError(
             t, f"pulse support reached the domain edge at t = {t:.6e} s"
         )
+
+
+class BlockEvolution:
+    """The spectral evolution of a block of media that share grid, pulse, schedule and horizon.
+
+    The modes of the block form one (media x n) array, so each snapshot
+    takes one inverse FFT along the last axis for the whole block; along
+    that axis the 2-D transform equals the row-by-row 1-D transforms bit for
+    bit. Mode products and every reduction stay per row: broadcast across
+    rows they round differently, and a distorted row amplifies that
+    round-off.
+
+    Checks of the shared arguments raise. Each medium's own checks (regime,
+    quadrature, gain guard, finite field, wraparound) run per row, in the
+    order a run of that medium alone meets them. A medium that fails leaves
+    the block with the exception its own run would raise, kept in `failed`
+    by medium index; the others carry on. Iterating yields, per snapshot,
+    its index and the (medium index, Snapshot) pairs of the rows still
+    running, so a caller that reduces each snapshot as it arrives holds one
+    block of fields at a time.
+    """
+
+    def __init__(
+        self,
+        media,
+        grid: GridSpec,
+        pulse: PulseSpec,
+        schedule: ControlSchedule,
+        horizon: float,
+        snapshot_dt: float,
+        force: bool = False,
+        initial_field: FieldGrid | None = None,
+        extra_notes: tuple[str, ...] = (),
+    ):
+        if horizon <= 0:
+            raise ConfigError(f"horizon must be positive, got {horizon}")
+        if snapshot_dt <= 0:
+            raise ConfigError(f"snapshot_dt must be positive, got {snapshot_dt}")
+        n_steps = whole_steps(horizon, snapshot_dt)
+        if not n_steps:
+            raise ConfigError(
+                f"snapshot_dt {snapshot_dt} must divide the horizon {horizon} evenly"
+            )
+        if initial_field is None:
+            check_pulse_fits(grid, pulse)
+            self.psi0 = gaussian_field(grid, pulse.amplitude, pulse.center_z, pulse.width)
+        else:
+            if initial_field.grid != grid:
+                raise ConfigError("initial_field grid does not match the run grid")
+            self.psi0 = initial_field
+        self.media = tuple(media)
+        self.grid = grid
+        self.pulse = pulse
+        self.times = [0.0] + [i * snapshot_dt for i in range(1, n_steps)] + [horizon]
+        self.failed: dict[int, EitmemError] = {}
+        self.validity: dict[int, ValidityReport] = {}
+        self.traces: dict[int, list[CoefficientSample]] = {}
+        self._steps = {}  # medium index -> (I_s and I_w per interval, theta per snapshot)
+        t = np.array(self.times)
+        for j, params in enumerate(self.media):
+            try:
+                validity = check_regime(params, pulse, schedule, extra_notes)
+                if not validity.blocking_pass and not force:
+                    blocking = [name for name in validity.failed() if name in BLOCKING_CHECKS]
+                    raise ValidityError("regime checks failed: " + ", ".join(blocking))
+                trace: list[CoefficientSample] = []
+                i_s, i_w = accumulate_exponent(params, schedule, t[:-1], t[1:], trace)
+            except EitmemError as exc:
+                self.failed[j] = exc
+                continue
+            self.validity[j] = validity
+            self.traces[j] = trace
+            self._steps[j] = (i_s, i_w, schedule.eval(params, t).theta)
+
+    def _snapshot(self, j: int, i: int, psi: FieldGrid, peak: float) -> Snapshot:
+        return Snapshot(self.times[i], psi, float(self._steps[j][2][i]), self.media[j], peak)
+
+    def _drop_failed(self, live: list[int], modes: np.ndarray) -> tuple[list[int], np.ndarray]:
+        """The running media and their rows of modes, less those that just failed."""
+        kept = [r for r, j in enumerate(live) if j not in self.failed]
+        if len(kept) == len(live):
+            return live, modes
+        return [live[r] for r in kept], modes[kept]
+
+    def __iter__(self):
+        live = [j for j in range(len(self.media)) if j not in self.failed]
+        if not live:
+            return
+        k = self.grid.k_array()
+        modes0 = forward_transform(self.psi0)
+        probe = _edge_probe(k, self.pulse)
+        peak0 = self.psi0.peak()
+        yield 0, [(j, self._snapshot(j, 0, self.psi0, peak0)) for j in live]
+        modes = np.empty((len(live), modes0.size), dtype=complex)
+        modes[:] = modes0
+        for i in range(1, len(self.times)):
+            for r, j in enumerate(live):
+                i_s, i_w, _ = self._steps[j]
+                try:
+                    apply_evolution(modes[r], k, i_s[i - 1], i_w[i - 1])
+                except EitmemError as exc:
+                    self.failed[j] = exc
+            live, modes = self._drop_failed(live, modes)
+            if not live:
+                return
+            fields = inverse_transform(modes)
+            members = []
+            for r, j in enumerate(live):
+                try:
+                    psi = FieldGrid(self.grid, fields[r])  # rejects non-finite samples
+                    peak = psi.peak()
+                    _check_wraparound(modes[r], peak, probe, self.times[i])
+                except EitmemError as exc:
+                    self.failed[j] = exc
+                else:
+                    members.append((j, self._snapshot(j, i, psi, peak)))
+            live, modes = self._drop_failed(live, modes)
+            yield i, members
 
 
 def simulate(
@@ -368,58 +473,25 @@ def simulate(
     initial_field: FieldGrid | None = None,
     extra_notes: tuple[str, ...] = (),
 ) -> SimulationResult:
-    """Run the spectral evolution and take a snapshot every snapshot_dt.
+    """Run the spectral evolution of one medium and take a snapshot every snapshot_dt.
 
     The initial dark field comes from the pulse spec unless initial_field
     overrides it (same grid required); the override exists for linearity and
     translation checks where the initial shape is not a fresh Gaussian.
     Regime checks run first and block the run unless force is set. The
-    exponents of all snapshot intervals come from one quadrature pass.
+    exponents of all snapshot intervals come from one quadrature pass. This
+    is the block evolution on a block of one.
     """
-    if horizon <= 0:
-        raise ConfigError(f"horizon must be positive, got {horizon}")
-    if snapshot_dt <= 0:
-        raise ConfigError(f"snapshot_dt must be positive, got {snapshot_dt}")
-    n_steps = whole_steps(horizon, snapshot_dt)
-    if not n_steps:
-        raise ConfigError(
-            f"snapshot_dt {snapshot_dt} must divide the horizon {horizon} evenly"
-        )
-    if initial_field is None:
-        check_pulse_fits(grid, pulse)
-        psi0 = gaussian_field(grid, pulse.amplitude, pulse.center_z, pulse.width)
-    else:
-        if initial_field.grid != grid:
-            raise ConfigError("initial_field grid does not match the run grid")
-        psi0 = initial_field
-
-    validity = check_regime(params, pulse, schedule, extra_notes)
-    if not validity.blocking_pass and not force:
-        blocking = [name for name in validity.failed() if name in BLOCKING_CHECKS]
-        raise ValidityError("regime checks failed: " + ", ".join(blocking))
-
-    times = [0.0] + [i * snapshot_dt for i in range(1, n_steps)] + [horizon]
-    t = np.array(times)
-    trace: list[CoefficientSample] = []
-    i_s, i_w = accumulate_exponent(params, schedule, t[:-1], t[1:], trace)
-    theta = schedule.eval(params, t).theta
-    state = forward_transform(psi0)
-    probe = _edge_probe(state.k_grid, pulse)
-
-    def take_snapshot(i: int, psi: FieldGrid) -> Snapshot:
-        return Snapshot(times[i], psi, float(theta[i]), params)
-
-    snapshots = [take_snapshot(0, psi0)]
-    for i in range(1, n_steps + 1):
-        state = apply_evolution(state, i_s[i - 1], i_w[i - 1])
-        psi = inverse_transform(state)
-        _check_wraparound(state, psi, probe, times[i])
-        snapshots.append(take_snapshot(i, psi))
-
+    block = BlockEvolution(
+        [params], grid, pulse, schedule, horizon, snapshot_dt, force, initial_field, extra_notes
+    )
+    snapshots = tuple(snap for _, members in block for _, snap in members)
+    if block.failed:
+        raise block.failed[0]
     return SimulationResult(
-        snapshots=tuple(snapshots),
-        coefficient_trace=_distinct_nodes(trace),
-        validity=validity,
+        snapshots=snapshots,
+        coefficient_trace=_distinct_nodes(block.traces[0]),
+        validity=block.validity[0],
         params=params,
         grid=grid,
         pulse=pulse,

@@ -199,7 +199,7 @@ def test_criterion_08_structural_invariants(default_sc, default_result, no_spin_
         values = rng.normal(size=grid.n_points) + 1j * rng.normal(size=grid.n_points)
         field = type(default_result.snapshots[0].psi)(grid, values)
         back = inverse_transform(forward_transform(field))
-        worst_ft = max(worst_ft, float(np.max(np.abs(back.values - field.values))))
+        worst_ft = max(worst_ft, float(np.max(np.abs(back - field.values))))
     assert worst_ft <= 1e-12
 
     # norm conservation without spin decay on resonance

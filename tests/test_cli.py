@@ -4,13 +4,17 @@ import configparser
 import csv
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from eitmem.cli import SWEEP_COLUMNS, main
+from eitmem import analysis, cli
+from eitmem.cli import SWEEP_COLUMNS, _decay_fit_warning, main
 from eitmem.control import ControlSchedule
+from eitmem.errors import ConfigError, EitmemError, UntrackableFieldError
 from eitmem.scenario import default_scenario, save_scenario, with_medium
+from eitmem.solver import simulate
 
 from conftest import scaled_pass_scenario
 
@@ -109,6 +113,24 @@ def test_run_reports_runtime_failures(tmp_path, capsys):
     assert "runtime error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["validate", "run"])
+def test_grid_above_the_point_ceiling_exits_2_naming_n_points(tmp_path, capsys, verb):
+    ini = tmp_path / "huge.ini"
+    save_scenario(default_scenario(), ini)
+    cp = configparser.ConfigParser()
+    cp.read(ini)
+    cp["grid"]["n_points"] = str(2**100)
+    with open(ini, "w") as fh:
+        cp.write(fh)
+    out = tmp_path / "out"
+    argv = [verb, str(ini)] + (["--out-dir", str(out)] if verb == "run" else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: n_points must be at most 4194304, got {2**100}\n"
+    assert not out.exists()
+
+
 def test_limits_writes_frozen_bounds(tmp_path, capsys):
     rc = main(["limits", "--out-dir", str(tmp_path)])
     assert rc == 0
@@ -164,6 +186,147 @@ def test_sweep_reports_a_poor_decay_fit_in_one_stderr_line(tmp_path, capsys):
     assert err[0].startswith("warning: delta_p = 800: decay fit residual rms ")
     rows = read_sweep(tmp_path / "sweep.csv")
     assert rows[1]["decay_rate"] != ""
+
+
+def _reference_row(sc, result) -> tuple[dict, str | None]:
+    """sweep.csv fields of one finished run, tracking every snapshot, and its decay-fit warning."""
+    out_snap = result.snapshot_at(sc.output_time)
+    _, peak = analysis.interpolated_peak(out_snap.psi)
+    report = analysis.measure_distortion(result.snapshots[0].psi, out_snap.psi)
+    out_vals = out_snap.psi.values
+    imag_fraction = float(
+        np.max(np.abs(out_vals.imag)) / max(float(np.max(np.abs(out_vals))), 1e-300)
+    )
+    row = {
+        "status": "ok",
+        "output_peak": repr(peak),
+        "aligned_l2": repr(report.aligned_l2),
+        "verdict": report.verdict,
+        "phase_shift": repr(report.phase_shift),
+        "high_k_fraction": repr(report.high_k_fraction),
+        "imag_fraction": repr(imag_fraction),
+        "v_g_off": "",
+        "decay_rate": "",
+    }
+    warning = None
+    window = analysis.stored_window(sc.schedule)
+    if window is not None:
+        try:
+            track = analysis.track_pulse(result)
+            row["v_g_off"] = repr(analysis.fit_velocity(track, *window)[0])
+            rate, rms = analysis.fit_decay(track, *window)
+            row["decay_rate"] = repr(rate)
+            warning = _decay_fit_warning(rms)
+        except (ConfigError, UntrackableFieldError):
+            pass
+    return row, warning
+
+
+def _reference_sweep(sc, axis: str, values) -> tuple[list[dict], list[str], list[str]]:
+    """Rows, stdout lines and stderr lines of a sweep run as one simulate call per value."""
+    rows, out, err = [], [], []
+    for value in values:
+        sc_v = with_medium(sc, **{axis: value})
+        row = {name: "" for name in SWEEP_COLUMNS}
+        row["value"] = repr(value)
+        warning = None
+        try:
+            result = simulate(
+                sc_v.medium, sc_v.grid, sc_v.pulse, sc_v.schedule, sc_v.horizon, sc_v.snapshot_dt,
+                extra_notes=sc_v.notes,
+            )
+            fields, warning = _reference_row(sc_v, result)
+            row.update(fields)
+        except EitmemError as exc:
+            row["status"] = f"{type(exc).__name__}: {exc}"
+        rows.append(row)
+        shown = f", peak {float(row['output_peak']):.6g}, {row['verdict']}" if row["status"] == "ok" else ""
+        out.append(f"{axis} = {value:.6g}: {row['status']}{shown}")
+        if warning is not None:
+            err.append(f"warning: {axis} = {value:.6g}: {warning}")
+    return rows, out, err
+
+
+def _faint_scenario():
+    """A pulse so faint that the default run's last snapshot, after the output one, drops below the tracking floor."""
+    sc = default_scenario()
+    return dataclasses.replace(sc, pulse=dataclasses.replace(sc.pulse, amplitude=5.6e-12))
+
+
+def _fine_cadence_scenario():
+    """Snapshots every 5 us: a detuning can pass the per-interval gain guard and still overflow."""
+    return dataclasses.replace(default_scenario(), snapshot_dt=5e-6)
+
+
+# Swept in blocks of 3: each list ends in a partial block, and failures fall
+# at different points of one block: the regime check before the first
+# interval, the gain guard in the first, the edge check in the 8th, 11th or
+# 12th, and an overflow to non-finite samples late in a fine-cadence run.
+OK, VAL, GAIN, EDGE = "ok", "ValidityError", "AmplificationOverflowError", "DomainOverflowError"
+BLOCKED_SWEEPS = {
+    "detunings": (
+        default_scenario, "delta_p", (0.0, 1e6, 5e3, 500.0, 2e4, 2000.0, 800.0),
+        [OK, VAL, GAIN, OK, GAIN, OK, OK],
+    ),
+    "optical_decay": (
+        default_scenario, "gamma_ba", (1e8, 1e9, 2e9, 5e8, 1e10, 3e8, 1.5e8),
+        [OK, EDGE, EDGE, EDGE, VAL, OK, OK],
+    ),
+    "faint_pulse": (
+        _faint_scenario, "gamma_bc", (1e4, 5e3, 1.3e4, 0.0),
+        [OK, OK, "UntrackableFieldError", OK],
+    ),
+    "overflow": (
+        _fine_cadence_scenario, "delta_p", (0.0, 5500.0, 5000.0, 8000.0),
+        [OK, "ConfigError", OK, "ConfigError"],
+    ),
+}
+
+
+# Overflowing rows warn as their modes pass the largest double.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("case", sorted(BLOCKED_SWEEPS))
+def test_blocked_sweep_matches_one_run_per_value(tmp_path, capsys, monkeypatch, case):
+    make_scenario, axis, values, statuses = BLOCKED_SWEEPS[case]
+    sc = make_scenario()
+    ini = tmp_path / "sweep.ini"
+    save_scenario(sc, ini)
+    monkeypatch.setattr(cli, "SWEEP_BLOCK", 3)
+    argv = ["sweep", str(ini), "--axis", axis, "--values", ",".join(map(repr, values))]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    rows, out, err = _reference_sweep(sc, axis, values)
+    assert read_sweep(tmp_path / "sweep.csv") == rows
+    assert captured.out.splitlines() == out + [f"wrote {tmp_path / 'sweep.csv'}"]
+    assert captured.err.splitlines() == err
+    assert [row["status"].split(":")[0] for row in rows] == statuses
+    if case == "detunings":
+        assert [rows[i]["verdict"] for i in (0, 3, 5)] == ["clean", "distorted", "distorted"]
+    if case == "faint_pulse":
+        # At gamma_bc = 1e4 the stored window tracks, but the snapshot after the
+        # output one falls under the floor, and that blanks both fits.
+        faint = simulate(sc.medium, sc.grid, sc.pulse, sc.schedule, sc.horizon, sc.snapshot_dt)
+        _, t1 = analysis.stored_window(sc.schedule)
+        below = [s.t for s in faint.snapshots if s.peak < analysis.TRACK_AMPLITUDE_FLOOR]
+        assert below and all(t > t1 for t in below)
+        assert (rows[0]["v_g_off"], rows[0]["decay_rate"]) == ("", "")
+        assert rows[1]["v_g_off"] != "" and rows[1]["decay_rate"] != ""
+
+
+def test_sweep_memory_stays_bounded(tmp_path, capsys):
+    # 16 default-grid values peak at about 7.7 MB in blocks of 8, and at
+    # about 14 MB as one block of 16; the benchmark allows RSS 10% growth.
+    values = ",".join(repr(62.5 * i) for i in range(16))
+    tracemalloc.start()
+    try:
+        rc = main(["sweep", "--axis", "delta_p", "--values", values, "--out-dir", str(tmp_path)])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert len(read_sweep(tmp_path / "sweep.csv")) == 16
+    assert peak < 10e6
 
 
 def test_sweep_rejects_unparsable_values(tmp_path, capsys):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +47,13 @@ def test_timing_validation():
         dataclasses.replace(sc, snapshot_dt=14e-6)
     with pytest.raises(ConfigError, match="output_time"):
         dataclasses.replace(sc, output_time=181e-6)
+
+
+@pytest.mark.parametrize("label", [" padded", "padded ", "\tpadded", "padded\n", " "])
+def test_label_with_edge_whitespace_is_rejected(label):
+    # configparser would strip it on load, so the save -> load round trip could not hold
+    with pytest.raises(ConfigError, match=re.escape(f"label must not start or end with whitespace, got {label!r}")):
+        dataclasses.replace(default_scenario(), label=label)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
