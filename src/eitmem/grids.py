@@ -92,6 +92,16 @@ class FieldGrid:
         return float(math.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.dz))
 
 
+def squared_norm(values: np.ndarray) -> float:
+    """Sum of |v|^2 over an array, as numpy pairwise sums of the real and imaginary parts.
+
+    A BLAS dot product or norm hands a long vector to worker threads that
+    sum in another order, so its last digits depend on the BLAS thread
+    count; a pairwise sum gives the same bits on any thread count.
+    """
+    return float(np.sum(values.real**2) + np.sum(values.imag**2))
+
+
 def gaussian_field(grid: GridSpec, amplitude: complex, center_z: float, width: float) -> FieldGrid:
     """amplitude * exp(-((z - center)/width)^2) sampled on the grid."""
     z = grid.z_array()

@@ -438,26 +438,35 @@ class BlockEvolution:
         modes = np.empty((len(live), modes0.size), dtype=complex)
         modes[:] = modes0
         for i in range(1, len(self.times)):
-            for r, j in enumerate(live):
-                i_s, i_w, _ = self._steps[j]
-                try:
-                    apply_evolution(modes[r], k, i_s[i - 1], i_w[i - 1])
-                except EitmemError as exc:
-                    self.failed[j] = exc
-            live, modes = self._drop_failed(live, modes)
-            if not live:
-                return
-            fields = inverse_transform(modes)
+            # Modes that pass the per-interval guard can still overflow over
+            # many intervals. A row whose peak is then not finite fails with
+            # the interval named, so numpy is not asked to warn on the way.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for r, j in enumerate(live):
+                    i_s, i_w, _ = self._steps[j]
+                    try:
+                        apply_evolution(modes[r], k, i_s[i - 1], i_w[i - 1])
+                    except EitmemError as exc:
+                        self.failed[j] = exc
+                live, modes = self._drop_failed(live, modes)
+                if not live:
+                    return
+                fields = inverse_transform(modes)
+                peaks = [float(np.max(np.abs(row))) for row in fields]  # NaN or inf once a row overflows
             members = []
             for r, j in enumerate(live):
                 try:
-                    psi = FieldGrid(self.grid, fields[r])  # rejects non-finite samples
-                    peak = psi.peak()
-                    _check_wraparound(modes[r], peak, probe, self.times[i])
+                    if not math.isfinite(peaks[r]):
+                        raise SimulationError(
+                            f"field overflowed to non-finite samples in the interval "
+                            f"[{self.times[i - 1]:.6e}, {self.times[i]:.6e}] s"
+                        )
+                    psi = FieldGrid(self.grid, fields[r])
+                    _check_wraparound(modes[r], peaks[r], probe, self.times[i])
                 except EitmemError as exc:
                     self.failed[j] = exc
                 else:
-                    members.append((j, self._snapshot(j, i, psi, peak)))
+                    members.append((j, self._snapshot(j, i, psi, peaks[r])))
             live, modes = self._drop_failed(live, modes)
             yield i, members
 

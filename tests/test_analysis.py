@@ -28,6 +28,7 @@ from eitmem.control import ControlSchedule
 from eitmem.errors import ConfigError, InvalidComparisonError, UntrackableFieldError
 from eitmem.grids import FieldGrid, GridSpec, gaussian_field
 from eitmem.model import MediumParams
+from eitmem.oracle import OracleState, compare_to_adiabatic
 from eitmem.solver import simulate
 
 from conftest import medium_with
@@ -134,7 +135,7 @@ def test_decay_fit_rejects_zero_amplitude():
 def test_distortion_identity_is_clean():
     grid = GridSpec(-10e-3, 10e-3, 2048)
     field = gaussian_field(grid, 0.2, -2e-3, 1e-3)
-    report = measure_distortion(field, field)
+    report = measure_distortion(field, [field])[0]
     assert report.aligned_l2 < 1e-12
     assert abs(report.shift) < 1e-9
     assert abs(report.phase_shift) < 1e-9
@@ -145,14 +146,14 @@ def test_distortion_factors_out_shift_scale_and_phase():
     grid = GridSpec(-10e-3, 10e-3, 2048)
     field = gaussian_field(grid, 0.2, -2e-3, 1e-3)
     moved = FieldGrid(grid, 0.55 * np.exp(0.3j) * np.roll(field.values, 37))
-    report = measure_distortion(field, moved)
+    report = measure_distortion(field, [moved])[0]
     assert report.shift == pytest.approx(37 * grid.dz, rel=1e-6)
     assert report.phase_shift == pytest.approx(0.3, abs=1e-9)
     assert report.aligned_l2 < 1e-10
     assert report.verdict == "clean"
     # shifts past the halfway mark report the short way around
     back = FieldGrid(grid, np.roll(field.values, -50))
-    assert measure_distortion(field, back).shift == pytest.approx(-50 * grid.dz, rel=1e-6)
+    assert measure_distortion(field, [back])[0].shift == pytest.approx(-50 * grid.dz, rel=1e-6)
 
 
 def test_distortion_flags_high_k_ripple():
@@ -162,8 +163,8 @@ def test_distortion_flags_high_k_ripple():
     ripple = FieldGrid(
         grid, field.values * (1.0 + 0.4 * np.cos(2.0 * np.pi * z / (40.0 * grid.dz)))
     )
-    clean_baseline = measure_distortion(field, field).high_k_fraction
-    report = measure_distortion(field, ripple)
+    clean_baseline = measure_distortion(field, [field])[0].high_k_fraction
+    report = measure_distortion(field, [ripple])[0]
     assert report.verdict == "distorted"
     assert report.aligned_l2 > DISTORTION_THRESHOLD
     assert report.high_k_fraction > 10.0 * clean_baseline
@@ -174,9 +175,116 @@ def test_distortion_error_paths():
     field = gaussian_field(grid, 0.2, -2e-3, 1e-3)
     other = gaussian_field(GridSpec(-10e-3, 10e-3, 1024), 0.2, -2e-3, 1e-3)
     with pytest.raises(InvalidComparisonError, match="grids"):
-        measure_distortion(field, other)
+        measure_distortion(field, [other])
     with pytest.raises(ConfigError, match="zero"):
-        measure_distortion(FieldGrid(grid, np.zeros(2048, dtype=complex)), field)
+        measure_distortion(FieldGrid(grid, np.zeros(2048, dtype=complex)), [field])
+
+
+def spatial_distortion(input_field: FieldGrid, output_field: FieldGrid) -> tuple[float, float, float, float]:
+    """(aligned_l2, high_k_fraction, phase_shift, shift) by the spatial-domain algorithm.
+
+    The shifted input is transformed back to samples and the scale and
+    residual are taken there, with BLAS inner products and norms.
+    """
+    vin = input_field.values
+    vout = output_field.values
+    n = input_field.grid.n_points
+    f_in = np.fft.fft(vin)
+    f_out = np.fft.fft(vout)
+    corr = np.abs(np.fft.ifft(f_out * np.conj(f_in)))
+    m0 = int(np.argmax(corr))
+    before, here, after = corr[(m0 - 1) % n], corr[m0], corr[(m0 + 1) % n]
+    denom = before - 2.0 * here + after
+    shift_cells = m0 + (0.0 if denom == 0.0 else 0.5 * (before - after) / denom)
+    if shift_cells > n / 2:
+        shift_cells -= n
+    shift = shift_cells * input_field.grid.dz
+    k = input_field.grid.k_array()
+    vin_shift = np.fft.ifft(f_in * np.exp(-1j * k * shift))
+    scale = np.vdot(vin_shift, vout) / np.vdot(vin_shift, vin_shift)
+    aligned_l2 = float(np.linalg.norm(vout - scale * vin_shift)) / float(np.linalg.norm(vin))
+    power_in = np.abs(f_in) ** 2
+    k_mean = float(np.sum(power_in * k)) / float(np.sum(power_in))
+    k_width = math.sqrt(float(np.sum(power_in * (k - k_mean) ** 2)) / float(np.sum(power_in)))
+    power_out = np.abs(f_out) ** 2
+    outside = np.abs(k - k_mean) > 3.0 * k_width
+    high_k = float(np.sum(power_out[outside])) / float(np.sum(power_out))
+    return aligned_l2, high_k, math.atan2(scale.imag, scale.real), shift
+
+
+def distortion_outputs(field: FieldGrid) -> list[FieldGrid]:
+    """Shifted, sub-cell shifted, scaled, broadened and rippled copies of a Gaussian."""
+    grid = field.grid
+    z = grid.z_array()
+    ripple = 1.0 + 0.4 * np.cos(2.0 * np.pi * z / (40.0 * grid.dz))
+    return [
+        field,
+        FieldGrid(grid, 0.55 * np.exp(0.3j) * np.roll(field.values, 37)),
+        FieldGrid(grid, np.roll(field.values, -50)),
+        gaussian_field(grid, 0.07 * np.exp(-2.1j), 1.3e-3 + 0.3 * grid.dz, 1e-3),
+        gaussian_field(grid, 0.2j, -2.5e-3, 1.05e-3),
+        FieldGrid(grid, field.values * ripple),
+    ]
+
+
+def test_spectral_distortion_matches_the_spatial_algorithm():
+    grid = GridSpec(-10e-3, 10e-3, 2048)
+    field = gaussian_field(grid, 0.2, -2e-3, 1e-3)
+    outputs = distortion_outputs(field)
+    reports = measure_distortion(field, outputs)
+    assert [r.verdict for r in reports] == ["clean"] * 5 + ["distorted"]
+    for out, report in zip(outputs, reports):
+        aligned_l2, high_k, phase_shift, shift = spatial_distortion(field, out)
+        assert report.shift == shift
+        assert report.high_k_fraction == pytest.approx(high_k, rel=1e-14, abs=0.0)
+        assert report.aligned_l2 == pytest.approx(aligned_l2, rel=1e-11, abs=1e-15)
+        assert report.phase_shift == pytest.approx(phase_shift, rel=1e-11, abs=1e-15)
+
+
+def test_distortion_of_a_list_equals_one_call_per_output():
+    grid = GridSpec(-10e-3, 10e-3, 2048)
+    field = gaussian_field(grid, 0.2, -2e-3, 1e-3)
+    outputs = distortion_outputs(field)[1:4]
+    assert measure_distortion(field, outputs) == [measure_distortion(field, [out])[0] for out in outputs]
+    assert measure_distortion(field, []) == []
+
+
+def test_distortion_of_an_output_near_the_largest_double_is_finite_and_exact():
+    # The squares of a 1e270 field overflow; measured at a power-of-two
+    # scale, the report is the small field's, with aligned_l2 scaled back
+    # (far above the threshold, since the input is small).
+    grid = GridSpec(-10e-3, 10e-3, 2048)
+    field = gaussian_field(grid, 0.2, -2e-3, 1e-3)
+    small = distortion_outputs(field)[1:]
+    huge = [FieldGrid(grid, 2.0**900 * out.values) for out in small]
+    for got, ref in zip(measure_distortion(field, huge), measure_distortion(field, small)):
+        assert got == dataclasses.replace(ref, aligned_l2=2.0**900 * ref.aligned_l2, verdict="distorted")
+    # an output in the subnormal range is measured as it is
+    tiny = measure_distortion(field, [FieldGrid(grid, 1e-310 * small[0].values)])[0]
+    assert tiny.shift == measure_distortion(field, small[:1])[0].shift
+    assert tiny.aligned_l2 < 1e-300
+
+
+def test_distortion_and_oracle_comparison_call_no_blas_reduction(monkeypatch, default_result):
+    def refuse(*args, **kwargs):
+        raise AssertionError("BLAS level-1 reduction called")
+
+    monkeypatch.setattr(np, "vdot", refuse)
+    monkeypatch.setattr(np.linalg, "norm", refuse)
+    snaps = default_result.snapshots
+    reports = measure_distortion(snaps[0].psi, [snap.psi for snap in snaps[:3]])
+    assert reports[0].aligned_l2 < 1e-12
+    states = [
+        OracleState(
+            e_field=FieldGrid(s.psi.grid, 1.01 * s.e_field.values),
+            sigma_ba=s.psi,
+            sigma_bc=s.sigma_bc,
+            t=s.t,
+        )
+        for s in snaps
+    ]
+    report = compare_to_adiabatic(states, default_result)
+    assert report.max_l2 == pytest.approx(0.01 / 1.01, rel=1e-12)
 
 
 def test_predict_output_with_zero_storage_is_identity(default_sc):

@@ -4,6 +4,10 @@ import configparser
 import csv
 import dataclasses
 import json
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -192,7 +196,7 @@ def _reference_row(sc, result) -> tuple[dict, str | None]:
     """sweep.csv fields of one finished run, tracking every snapshot, and its decay-fit warning."""
     out_snap = result.snapshot_at(sc.output_time)
     _, peak = analysis.interpolated_peak(out_snap.psi)
-    report = analysis.measure_distortion(result.snapshots[0].psi, out_snap.psi)
+    report = analysis.measure_distortion(result.snapshots[0].psi, [out_snap.psi])[0]
     out_vals = out_snap.psi.values
     imag_fraction = float(
         np.max(np.abs(out_vals.imag)) / max(float(np.max(np.abs(out_vals))), 1e-300)
@@ -278,14 +282,11 @@ BLOCKED_SWEEPS = {
     ),
     "overflow": (
         _fine_cadence_scenario, "delta_p", (0.0, 5500.0, 5000.0, 8000.0),
-        [OK, "ConfigError", OK, "ConfigError"],
+        [OK, "SimulationError", OK, "SimulationError"],
     ),
 }
 
 
-# Overflowing rows warn as their modes pass the largest double.
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("case", sorted(BLOCKED_SWEEPS))
 def test_blocked_sweep_matches_one_run_per_value(tmp_path, capsys, monkeypatch, case):
     make_scenario, axis, values, statuses = BLOCKED_SWEEPS[case]
@@ -312,6 +313,45 @@ def test_blocked_sweep_matches_one_run_per_value(tmp_path, capsys, monkeypatch, 
         assert below and all(t > t1 for t in below)
         assert (rows[0]["v_g_off"], rows[0]["decay_rate"]) == ("", "")
         assert rows[1]["v_g_off"] != "" and rows[1]["decay_rate"] != ""
+
+
+def _run_cli(argv, env_update=None) -> subprocess.CompletedProcess:
+    """eitmem's command line in a fresh interpreter, with env_update added to the environment."""
+    src = str(pathlib.Path(cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env.update(env_update or {})
+    return subprocess.run(
+        [sys.executable, "-m", "eitmem.cli", *argv], env=env, capture_output=True, text=True
+    )
+
+
+def test_run_whose_modes_overflow_exits_4_without_numpy_warnings(tmp_path):
+    # Every interval passes the gain guard; the modes pass the largest double
+    # in the last of 36 intervals.
+    ini = tmp_path / "overflow.ini"
+    save_scenario(with_medium(default_scenario(), delta_p=5500.0), ini)
+    out_dir = tmp_path / "out"
+    proc = _run_cli(["run", str(ini), "--snapshot-dt", "5e-6", "--out-dir", str(out_dir)])
+    assert proc.returncode == 4
+    assert proc.stderr == (
+        "runtime error: field overflowed to non-finite samples in the interval "
+        "[1.750000e-04, 1.800000e-04] s\n"
+    )
+    assert not out_dir.exists()
+
+
+def test_sweep_csv_does_not_depend_on_blas_threads(tmp_path):
+    # At 844.42 rad/s the row is distorted: its phase shift is amplified
+    # round-off, so any reduction that sums in a thread-dependent order shows.
+    written = []
+    for threads in ("1", "2"):
+        out_dir = tmp_path / threads
+        argv = ["sweep", "--axis", "delta_p", "--values", "0,844.42", "--out-dir", str(out_dir)]
+        proc = _run_cli(argv, {"OPENBLAS_NUM_THREADS": threads})
+        assert proc.returncode == 0, proc.stderr
+        written.append((out_dir / "sweep.csv").read_bytes())
+    assert [row["verdict"] for row in read_sweep(tmp_path / "1" / "sweep.csv")] == ["clean", "distorted"]
+    assert written[0] == written[1]
 
 
 def test_sweep_memory_stays_bounded(tmp_path, capsys):
