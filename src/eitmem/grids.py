@@ -109,30 +109,59 @@ def gaussian_field(grid: GridSpec, amplitude: complex, center_z: float, width: f
     return FieldGrid(grid, vals.astype(complex))
 
 
-def field_columns(t: float, z: np.ndarray, fields) -> list[np.ndarray]:
-    """Columns t, z, then Re, Im and |.| of each field, one entry per grid point.
-
-    |.| is np.hypot of the parts: numpy's vectorised complex abs can differ
-    in the last bit from the scalar abs that earlier artifacts were written
-    with, and hypot does not.
-    """
-    cols = [np.full(len(z), t), z]
-    for vals in fields:
-        cols += [vals.real, vals.imag, np.hypot(vals.real, vals.imag)]
-    return cols
+# Every float in a CSV artifact: 17 significant digits round-trip a double.
+FLOAT_FORMAT = "%.17g"
 
 
-def write_csv(path, header: str, tables, stride: int = 1) -> None:
-    """Write header, then every stride-th row of each table as comma-separated floats.
+def field_tables(z: np.ndarray, snapshots, stride: int):
+    """write_csv tables of (t, fields) snapshots, one row per stride-th grid point.
 
-    A table is a sequence of equal-length columns. Each value is written
-    with 17 significant digits, which round-trips a double exactly and keeps
-    artifacts byte-identical across runs.
+    Each table's columns are t, z, then Re, Im and |.| of each field. t
+    stays one float, so write_csv formats it once per table, and z is
+    formatted here once for every table. Each field is taken at the stride
+    before its parts, so only the rows written are computed. |.| is np.hypot
+    of the parts: numpy's vectorised complex abs can differ in the last bit
+    from the scalar abs that earlier artifacts were written with, and hypot
+    does not. Tables are made as they are read, so one snapshot's columns
+    are held at a time.
     """
     if stride < 1:
         raise ConfigError(f"stride must be at least 1, got {stride}")
+    z_text = [FLOAT_FORMAT % v for v in z[::stride].tolist()]
+
+    def columns(t, fields):
+        cols = [float(t), z_text]
+        for vals in fields:
+            vals = vals[::stride]
+            re, im = vals.real, vals.imag
+            cols += [re, im, np.hypot(re, im)]
+        return cols
+
+    return (columns(t, fields) for t, fields in snapshots)
+
+
+def write_csv(path, header: str, tables) -> None:
+    """Write header, then every row of each table as comma-separated floats.
+
+    A table is a sequence of equal-length columns, where a float stands for
+    that value on every row and a list of str is text written as it is. Each
+    value is written with 17 significant digits, which round-trips a double
+    exactly and keeps artifacts byte-identical across runs. A table's rows
+    come from one precompiled % string, with its float columns already in
+    it, and go out in one write.
+    """
     with open(path, "w", newline="") as fh:
         fh.write(header)
         for columns in tables:
-            for row in zip(*[np.asarray(c, dtype=float)[::stride].tolist() for c in columns]):
-                fh.write(",".join([format(float(x), ".17g") for x in row]) + "\n")
+            spec, values = [], []
+            for col in columns:
+                if isinstance(col, float):
+                    spec.append(FLOAT_FORMAT % col)
+                elif isinstance(col, list):
+                    spec.append("%s")
+                    values.append(col)
+                else:
+                    spec.append(FLOAT_FORMAT)
+                    values.append(np.asarray(col, dtype=float).tolist())
+            row = ",".join(spec) + "\n"
+            fh.write("".join(map(row.__mod__, zip(*values))))

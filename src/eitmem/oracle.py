@@ -23,7 +23,7 @@ import numpy as np
 
 from .control import ControlSchedule
 from .errors import ConfigError, InvalidComparisonError, SimulationError
-from .grids import FieldGrid, GridSpec, field_columns, squared_norm, whole_steps, write_csv
+from .grids import FieldGrid, GridSpec, field_tables, squared_norm, whole_steps, write_csv
 from .model import MediumParams
 
 # Coupling propagators are built for at most this many step midpoints at a
@@ -335,14 +335,12 @@ def write_oracle_csv(states: list[OracleState], path, cfg: OracleConfig, stride:
     """Snapshot rows in the solver CSV layout, with a provenance header."""
     if not states:
         raise ConfigError("no states to write")
-    z = states[0].e_field.grid.z_array()
     header = (
         f"# scheme=splitting_spectral_advection dt={cfg.dt!r}\n"
         "t,z,re_e,im_e,abs_e,re_sigma_ba,im_sigma_ba,abs_sigma_ba,"
         "re_sigma_bc,im_sigma_bc,abs_sigma_bc\n"
     )
-    tables = (
-        field_columns(st.t, z, (st.e_field.values, st.sigma_ba.values, st.sigma_bc.values))
-        for st in states
+    snapshots = (
+        (st.t, (st.e_field.values, st.sigma_ba.values, st.sigma_bc.values)) for st in states
     )
-    write_csv(path, header, tables, stride)
+    write_csv(path, header, field_tables(states[0].e_field.grid.z_array(), snapshots, stride))

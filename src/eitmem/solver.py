@@ -28,7 +28,7 @@ from .errors import (
     SimulationError,
     ValidityError,
 )
-from .grids import FieldGrid, GridSpec, field_columns, gaussian_field, whole_steps, write_csv
+from .grids import FieldGrid, GridSpec, field_tables, gaussian_field, whole_steps, write_csv
 from .model import BLOCKING_CHECKS, MediumParams, PulseSpec, ValidityReport, check_regime
 
 # Per-interval cap on log modal gain; a detuned run that amplifies any mode
@@ -189,7 +189,7 @@ def accumulate_exponent(
     return i_s, i_w
 
 
-def mode_factor(k_grid: np.ndarray, i_s: complex, i_w: complex) -> np.ndarray:
+def mode_factor(k_grid: np.ndarray, i_s: complex, i_w: complex, out: np.ndarray | None = None) -> np.ndarray:
     """exp(-I_s - i k I_w) on an FFT-ordered wavenumber grid, from two short tables.
 
     With B = 2^floor(log2(n)/2), FFT order lists the modes as blocks of B,
@@ -198,17 +198,22 @@ def mode_factor(k_grid: np.ndarray, i_s: complex, i_w: complex) -> np.ndarray:
     block starts and exp(-i k_r I_w) over 0 <= r < B: about 2 sqrt(n)
     exponentials instead of n. The column table's largest log gain is moved
     into the row table, so neither table can overflow where the product
-    does not.
+    does not. The factor is written into out, a contiguous complex array of
+    the grid's size, when one is given.
     """
     block = 1 << (k_grid.size.bit_length() - 1) // 2
     k_col = k_grid[:block]
     shift = max(float(k_col[-1]) * i_w.imag, 0.0)
     rows = np.exp(shift - i_s - 1j * k_grid[::block] * i_w)
     cols = np.exp(-shift - 1j * k_col * i_w)
-    return np.outer(rows, cols).ravel()
+    if out is not None:
+        out = out.reshape(rows.size, block)
+    return np.outer(rows, cols, out=out).ravel()
 
 
-def apply_evolution(modes: np.ndarray, k_grid: np.ndarray, i_s: complex, i_w: complex) -> float:
+def apply_evolution(
+    modes: np.ndarray, k_grid: np.ndarray, i_s: complex, i_w: complex, factor: np.ndarray | None = None
+) -> float:
     """Multiply one field's modes in place by exp(-I_s - i k I_w); returns the largest log modal gain.
 
     A nonzero Im(I_w) makes the magnitude k-dependent: one spectral wing is
@@ -216,7 +221,8 @@ def apply_evolution(modes: np.ndarray, k_grid: np.ndarray, i_s: complex, i_w: co
     for detuned runs, so the largest log modal gain of the step is guarded
     against overflow before the modes are touched. The log gain is linear
     in k, so its largest value sits at the most positive or most negative
-    mode.
+    mode. A caller that evolves many intervals passes one factor buffer to
+    every call, so no interval allocates and faults in a new factor.
     """
     half = k_grid.size // 2
     extremes = k_grid[[half - 1, half]]  # largest and most negative k, FFT order
@@ -226,7 +232,7 @@ def apply_evolution(modes: np.ndarray, k_grid: np.ndarray, i_s: complex, i_w: co
             f"modal log gain {max_gain:.2f} exceeds guard {LOG_GAIN_GUARD:.0f} in one "
             f"interval; the scenario is too far off resonance for a meaningful run"
         )
-    modes *= mode_factor(k_grid, i_s, i_w)
+    modes *= mode_factor(k_grid, i_s, i_w, out=factor)
     return max_gain
 
 
@@ -437,6 +443,7 @@ class BlockEvolution:
         yield 0, [(j, self._snapshot(j, 0, self.psi0, peak0)) for j in live]
         modes = np.empty((len(live), modes0.size), dtype=complex)
         modes[:] = modes0
+        factor = np.empty(modes0.size, dtype=complex)
         for i in range(1, len(self.times)):
             # Modes that pass the per-interval guard can still overflow over
             # many intervals. A row whose peak is then not finite fails with
@@ -445,7 +452,7 @@ class BlockEvolution:
                 for r, j in enumerate(live):
                     i_s, i_w, _ = self._steps[j]
                     try:
-                        apply_evolution(modes[r], k, i_s[i - 1], i_w[i - 1])
+                        apply_evolution(modes[r], k, i_s[i - 1], i_w[i - 1], factor)
                     except EitmemError as exc:
                         self.failed[j] = exc
                 live, modes = self._drop_failed(live, modes)
@@ -524,18 +531,15 @@ def _distinct_nodes(trace: list[CoefficientSample]) -> CoefficientSample:
 
 def write_snapshots_csv(result: SimulationResult, path, stride: int = 1):
     """Dump every snapshot as rows of t, z, and Re/Im/abs of each field."""
-    z = result.grid.z_array()
     header = (
         "t,z,re_psi,im_psi,abs_psi,re_phi,im_phi,abs_phi,"
         "re_e,im_e,abs_e,re_sigma_bc,im_sigma_bc,abs_sigma_bc\n"
     )
-    tables = (
-        field_columns(
-            snap.t, z, (snap.psi.values, snap.phi.values, snap.e_field.values, snap.sigma_bc.values)
-        )
+    snapshots = (
+        (snap.t, (snap.psi.values, snap.phi.values, snap.e_field.values, snap.sigma_bc.values))
         for snap in result.snapshots
     )
-    write_csv(path, header, tables, stride)
+    write_csv(path, header, field_tables(result.grid.z_array(), snapshots, stride))
 
 
 def write_coefficient_csv(trace: CoefficientSample, path):

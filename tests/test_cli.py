@@ -313,6 +313,10 @@ def test_blocked_sweep_matches_one_run_per_value(tmp_path, capsys, monkeypatch, 
         assert below and all(t > t1 for t in below)
         assert (rows[0]["v_g_off"], rows[0]["decay_rate"]) == ("", "")
         assert rows[1]["v_g_off"] != "" and rows[1]["decay_rate"] != ""
+    if case == "overflow":
+        # At delta_p = 5000 nearly all of the amplified output's power is out of band.
+        fractions = [float(row["high_k_fraction"]) for row in rows if row["status"] == "ok"]
+        assert fractions and all(0.0 <= f <= 1.0 for f in fractions)
 
 
 def _run_cli(argv, env_update=None) -> subprocess.CompletedProcess:

@@ -152,12 +152,21 @@ def test_one_corrupted_key_exits_2_naming_it(sc, data):
             del cp[section][key]
         with open(path, "w", encoding="utf-8") as fh:
             cp.write(fh)
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            assert main(["validate", str(path)]) == 2
-    err = err.getvalue()
-    assert err.startswith("config error: ")
-    assert f"[{section}]" in err and key in err
-    assert "Traceback" not in err
-    if corruption == "value":
-        assert f"[{section}] {key}" in err
+        out_dir = Path(tmp) / "out"
+        commands = (
+            ["validate", str(path)],
+            ["run", str(path), "--out-dir", str(out_dir)],
+            ["limits", str(path), "--out-dir", str(out_dir)],
+            ["sweep", str(path), "--axis", "delta_p", "--values", "0", "--out-dir", str(out_dir)],
+        )
+        for argv in commands:
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                assert main(argv) == 2, argv
+            err = err.getvalue()
+            assert err.startswith("config error: "), argv
+            assert f"[{section}]" in err and key in err
+            assert "Traceback" not in err
+            if corruption == "value":
+                assert f"[{section}] {key}" in err
+            assert not out_dir.exists(), argv
