@@ -302,12 +302,13 @@ def _sweep_block(scenarios: list[Scenario], force: bool) -> list[tuple[dict, str
     """Per scenario, its sweep.csv fields and decay-fit warning; a run that fails gets its error as status.
 
     The scenarios differ in their medium alone and run as one block
-    evolution. Each snapshot is reduced as it arrives to what a row reads:
-    the tracking floor at every snapshot, the peak of each stored-window
-    snapshot, and the output snapshot's peak, distortion and imaginary
-    fraction, with the distortion of the whole block in one call. An error
-    reading the output applies only to a run that completes, as it would
-    after a run of that medium alone.
+    evolution, which transforms only the snapshots a row reads: those of
+    the stored window, whose peaks feed the fits, and the output snapshot,
+    whose peak, distortion and imaginary fraction are read, with the
+    distortion of the whole block in one call. The block tests the tracking
+    floor at every snapshot; a run whose peak falls below it anywhere leaves
+    both fits blank. An error reading the output applies only to a run that
+    completes, as it would after a run of that medium alone.
     """
     sc = scenarios[0]
     block = solver.BlockEvolution(
@@ -323,18 +324,19 @@ def _sweep_block(scenarios: list[Scenario], force: bool) -> list[tuple[dict, str
     times = block.times
     out_index = min(range(len(times)), key=lambda i: abs(times[i] - sc.output_time))
     window = analysis.stored_window(sc.schedule)
+    in_window = [window is not None and window[0] <= t <= window[1] for t in times]
+    read = {i for i, inside in enumerate(in_window) if inside} | {out_index}
     z = sc.grid.z_array()
     outputs = {}
-    # Stored-window (t, peak z, peak amplitude) per medium; None once any
-    # snapshot falls below the tracking floor, which leaves the fits blank.
-    tracks = {j: [] for j in range(len(scenarios))}
-    for i, members in block:
-        in_window = window is not None and window[0] <= times[i] <= window[1]
-        for j, snap in members:
-            if snap.peak < analysis.TRACK_AMPLITUDE_FLOOR:
-                tracks[j] = None
-            elif in_window and tracks[j] is not None:
-                tracks[j].append((snap.t,) + analysis.quadratic_peak(z, np.abs(snap.psi.values)))
+    # Per stored-window snapshot, {medium index: (t, peak z, peak amplitude)}.
+    # A comprehension, so no loop variable keeps a block of fields alive
+    # through the snapshots that are not read.
+    window_peaks = []
+    for i, members in block.evolve(read, analysis.TRACK_AMPLITUDE_FLOOR):
+        if in_window[i]:
+            window_peaks.append(
+                {j: (snap.t,) + analysis.quadratic_peak(z, np.abs(snap.psi.values)) for j, snap in members}
+            )
         if i == out_index:
             outputs = _output_fields(block.psi0, dict(members))
 
@@ -344,8 +346,8 @@ def _sweep_block(scenarios: list[Scenario], force: bool) -> list[tuple[dict, str
         warning = None
         if isinstance(fields, EitmemError):
             fields = {name: "" for name in SWEEP_COLUMNS} | {"status": f"{type(fields).__name__}: {fields}"}
-        elif window is not None and tracks[j] is not None:
-            samples = tracks[j]
+        elif window is not None and j not in block.faint:
+            samples = [peaks[j] for peaks in window_peaks]  # a run that completes is in all
             track = analysis.PulseTrack(
                 times=tuple(t for t, _, _ in samples),
                 peak_z=tuple(pz for _, pz, _ in samples),
@@ -373,6 +375,8 @@ def cmd_sweep(args) -> int:
             values.append(float(piece))
         except ValueError:
             raise ConfigError(f"sweep value {piece!r} cannot be parsed as a number") from None
+    if not values:
+        raise ConfigError(f"sweep values {args.values!r} hold no number")
     if len(values) > MAX_SWEEP_VALUES:
         raise ConfigError(f"sweep asks for {len(values)} runs, limit is {MAX_SWEEP_VALUES}")
     # Every value is checked before anything runs or is written.

@@ -28,7 +28,7 @@ from .errors import (
     SimulationError,
     ValidityError,
 )
-from .grids import FieldGrid, GridSpec, field_tables, gaussian_field, whole_steps, write_csv
+from .grids import FieldGrid, GridSpec, field_tables, gaussian_field, squared_norm, whole_steps, write_csv
 from .model import BLOCKING_CHECKS, MediumParams, PulseSpec, ValidityReport, check_regime
 
 # Per-interval cap on log modal gain; a detuned run that amplifies any mode
@@ -44,6 +44,15 @@ DOMAIN_PADDING_FACTOR = 4.0
 # the physical pulse actually is. Cutoff in units of 2*pi/pulse_length.
 WRAPAROUND_LOWPASS_HARMONICS = 32.0
 WRAPAROUND_SUPPORT_FLOOR = 1e-6  # relative to the full-field peak
+
+# Relative widening of the Parseval bounds on a row's peak. Rounding in the
+# squared norm's pairwise sum and in the inverse FFT stays below 1e-11
+# relative up to the largest grid.
+PEAK_BOUND_MARGIN = 1e-9
+# A row whose upper peak bound times n_points stays under this transforms to
+# finite samples: no partial sum of its inverse FFT can come near the
+# largest double, 1.8e308.
+FINITE_PEAK_LIMIT = 1e300
 
 # Adaptive Simpson controls for the coefficient time integrals, read at
 # call time.
@@ -160,6 +169,32 @@ def forward_transform(f: FieldGrid) -> np.ndarray:
 def inverse_transform(modes: np.ndarray) -> np.ndarray:
     """Samples of every row of a block of modes, from one FFT along the last axis."""
     return np.fft.ifft(modes, axis=-1)
+
+
+def peak_bounds(modes: np.ndarray) -> tuple[float, float]:
+    """Lower and upper bounds on max |inverse_transform(modes)| of one row of n modes.
+
+    With numpy's ifft normalisation Parseval gives ||psi||^2 = ||m||^2 / n,
+    so max |psi| is at least the rms ||m|| / n and, by Cauchy-Schwarz, at
+    most ||m|| / sqrt(n). Both bounds come from one squared_norm and are
+    widened by PEAK_BOUND_MARGIN. A row whose squared norm overflows or
+    underflows is summed again scaled by a power of two; a row holding a
+    non-finite mode gets (0, inf).
+    """
+    n = modes.size
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = squared_norm(modes)
+    shift = 0
+    if not 2.0**-960 <= total < math.inf:
+        top = float(np.max(np.abs(modes)))
+        if top == 0.0:
+            return 0.0, 0.0
+        if not math.isfinite(top):
+            return 0.0, math.inf
+        shift = max(math.frexp(top)[1], -1023)
+        total = squared_norm(modes * math.ldexp(1.0, -shift))
+    norm = math.ldexp(math.sqrt(total), shift)
+    return norm / n * (1.0 - PEAK_BOUND_MARGIN), norm / math.sqrt(n) * (1.0 + PEAK_BOUND_MARGIN)
 
 
 def accumulate_exponent(
@@ -331,43 +366,59 @@ def _edge_probe(k_grid: np.ndarray, pulse: PulseSpec) -> tuple[np.ndarray, np.nd
     return index, np.exp(2j * np.pi * np.outer(m, edges) / n) / n
 
 
-def _check_wraparound(modes: np.ndarray, peak: float, probe: tuple[np.ndarray, np.ndarray], t: float):
+def _check_wraparound(
+    modes: np.ndarray, low: float, high: float, probe: tuple[np.ndarray, np.ndarray], t: float
+) -> bool:
     """Raise when the low-passed field of one row of modes reaches an edge sample.
 
-    peak is the row's max |psi|. The floor is relative to the full field, not
-    the low-passed one: a run whose high-k modes were amplified into garbage
-    leaves ~1e-16 * garbage of transform roundoff in every retained mode, and
-    measuring support against the tiny smooth remnant would abort sweeps
-    whose whole point is to report that garbage as a distorted verdict.
+    low and high bound the row's max |psi|; a transformed row passes its
+    peak as both. The check raises when an edge sample reaches the floor
+    times high, returns True when every edge sample is below the floor
+    times low, and returns False when the bounds cannot tell. The floor is
+    relative to the full field, not the low-passed one: a run whose high-k
+    modes were amplified into garbage leaves ~1e-16 * garbage of transform
+    roundoff in every retained mode, and measuring support against the tiny
+    smooth remnant would abort sweeps whose whole point is to report that
+    garbage as a distorted verdict.
     """
-    if peak == 0.0:
-        return
+    if high == 0.0:
+        return True
     index, basis = probe
-    lowpassed = np.abs(modes[index] @ basis)
-    if np.any(lowpassed >= WRAPAROUND_SUPPORT_FLOOR * peak):
+    edge = float(np.max(np.abs(modes[index] @ basis)))
+    if edge >= WRAPAROUND_SUPPORT_FLOOR * high:
         raise DomainOverflowError(
             t, f"pulse support reached the domain edge at t = {t:.6e} s"
         )
+    return edge < WRAPAROUND_SUPPORT_FLOOR * low
+
+
+def _fields_and_peaks(modes: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """The samples of every row of modes and each row's max |psi|, NaN or inf once the row overflows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        fields = inverse_transform(modes)
+        return fields, [float(np.max(np.abs(row))) for row in fields]
 
 
 class BlockEvolution:
     """The spectral evolution of a block of media that share grid, pulse, schedule and horizon.
 
-    The modes of the block form one (media x n) array, so each snapshot
-    takes one inverse FFT along the last axis for the whole block; along
-    that axis the 2-D transform equals the row-by-row 1-D transforms bit for
-    bit. Mode products and every reduction stay per row: broadcast across
-    rows they round differently, and a distorted row amplifies that
-    round-off.
+    The modes of the block form one (media x n) array, so each snapshot the
+    caller reads takes one inverse FFT along the last axis for the whole
+    block; along that axis the 2-D transform equals the row-by-row 1-D
+    transforms bit for bit. A snapshot the caller does not read is checked
+    from Parseval bounds on each row's peak, and a row is transformed there
+    only when its bounds cannot settle a check. Mode products and every
+    reduction stay per row: broadcast across rows they round differently,
+    and a distorted row amplifies that round-off.
 
     Checks of the shared arguments raise. Each medium's own checks (regime,
     quadrature, gain guard, finite field, wraparound) run per row, in the
     order a run of that medium alone meets them. A medium that fails leaves
     the block with the exception its own run would raise, kept in `failed`
-    by medium index; the others carry on. Iterating yields, per snapshot,
-    its index and the (medium index, Snapshot) pairs of the rows still
-    running, so a caller that reduces each snapshot as it arrives holds one
-    block of fields at a time.
+    by medium index; the others carry on. `evolve` yields, per snapshot
+    read, its index and the (medium index, Snapshot) pairs of the rows
+    still running, so a caller that reduces each snapshot as it arrives
+    holds one block of fields at a time.
     """
 
     def __init__(
@@ -403,6 +454,7 @@ class BlockEvolution:
         self.pulse = pulse
         self.times = [0.0] + [i * snapshot_dt for i in range(1, n_steps)] + [horizon]
         self.failed: dict[int, EitmemError] = {}
+        self.faint: set[int] = set()
         self.validity: dict[int, ValidityReport] = {}
         self.traces: dict[int, list[CoefficientSample]] = {}
         self._steps = {}  # medium index -> (I_s and I_w per interval, theta per snapshot)
@@ -432,7 +484,43 @@ class BlockEvolution:
             return live, modes
         return [live[r] for r in kept], modes[kept]
 
-    def __iter__(self):
+    def _check_peak(self, modes: np.ndarray, peak: float, probe, i: int):
+        """The finite and wraparound checks of one transformed row of modes at snapshot i."""
+        if not math.isfinite(peak):
+            raise SimulationError(
+                f"field overflowed to non-finite samples in the interval "
+                f"[{self.times[i - 1]:.6e}, {self.times[i]:.6e}] s"
+            )
+        _check_wraparound(modes, peak, peak, probe, self.times[i])
+
+    def _check_bounds(self, modes: np.ndarray, probe, floor: float, i: int) -> bool:
+        """Check one row of modes at a snapshot not read; returns whether its peak is below floor.
+
+        The finite check, the wraparound check and the floor test are
+        settled from peak_bounds. When a bound cannot settle one, the row
+        alone is transformed and checked on its peak, in the same order and
+        with the same errors as at a snapshot read.
+        """
+        low, high = peak_bounds(modes)
+        if (
+            high * modes.size < FINITE_PEAK_LIMIT
+            and _check_wraparound(modes, low, high, probe, self.times[i])
+            and (high < floor or low >= floor)
+        ):
+            return high < floor
+        _, (peak,) = _fields_and_peaks(modes[np.newaxis])
+        self._check_peak(modes, peak, probe, i)
+        return peak < floor
+
+    def evolve(self, read=None, floor: float = 0.0):
+        """Run the block; yields, per snapshot read, its index and the (medium index, Snapshot) pairs of the rows still running.
+
+        read holds the indices into `times` of the snapshots whose fields the
+        caller reads; None reads them all. Only those snapshots take the
+        block inverse FFT. Every other snapshot checks each row from bounds
+        on its peak (_check_bounds). A running medium whose peak is below
+        floor at any snapshot, read or not, is added to `faint`.
+        """
         live = [j for j in range(len(self.media)) if j not in self.failed]
         if not live:
             return
@@ -440,7 +528,10 @@ class BlockEvolution:
         modes0 = forward_transform(self.psi0)
         probe = _edge_probe(k, self.pulse)
         peak0 = self.psi0.peak()
-        yield 0, [(j, self._snapshot(j, 0, self.psi0, peak0)) for j in live]
+        if peak0 < floor:
+            self.faint.update(live)
+        if read is None or 0 in read:
+            yield 0, [(j, self._snapshot(j, 0, self.psi0, peak0)) for j in live]
         modes = np.empty((len(live), modes0.size), dtype=complex)
         modes[:] = modes0
         factor = np.empty(modes0.size, dtype=complex)
@@ -455,27 +546,29 @@ class BlockEvolution:
                         apply_evolution(modes[r], k, i_s[i - 1], i_w[i - 1], factor)
                     except EitmemError as exc:
                         self.failed[j] = exc
-                live, modes = self._drop_failed(live, modes)
-                if not live:
-                    return
-                fields = inverse_transform(modes)
-                peaks = [float(np.max(np.abs(row))) for row in fields]  # NaN or inf once a row overflows
+            live, modes = self._drop_failed(live, modes)
+            if not live:
+                return
+            is_read = read is None or i in read
+            if is_read:
+                fields, peaks = _fields_and_peaks(modes)
             members = []
             for r, j in enumerate(live):
                 try:
-                    if not math.isfinite(peaks[r]):
-                        raise SimulationError(
-                            f"field overflowed to non-finite samples in the interval "
-                            f"[{self.times[i - 1]:.6e}, {self.times[i]:.6e}] s"
-                        )
-                    psi = FieldGrid(self.grid, fields[r])
-                    _check_wraparound(modes[r], peaks[r], probe, self.times[i])
+                    if is_read:
+                        self._check_peak(modes[r], peaks[r], probe, i)
+                        below = peaks[r] < floor
+                        members.append((j, self._snapshot(j, i, FieldGrid(self.grid, fields[r]), peaks[r])))
+                    else:
+                        below = self._check_bounds(modes[r], probe, floor, i)
                 except EitmemError as exc:
                     self.failed[j] = exc
-                else:
-                    members.append((j, self._snapshot(j, i, psi, peaks[r])))
+                    continue
+                if below:
+                    self.faint.add(j)
             live, modes = self._drop_failed(live, modes)
-            yield i, members
+            if is_read:
+                yield i, members
 
 
 def simulate(
@@ -501,7 +594,7 @@ def simulate(
     block = BlockEvolution(
         [params], grid, pulse, schedule, horizon, snapshot_dt, force, initial_field, extra_notes
     )
-    snapshots = tuple(snap for _, members in block for _, snap in members)
+    snapshots = tuple(snap for _, members in block.evolve() for _, snap in members)
     if block.failed:
         raise block.failed[0]
     return SimulationResult(

@@ -13,12 +13,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from eitmem import analysis, cli
+from eitmem import analysis, cli, solver
 from eitmem.cli import SWEEP_COLUMNS, _decay_fit_warning, main
 from eitmem.control import ControlSchedule
 from eitmem.errors import ConfigError, EitmemError, UntrackableFieldError
 from eitmem.scenario import default_scenario, save_scenario, with_medium
-from eitmem.solver import simulate
+from eitmem.solver import BlockEvolution, simulate
 
 from conftest import scaled_pass_scenario
 
@@ -319,6 +319,79 @@ def test_blocked_sweep_matches_one_run_per_value(tmp_path, capsys, monkeypatch, 
         assert fractions and all(0.0 <= f <= 1.0 for f in fractions)
 
 
+def _count_transformed_rows(monkeypatch) -> list[int]:
+    """Rows of modes handed to each solver.inverse_transform call from now on."""
+    rows = []
+    transform = solver.inverse_transform
+
+    def counting(modes):
+        rows.append(modes.shape[0])
+        return transform(modes)
+
+    monkeypatch.setattr(solver, "inverse_transform", counting)
+    return rows
+
+
+def test_sweep_transforms_only_the_snapshots_a_row_reads(tmp_path, monkeypatch):
+    rows = _count_transformed_rows(monkeypatch)
+    assert main(["sweep", "--axis", "delta_p", "--values", "0,100,200", "--out-dir", str(tmp_path)]) == 0
+    # the three stored-window snapshots, at 60, 75 and 90 us, then the output one
+    assert rows == [3, 3, 3, 3]
+    rows.clear()
+    sc = default_scenario()
+    simulate(sc.medium, sc.grid, sc.pulse, sc.schedule, sc.horizon, sc.snapshot_dt)
+    assert rows == [1] * 12
+
+
+# A medium whose bounds cannot settle a check at a snapshot not read, named
+# by the check the row is transformed for: (scenario, medium change, floor).
+# At gamma_ba = 5e8 the exact edge check then raises at 180 us; at 2e9 it
+# passes at 105 us, and the bounds alone raise at 120 us.
+UNREAD_FALLBACKS = {
+    "finite": (_fine_cadence_scenario, {"delta_p": 5500.0}, 0.0),
+    "wraparound_raises": (default_scenario, {"gamma_ba": 5e8}, 0.0),
+    "wraparound_passes": (default_scenario, {"gamma_ba": 2e9}, 0.0),
+    "floor_below": (_faint_scenario, {"gamma_bc": 1e4}, analysis.TRACK_AMPLITUDE_FLOOR),
+    "floor_above": (_faint_scenario, {"gamma_bc": 5e3}, analysis.TRACK_AMPLITUDE_FLOOR),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNREAD_FALLBACKS))
+def test_unread_snapshots_fall_back_to_the_exact_checks(monkeypatch, case):
+    make_scenario, change, floor = UNREAD_FALLBACKS[case]
+    sc = with_medium(make_scenario(), **change)
+    args = (sc.grid, sc.pulse, sc.schedule, sc.horizon, sc.snapshot_dt)
+    unsettled = []  # times at which the wraparound bounds could not tell
+    check = solver._check_wraparound
+
+    def recording(modes, low, high, probe, t):
+        settled = check(modes, low, high, probe, t)
+        if low != high and not settled:
+            unsettled.append(t)
+        return settled
+
+    monkeypatch.setattr(solver, "_check_wraparound", recording)
+    rows = _count_transformed_rows(monkeypatch)
+    block = BlockEvolution([sc.medium], *args)
+    assert list(block.evolve((), floor)) == []
+    assert rows and set(rows) == {1}
+    assert bool(unsettled) == case.startswith("wraparound")
+    if case.startswith("floor"):
+        rows.clear()
+        list(BlockEvolution([sc.medium], *args).evolve((), 0.0))
+        assert rows == []
+    monkeypatch.undo()
+    try:
+        result = simulate(sc.medium, *args)
+    except EitmemError as exc:
+        assert (type(block.failed[0]), str(block.failed[0])) == (type(exc), str(exc))
+    else:
+        assert not block.failed
+        assert block.faint == {0 for s in result.snapshots if s.peak < floor}
+    assert bool(block.failed) == (not case.startswith("floor"))
+    assert bool(block.faint) == (case == "floor_below")
+
+
 def _run_cli(argv, env_update=None) -> subprocess.CompletedProcess:
     """eitmem's command line in a fresh interpreter, with env_update added to the environment."""
     src = str(pathlib.Path(cli.__file__).parents[1])
@@ -392,11 +465,15 @@ def test_sweep_rejects_a_bad_value_before_running_or_writing(tmp_path, capsys):
     assert not out_dir.exists()
 
 
-def test_sweep_with_no_values_writes_header_only(tmp_path):
-    rc = main(["sweep", "--axis", "delta_p", "--values", ",", "--out-dir", str(tmp_path)])
-    assert rc == 0
-    lines = (tmp_path / "sweep.csv").read_text().splitlines()
-    assert lines == [",".join(SWEEP_COLUMNS)]
+@pytest.mark.parametrize("values", [",", " "])
+def test_sweep_with_no_values_exits_2_before_writing(tmp_path, capsys, values):
+    out_dir = tmp_path / "out"
+    rc = main(["sweep", "--axis", "delta_p", "--values", values, "--out-dir", str(out_dir)])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: sweep values {values!r} hold no number\n"
+    assert not out_dir.exists()
 
 
 def test_run_with_reference_comparison(tmp_path, capsys):

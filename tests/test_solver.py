@@ -20,6 +20,7 @@ from eitmem.model import PulseSpec
 from eitmem.control import ControlSchedule
 from eitmem.solver import (
     LOG_GAIN_GUARD,
+    PEAK_BOUND_MARGIN,
     WRAPAROUND_LOWPASS_HARMONICS,
     WRAPAROUND_SUPPORT_FLOOR,
     _check_wraparound,
@@ -31,6 +32,7 @@ from eitmem.solver import (
     forward_transform,
     inverse_transform,
     mode_factor,
+    peak_bounds,
     reconstruct,
     simulate,
     write_coefficient_csv,
@@ -52,6 +54,43 @@ def test_transform_round_trip():
         f = _random_field(grid, rng)
         back = inverse_transform(forward_transform(f))
         assert np.max(np.abs(back - f.values)) <= 1e-12 * np.max(np.abs(f.values))
+
+
+def _bound_test_row(shape: str, n: int = 512) -> np.ndarray:
+    rng = np.random.default_rng(SEED)
+    if shape == "random":
+        return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    if shape == "gaussian":
+        return forward_transform(gaussian_field(GridSpec(-1.0, 1.0, n), 0.2, -0.3, 0.05))
+    row = np.zeros(n, dtype=complex)
+    if shape == "single_mode":
+        row[7] = 3.0 - 4.0j
+    elif shape == "spike":  # every mode of equal magnitude
+        row = np.fft.fft(np.where(np.arange(n) == 5, 2.0 + 1.0j, 0.0))
+    return row
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e250, 1e-300])
+@pytest.mark.parametrize("shape", ["random", "gaussian", "zero", "single_mode", "spike"])
+def test_peak_bounds_bracket_the_transformed_peak(shape, scale):
+    row = _bound_test_row(shape) * scale
+    low, high = peak_bounds(row)
+    peak = float(np.max(np.abs(inverse_transform(row))))
+    assert low <= peak <= high
+    if shape == "zero":
+        assert low == high == 0.0
+    else:  # the two bounds are sqrt(n) apart
+        assert 0.0 < low and high <= 1.001 * math.sqrt(row.size) * low
+    if shape == "single_mode":  # |psi| is flat: the rms bound is attained
+        assert peak <= low * (1.0 + 2.0 * PEAK_BOUND_MARGIN)
+    if shape == "spike":  # all of the norm sits in one sample: the norm bound is attained
+        assert peak >= high * (1.0 - 2.0 * PEAK_BOUND_MARGIN)
+
+
+def test_peak_bounds_of_a_row_with_a_non_finite_mode_bound_nothing():
+    row = _bound_test_row("random")
+    row[3] = complex(math.inf, 0.0)
+    assert peak_bounds(row) == (0.0, math.inf)
 
 
 def test_gaussian_spectrum_is_gaussian():
@@ -355,7 +394,7 @@ def _edge_check_against_full_grid(sc, params) -> float | None:
         assert np.max(np.abs(edges - reference)) <= 1e-12 * psi.peak()
         hit = _full_grid_edge_hit(psi, sc.pulse)
         try:
-            _check_wraparound(modes, psi.peak(), probe, times[j + 1])
+            _check_wraparound(modes, psi.peak(), psi.peak(), probe, times[j + 1])
         except DomainOverflowError:
             assert hit
             return times[j + 1]
