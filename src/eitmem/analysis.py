@@ -57,17 +57,11 @@ def interpolated_peak(field: FieldGrid) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class PulseTrack:
-    """Peak trajectory and shape diagnostics over the snapshot series.
-
-    The fits read the peaks alone; a track of only the snapshots a fit
-    reads leaves the shape diagnostics empty.
-    """
+    """Peak trajectory over the snapshot series."""
 
     times: tuple[float, ...]  # s
     peak_z: tuple[float, ...]  # m
     peak_amp: tuple[float, ...]
-    width: tuple[float, ...] = ()  # m, second-moment width of |f|^2
-    imag_fraction: tuple[float, ...] = ()  # max|Im| / max|abs| per snapshot
 
 
 def track_pulse(result: SimulationResult) -> PulseTrack:
@@ -78,33 +72,15 @@ def track_pulse(result: SimulationResult) -> PulseTrack:
     if len(result.snapshots) < 2:
         raise ConfigError("tracking needs at least 2 snapshots")
     z = result.grid.z_array()
-    times, peak_z, peak_amp, width, imag_frac = [], [], [], [], []
+    samples = []
     for snap in result.snapshots:
-        values = snap.psi.values
-        a = np.abs(values)
-        top = float(np.max(a))
-        if top < TRACK_AMPLITUDE_FLOOR:
+        a = np.abs(snap.psi.values)
+        if float(np.max(a)) < TRACK_AMPLITUDE_FLOOR:
             raise UntrackableFieldError(
                 f"field 'psi' fell below the tracking floor at t = {snap.t:.6e} s"
             )
-        pz, pa = quadratic_peak(z, a)
-        power = a / top  # relative to the peak, so an amplified field cannot overflow
-        power *= power
-        total = float(np.sum(power))
-        centroid = float(np.sum(power * z)) / total
-        second = float(np.sum(power * (z - centroid) ** 2)) / total
-        times.append(snap.t)
-        peak_z.append(pz)
-        peak_amp.append(pa)
-        width.append(2.0 * math.sqrt(second))
-        imag_frac.append(float(np.max(np.abs(values.imag))) / top)
-    return PulseTrack(
-        times=tuple(times),
-        peak_z=tuple(peak_z),
-        peak_amp=tuple(peak_amp),
-        width=tuple(width),
-        imag_fraction=tuple(imag_frac),
-    )
+        samples.append((snap.t,) + quadratic_peak(z, a))
+    return PulseTrack(*zip(*samples))
 
 
 def _window(track: PulseTrack, t0: float, t1: float) -> np.ndarray:
@@ -325,9 +301,6 @@ def design_limits(params: MediumParams, l_p: float, t0: float) -> DesignLimits:
 
 @dataclass(frozen=True)
 class LowIntensityReport:
-    times: tuple[float, ...]  # s
-    probe_rabi: tuple[float, ...]  # rad/s
-    control_rabi: tuple[float, ...]  # rad/s
     worst_ratio: float
     flagged_times: tuple[float, ...]
     passed: bool
@@ -343,32 +316,21 @@ class LowIntensityReport:
 def check_low_intensity(
     result: SimulationResult, params: MediumParams, schedule: ControlSchedule
 ) -> LowIntensityReport:
-    """Probe-vs-control Rabi ratio per snapshot.
+    """Worst probe-vs-control Rabi ratio over the snapshots.
 
     The probe Rabi scale is g * max|E|; the run respects the weak-probe
     assumption when that stays well under the control Rabi frequency at
     every snapshot.
     """
-    times, probe, control, flagged = [], [], [], []
+    flagged = []
     worst = 0.0
     omegas = schedule.eval(params, np.array([snap.t for snap in result.snapshots])).omega
     for snap, omega_c in zip(result.snapshots, omegas.tolist()):
-        omega_p = params.g * float(np.max(np.abs(snap.e_field.values)))
-        ratio = omega_p / omega_c
+        ratio = params.g * float(np.max(np.abs(snap.e_field.values))) / omega_c
         worst = max(worst, ratio)
-        times.append(snap.t)
-        probe.append(omega_p)
-        control.append(omega_c)
         if ratio > PROBE_CONTROL_LIMIT:
             flagged.append(snap.t)
-    return LowIntensityReport(
-        times=tuple(times),
-        probe_rabi=tuple(probe),
-        control_rabi=tuple(control),
-        worst_ratio=worst,
-        flagged_times=tuple(flagged),
-        passed=not flagged,
-    )
+    return LowIntensityReport(worst_ratio=worst, flagged_times=tuple(flagged), passed=not flagged)
 
 
 def stored_window(schedule: ControlSchedule) -> tuple[float, float] | None:

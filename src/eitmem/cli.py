@@ -275,7 +275,7 @@ def _output_fields(psi0: FieldGrid, snaps: dict[int, solver.Snapshot]) -> dict[i
         except EitmemError as exc:
             fields[j] = exc
             continue
-        imag_fraction = float(np.max(np.abs(snap.psi.values.imag)) / max(snap.peak, 1e-300))
+        imag_fraction = float(np.max(np.abs(snap.psi.values.imag)) / snap.peak)
         fields[j] = {
             "status": "ok",
             "output_peak": repr(peak),

@@ -26,8 +26,10 @@ def whole_steps(span: float, step: float) -> int:
 
 
 # Largest grid a run may ask for. The 13 snapshots of a default-length run
-# on 2^22 points already hold about 0.9 GB of complex samples.
+# on 2^22 points already hold about 0.9 GB of complex samples, and that is
+# the most samples a run may hold over all its snapshots.
 MAX_POINTS = 2**22
+MAX_SNAPSHOT_SAMPLES = 13 * MAX_POINTS
 
 
 @dataclass(frozen=True)

@@ -81,6 +81,8 @@ class OracleConfig:
             raise ConfigError(f"dt must be positive and finite, got {self.dt}")
         if not (math.isfinite(self.snapshot_dt) and self.snapshot_dt > 0):
             raise ConfigError(f"snapshot_dt must be positive and finite, got {self.snapshot_dt}")
+        if not whole_steps(self.snapshot_dt, self.dt):
+            raise ConfigError(f"dt {self.dt} must divide snapshot_dt {self.snapshot_dt} evenly")
 
 
 def _substeps(horizon: float, dt: float, snapshot_dt: float) -> tuple[int, int]:

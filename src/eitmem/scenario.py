@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .control import SCHEDULE_KINDS, ControlSchedule
 from .errors import ConfigError, require_finite
-from .grids import GridSpec, whole_steps
+from .grids import MAX_SNAPSHOT_SAMPLES, GridSpec, whole_steps
 from .model import MediumParams, PulseSpec
 from .solver import check_pulse_fits
 
@@ -85,10 +85,16 @@ class Scenario:
             raise ConfigError("horizon must be positive")
         if not (0.0 < self.snapshot_dt <= self.horizon):
             raise ConfigError("snapshot_dt must lie in (0, horizon]")
-        if not whole_steps(self.horizon, self.snapshot_dt):
+        n_steps = whole_steps(self.horizon, self.snapshot_dt)
+        if not n_steps:
             raise ConfigError(
                 "snapshot_dt must divide the horizon evenly "
                 f"(horizon/snapshot_dt = {self.horizon / self.snapshot_dt!r})"
+            )
+        if (n_steps + 1) * self.grid.n_points > MAX_SNAPSHOT_SAMPLES:
+            raise ConfigError(
+                f"{n_steps + 1} snapshots of {self.grid.n_points} points exceed the "
+                f"{MAX_SNAPSHOT_SAMPLES} samples a run may hold; lengthen snapshot_dt"
             )
         if not (0.0 <= self.output_time <= self.horizon):
             raise ConfigError("output_time must lie within [0, horizon]")
@@ -226,7 +232,7 @@ def load_scenario(path: str) -> Scenario:
     cp = configparser.ConfigParser(interpolation=None)
     try:
         read = cp.read(path, encoding="utf-8")
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot parse scenario file {path}: {exc}") from None
     if not read:
         raise ConfigError(f"scenario file {path} does not exist or is unreadable")

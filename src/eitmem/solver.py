@@ -327,7 +327,6 @@ class SimulationResult:
     validity: ValidityReport
     params: MediumParams
     grid: GridSpec
-    pulse: PulseSpec
     schedule: ControlSchedule
 
     def snapshot_at(self, t: float) -> Snapshot:
@@ -484,33 +483,33 @@ class BlockEvolution:
             return live, modes
         return [live[r] for r in kept], modes[kept]
 
-    def _check_peak(self, modes: np.ndarray, peak: float, probe, i: int):
-        """The finite and wraparound checks of one transformed row of modes at snapshot i."""
-        if not math.isfinite(peak):
-            raise SimulationError(
-                f"field overflowed to non-finite samples in the interval "
-                f"[{self.times[i - 1]:.6e}, {self.times[i]:.6e}] s"
-            )
-        _check_wraparound(modes, peak, peak, probe, self.times[i])
+    def _check_row(self, modes: np.ndarray, low: float, high: float, probe, floor: float, i: int) -> bool:
+        """The checks of one row of modes at snapshot i; returns whether its peak is below floor.
 
-    def _check_bounds(self, modes: np.ndarray, probe, floor: float, i: int) -> bool:
-        """Check one row of modes at a snapshot not read; returns whether its peak is below floor.
-
-        The finite check, the wraparound check and the floor test are
-        settled from peak_bounds. When a bound cannot settle one, the row
-        alone is transformed and checked on its peak, in the same order and
-        with the same errors as at a snapshot read.
+        low and high bound the row's max |psi|: a transformed row passes its
+        peak as both, a row not transformed its peak_bounds. The finite
+        check, the wraparound check and the floor test are settled from the
+        bounds. When they cannot settle one and low < high, the row alone is
+        transformed and checked on its peak, so every row meets the same
+        checks in the same order and with the same errors. A peak that is
+        NaN is never transformed again: it fails the comparison.
         """
-        low, high = peak_bounds(modes)
+        t = self.times[i]
         if (
             high * modes.size < FINITE_PEAK_LIMIT
-            and _check_wraparound(modes, low, high, probe, self.times[i])
+            and _check_wraparound(modes, low, high, probe, t)
             and (high < floor or low >= floor)
         ):
             return high < floor
-        _, (peak,) = _fields_and_peaks(modes[np.newaxis])
-        self._check_peak(modes, peak, probe, i)
-        return peak < floor
+        if low < high:
+            _, (high,) = _fields_and_peaks(modes[np.newaxis])
+        if not math.isfinite(high):
+            raise SimulationError(
+                f"field overflowed to non-finite samples in the interval "
+                f"[{self.times[i - 1]:.6e}, {t:.6e}] s"
+            )
+        _check_wraparound(modes, high, high, probe, t)
+        return high < floor
 
     def evolve(self, read=None, floor: float = 0.0):
         """Run the block; yields, per snapshot read, its index and the (medium index, Snapshot) pairs of the rows still running.
@@ -518,7 +517,7 @@ class BlockEvolution:
         read holds the indices into `times` of the snapshots whose fields the
         caller reads; None reads them all. Only those snapshots take the
         block inverse FFT. Every other snapshot checks each row from bounds
-        on its peak (_check_bounds). A running medium whose peak is below
+        on its peak (_check_row). A running medium whose peak is below
         floor at any snapshot, read or not, is added to `faint`.
         """
         live = [j for j in range(len(self.media)) if j not in self.failed]
@@ -555,12 +554,10 @@ class BlockEvolution:
             members = []
             for r, j in enumerate(live):
                 try:
+                    bounds = (peaks[r], peaks[r]) if is_read else peak_bounds(modes[r])
+                    below = self._check_row(modes[r], *bounds, probe, floor, i)
                     if is_read:
-                        self._check_peak(modes[r], peaks[r], probe, i)
-                        below = peaks[r] < floor
                         members.append((j, self._snapshot(j, i, FieldGrid(self.grid, fields[r]), peaks[r])))
-                    else:
-                        below = self._check_bounds(modes[r], probe, floor, i)
                 except EitmemError as exc:
                     self.failed[j] = exc
                     continue
@@ -603,7 +600,6 @@ def simulate(
         validity=block.validity[0],
         params=params,
         grid=grid,
-        pulse=pulse,
         schedule=schedule,
     )
 

@@ -16,7 +16,7 @@ import pytest
 from eitmem import analysis, cli, solver
 from eitmem.cli import SWEEP_COLUMNS, _decay_fit_warning, main
 from eitmem.control import ControlSchedule
-from eitmem.errors import ConfigError, EitmemError, UntrackableFieldError
+from eitmem.errors import ConfigError, EitmemError, SimulationError, UntrackableFieldError
 from eitmem.scenario import default_scenario, save_scenario, with_medium
 from eitmem.solver import BlockEvolution, simulate
 
@@ -74,14 +74,29 @@ def test_run_reads_scenario_file_and_cadence_override(tmp_path):
     with open(out / "snapshots.csv", newline="") as fh:
         times = {row["t"] for row in csv.DictReader(fh)}
     assert len(times) == 6  # 0 .. 180 us in 36 us strides
-    # cadence that does not divide the horizon is a config error
+    # a cadence that does not divide the horizon, or that passes the sample cap, is a config error
     assert main(["run", str(ini), "--out-dir", str(out), "--snapshot-dt", "7e-6"]) == 2
+    assert main(["run", str(ini), "--out-dir", str(out), "--snapshot-dt", "1e-11"]) == 2
 
 
 def test_run_missing_scenario_file(tmp_path, capsys):
     rc = main(["run", str(tmp_path / "nope.ini"), "--out-dir", str(tmp_path)])
     assert rc == 2
     assert "nope.ini" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["run", "validate", "limits", "sweep"])
+def test_non_utf8_scenario_file_exits_2_naming_the_file(tmp_path, capsys, verb):
+    ini = tmp_path / "bad.ini"
+    ini.write_bytes(b"\xff\xfe[medium]\n")
+    out = ["--out-dir", str(tmp_path / "out")]
+    extra = {"validate": [], "sweep": ["--axis", "delta_p", "--values", "0", *out]}.get(verb, out)
+    assert main([verb, str(ini), *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: cannot parse scenario file {ini}: 'utf-8' codec")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_validate_default_passes(capsys):
@@ -392,6 +407,23 @@ def test_unread_snapshots_fall_back_to_the_exact_checks(monkeypatch, case):
     assert bool(block.faint) == (case == "floor_below")
 
 
+def test_a_read_row_that_overflows_is_transformed_once(monkeypatch):
+    # The last of 36 intervals overflows to a NaN peak, which is not transformed again.
+    sc = with_medium(_fine_cadence_scenario(), delta_p=5500.0)
+    rows = _count_transformed_rows(monkeypatch)
+    with pytest.raises(SimulationError, match=r"in the interval \[1\.750000e-04, 1\.800000e-04\] s$"):
+        simulate(sc.medium, sc.grid, sc.pulse, sc.schedule, sc.horizon, sc.snapshot_dt)
+    assert rows == [1] * 36
+
+
+def test_sweep_with_no_snapshot_in_the_stored_window_leaves_both_fits_blank(tmp_path):
+    ini = tmp_path / "coarse.ini"
+    save_scenario(dataclasses.replace(default_scenario(), snapshot_dt=180e-6), ini)
+    assert main(["sweep", str(ini), "--axis", "delta_p", "--values", "0", "--out-dir", str(tmp_path)]) == 0
+    (row,) = read_sweep(tmp_path / "sweep.csv")
+    assert (row["status"], row["v_g_off"], row["decay_rate"]) == ("ok", "", "")
+
+
 def _run_cli(argv, env_update=None) -> subprocess.CompletedProcess:
     """eitmem's command line in a fresh interpreter, with env_update added to the environment."""
     src = str(pathlib.Path(cli.__file__).parents[1])
@@ -524,7 +556,9 @@ def test_run_rejects_oracle_dt_that_does_not_divide_before_writing(tmp_path, cap
     out = tmp_path / "out"
     rc = main(["run", "--out-dir", str(out), "--oracle", "--oracle-dt", "7e-9"])
     assert rc == 2
-    assert "must divide" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must divide" in captured.err
     assert not out.exists() or not any(out.iterdir())
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from eitmem.control import ControlSchedule
 from eitmem.errors import ConfigError
-from eitmem.grids import GridSpec
+from eitmem.grids import MAX_POINTS, GridSpec
 from eitmem.model import PulseSpec
 from eitmem.scenario import (
     DEFAULT_LABEL,
@@ -47,6 +47,15 @@ def test_timing_validation():
         dataclasses.replace(sc, snapshot_dt=14e-6)
     with pytest.raises(ConfigError, match="output_time"):
         dataclasses.replace(sc, output_time=181e-6)
+
+
+def test_snapshot_samples_are_capped():
+    sc = default_scenario()
+    with pytest.raises(ConfigError, match="^10000001 snapshots of 16384 points exceed the 54525952 samples"):
+        dataclasses.replace(sc, horizon=150.0)
+    largest = dataclasses.replace(sc, grid=GridSpec(-10e-3, 10e-3, MAX_POINTS))  # 13 snapshots fill the cap
+    with pytest.raises(ConfigError, match="^14 snapshots"):
+        dataclasses.replace(largest, horizon=195e-6)
 
 
 @pytest.mark.parametrize("label", [" padded", "padded ", "\tpadded", "padded\n", " "])
