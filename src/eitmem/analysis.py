@@ -17,7 +17,7 @@ from .control import ControlSchedule
 from .errors import ConfigError, InvalidComparisonError, UntrackableFieldError, require_finite
 from .grids import FieldGrid, squared_norm
 from .model import MediumParams
-from .solver import SimulationResult, accumulate_exponent, adaptive_simpson, mode_factor
+from .solver import SimulationResult, Snapshot, accumulate_exponent, adaptive_simpson, mode_factor
 
 TRACK_AMPLITUDE_FLOOR = 1e-12
 DISTORTION_THRESHOLD = 0.1  # aligned_l2 above this reads as destroyed
@@ -57,42 +57,53 @@ def interpolated_peak(field: FieldGrid) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class PulseTrack:
-    """Peak trajectory over the snapshot series."""
+    """Peak trajectory over the snapshot series; NaN where psi is below the tracking floor."""
 
     times: tuple[float, ...]  # s
     peak_z: tuple[float, ...]  # m
     peak_amp: tuple[float, ...]
 
 
-def track_pulse(result: SimulationResult) -> PulseTrack:
-    """Follow the |psi| peak across snapshots.
+def track_sample(z: np.ndarray, snap: Snapshot) -> tuple[float, float, float]:
+    """(t, peak position, peak amplitude) of one snapshot's |psi|; NaN position and amplitude below the tracking floor.
 
-    Raises when psi falls below the amplitude floor at any snapshot.
+    Only a reported number that reads such a sample raises (_check_tracked).
     """
+    a = np.abs(snap.psi.values)
+    if float(np.max(a)) < TRACK_AMPLITUDE_FLOOR:
+        return snap.t, math.nan, math.nan
+    return (snap.t,) + quadratic_peak(z, a)
+
+
+def track_pulse(result: SimulationResult) -> PulseTrack:
+    """Follow the |psi| peak across snapshots."""
     if len(result.snapshots) < 2:
         raise ConfigError("tracking needs at least 2 snapshots")
     z = result.grid.z_array()
-    samples = []
-    for snap in result.snapshots:
-        a = np.abs(snap.psi.values)
-        if float(np.max(a)) < TRACK_AMPLITUDE_FLOOR:
-            raise UntrackableFieldError(
-                f"field 'psi' fell below the tracking floor at t = {snap.t:.6e} s"
-            )
-        samples.append((snap.t,) + quadratic_peak(z, a))
-    return PulseTrack(*zip(*samples))
+    return PulseTrack(*zip(*(track_sample(z, snap) for snap in result.snapshots)))
 
 
-def _window(track: PulseTrack, t0: float, t1: float) -> np.ndarray:
+def _check_tracked(track: PulseTrack, idx) -> None:
+    """Raise at the first sample of track in idx where psi was below the tracking floor."""
+    faint = np.isnan(np.asarray(track.peak_amp)[idx])
+    if np.any(faint):
+        t = track.times[idx[int(np.argmax(faint))]]
+        raise UntrackableFieldError(f"field 'psi' fell below the tracking floor at t = {t:.6e} s")
+
+
+def _window(track: PulseTrack, t0: float, t1: float, least: int, fit: str) -> np.ndarray:
+    """Indices of the samples of track in [t0, t1]: at least `least` of them, each tracked."""
     times = np.asarray(track.times)
-    return np.nonzero((times >= t0) & (times <= t1))[0]
+    idx = np.nonzero((times >= t0) & (times <= t1))[0]
+    if len(idx) < least:
+        raise ConfigError(f"{fit} fit needs at least {least} samples in [{t0}, {t1}]")
+    _check_tracked(track, idx)
+    return idx
 
 
 def fit_velocity(track: PulseTrack, t0: float, t1: float) -> tuple[float, float]:
     """Least-squares velocity of the peak over [t0, t1] and its residual rms."""
-    idx = _window(track, t0, t1)
-    if len(idx) < 2:
-        raise ConfigError(f"velocity fit needs at least 2 samples in [{t0}, {t1}]")
+    idx = _window(track, t0, t1, 2, "velocity")
     t = np.asarray(track.times)[idx]
     zpk = np.asarray(track.peak_z)[idx]
     slope, intercept = np.polyfit(t, zpk, 1)
@@ -107,11 +118,9 @@ def fit_decay(track: PulseTrack, t0: float, t1: float) -> tuple[float, float]:
     the window likely spans a switch or a distorted stretch, and callers
     report that instead of failing.
     """
-    idx = _window(track, t0, t1)
+    idx = _window(track, t0, t1, 3, "decay")
     t = np.asarray(track.times)[idx]
     amp = np.asarray(track.peak_amp)[idx]
-    if len(t) < 3:
-        raise ConfigError(f"decay fit needs at least 3 samples in [{t0}, {t1}]")
     if np.any(amp <= 0):
         raise UntrackableFieldError("peak amplitude hit zero inside the fit window")
     log_amp = np.log(amp)
@@ -349,7 +358,9 @@ def assemble_summary(result: SimulationResult, output_time: float | None = None)
     """Measured-vs-predicted digest of one run, JSON-compatible.
 
     Velocity windows are derived from the schedule when it is the tanh
-    switch; otherwise only the whole-run velocity is reported.
+    switch; otherwise only the whole-run velocity is reported. psi must be
+    above the tracking floor at the snapshots a reported number reads: the
+    first, the output one and those inside a fit window.
     """
     params = result.params
     schedule = result.schedule
@@ -389,14 +400,15 @@ def assemble_summary(result: SimulationResult, output_time: float | None = None)
     # output-peak window. The predicted velocity is the model's mean over
     # the same window, so switch curvature does not masquerade as
     # disagreement.
-    out_snap = result.snapshot_at(output_time)
+    out = min(range(len(snaps)), key=lambda i: abs(snaps[i].t - output_time))
+    out_snap = snaps[out]
     spans = [windows[name] for name in fits] + [(snaps[0].t, out_snap.t)]
     i_s, i_w = accumulate_exponent(params, schedule, *np.array(spans).T)
     for j, (name, (v, resid)) in enumerate(fits.items()):
         t0, t1 = windows[name]
         summary[name] = {"measured": v, "fit_residual_rms": resid, "predicted": i_w[j].real / (t1 - t0)}
-    _, peak0 = interpolated_peak(snaps[0].psi)
-    _, peak_out = interpolated_peak(out_snap.psi)
+    _check_tracked(track, [0, out])
+    peak0, peak_out = track.peak_amp[0], track.peak_amp[out]
     predicted_peak = peak0 * math.exp(-i_s[-1].real)
     output = {
         "t": out_snap.t,

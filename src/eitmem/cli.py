@@ -77,6 +77,14 @@ def oracle_initial_state(params, grid, pulse, schedule) -> oracle.OracleState:
     )
 
 
+def _write_json(path: str, payload: dict):
+    """One JSON artifact, indented with sorted keys; a non-finite number, which JSON lacks, is written as null."""
+    strict = json.loads(json.dumps(payload), parse_constant=lambda _: None)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(strict, fh, indent=2, sort_keys=True, allow_nan=False)
+        fh.write("\n")
+
+
 def _print_validity(report):
     for name, _, _ in REGIME_CHECKS:
         if report.strong[name]:
@@ -182,9 +190,7 @@ def cmd_run(args) -> int:
         oracle_path = os.path.join(out_dir, "oracle_snapshots.csv")
         oracle.write_oracle_csv(states, oracle_path, cfg, stride=args.csv_stride)
         comparison_path = os.path.join(out_dir, "comparison.json")
-        with open(comparison_path, "w", encoding="utf-8") as fh:
-            json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(comparison_path, report.to_dict())
         summary["oracle_comparison"] = report.to_dict()
         print(
             f"oracle: max probe-field discrepancy {report.max_linf:.4g} (rel L-inf), "
@@ -193,9 +199,7 @@ def cmd_run(args) -> int:
         print(f"oracle: {report.attribution}")
         written.extend([oracle_path, comparison_path])
 
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(summary_path, summary)
     print("wrote " + " ".join(written))
     return EXIT_OK
 
@@ -232,9 +236,7 @@ def cmd_limits(args) -> int:
         payload = lim.to_dict()
         payload["pulse_length"] = args.pulse_length
         payload["storage_time"] = args.storage_time
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(path, payload)
         print(f"wrote {path}")
     return EXIT_OK
 
@@ -305,10 +307,11 @@ def _sweep_block(scenarios: list[Scenario], force: bool) -> list[tuple[dict, str
     evolution, which transforms only the snapshots a row reads: those of
     the stored window, whose peaks feed the fits, and the output snapshot,
     whose peak, distortion and imaginary fraction are read, with the
-    distortion of the whole block in one call. The block tests the tracking
-    floor at every snapshot; a run whose peak falls below it anywhere leaves
-    both fits blank. An error reading the output applies only to a run that
-    completes, as it would after a run of that medium alone.
+    distortion of the whole block in one call. As in `run`, the tracking
+    floor is tested only there: a run whose peak falls below it inside the
+    stored window leaves both fits blank. An error reading the output
+    applies only to a run that completes, as it would after a run of that
+    medium alone.
     """
     sc = scenarios[0]
     block = solver.BlockEvolution(
@@ -332,11 +335,9 @@ def _sweep_block(scenarios: list[Scenario], force: bool) -> list[tuple[dict, str
     # A comprehension, so no loop variable keeps a block of fields alive
     # through the snapshots that are not read.
     window_peaks = []
-    for i, members in block.evolve(read, analysis.TRACK_AMPLITUDE_FLOOR):
+    for i, members in block.evolve(read):
         if in_window[i]:
-            window_peaks.append(
-                {j: (snap.t,) + analysis.quadratic_peak(z, np.abs(snap.psi.values)) for j, snap in members}
-            )
+            window_peaks.append({j: analysis.track_sample(z, snap) for j, snap in members})
         if i == out_index:
             outputs = _output_fields(block.psi0, dict(members))
 
@@ -346,7 +347,7 @@ def _sweep_block(scenarios: list[Scenario], force: bool) -> list[tuple[dict, str
         warning = None
         if isinstance(fields, EitmemError):
             fields = {name: "" for name in SWEEP_COLUMNS} | {"status": f"{type(fields).__name__}: {fields}"}
-        elif window is not None and j not in block.faint:
+        elif window is not None:
             samples = [peaks[j] for peaks in window_peaks]  # a run that completes is in all
             track = analysis.PulseTrack(
                 times=tuple(t for t, _, _ in samples),

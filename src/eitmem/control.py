@@ -217,8 +217,3 @@ def _sorted_distinct(x: np.ndarray) -> np.ndarray:
     """np.unique for a 1-D float array without NaN; np.unique imports numpy.ma."""
     x = np.sort(x)
     return x[np.concatenate(([True], x[1:] != x[:-1]))]
-
-
-def default_storage_schedule() -> ControlSchedule:
-    """The shipped off/on switch: plateau cot(theta) 5.1e-4, window floor 1e-5."""
-    return ControlSchedule(kind="tanh_profile")

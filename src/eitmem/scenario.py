@@ -231,9 +231,10 @@ def _read_section(cp, name: str, rows, tolerated: tuple[str, ...] = ()) -> dict:
 def load_scenario(path: str) -> Scenario:
     cp = configparser.ConfigParser(interpolation=None)
     try:
-        read = cp.read(path, encoding="utf-8")
+        read = cp.read(path, encoding="utf-8-sig")  # a byte-order mark is allowed
     except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot parse scenario file {path}: {exc}") from None
+        message = " ".join(str(exc).split())  # configparser's messages span lines
+        raise ConfigError(f"cannot parse scenario file {path}: {message}") from None
     if not read:
         raise ConfigError(f"scenario file {path} does not exist or is unreadable")
     for name in ("medium", "grid", "pulse", "schedule", "run"):

@@ -417,7 +417,8 @@ class BlockEvolution:
     by medium index; the others carry on. `evolve` yields, per snapshot
     read, its index and the (medium index, Snapshot) pairs of the rows
     still running, so a caller that reduces each snapshot as it arrives
-    holds one block of fields at a time.
+    holds one block of fields at a time. Whether a field it reads is bright
+    enough to measure is the caller's decision.
     """
 
     def __init__(
@@ -453,7 +454,6 @@ class BlockEvolution:
         self.pulse = pulse
         self.times = [0.0] + [i * snapshot_dt for i in range(1, n_steps)] + [horizon]
         self.failed: dict[int, EitmemError] = {}
-        self.faint: set[int] = set()
         self.validity: dict[int, ValidityReport] = {}
         self.traces: dict[int, list[CoefficientSample]] = {}
         self._steps = {}  # medium index -> (I_s and I_w per interval, theta per snapshot)
@@ -483,24 +483,19 @@ class BlockEvolution:
             return live, modes
         return [live[r] for r in kept], modes[kept]
 
-    def _check_row(self, modes: np.ndarray, low: float, high: float, probe, floor: float, i: int) -> bool:
-        """The checks of one row of modes at snapshot i; returns whether its peak is below floor.
+    def _check_row(self, modes: np.ndarray, low: float, high: float, probe, i: int) -> None:
+        """The finite and wraparound checks of one row of modes at snapshot i.
 
         low and high bound the row's max |psi|: a transformed row passes its
-        peak as both, a row not transformed its peak_bounds. The finite
-        check, the wraparound check and the floor test are settled from the
-        bounds. When they cannot settle one and low < high, the row alone is
-        transformed and checked on its peak, so every row meets the same
-        checks in the same order and with the same errors. A peak that is
-        NaN is never transformed again: it fails the comparison.
+        peak as both, a row not transformed its peak_bounds. When the bounds
+        cannot settle a check and low < high, the row alone is transformed
+        and checked on its peak, so every row meets the same checks in the
+        same order and with the same errors. A peak that is NaN is never
+        transformed again: it fails the comparison.
         """
         t = self.times[i]
-        if (
-            high * modes.size < FINITE_PEAK_LIMIT
-            and _check_wraparound(modes, low, high, probe, t)
-            and (high < floor or low >= floor)
-        ):
-            return high < floor
+        if high * modes.size < FINITE_PEAK_LIMIT and _check_wraparound(modes, low, high, probe, t):
+            return
         if low < high:
             _, (high,) = _fields_and_peaks(modes[np.newaxis])
         if not math.isfinite(high):
@@ -509,16 +504,14 @@ class BlockEvolution:
                 f"[{self.times[i - 1]:.6e}, {t:.6e}] s"
             )
         _check_wraparound(modes, high, high, probe, t)
-        return high < floor
 
-    def evolve(self, read=None, floor: float = 0.0):
+    def evolve(self, read=None):
         """Run the block; yields, per snapshot read, its index and the (medium index, Snapshot) pairs of the rows still running.
 
         read holds the indices into `times` of the snapshots whose fields the
         caller reads; None reads them all. Only those snapshots take the
         block inverse FFT. Every other snapshot checks each row from bounds
-        on its peak (_check_row). A running medium whose peak is below
-        floor at any snapshot, read or not, is added to `faint`.
+        on its peak (_check_row).
         """
         live = [j for j in range(len(self.media)) if j not in self.failed]
         if not live:
@@ -526,10 +519,8 @@ class BlockEvolution:
         k = self.grid.k_array()
         modes0 = forward_transform(self.psi0)
         probe = _edge_probe(k, self.pulse)
-        peak0 = self.psi0.peak()
-        if peak0 < floor:
-            self.faint.update(live)
         if read is None or 0 in read:
+            peak0 = self.psi0.peak()
             yield 0, [(j, self._snapshot(j, 0, self.psi0, peak0)) for j in live]
         modes = np.empty((len(live), modes0.size), dtype=complex)
         modes[:] = modes0
@@ -555,14 +546,11 @@ class BlockEvolution:
             for r, j in enumerate(live):
                 try:
                     bounds = (peaks[r], peaks[r]) if is_read else peak_bounds(modes[r])
-                    below = self._check_row(modes[r], *bounds, probe, floor, i)
+                    self._check_row(modes[r], *bounds, probe, i)
                     if is_read:
                         members.append((j, self._snapshot(j, i, FieldGrid(self.grid, fields[r]), peaks[r])))
                 except EitmemError as exc:
                     self.failed[j] = exc
-                    continue
-                if below:
-                    self.faint.add(j)
             live, modes = self._drop_failed(live, modes)
             if is_read:
                 yield i, members

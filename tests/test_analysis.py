@@ -11,6 +11,7 @@ from eitmem.analysis import (
     DECAY_FIT_RMS_LIMIT,
     DISTORTION_THRESHOLD,
     PROBE_CONTROL_LIMIT,
+    TRACK_AMPLITUDE_FLOOR,
     PulseTrack,
     assemble_summary,
     check_low_intensity,
@@ -400,6 +401,33 @@ def test_summary_fits_the_stored_window(default_sc, default_result):
     v, resid = fit_velocity(track, *window)
     assert (summary["v_g_off"]["measured"], summary["v_g_off"]["fit_residual_rms"]) == (v, resid)
     assert summary["decay_rate"]["measured"] == fit_decay(track, *window)[0]
+
+
+def _faint_copy(sc, result, amplitude):
+    """The run of sc with the pulse amplitude set, from the linearity of the evolution in psi."""
+    scale = amplitude / sc.pulse.amplitude
+    snapshots = tuple(
+        dataclasses.replace(s, psi=FieldGrid(s.psi.grid, scale * s.psi.values), peak=scale * s.peak)
+        for s in result.snapshots
+    )
+    return dataclasses.replace(result, snapshots=snapshots)
+
+
+def test_summary_tests_the_floor_only_where_a_report_reads(default_sc, default_result):
+    # At 5.6e-12 only the last snapshot, which no report reads, is below the floor.
+    sc = dataclasses.replace(default_sc, pulse=dataclasses.replace(default_sc.pulse, amplitude=5.6e-12))
+    faint = simulate(sc.medium, sc.grid, sc.pulse, sc.schedule, sc.horizon, sc.snapshot_dt)
+    assert [s.t for s in faint.snapshots if s.peak < TRACK_AMPLITUDE_FLOOR] == [sc.horizon]
+    summary = assemble_summary(faint, sc.output_time)
+    reference = assemble_summary(default_result, default_sc.output_time)
+    for name in ("v_g_on", "v_g_off", "decay_rate"):
+        assert summary[name]["measured"] == pytest.approx(reference[name]["measured"], rel=1e-9)
+    track = track_pulse(faint)
+    assert math.isnan(track.peak_amp[-1]) and math.isnan(track.peak_z[-1])
+    # At 2.3e-12 the stored window's last sample is below it, at 4e-12 the output one.
+    for amplitude, t in ((2.3e-12, "9.000000e-05"), (4e-12, "1.650000e-04")):
+        with pytest.raises(UntrackableFieldError, match=f"tracking floor at t = {t} s$"):
+            assemble_summary(_faint_copy(default_sc, default_result, amplitude), default_sc.output_time)
 
 
 def test_summary_handles_constant_schedule():

@@ -99,6 +99,32 @@ def test_non_utf8_scenario_file_exits_2_naming_the_file(tmp_path, capsys, verb):
     assert not (tmp_path / "out").exists()
 
 
+def test_scenario_file_with_a_byte_order_mark_loads(tmp_path, capsys):
+    ini = tmp_path / "bom.ini"
+    save_scenario(default_scenario(), ini)
+    ini.write_bytes(b"\xef\xbb\xbf" + ini.read_bytes())
+    assert main(["validate", str(ini)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda text: text.replace("g = ", "g ", 1),  # a line with no separator
+        lambda text: text + "[grid]\n",  # a duplicated section
+    ],
+    ids=["no_separator", "duplicate_section"],
+)
+def test_unparsable_scenario_file_exits_2_in_one_stderr_line(tmp_path, capsys, corrupt):
+    ini = tmp_path / "bad.ini"
+    save_scenario(default_scenario(), ini)
+    ini.write_text(corrupt(ini.read_text(encoding="utf-8")), encoding="utf-8")
+    assert main(["validate", str(ini)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot parse scenario file {ini}: ")
+    assert err.count("\n") == 1
+
+
 def test_validate_default_passes(capsys):
     rc = main(["validate"])
     assert rc == 0
@@ -150,6 +176,15 @@ def test_grid_above_the_point_ceiling_exits_2_naming_n_points(tmp_path, capsys, 
     assert not out.exists()
 
 
+def _strict_json(path) -> dict:
+    """The JSON document at path; NaN, Infinity and -Infinity are not JSON and raise."""
+
+    def reject(constant):
+        raise ValueError(f"{path} holds {constant}")
+
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+
+
 def test_limits_writes_frozen_bounds(tmp_path, capsys):
     rc = main(["limits", "--out-dir", str(tmp_path)])
     assert rc == 0
@@ -167,6 +202,15 @@ def test_limits_writes_frozen_bounds(tmp_path, capsys):
     assert rc == 0
     doubled = json.loads((longer / "limits.json").read_text())
     assert doubled["delta_p_max"] == pytest.approx(2 * payload["delta_p_max"], rel=1e-12)
+
+    # With no storage decay two bounds are unbounded, which JSON writes as null.
+    ini = tmp_path / "lossless.ini"
+    save_scenario(with_medium(default_scenario(), gamma_bc=0.0), ini)
+    lossless = tmp_path / "lossless"
+    assert main(["limits", str(ini), "--out-dir", str(lossless)]) == 0
+    unbounded = _strict_json(lossless / "limits.json")
+    assert [unbounded[name] for name in ("delta_max", "bw_limit", "t_transit_max")] == [None] * 3
+    assert unbounded["delta_p_max"] == payload["delta_p_max"]
 
 
 def test_sweep_detunings_orders_rows_by_input(tmp_path):
@@ -208,7 +252,7 @@ def test_sweep_reports_a_poor_decay_fit_in_one_stderr_line(tmp_path, capsys):
 
 
 def _reference_row(sc, result) -> tuple[dict, str | None]:
-    """sweep.csv fields of one finished run, tracking every snapshot, and its decay-fit warning."""
+    """sweep.csv fields of one finished run and its decay-fit warning; the fits read only stored-window samples."""
     out_snap = result.snapshot_at(sc.output_time)
     _, peak = analysis.interpolated_peak(out_snap.psi)
     report = analysis.measure_distortion(result.snapshots[0].psi, [out_snap.psi])[0]
@@ -267,7 +311,7 @@ def _reference_sweep(sc, axis: str, values) -> tuple[list[dict], list[str], list
 
 
 def _faint_scenario():
-    """A pulse so faint that the default run's last snapshot, after the output one, drops below the tracking floor."""
+    """A pulse so faint that the default run's last snapshot, which no report reads, drops below the tracking floor."""
     sc = default_scenario()
     return dataclasses.replace(sc, pulse=dataclasses.replace(sc.pulse, amplitude=5.6e-12))
 
@@ -320,14 +364,12 @@ def test_blocked_sweep_matches_one_run_per_value(tmp_path, capsys, monkeypatch, 
     if case == "detunings":
         assert [rows[i]["verdict"] for i in (0, 3, 5)] == ["clean", "distorted", "distorted"]
     if case == "faint_pulse":
-        # At gamma_bc = 1e4 the stored window tracks, but the snapshot after the
-        # output one falls under the floor, and that blanks both fits.
+        # At gamma_bc = 1e4 the snapshot after the output one falls under the
+        # floor. No report reads it, so the stored-window fits are filled.
         faint = simulate(sc.medium, sc.grid, sc.pulse, sc.schedule, sc.horizon, sc.snapshot_dt)
-        _, t1 = analysis.stored_window(sc.schedule)
         below = [s.t for s in faint.snapshots if s.peak < analysis.TRACK_AMPLITUDE_FLOOR]
-        assert below and all(t > t1 for t in below)
-        assert (rows[0]["v_g_off"], rows[0]["decay_rate"]) == ("", "")
-        assert rows[1]["v_g_off"] != "" and rows[1]["decay_rate"] != ""
+        assert below and all(t > sc.output_time for t in below)
+        assert all(row["v_g_off"] != "" and row["decay_rate"] != "" for row in rows[:2])
     if case == "overflow":
         # At delta_p = 5000 nearly all of the amplified output's power is out of band.
         fractions = [float(row["high_k_fraction"]) for row in rows if row["status"] == "ok"]
@@ -356,24 +398,33 @@ def test_sweep_transforms_only_the_snapshots_a_row_reads(tmp_path, monkeypatch):
     sc = default_scenario()
     simulate(sc.medium, sc.grid, sc.pulse, sc.schedule, sc.horizon, sc.snapshot_dt)
     assert rows == [1] * 12
+    # Each faint run's last snapshot falls under the tracking floor, and the
+    # 1.3e4 one's output too; no unread snapshot is transformed for that.
+    rows.clear()
+    ini = tmp_path / "faint.ini"
+    save_scenario(_faint_scenario(), ini)
+    values = "2e3,4e3,6e3,8e3,1e4,1.1e4,1.2e4,1.3e4"
+    assert main(["sweep", str(ini), "--axis", "gamma_bc", "--values", values, "--out-dir", str(tmp_path)]) == 0
+    assert rows == [8, 8, 8, 8]
+    swept = read_sweep(tmp_path / "sweep.csv")
+    assert swept[4]["v_g_off"] != "" and swept[4]["decay_rate"] != ""
+    assert swept[7]["status"].startswith("UntrackableFieldError")
 
 
 # A medium whose bounds cannot settle a check at a snapshot not read, named
-# by the check the row is transformed for: (scenario, medium change, floor).
+# by the check the row is transformed for: (scenario, medium change).
 # At gamma_ba = 5e8 the exact edge check then raises at 180 us; at 2e9 it
 # passes at 105 us, and the bounds alone raise at 120 us.
 UNREAD_FALLBACKS = {
-    "finite": (_fine_cadence_scenario, {"delta_p": 5500.0}, 0.0),
-    "wraparound_raises": (default_scenario, {"gamma_ba": 5e8}, 0.0),
-    "wraparound_passes": (default_scenario, {"gamma_ba": 2e9}, 0.0),
-    "floor_below": (_faint_scenario, {"gamma_bc": 1e4}, analysis.TRACK_AMPLITUDE_FLOOR),
-    "floor_above": (_faint_scenario, {"gamma_bc": 5e3}, analysis.TRACK_AMPLITUDE_FLOOR),
+    "finite": (_fine_cadence_scenario, {"delta_p": 5500.0}),
+    "wraparound_raises": (default_scenario, {"gamma_ba": 5e8}),
+    "wraparound_passes": (default_scenario, {"gamma_ba": 2e9}),
 }
 
 
 @pytest.mark.parametrize("case", sorted(UNREAD_FALLBACKS))
 def test_unread_snapshots_fall_back_to_the_exact_checks(monkeypatch, case):
-    make_scenario, change, floor = UNREAD_FALLBACKS[case]
+    make_scenario, change = UNREAD_FALLBACKS[case]
     sc = with_medium(make_scenario(), **change)
     args = (sc.grid, sc.pulse, sc.schedule, sc.horizon, sc.snapshot_dt)
     unsettled = []  # times at which the wraparound bounds could not tell
@@ -388,23 +439,13 @@ def test_unread_snapshots_fall_back_to_the_exact_checks(monkeypatch, case):
     monkeypatch.setattr(solver, "_check_wraparound", recording)
     rows = _count_transformed_rows(monkeypatch)
     block = BlockEvolution([sc.medium], *args)
-    assert list(block.evolve((), floor)) == []
+    assert list(block.evolve(())) == []
     assert rows and set(rows) == {1}
     assert bool(unsettled) == case.startswith("wraparound")
-    if case.startswith("floor"):
-        rows.clear()
-        list(BlockEvolution([sc.medium], *args).evolve((), 0.0))
-        assert rows == []
     monkeypatch.undo()
-    try:
-        result = simulate(sc.medium, *args)
-    except EitmemError as exc:
-        assert (type(block.failed[0]), str(block.failed[0])) == (type(exc), str(exc))
-    else:
-        assert not block.failed
-        assert block.faint == {0 for s in result.snapshots if s.peak < floor}
-    assert bool(block.failed) == (not case.startswith("floor"))
-    assert bool(block.faint) == (case == "floor_below")
+    with pytest.raises(EitmemError) as exc:
+        simulate(sc.medium, *args)
+    assert (type(block.failed[0]), str(block.failed[0])) == (type(exc.value), str(exc.value))
 
 
 def test_a_read_row_that_overflows_is_transformed_once(monkeypatch):
@@ -533,13 +574,15 @@ def test_run_with_reference_comparison(tmp_path, capsys):
     assert captured.err.splitlines() == [
         f"oracle: step {500 * j}/4000, t = {0.5 * j:.6e} s" for j in range(1, 9)
     ]
-    comparison = json.loads((out / "comparison.json").read_text())
+    comparison = _strict_json(out / "comparison.json")
     assert comparison["max_linf"] < 0.01
     assert comparison["attribution"].startswith("all adiabaticity checks passed")
     first = (out / "oracle_snapshots.csv").read_text().splitlines()[0]
     assert first == "# scheme=splitting_spectral_advection dt=0.001"
-    summary = json.loads((out / "summary.json").read_text())
+    summary = _strict_json(out / "summary.json")
     assert summary["oracle_comparison"]["max_linf"] == comparison["max_linf"]
+    # a constant control never switches: its adiabatic time ratio is unbounded
+    assert comparison["ratios"]["adiabatic_time_ratio"] is None
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf"])

@@ -7,7 +7,6 @@ import pytest
 
 from eitmem.control import (
     ControlSchedule,
-    default_storage_schedule,
     omega_from_theta,
     theta_from_omega,
 )
@@ -148,7 +147,3 @@ def test_turn_time_scales_with_steepness():
     slow = ControlSchedule(kind="tanh_profile", steepness=1e4)
     fast = ControlSchedule(kind="tanh_profile", steepness=1e6)
     assert slow.turn_time() > fast.turn_time() > 0.0
-
-
-def test_default_storage_schedule_is_the_shipped_one(default_sc):
-    assert default_storage_schedule() == default_sc.schedule

@@ -18,7 +18,7 @@ from eitmem.control import ControlSchedule
 from eitmem.errors import ConfigError
 from eitmem.grids import GridSpec
 from eitmem.model import MediumParams, PulseSpec
-from eitmem.scenario import Scenario, load_scenario, save_scenario
+from eitmem.scenario import Scenario, default_scenario, load_scenario, save_scenario
 
 # Few examples keep tier-1 fast; no example database is written.
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, database=None)
@@ -170,3 +170,44 @@ def test_one_corrupted_key_exits_2_naming_it(sc, data):
             if corruption == "value":
                 assert f"[{section}] {key}" in err
             assert not out_dir.exists(), argv
+
+
+def _corrupted(text: bytes, data) -> bytes:
+    """text with one corruption a hand-edited or damaged file may carry."""
+    lines = text.splitlines(keepends=True)
+    i = data.draw(st.integers(0, len(lines) - 1))
+    kind = data.draw(
+        st.sampled_from(("drop", "duplicate", "header", "separator", "bom", "truncate", "byte"))
+    )
+    if kind == "drop":
+        del lines[i]
+    elif kind == "duplicate":
+        lines.insert(i, lines[i])
+    elif kind == "header":
+        lines.insert(i, data.draw(st.sampled_from([line for line in lines if line.startswith(b"[")])))
+    elif kind == "separator":
+        j = data.draw(st.sampled_from([j for j, line in enumerate(lines) if b"=" in line]))
+        lines[j] = lines[j].replace(b"=", b"", 1)
+    elif kind == "bom":
+        return b"\xef\xbb\xbf" + text
+    elif kind == "truncate":
+        return text[: data.draw(st.integers(0, len(text)))]
+    else:
+        at = data.draw(st.integers(0, len(text)))
+        return text[:at] + b"\xff" + text[at:]
+    return b"".join(lines)
+
+
+# Each example loads and validates one file; 25 of them take about 0.2 s.
+@settings(max_examples=25, deadline=None, database=None)
+@given(data=st.data())
+def test_a_malformed_scenario_file_is_rejected_in_one_line(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.ini"
+        save_scenario(default_scenario(), path)
+        path.write_bytes(_corrupted(path.read_bytes(), data))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            assert main(["validate", str(path)]) in (0, 2, 3)
+        err = err.getvalue()
+        assert err.count("\n") <= 1 and "Traceback" not in err, err
