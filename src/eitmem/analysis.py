@@ -57,7 +57,7 @@ def interpolated_peak(field: FieldGrid) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class PulseTrack:
-    """Peak trajectory over the snapshot series; NaN where psi is below the tracking floor."""
+    """Peak trajectory over a snapshot series; NaN where psi is below the tracking floor."""
 
     times: tuple[float, ...]  # s
     peak_z: tuple[float, ...]  # m
@@ -354,71 +354,103 @@ def stored_window(schedule: ControlSchedule) -> tuple[float, float] | None:
     return schedule.t1 + margin, schedule.t2 - margin
 
 
+def output_index(times, output_time: float) -> int:
+    """Index of the time in times nearest output_time; on a tie, the first."""
+    return min(range(len(times)), key=lambda i: abs(times[i] - output_time))
+
+
+@dataclass(frozen=True)
+class Measured:
+    """The numbers a report reads off one pulse track."""
+
+    windows: dict[str, tuple[float, float]]  # velocity window name -> (t0, t1), s
+    velocity: dict[str, tuple[float, float]]  # fitted window name -> (v, residual rms)
+    decay: tuple[float, float] | None  # stored-window decay rate (1/s) and residual rms
+    out: int  # index of the output sample in the track
+    output_peak: float
+
+
+def measured(track: PulseTrack, schedule: ControlSchedule, output_time: float) -> Measured:
+    """The velocity and decay fits and the output peak of one track, as every report reads them.
+
+    The velocity windows are the tanh switch's on and stored windows, or
+    else the whole track; a window with too few samples, or a decay fit
+    over the stored window that fails, is left out. The output sample is
+    the one nearest output_time. A sample read below the tracking floor
+    raises UntrackableFieldError.
+    """
+    off_window = stored_window(schedule)
+    if off_window is not None:
+        windows = {"v_g_on": (0.0, schedule.t1), "v_g_off": off_window}
+    else:
+        windows = {"v_g_overall": (track.times[0], track.times[-1])}
+    velocity = {}
+    for name, (t0, t1) in windows.items():
+        try:
+            velocity[name] = fit_velocity(track, t0, t1)
+        except ConfigError:
+            pass
+    decay = None
+    if "v_g_off" in velocity:
+        try:
+            decay = fit_decay(track, *off_window)
+        except (ConfigError, UntrackableFieldError):
+            pass
+    out = output_index(track.times, output_time)
+    _check_tracked(track, [0, out])
+    return Measured(windows, velocity, decay, out, track.peak_amp[out])
+
+
 def assemble_summary(result: SimulationResult, output_time: float | None = None) -> dict:
     """Measured-vs-predicted digest of one run, JSON-compatible.
 
+    The measured numbers come from `measured` on the track of every
+    snapshot, so a number `sweep` reports for a medium is the one here, and
+    a sample below the tracking floor raises the error `run` exits 4 with.
     Velocity windows are derived from the schedule when it is the tanh
-    switch; otherwise only the whole-run velocity is reported. psi must be
-    above the tracking floor at the snapshots a reported number reads: the
-    first, the output one and those inside a fit window.
+    switch; otherwise only the whole-run velocity is reported. The
+    predicted output peaks are read off predicted fields, to which the
+    tracking floor does not apply.
     """
     params = result.params
     schedule = result.schedule
     snaps = result.snapshots
-    horizon = snaps[-1].t
     if output_time is None:
-        output_time = horizon
+        output_time = snaps[-1].t
     track = track_pulse(result)
     summary: dict = {
         "validity": result.validity.to_dict(),
         "low_intensity": check_low_intensity(result, params, schedule).to_dict(),
     }
-
-    off_window = stored_window(schedule)
-    if off_window is not None:
-        windows = {"v_g_on": (0.0, schedule.t1), "v_g_off": off_window}
-    else:
-        windows = {"v_g_overall": (snaps[0].t, snaps[-1].t)}
-    fits = {}
-    for name, (t0, t1) in windows.items():
-        try:
-            fits[name] = fit_velocity(track, t0, t1)
-        except ConfigError:
-            summary[name] = None
-    if "v_g_off" in fits:
-        try:
-            rate, rms = fit_decay(track, *off_window)
-            summary["decay_rate"] = {
-                "measured": rate,
-                "fit_residual_rms": rms,
-                "predicted": params.gamma_bc,
-            }
-        except (ConfigError, UntrackableFieldError):
-            summary["decay_rate"] = None
+    m = measured(track, schedule, output_time)
+    summary |= dict.fromkeys(m.windows)
+    if "v_g_off" in m.velocity:
+        summary["decay_rate"] = None if m.decay is None else {
+            "measured": m.decay[0],
+            "fit_residual_rms": m.decay[1],
+            "predicted": params.gamma_bc,
+        }
 
     # One quadrature pass covers every fitted velocity window and the
     # output-peak window. The predicted velocity is the model's mean over
     # the same window, so switch curvature does not masquerade as
     # disagreement.
-    out = min(range(len(snaps)), key=lambda i: abs(snaps[i].t - output_time))
-    out_snap = snaps[out]
-    spans = [windows[name] for name in fits] + [(snaps[0].t, out_snap.t)]
+    out_snap = snaps[m.out]
+    spans = [m.windows[name] for name in m.velocity] + [(snaps[0].t, out_snap.t)]
     i_s, i_w = accumulate_exponent(params, schedule, *np.array(spans).T)
-    for j, (name, (v, resid)) in enumerate(fits.items()):
-        t0, t1 = windows[name]
+    for j, (name, (v, resid)) in enumerate(m.velocity.items()):
+        t0, t1 = m.windows[name]
         summary[name] = {"measured": v, "fit_residual_rms": resid, "predicted": i_w[j].real / (t1 - t0)}
-    _check_tracked(track, [0, out])
-    peak0, peak_out = track.peak_amp[0], track.peak_amp[out]
-    predicted_peak = peak0 * math.exp(-i_s[-1].real)
     output = {
         "t": out_snap.t,
-        "measured_peak": peak_out,
-        "predicted_peak": predicted_peak,
+        "measured_peak": m.output_peak,
+        "predicted_peak": track.peak_amp[0] * math.exp(-i_s[-1].real),
     }
     if params.is_resonant():
+        z = result.grid.z_array()
         field_simple, field_exact, _ = predict_output(params, schedule, snaps[0].psi, out_snap.t)
-        output["predicted_peak_simple"] = interpolated_peak(field_simple)[1]
-        output["predicted_peak_exact"] = interpolated_peak(field_exact)[1]
+        output["predicted_peak_simple"] = quadratic_peak(z, np.abs(field_simple.values))[1]
+        output["predicted_peak_exact"] = quadratic_peak(z, np.abs(field_exact.values))[1]
     summary["output_peak"] = output
     summary["distortion"] = measure_distortion(snaps[0].psi, [out_snap.psi])[0].to_dict()
     summary["v_g_floor"] = v_g_min(params)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import analysis, oracle, solver
 from .coefficients import exponent_integrand
-from .errors import ConfigError, EitmemError, UntrackableFieldError, ValidityError
+from .errors import ConfigError, EitmemError, ValidityError
 from .grids import FieldGrid, gaussian_field
 from .model import BLOCKING_CHECKS, REGIME_CHECKS, check_regime
 from .scenario import Scenario, default_scenario, load_scenario, with_medium
@@ -264,54 +264,16 @@ def _decay_fit_warning(rms: float) -> str | None:
     )
 
 
-def _output_fields(psi0: FieldGrid, snaps: dict[int, solver.Snapshot]) -> dict[int, dict | EitmemError]:
-    """Per medium, the sweep.csv fields read off its output snapshot, or the error reading them raised.
-
-    The distortion of every output whose peak could be read is measured in
-    one call, against one transform of the input.
-    """
-    fields = {}
-    for j, snap in snaps.items():
-        try:
-            _, peak = analysis.interpolated_peak(snap.psi)
-        except EitmemError as exc:
-            fields[j] = exc
-            continue
-        imag_fraction = float(np.max(np.abs(snap.psi.values.imag)) / snap.peak)
-        fields[j] = {
-            "status": "ok",
-            "output_peak": repr(peak),
-            "imag_fraction": repr(imag_fraction),
-            "v_g_off": "",
-            "decay_rate": "",
-        }
-    measured = [j for j, row in fields.items() if isinstance(row, dict)]
-    try:
-        reports = analysis.measure_distortion(psi0, [snaps[j].psi for j in measured])
-    except EitmemError as exc:
-        return fields | dict.fromkeys(measured, exc)
-    for j, report in zip(measured, reports):
-        fields[j] |= {
-            "aligned_l2": repr(report.aligned_l2),
-            "verdict": report.verdict,
-            "phase_shift": repr(report.phase_shift),
-            "high_k_fraction": repr(report.high_k_fraction),
-        }
-    return fields
-
-
 def _sweep_block(scenarios: list[Scenario], force: bool) -> list[tuple[dict, str | None]]:
-    """Per scenario, its sweep.csv fields and decay-fit warning; a run that fails gets its error as status.
+    """Per scenario, its sweep.csv fields and decay-fit warning as `run` reports them, or the error `run` exits with as status.
 
     The scenarios differ in their medium alone and run as one block
     evolution, which transforms only the snapshots a row reads: those of
-    the stored window, whose peaks feed the fits, and the output snapshot,
-    whose peak, distortion and imaginary fraction are read, with the
-    distortion of the whole block in one call. As in `run`, the tracking
-    floor is tested only there: a run whose peak falls below it inside the
-    stored window leaves both fits blank. An error reading the output
-    applies only to a run that completes, as it would after a run of that
-    medium alone.
+    the stored window, whose peaks feed v_g_off and decay_rate, and the
+    output one. Snapshot 0, the input, takes no transform. Each medium's
+    track of those samples goes through `analysis.measured`, as in `run`,
+    so a read sample below the tracking floor gives the row `run`'s exit-4
+    error. The block's outputs are measured for distortion in one call.
     """
     sc = scenarios[0]
     block = solver.BlockEvolution(
@@ -324,44 +286,46 @@ def _sweep_block(scenarios: list[Scenario], force: bool) -> list[tuple[dict, str
         force=force,
         extra_notes=sc.notes,
     )
-    times = block.times
-    out_index = min(range(len(times)), key=lambda i: abs(times[i] - sc.output_time))
+    out = analysis.output_index(block.times, sc.output_time)
     window = analysis.stored_window(sc.schedule)
-    in_window = [window is not None and window[0] <= t <= window[1] for t in times]
-    read = {i for i, inside in enumerate(in_window) if inside} | {out_index}
+    read = {0, out} | {i for i, t in enumerate(block.times) if window and window[0] <= t <= window[1]}
     z = sc.grid.z_array()
+    samples = {j: [] for j in range(len(scenarios))}  # per medium, one track sample per snapshot read
     outputs = {}
-    # Per stored-window snapshot, {medium index: (t, peak z, peak amplitude)}.
-    # A comprehension, so no loop variable keeps a block of fields alive
-    # through the snapshots that are not read.
-    window_peaks = []
     for i, members in block.evolve(read):
-        if in_window[i]:
-            window_peaks.append({j: analysis.track_sample(z, snap) for j, snap in members})
-        if i == out_index:
-            outputs = _output_fields(block.psi0, dict(members))
+        for j, snap in members:
+            samples[j].append(analysis.track_sample(z, snap))
+        if i == out:
+            outputs = dict(members)
+
+    errors, found = dict(block.failed), {}
+    for j in sorted(samples.keys() - errors.keys()):
+        try:
+            found[j] = analysis.measured(analysis.PulseTrack(*zip(*samples[j])), sc.schedule, sc.output_time)
+        except EitmemError as exc:
+            errors[j] = exc
+    reports = analysis.measure_distortion(block.psi0, [outputs[j].psi for j in found]) if found else []
+    reports = dict(zip(found, reports))
 
     results = []
     for j in range(len(scenarios)):
-        fields = block.failed.get(j, outputs.get(j))
-        warning = None
-        if isinstance(fields, EitmemError):
-            fields = {name: "" for name in SWEEP_COLUMNS} | {"status": f"{type(fields).__name__}: {fields}"}
-        elif window is not None:
-            samples = [peaks[j] for peaks in window_peaks]  # a run that completes is in all
-            track = analysis.PulseTrack(
-                times=tuple(t for t, _, _ in samples),
-                peak_z=tuple(pz for _, pz, _ in samples),
-                peak_amp=tuple(pa for _, _, pa in samples),
-            )
-            try:
-                fields["v_g_off"] = repr(analysis.fit_velocity(track, *window)[0])
-                rate, rms = analysis.fit_decay(track, *window)
-                fields["decay_rate"] = repr(rate)
-                warning = _decay_fit_warning(rms)
-            except (ConfigError, UntrackableFieldError):
-                pass
-        results.append((fields, warning))
+        if j in errors:
+            status = f"{type(errors[j]).__name__}: {errors[j]}"
+            results.append(({name: "" for name in SWEEP_COLUMNS} | {"status": status}, None))
+            continue
+        m, report, snap = found[j], reports[j], outputs[j]
+        fields = {
+            "status": "ok",
+            "output_peak": repr(m.output_peak),
+            "aligned_l2": repr(report.aligned_l2),
+            "verdict": report.verdict,
+            "phase_shift": repr(report.phase_shift),
+            "high_k_fraction": repr(report.high_k_fraction),
+            "imag_fraction": repr(float(np.max(np.abs(snap.psi.values.imag)) / snap.peak)),
+            "v_g_off": repr(m.velocity["v_g_off"][0]) if "v_g_off" in m.velocity else "",
+            "decay_rate": "" if m.decay is None else repr(m.decay[0]),
+        }
+        results.append((fields, None if m.decay is None else _decay_fit_warning(m.decay[1])))
     return results
 
 

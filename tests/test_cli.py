@@ -16,7 +16,7 @@ import pytest
 from eitmem import analysis, cli, solver
 from eitmem.cli import SWEEP_COLUMNS, _decay_fit_warning, main
 from eitmem.control import ControlSchedule
-from eitmem.errors import ConfigError, EitmemError, SimulationError, UntrackableFieldError
+from eitmem.errors import EitmemError, SimulationError
 from eitmem.scenario import default_scenario, save_scenario, with_medium
 from eitmem.solver import BlockEvolution, simulate
 
@@ -252,37 +252,24 @@ def test_sweep_reports_a_poor_decay_fit_in_one_stderr_line(tmp_path, capsys):
 
 
 def _reference_row(sc, result) -> tuple[dict, str | None]:
-    """sweep.csv fields of one finished run and its decay-fit warning; the fits read only stored-window samples."""
+    """sweep.csv fields of one finished run and its decay-fit warning, read off `run`'s summary."""
+    summary = analysis.assemble_summary(result, sc.output_time)
     out_snap = result.snapshot_at(sc.output_time)
-    _, peak = analysis.interpolated_peak(out_snap.psi)
-    report = analysis.measure_distortion(result.snapshots[0].psi, [out_snap.psi])[0]
-    out_vals = out_snap.psi.values
-    imag_fraction = float(
-        np.max(np.abs(out_vals.imag)) / max(float(np.max(np.abs(out_vals))), 1e-300)
-    )
+    distortion = summary["distortion"]
+    v_g_off = summary.get("v_g_off")
+    decay = summary.get("decay_rate")
     row = {
         "status": "ok",
-        "output_peak": repr(peak),
-        "aligned_l2": repr(report.aligned_l2),
-        "verdict": report.verdict,
-        "phase_shift": repr(report.phase_shift),
-        "high_k_fraction": repr(report.high_k_fraction),
-        "imag_fraction": repr(imag_fraction),
-        "v_g_off": "",
-        "decay_rate": "",
+        "output_peak": repr(summary["output_peak"]["measured_peak"]),
+        "aligned_l2": repr(distortion["aligned_l2"]),
+        "verdict": distortion["verdict"],
+        "phase_shift": repr(distortion["phase_shift"]),
+        "high_k_fraction": repr(distortion["high_k_fraction"]),
+        "imag_fraction": repr(float(np.max(np.abs(out_snap.psi.values.imag)) / out_snap.peak)),
+        "v_g_off": "" if v_g_off is None else repr(v_g_off["measured"]),
+        "decay_rate": "" if decay is None else repr(decay["measured"]),
     }
-    warning = None
-    window = analysis.stored_window(sc.schedule)
-    if window is not None:
-        try:
-            track = analysis.track_pulse(result)
-            row["v_g_off"] = repr(analysis.fit_velocity(track, *window)[0])
-            rate, rms = analysis.fit_decay(track, *window)
-            row["decay_rate"] = repr(rate)
-            warning = _decay_fit_warning(rms)
-        except (ConfigError, UntrackableFieldError):
-            pass
-    return row, warning
+    return row, None if decay is None else _decay_fit_warning(decay["fit_residual_rms"])
 
 
 def _reference_sweep(sc, axis: str, values) -> tuple[list[dict], list[str], list[str]]:
@@ -310,10 +297,10 @@ def _reference_sweep(sc, axis: str, values) -> tuple[list[dict], list[str], list
     return rows, out, err
 
 
-def _faint_scenario():
-    """A pulse so faint that the default run's last snapshot, which no report reads, drops below the tracking floor."""
+def _faint_scenario(amplitude=5.6e-12):
+    """The default scenario with a faint pulse; at 5.6e-12 only its last snapshot, which no report reads, drops below the tracking floor."""
     sc = default_scenario()
-    return dataclasses.replace(sc, pulse=dataclasses.replace(sc.pulse, amplitude=5.6e-12))
+    return dataclasses.replace(sc, pulse=dataclasses.replace(sc.pulse, amplitude=amplitude))
 
 
 def _fine_cadence_scenario():
@@ -324,8 +311,11 @@ def _fine_cadence_scenario():
 # Swept in blocks of 3: each list ends in a partial block, and failures fall
 # at different points of one block: the regime check before the first
 # interval, the gain guard in the first, the edge check in the 8th, 11th or
-# 12th, and an overflow to non-finite samples late in a fine-cadence run.
+# 12th, an overflow to non-finite samples late in a fine-cadence run, and
+# a faint pulse below the tracking floor at a stored-window or output sample.
 OK, VAL, GAIN, EDGE = "ok", "ValidityError", "AmplificationOverflowError", "DomainOverflowError"
+UNTRACKED = "UntrackableFieldError"
+FELL_BELOW = "UntrackableFieldError: field 'psi' fell below the tracking floor at t = {} s"
 BLOCKED_SWEEPS = {
     "detunings": (
         default_scenario, "delta_p", (0.0, 1e6, 5e3, 500.0, 2e4, 2000.0, 800.0),
@@ -337,7 +327,11 @@ BLOCKED_SWEEPS = {
     ),
     "faint_pulse": (
         _faint_scenario, "gamma_bc", (1e4, 5e3, 1.3e4, 0.0),
-        [OK, OK, "UntrackableFieldError", OK],
+        [OK, OK, UNTRACKED, OK],
+    ),
+    "faint_window": (
+        lambda: _faint_scenario(2.3e-12), "gamma_bc", (1e4, 0.0, 6e3, 5e3),
+        [UNTRACKED, OK, UNTRACKED, OK],
     ),
     "overflow": (
         _fine_cadence_scenario, "delta_p", (0.0, 5500.0, 5000.0, 8000.0),
@@ -370,6 +364,15 @@ def test_blocked_sweep_matches_one_run_per_value(tmp_path, capsys, monkeypatch, 
         below = [s.t for s in faint.snapshots if s.peak < analysis.TRACK_AMPLITUDE_FLOOR]
         assert below and all(t > sc.output_time for t in below)
         assert all(row["v_g_off"] != "" and row["decay_rate"] != "" for row in rows[:2])
+        # At 1.3e4 the output snapshot is below it: the row carries run's error.
+        assert rows[2]["status"] == FELL_BELOW.format("1.650000e-04")
+    if case == "faint_window":
+        # At gamma_bc = 1e4 the stored window's last sample is below the
+        # floor, at 6e3 the output one; each row names the sample run names.
+        assert [rows[i]["status"] for i in (0, 2)] == [
+            FELL_BELOW.format("9.000000e-05"),
+            FELL_BELOW.format("1.650000e-04"),
+        ]
     if case == "overflow":
         # At delta_p = 5000 nearly all of the amplified output's power is out of band.
         fractions = [float(row["high_k_fraction"]) for row in rows if row["status"] == "ok"]
@@ -463,6 +466,34 @@ def test_sweep_with_no_snapshot_in_the_stored_window_leaves_both_fits_blank(tmp_
     assert main(["sweep", str(ini), "--axis", "delta_p", "--values", "0", "--out-dir", str(tmp_path)]) == 0
     (row,) = read_sweep(tmp_path / "sweep.csv")
     assert (row["status"], row["v_g_off"], row["decay_rate"]) == ("ok", "", "")
+
+
+def test_a_predicted_peak_below_the_floor_leaves_the_run_and_its_sweep_row_alike(tmp_path):
+    # At this amplitude the output snapshot's samples peak just above the
+    # tracking floor, and those of its exp(-gamma_bc T0) prediction just
+    # below; the floor applies to measured samples only.
+    ini = tmp_path / "faint.ini"
+    save_scenario(_faint_scenario(5.206980603164136e-12), ini)
+    assert main(["run", str(ini), "--out-dir", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    out = summary["output_peak"]
+    assert out["predicted_peak_simple"] < out["measured_peak"] < 1.000001 * analysis.TRACK_AMPLITUDE_FLOOR
+    assert main(["sweep", str(ini), "--axis", "gamma_bc", "--values", "1e4", "--out-dir", str(tmp_path)]) == 0
+    (row,) = read_sweep(tmp_path / "sweep.csv")
+    assert [float(row[name]) for name in ("output_peak", "v_g_off", "decay_rate")] == [
+        out["measured_peak"],
+        summary["v_g_off"]["measured"],
+        summary["decay_rate"]["measured"],
+    ]
+
+
+def test_measurement_stays_in_analysis():
+    # A sweep row is run's summary of that medium only while both measure
+    # through analysis.measured; the command line fits nothing and tests no
+    # floor of its own.
+    source = pathlib.Path(cli.__file__).read_text()
+    for banned in ("TRACK_AMPLITUDE_FLOOR", "interpolated_peak", "quadratic_peak", "fit_velocity", "fit_decay"):
+        assert banned not in source
 
 
 def _run_cli(argv, env_update=None) -> subprocess.CompletedProcess:
