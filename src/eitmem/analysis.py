@@ -147,10 +147,9 @@ def predict_output(
         raise ConfigError("output prediction is for resonant media only; detunings are set")
     if t0_duration < 0:
         raise ConfigError(f"storage duration must be nonnegative, got {t0_duration}")
-    _, i_w = accumulate_exponent(params, schedule, 0.0, t0_duration)
-    displacement = i_w.real
+    displacement = accumulate_exponent([params], schedule, 0.0, t0_duration)[1, 0].real
 
-    def integrand(t: np.ndarray) -> np.ndarray:
+    def integrand(t: np.ndarray, _) -> np.ndarray:
         theta, theta_dot, _ = schedule.eval(params, t)
         return alpha1_slow_light(theta, theta_dot, params)
 
@@ -183,13 +182,12 @@ class DistortionReport:
         }
 
 
-def _correlation_shift(f_out: np.ndarray, f_in: np.ndarray) -> float:
-    """Circular shift in cells, refined below a cell, at the peak of the output-input cross-correlation.
+def _correlation_shift(corr: np.ndarray) -> float:
+    """Circular shift in cells, refined below a cell, at the peak of |cross-correlation| corr.
 
     Shifts past half the domain are reported the short way around.
     """
-    n = f_in.size
-    corr = np.abs(np.fft.ifft(f_out * np.conj(f_in)))
+    n = corr.size
     m0 = int(np.argmax(corr))
     before = corr[(m0 - 1) % n]
     here = corr[m0]
@@ -207,11 +205,13 @@ def measure_distortion(input_field: FieldGrid, output_fields: list[FieldGrid]) -
     sub-cell refinement, the optimal complex scale from least squares; what
     remains is genuine shape change. high_k_fraction flags spectral content
     the input never had. The input's spectrum and bandwidth are taken once
-    per call, and the scale and residual are computed on spectra: by
-    Parseval, the shifted input's modes are the input's times
-    exp(-i k shift), so no shifted field is transformed back. Every sum is a
-    numpy pairwise sum, which does not depend on the BLAS thread count.
-    Returns one report per output, in order.
+    per call; the outputs' spectra and cross-correlations are each one
+    transform of an (outputs x n) array, in place, which along the last
+    axis equals the row-by-row transforms bit for bit. Scale and residual
+    are computed on spectra, row by row: by Parseval, the shifted input's
+    modes are the input's times exp(-i k shift), so no shifted field is
+    transformed back. Every sum is a numpy pairwise sum, which does not
+    depend on the BLAS thread count. Returns one report per output, in order.
     """
     grid = input_field.grid
     vin = input_field.values
@@ -225,17 +225,26 @@ def measure_distortion(input_field: FieldGrid, output_fields: list[FieldGrid]) -
     k_width = math.sqrt(float(np.sum(power_in * (k - k_mean) ** 2)) / total_in)
     outside = np.abs(k - k_mean) > HIGH_K_BANDWIDTH_FACTOR * k_width
     del power_in  # freed before the outputs' spectra are built, for a lower peak RSS
-    reports = []
-    for output_field in output_fields:
+    # An amplified output can sit so near the largest double that its
+    # transform or its squares overflow. An output above 1 is measured
+    # scaled down by a power of two to a peak near 1, which is exact, and
+    # aligned_l2 gets the scale back.
+    exponents = []
+    spectra = np.empty((len(output_fields), vin.size), dtype=complex)
+    for row, output_field in zip(spectra, output_fields):
         if output_field.grid != grid:
             raise InvalidComparisonError("input and output live on different grids")
-        # An amplified output can sit so near the largest double that its
-        # transform or its squares overflow. An output above 1 is measured
-        # scaled down by a power of two to a peak near 1, which is exact,
-        # and aligned_l2 gets the scale back.
-        exponent = max(math.frexp(output_field.peak())[1], 0)
-        f_out = np.fft.fft(output_field.values * 2.0**-exponent)
-        shift = _correlation_shift(f_out, f_in) * grid.dz
+        exponents.append(max(math.frexp(output_field.peak())[1], 0))
+        np.multiply(output_field.values, 2.0 ** -exponents[-1], out=row)
+    np.fft.fft(spectra, axis=-1, out=spectra)
+    # conj(f_in) is the left operand: numpy's complex product need not
+    # round the same with its operands swapped.
+    corr = np.conj(f_in) * spectra
+    np.fft.ifft(corr, axis=-1, out=corr)
+    shifts = [_correlation_shift(np.abs(row)) * grid.dz for row in corr]
+    del corr  # freed before the residuals are built, for a lower peak RSS
+    reports = []
+    for f_out, shift, exponent in zip(spectra, shifts, exponents):
         residual = mode_factor(k, 0.0, shift)
         residual *= f_in  # the shifted input's modes
         scale = complex(np.sum(np.conj(residual) * f_out)) / total_in
@@ -437,7 +446,7 @@ def assemble_summary(result: SimulationResult, output_time: float | None = None)
     # disagreement.
     out_snap = snaps[m.out]
     spans = [m.windows[name] for name in m.velocity] + [(snaps[0].t, out_snap.t)]
-    i_s, i_w = accumulate_exponent(params, schedule, *np.array(spans).T)
+    i_s, i_w = accumulate_exponent([params], schedule, *np.array(spans).T)[:, 0]
     for j, (name, (v, resid)) in enumerate(m.velocity.items()):
         t0, t1 = m.windows[name]
         summary[name] = {"measured": v, "fit_residual_rms": resid, "predicted": i_w[j].real / (t1 - t0)}

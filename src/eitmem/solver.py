@@ -64,7 +64,8 @@ def adaptive_simpson(f, a, b, breakpoints=()) -> np.ndarray:
     """Integrate f over every interval [a, b] in one breadth-first pass.
 
     a and b are floats or equal-shape arrays of interval ends. f takes a 1-D
-    array of times and returns its values with time on the last axis, so a
+    array of times and the flat index into a of the interval each time
+    belongs to, and returns its values with time on the last axis, so a
     vector-valued complex integrand returns shape (components, times). Each
     interval is cut at the breakpoints inside it, and each panel runs
     classic adaptive Simpson with Richardson extrapolation: the local
@@ -91,9 +92,9 @@ def adaptive_simpson(f, a, b, breakpoints=()) -> np.ndarray:
         hi += cuts[1:]
         owner += [i] * (len(cuts) - 1)
 
-    pa, pb = np.array(lo), np.array(hi)
+    pa, pb, owner = np.array(lo), np.array(hi), np.array(owner, dtype=int)
     x = np.stack([pa, 0.5 * (pa + pb), pb])  # (a, m, b) of every open panel
-    y = np.asarray(f(x.ravel()))
+    y = np.asarray(f(x.ravel(), np.tile(owner, 3)))
     shape = y.shape[:-1]  # of one integrand value
     n_comp = math.prod(shape)
     fx = y.reshape(n_comp, 3, pa.size)  # components x (a, m, b) x panels
@@ -110,7 +111,7 @@ def adaptive_simpson(f, a, b, breakpoints=()) -> np.ndarray:
         fa, fm, fb = fx[:, 0], fx[:, 1], fx[:, 2]
         lm = 0.5 * (pa + pm)
         rm = 0.5 * (pm + pb)
-        y = np.asarray(f(np.concatenate([lm, rm]))).reshape(n_comp, 2, root.size)
+        y = np.asarray(f(np.concatenate([lm, rm]), np.tile(owner[root], 2))).reshape(n_comp, 2, root.size)
         flm, frm = y[:, 0], y[:, 1]
         left = (pm - pa) / 6.0 * (fa + 4.0 * flm + fm)
         right = (pb - pm) / 6.0 * (fm + 4.0 * frm + fb)
@@ -147,7 +148,7 @@ def adaptive_simpson(f, a, b, breakpoints=()) -> np.ndarray:
         node[:, ~done] = values[:, :half] + values[:, half:]
         values = node
     total = np.zeros((values.shape[0], a.size), dtype=values.dtype)
-    for j, i in enumerate(owner):
+    for j, i in enumerate(owner.tolist()):
         total[:, i] += values[:, j]
     return total.reshape(shape + a.shape)
 
@@ -198,30 +199,39 @@ def peak_bounds(modes: np.ndarray) -> tuple[float, float]:
 
 
 def accumulate_exponent(
-    params: MediumParams,
+    media: list[MediumParams],
     schedule: ControlSchedule,
     t0,
     t1,
-    trace: list[CoefficientSample] | None = None,
-):
-    """Integrate (s_part, w_part) over [t0, t1]; returns (I_s, I_w).
+    traces: list[list[CoefficientSample]] | None = None,
+) -> np.ndarray:
+    """Integrate (s_part, w_part) of every medium over [t0, t1] in one quadrature pass.
 
-    t0 and t1 are floats, or equal-shape arrays of interval ends that are
-    all integrated in one quadrature pass, giving arrays of I_s and I_w.
-    Re(I_w) is exactly the pulse displacement over the interval. Each
-    interval is split at the schedule's breakpoints so the quadrature never
-    straddles a switch. When a trace list is supplied, every batch of
-    integrand evaluations is appended to it.
+    t0 and t1 are floats or equal-shape arrays of interval ends; returns
+    (I_s, I_w) of shape (2, media) + shape of t0. Re(I_w) is exactly the
+    pulse displacement over the interval. Each (medium, interval) is split
+    at the schedule's breakpoints into root panels of its own, and each
+    medium's integrand is evaluated on its own nodes, so a medium gets the
+    nodes, sums and errors of a pass over it alone. When traces holds one
+    list per medium, each batch of a medium's evaluations is appended to it.
     """
-    def integrand(t: np.ndarray) -> np.ndarray:
-        theta, theta_dot, _ = schedule.eval(params, t)
-        cs = exponent_integrand(theta, theta_dot, params, t=t)
-        if trace is not None:
-            trace.append(cs)
-        return np.array([cs.s_part, cs.w_part])
+    t0, t1 = np.broadcast_arrays(np.asarray(t0, dtype=float), np.asarray(t1, dtype=float))
+    shape = (len(media),) + t0.shape
 
-    i_s, i_w = adaptive_simpson(integrand, t0, t1, schedule.breakpoints())
-    return i_s, i_w
+    def integrand(t: np.ndarray, interval: np.ndarray) -> np.ndarray:
+        medium = interval // t0.size
+        y = np.empty((2, t.size), dtype=complex)
+        for j in sorted(set(medium.tolist())):  # np.unique would import numpy.ma, about 1 MB
+            at = medium == j
+            t_j = t[at]
+            theta, theta_dot, _ = schedule.eval(media[j], t_j)
+            cs = exponent_integrand(theta, theta_dot, media[j], t=t_j)
+            if traces is not None:
+                traces[j].append(cs)
+            y[:, at] = cs.s_part, cs.w_part
+        return y
+
+    return adaptive_simpson(integrand, np.broadcast_to(t0, shape), np.broadcast_to(t1, shape), schedule.breakpoints())
 
 
 def mode_factor(k_grid: np.ndarray, i_s: complex, i_w: complex, out: np.ndarray | None = None) -> np.ndarray:
@@ -329,11 +339,6 @@ class SimulationResult:
     grid: GridSpec
     schedule: ControlSchedule
 
-    def snapshot_at(self, t: float) -> Snapshot:
-        """The snapshot closest to time t."""
-        best = min(self.snapshots, key=lambda s: abs(s.t - t))
-        return best
-
 
 def check_pulse_fits(grid: GridSpec, pulse: PulseSpec):
     support = pulse.pulse_length
@@ -401,10 +406,12 @@ def _fields_and_peaks(modes: np.ndarray) -> tuple[np.ndarray, list[float]]:
 class BlockEvolution:
     """The spectral evolution of a block of media that share grid, pulse, schedule and horizon.
 
-    The modes of the block form one (media x n) array, so each snapshot the
-    caller reads takes one inverse FFT along the last axis for the whole
-    block; along that axis the 2-D transform equals the row-by-row 1-D
-    transforms bit for bit. A snapshot the caller does not read is checked
+    The exponents of every medium come from one quadrature pass, which
+    gives each medium the bits of a pass over it alone. The modes of the
+    block form one (media x n) array, so each snapshot the caller reads
+    takes one inverse FFT along the last axis for the whole block; along
+    that axis the 2-D transform equals the row-by-row 1-D transforms bit
+    for bit. A snapshot the caller does not read is checked
     from Parseval bounds on each row's peak, and a row is transformed there
     only when its bounds cannot settle a check. Mode products and every
     reduction stay per row: broadcast across rows they round differently,
@@ -457,21 +464,36 @@ class BlockEvolution:
         self.validity: dict[int, ValidityReport] = {}
         self.traces: dict[int, list[CoefficientSample]] = {}
         self._steps = {}  # medium index -> (I_s and I_w per interval, theta per snapshot)
-        t = np.array(self.times)
         for j, params in enumerate(self.media):
             try:
                 validity = check_regime(params, pulse, schedule, extra_notes)
                 if not validity.blocking_pass and not force:
                     blocking = [name for name in validity.failed() if name in BLOCKING_CHECKS]
                     raise ValidityError("regime checks failed: " + ", ".join(blocking))
-                trace: list[CoefficientSample] = []
-                i_s, i_w = accumulate_exponent(params, schedule, t[:-1], t[1:], trace)
             except EitmemError as exc:
                 self.failed[j] = exc
                 continue
             self.validity[j] = validity
-            self.traces[j] = trace
-            self._steps[j] = (i_s, i_w, schedule.eval(params, t).theta)
+        if self.validity:
+            self._integrate(list(self.validity), schedule)
+
+    def _integrate(self, group: list[int], schedule: ControlSchedule) -> None:
+        """The exponents of the media in group from one quadrature pass, or if it raises, from one per medium."""
+        t = np.array(self.times)
+        traces = [[] for _ in group]
+        try:
+            i_s, i_w = accumulate_exponent([self.media[j] for j in group], schedule, t[:-1], t[1:], traces)
+        except EitmemError as exc:
+            if len(group) > 1:
+                for j in group:
+                    self._integrate([j], schedule)
+            else:
+                self.failed[group[0]] = exc
+                del self.validity[group[0]]
+            return
+        for r, j in enumerate(group):
+            self.traces[j] = traces[r]
+            self._steps[j] = (i_s[r], i_w[r], schedule.eval(self.media[j], t).theta)
 
     def _snapshot(self, j: int, i: int, psi: FieldGrid, peak: float) -> Snapshot:
         return Snapshot(self.times[i], psi, float(self._steps[j][2][i]), self.media[j], peak)

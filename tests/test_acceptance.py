@@ -22,6 +22,7 @@ from eitmem.analysis import (
     fit_decay,
     fit_velocity,
     interpolated_peak,
+    output_index,
     predict_output,
     track_pulse,
 )
@@ -86,7 +87,8 @@ def test_criterion_02_stored_decay_matches_spin_rate(plateau_runs):
 
 
 def test_criterion_03_output_peak_matches_prediction(default_sc, default_result):
-    out_snap = default_result.snapshot_at(165e-6)
+    snaps = default_result.snapshots
+    out_snap = snaps[output_index([s.t for s in snaps], 165e-6)]
     assert out_snap.t == pytest.approx(165e-6, rel=1e-12)
     _, measured = interpolated_peak(out_snap.psi)
     field_simple, field_exact, _ = predict_output(
@@ -297,7 +299,8 @@ def test_criterion_08_structural_invariants(default_sc, default_result, no_spin_
 
 def test_criterion_09_bright_field_stays_small_and_scales(default_sc, default_result, no_spin_decay_result):
     def snapshot_ratio(t: float) -> float:
-        snap = default_result.snapshot_at(t)
+        snaps = default_result.snapshots
+        snap = snaps[output_index([s.t for s in snaps], t)]
         return float(np.max(np.abs(snap.phi.values)) / np.max(np.abs(snap.psi.values)))
 
     def model_ratio(t: float) -> float:
@@ -319,7 +322,8 @@ def test_criterion_09_bright_field_stays_small_and_scales(default_sc, default_re
 
 
 def test_criterion_10_probe_amplitude_in_storage(default_sc, default_result):
-    snap = default_result.snapshot_at(75e-6)
+    snaps = default_result.snapshots
+    snap = snaps[output_index([s.t for s in snaps], 75e-6)]
     peak = float(np.max(np.abs(snap.e_field.values)))
     print(f"criterion 10: stored |E| peak {peak:.3e}")
     assert 1e-4 / 3.0 <= peak <= 3e-4

@@ -230,6 +230,22 @@ def test_distortion_of_a_list_equals_one_call_per_output():
     assert measure_distortion(field, []) == []
 
 
+def _bits(report) -> list:
+    return [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(report)]
+
+
+@pytest.mark.parametrize("n_points", [1024, 16384])
+def test_distortion_of_each_output_does_not_depend_on_the_block(n_points):
+    grid = GridSpec(-10e-3, 10e-3, n_points)
+    field = gaussian_field(grid, 0.2, -2e-3, 1e-3)
+    outputs = distortion_outputs(field)
+    outputs.append(FieldGrid(grid, 1e300 * outputs[1].values))  # measured at a power-of-two scale
+    reports = measure_distortion(field, outputs)
+    assert reports[-1].verdict == "distorted" and math.isfinite(reports[-1].aligned_l2)
+    for out, report in zip(outputs, reports):
+        assert _bits(report) == _bits(measure_distortion(field, [out])[0])
+
+
 def test_distortion_of_an_output_near_the_largest_double_is_finite_and_exact():
     # The squares of a 1e270 field overflow; measured at a power-of-two
     # scale, the report is the small field's, with aligned_l2 scaled back

@@ -254,7 +254,7 @@ def test_sweep_reports_a_poor_decay_fit_in_one_stderr_line(tmp_path, capsys):
 def _reference_row(sc, result) -> tuple[dict, str | None]:
     """sweep.csv fields of one finished run and its decay-fit warning, read off `run`'s summary."""
     summary = analysis.assemble_summary(result, sc.output_time)
-    out_snap = result.snapshot_at(sc.output_time)
+    out_snap = result.snapshots[analysis.output_index([s.t for s in result.snapshots], sc.output_time)]
     distortion = summary["distortion"]
     v_g_off = summary.get("v_g_off")
     decay = summary.get("decay_rate")
@@ -412,6 +412,36 @@ def test_sweep_transforms_only_the_snapshots_a_row_reads(tmp_path, monkeypatch):
     swept = read_sweep(tmp_path / "sweep.csv")
     assert swept[4]["v_g_off"] != "" and swept[4]["decay_rate"] != ""
     assert swept[7]["status"].startswith("UntrackableFieldError")
+
+
+def test_sweep_block_takes_one_quadrature_pass(tmp_path, monkeypatch):
+    passes, evaluations = [], []
+    accumulate, integrand = solver.accumulate_exponent, solver.exponent_integrand
+
+    def counting_pass(media, *args, **kwargs):
+        passes.append(len(media))
+        return accumulate(media, *args, **kwargs)
+
+    def counting_integrand(*args, **kwargs):
+        evaluations.append(1)
+        return integrand(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "accumulate_exponent", counting_pass)
+    monkeypatch.setattr(solver, "exponent_integrand", counting_integrand)
+    monkeypatch.setattr(cli, "SWEEP_BLOCK", 3)
+    values = (0.0, 100.0, 200.0)
+    argv = ["sweep", "--axis", "delta_p", "--values", ",".join(map(repr, values)), "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert passes == [3]
+    in_block = len(evaluations)
+    passes.clear()
+    evaluations.clear()
+    sc = default_scenario()
+    args = (sc.grid, sc.pulse, sc.schedule, sc.horizon, sc.snapshot_dt)
+    for value in values:
+        BlockEvolution([with_medium(sc, delta_p=value).medium], *args)
+    assert passes == [1, 1, 1]
+    assert in_block == len(evaluations)
 
 
 # A medium whose bounds cannot settle a check at a snapshot not read, named

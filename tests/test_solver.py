@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 import eitmem.solver as solver_module
+from eitmem.analysis import output_index
 from eitmem.errors import (
     AmplificationOverflowError,
     ConfigError,
     DomainOverflowError,
     QuadratureError,
+    SingularParametersError,
     ValidityError,
 )
 from eitmem.coefficients import exponent_integrand
@@ -23,6 +25,7 @@ from eitmem.solver import (
     PEAK_BOUND_MARGIN,
     WRAPAROUND_LOWPASS_HARMONICS,
     WRAPAROUND_SUPPORT_FLOOR,
+    BlockEvolution,
     _check_wraparound,
     _edge_probe,
     accumulate_exponent,
@@ -128,14 +131,14 @@ def test_apply_evolution_guards_runaway_gain():
 
 def test_adaptive_simpson_is_exact_on_cubics(monkeypatch):
     monkeypatch.setattr(solver_module, "QUAD_ABS_TOL", 1e-12)
-    val = adaptive_simpson(lambda t: np.asarray(t**3 - 2 * t + 1.0), 0.0, 2.0)
+    val = adaptive_simpson(lambda t, _: np.asarray(t**3 - 2 * t + 1.0), 0.0, 2.0)
     assert complex(val) == pytest.approx(2.0, abs=1e-12)
 
 
 def test_adaptive_simpson_oscillatory_reference(monkeypatch):
     monkeypatch.setattr(solver_module, "QUAD_ABS_TOL", 1e-12)
     a = 37.0
-    val = adaptive_simpson(lambda t: np.exp(1j * a * t), 0.0, 1.0)
+    val = adaptive_simpson(lambda t, _: np.exp(1j * a * t), 0.0, 1.0)
     expected = (np.exp(1j * a) - 1.0) / (1j * a)
     assert abs(complex(val) - expected) <= 1e-10
 
@@ -145,7 +148,7 @@ def test_adaptive_simpson_reports_depth_exhaustion(monkeypatch):
     monkeypatch.setattr(solver_module, "QUAD_ABS_TOL", 1e-15)
     monkeypatch.setattr(solver_module, "QUAD_MAX_DEPTH", 4)
     with pytest.raises(QuadratureError, match="depth"):
-        adaptive_simpson(lambda t: np.exp(1j * 999.0 * t), 0.0, 1.0)
+        adaptive_simpson(lambda t, _: np.exp(1j * 999.0 * t), 0.0, 1.0)
 
 
 def test_norm_conserved_without_spin_decay(default_sc):
@@ -218,7 +221,7 @@ def test_peak_moves_by_the_accumulated_displacement(default_sc):
         15e-6,
         15e-6,
     )
-    _, i_w = accumulate_exponent(default_sc.medium, default_sc.schedule, 0.0, 15e-6)
+    _, (i_w,) = accumulate_exponent([default_sc.medium], default_sc.schedule, 0.0, 15e-6)
     z0 = default_sc.grid.z_array()[np.argmax(np.abs(res.snapshots[0].psi.values))]
     z1 = default_sc.grid.z_array()[np.argmax(np.abs(res.snapshots[-1].psi.values))]
     assert abs((z1 - z0) - i_w.real) <= default_sc.grid.dz
@@ -286,7 +289,8 @@ def test_validity_gate_blocks_and_force_overrides(default_sc):
 
 
 def test_snapshot_lookup_picks_nearest(default_result):
-    snap = default_result.snapshot_at(74e-6)
+    snaps = default_result.snapshots
+    snap = snaps[output_index([s.t for s in snaps], 74e-6)]
     assert snap.t == pytest.approx(75e-6)
 
 
@@ -381,7 +385,7 @@ def _edge_check_against_full_grid(sc, params) -> float | None:
     fire together; returns the time they fired, or None.
     """
     times = np.arange(sc.horizon / sc.snapshot_dt + 1) * sc.snapshot_dt
-    i_s, i_w = accumulate_exponent(params, sc.schedule, times[:-1], times[1:])
+    (i_s,), (i_w,) = accumulate_exponent([params], sc.schedule, times[:-1], times[1:])
     k = sc.grid.k_array()
     modes = forward_transform(gaussian_field(sc.grid, sc.pulse.amplitude, sc.pulse.center_z, sc.pulse.width))
     probe = _edge_probe(k, sc.pulse)
@@ -514,7 +518,7 @@ def test_batched_simpson_matches_recursive_form(default_sc, kind):
 
     batched_nodes = []
 
-    def traced(t):
+    def traced(t, _):
         batched_nodes.extend(t.tolist())
         return integrand(t)
 
@@ -529,21 +533,81 @@ def test_batched_simpson_matches_recursive_form(default_sc, kind):
     assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
 
 
+# Media of one block, by change to the default medium. At delta_p = 1e8 the
+# tanh pass takes 327 nodes where the others take 279; at 1e9 it needs depth
+# 5 where the others need 4.
+BLOCK_MEDIA = ({}, {"delta_p": 300.0, "gamma_bc": 2e3}, {"delta_p": 1e8}, {"delta_p": 900.0, "gamma_bc": 0.0})
+
+
+def _traced_pass(media, schedule, edges):
+    """(I_s, I_w) of one quadrature pass over media, and each medium's sorted nodes."""
+    traces = [[] for _ in media]
+    got = accumulate_exponent(media, schedule, edges[:-1], edges[1:], traces)
+    return got, [sorted(np.concatenate([cs.t for cs in trace]).tolist()) for trace in traces]
+
+
+@pytest.mark.parametrize("kind", ["constant", "tanh", "tabulated"])
+def test_block_quadrature_matches_one_pass_per_medium(default_sc, kind):
+    schedule = _schedules(default_sc)[kind]
+    media = [dataclasses.replace(default_sc.medium, **change) for change in BLOCK_MEDIA]
+    edges = np.arange(13) * 15e-6
+    block, block_nodes = _traced_pass(media, schedule, edges)
+    assert block.shape == (2, len(media), 12)
+    for j, params in enumerate(media):
+        alone, (nodes,) = _traced_pass([params], schedule, edges)
+        assert block[:, j].tobytes() == alone[:, 0].tobytes()
+        assert block_nodes[j] == nodes
+    if kind == "tanh":
+        assert len(block_nodes[2]) > len(block_nodes[0])
+
+
+@pytest.mark.parametrize("failure", ["depth", "singular"])
+def test_a_medium_that_fails_the_block_quadrature_carries_its_own_error(default_sc, monkeypatch, failure):
+    media = [dataclasses.replace(default_sc.medium, **change) for change in BLOCK_MEDIA]
+    if failure == "depth":
+        media[2] = dataclasses.replace(media[2], delta_p=1e9)
+        monkeypatch.setattr(solver_module, "QUAD_MAX_DEPTH", 4)
+    else:
+        integrand = solver_module.exponent_integrand
+
+        def singular(theta, theta_dot, params, t=0.0):
+            if params is media[2]:
+                raise SingularParametersError("coefficient denominator vanished")
+            return integrand(theta, theta_dot, params, t=t)
+
+        monkeypatch.setattr(solver_module, "exponent_integrand", singular)
+    sc = default_sc
+    args = (sc.grid, sc.pulse, sc.schedule, sc.horizon, sc.snapshot_dt, True)
+    block = BlockEvolution(media, *args)
+    assert list(block.failed) == [2]
+    assert isinstance(block.failed[2], (QuadratureError, SingularParametersError))
+    for j, params in enumerate(media):
+        alone = BlockEvolution([params], *args)
+        if j == 2:
+            assert (type(block.failed[j]), str(block.failed[j])) == (type(alone.failed[0]), str(alone.failed[0]))
+            assert j not in block.traces and j not in block.validity
+            continue
+        assert not alone.failed
+        for got, want in zip(block._steps[j], alone._steps[0]):
+            assert got.tobytes() == want.tobytes()
+        assert [cs.t.tobytes() for cs in block.traces[j]] == [cs.t.tobytes() for cs in alone.traces[0]]
+
+
 def test_batched_simpson_names_the_earliest_exhausted_panel(monkeypatch):
     monkeypatch.setattr(solver_module, "QUAD_ABS_TOL", 1e-15)
     monkeypatch.setattr(solver_module, "QUAD_MAX_DEPTH", 4)
     # the first interval is a cubic, done at once; the next two cannot converge
-    f = lambda t: np.where(t <= 1.0, t**3, np.exp(1j * 999.0 * t))  # noqa: E731
+    f = lambda t, _: np.where(t <= 1.0, t**3, np.exp(1j * 999.0 * t))  # noqa: E731
     with pytest.raises(QuadratureError, match=r"\[1\.0, 2\.0\].*depth 4"):
         adaptive_simpson(f, np.array([0.0, 1.0, 2.0]), np.array([1.0, 2.0, 3.0]))
 
 
 def test_batched_simpson_skips_empty_and_rejects_reversed_intervals():
-    val = adaptive_simpson(lambda t: np.asarray(t * t), np.array([0.0, 1.0]), np.array([3.0, 1.0]))
+    val = adaptive_simpson(lambda t, _: np.asarray(t * t), np.array([0.0, 1.0]), np.array([3.0, 1.0]))
     assert val[0] == pytest.approx(9.0, rel=1e-14)
     assert val[1] == 0.0
     with pytest.raises(ConfigError, match="reversed"):
-        adaptive_simpson(lambda t: t, 1.0, 0.0)
+        adaptive_simpson(lambda t, _: t, 1.0, 0.0)
 
 
 def test_snapshot_fields_are_built_once_on_demand(default_sc, default_result, monkeypatch):
