@@ -383,16 +383,17 @@ def measured(track: PulseTrack, schedule: ControlSchedule, output_time: float) -
     """The velocity and decay fits and the output peak of one track, as every report reads them.
 
     The velocity windows are the tanh switch's on and stored windows, or
-    else the whole track; a window with too few samples, or a decay fit
-    over the stored window that fails, is left out. The output sample is
-    the one nearest output_time. A sample read below the tracking floor
-    raises UntrackableFieldError.
+    else the track from its first sample to the output sample, the one
+    nearest output_time; a window with too few samples, or a decay fit
+    over the stored window that fails, is left out. A sample read below
+    the tracking floor raises UntrackableFieldError.
     """
+    out = output_index(track.times, output_time)
     off_window = stored_window(schedule)
     if off_window is not None:
         windows = {"v_g_on": (0.0, schedule.t1), "v_g_off": off_window}
     else:
-        windows = {"v_g_overall": (track.times[0], track.times[-1])}
+        windows = {"v_g_overall": (track.times[0], track.times[out])}
     velocity = {}
     for name, (t0, t1) in windows.items():
         try:
@@ -405,7 +406,6 @@ def measured(track: PulseTrack, schedule: ControlSchedule, output_time: float) -
             decay = fit_decay(track, *off_window)
         except (ConfigError, UntrackableFieldError):
             pass
-    out = output_index(track.times, output_time)
     _check_tracked(track, [0, out])
     return Measured(windows, velocity, decay, out, track.peak_amp[out])
 

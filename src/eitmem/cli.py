@@ -96,8 +96,6 @@ def _print_validity(report):
         else:
             status = "fail (advisory)"
         print(f"{name:<22} {report.ratios[name]:<12.4g} {status}")
-    for note in report.notes:
-        print(f"note: {note}")
 
 
 def _print_velocity_block(tag: str, block):
@@ -128,7 +126,6 @@ def cmd_run(args) -> int:
         sc.horizon,
         sc.snapshot_dt,
         force=args.force,
-        extra_notes=sc.notes,
     )
     for note in sc.notes:
         print(f"note: {note}")
@@ -206,11 +203,11 @@ def cmd_run(args) -> int:
 
 def cmd_validate(args) -> int:
     sc = _load_scenario(args)
-    report = check_regime(sc.medium, sc.pulse, sc.schedule, sc.notes)
+    report = check_regime(sc.medium, sc.pulse, sc.schedule)
     _print_validity(report)
-    if not report.blocking_pass:
-        blocking = [name for name in report.failed() if name in BLOCKING_CHECKS]
-        raise ValidityError("blocking regime checks failed: " + ", ".join(blocking))
+    for note in sc.notes:
+        print(f"note: {note}")
+    report.gate()
     print("verdict: ok to run")
     return EXIT_OK
 
@@ -284,7 +281,6 @@ def _sweep_block(scenarios: list[Scenario], force: bool) -> list[tuple[dict, str
         sc.horizon,
         sc.snapshot_dt,
         force=force,
-        extra_notes=sc.notes,
     )
     out = analysis.output_index(block.times, sc.output_time)
     window = analysis.stored_window(sc.schedule)

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, require_finite
+from .errors import ConfigError, ValidityError, require_finite
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from .control import ControlSchedule
@@ -43,8 +43,6 @@ class MediumParams:
     g: float  # vacuum Rabi frequency, rad/s
     n_atoms: float  # atom count in the interaction volume
     length: float  # cell length, m
-    cell_diameter: float  # m, volume bookkeeping only
-    nu_p: float  # probe carrier angular frequency, rad/s
     gamma_ba: float  # optical coherence decay rate, rad/s
     gamma_bc: float  # lower-level coherence decay rate, rad/s
     delta: float = 0.0  # one-photon detuning, rad/s
@@ -60,10 +58,6 @@ class MediumParams:
             raise ConfigError(f"n_atoms must be at least 1, got {self.n_atoms}")
         if self.length <= 0:
             raise ConfigError(f"length must be positive, got {self.length}")
-        if self.cell_diameter <= 0:
-            raise ConfigError(f"cell_diameter must be positive, got {self.cell_diameter}")
-        if self.nu_p <= 0:
-            raise ConfigError(f"nu_p must be positive, got {self.nu_p}")
         if self.gamma_ba <= 0:
             raise ConfigError(f"gamma_ba must be positive, got {self.gamma_ba}")
         if self.gamma_bc < 0:
@@ -133,7 +127,6 @@ class ValidityReport:
     """Quantified regime assumptions; pass flags follow from the ratios."""
 
     ratios: dict[str, float]  # by check name, one entry per REGIME_CHECKS row
-    notes: tuple[str, ...] = ()
 
     def _passes(self, factor: float) -> dict[str, bool]:
         return {
@@ -160,6 +153,12 @@ class ValidityReport:
     def failed(self) -> list[str]:
         return [name for name, ok in self.checks.items() if not ok]
 
+    def gate(self) -> None:
+        """Raise ValidityError naming every failed blocking check; the one rule that blocks a run."""
+        if not self.blocking_pass:
+            blocking = [name for name in self.failed() if name in BLOCKING_CHECKS]
+            raise ValidityError("blocking regime checks failed: " + ", ".join(blocking))
+
     def warnings(self) -> list[str]:
         """Non-blocking failures, phrased for run logs."""
         msgs = []
@@ -180,7 +179,6 @@ class ValidityReport:
             **self.keyed_ratios(),
             "checks": self.checks,
             "strong": self.strong,
-            "notes": list(self.notes),
         }
 
 
@@ -195,7 +193,6 @@ def check_regime(
     params: MediumParams,
     pulse: PulseSpec,
     schedule: "ControlSchedule",
-    extra_notes: tuple[str, ...] = (),
 ) -> ValidityReport:
     """Evaluate every regime assumption; reports, never raises on physics.
 
@@ -236,4 +233,4 @@ def check_regime(
         "adiabatic_parameter": adiab_parameter,
         "low_intensity": worst,
     }
-    return ValidityReport(ratios=ratios, notes=tuple(extra_notes))
+    return ValidityReport(ratios=ratios)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
-import math
 from dataclasses import dataclass
 
 from .control import SCHEDULE_KINDS, ControlSchedule
@@ -22,10 +21,16 @@ from .solver import check_pulse_fits
 
 DEFAULT_LABEL = "storage_default"
 
-# Keys we read but deliberately do not feed into the dynamics.  The
-# reduced equations only ever see the two coherence rates, so optical
-# population decay constants in a config are accepted and flagged.
-IGNORED_MEDIUM_KEYS = ("gamma_a", "gamma_c")
+# [medium] keys a file may hold that the model never reads, each with the
+# reason. They are accepted, so older files still load, and each one found
+# becomes a note.
+_NO_POPULATION_DECAY = "the reduced field-coherence dynamics never reference optical population decay"
+IGNORED_MEDIUM_KEYS = {
+    "gamma_a": _NO_POPULATION_DECAY,
+    "gamma_c": _NO_POPULATION_DECAY,
+    "nu_p": "the envelope equations never reference the probe carrier frequency",
+    "cell_diameter": "g is given directly, so the cell volume that would set it is never needed",
+}
 
 # A key with no default must be present in the file.
 REQUIRED = dataclasses.MISSING
@@ -76,7 +81,9 @@ class Scenario:
     snapshot_dt: float  # s
     output_time: float  # s, when the retrieved pulse is inspected
     label: str = DEFAULT_LABEL
-    notes: tuple[str, ...] = ()
+    # Remarks on the file the scenario was read from, such as an ignored key.
+    # They do not change the run, so they take no part in equality.
+    notes: tuple[str, ...] = dataclasses.field(default=(), compare=False)
 
     def __post_init__(self):
         for name in ("horizon", "snapshot_dt", "output_time"):
@@ -118,8 +125,6 @@ def default_scenario() -> Scenario:
         g=1.0e6,  # rad/s per unit field
         n_atoms=1.0e8,
         length=5.0e-3,  # m
-        cell_diameter=200.0e-6,  # m
-        nu_p=2.0 * math.pi * 5.0e14,  # rad/s
         gamma_ba=1.0e8,  # rad/s
         gamma_bc=1.0e4,  # rad/s
     )
@@ -241,11 +246,10 @@ def load_scenario(path: str) -> Scenario:
         if name not in cp:
             raise ConfigError(f"scenario file {path} is missing section [{name}]")
 
-    medium = MediumParams(**_read_section(cp, "medium", MEDIUM_KEYS, IGNORED_MEDIUM_KEYS))
+    medium = MediumParams(**_read_section(cp, "medium", MEDIUM_KEYS, tuple(IGNORED_MEDIUM_KEYS)))
     notes = tuple(
-        f"[medium] {key} = {cp['medium'][key]} accepted but unused: the reduced "
-        "field-coherence dynamics never reference optical population decay"
-        for key in IGNORED_MEDIUM_KEYS
+        f"[medium] {key} = {cp['medium'][key]} accepted but unused: {reason}"
+        for key, reason in IGNORED_MEDIUM_KEYS.items()
         if key in cp["medium"]
     )
     grid = GridSpec(**_read_section(cp, "grid", GRID_KEYS))

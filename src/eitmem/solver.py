@@ -4,16 +4,15 @@ The polariton field is evolved exactly in k-space: each interval contributes
 integrals I_s and I_w of the closed-form coefficients, and every mode is
 multiplied by exp(-I_s - i k I_w). Media that share grid, pulse, schedule
 and horizon evolve together as one block, and a single run is a block of
-one. Reconstruction of the bright state, the probe field, and the
-lower-level coherence from the dark field is pointwise and happens only when
-a snapshot's derived field is first read.
+one. The bright state, the probe field, and the lower-level coherence are
+each the dark field times a factor of the snapshot's mixing angle, and a
+snapshot builds one only when it is read.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -26,10 +25,9 @@ from .errors import (
     EitmemError,
     QuadratureError,
     SimulationError,
-    ValidityError,
 )
 from .grids import FieldGrid, GridSpec, field_tables, gaussian_field, squared_norm, whole_steps, write_csv
-from .model import BLOCKING_CHECKS, MediumParams, PulseSpec, ValidityReport, check_regime
+from .model import MediumParams, PulseSpec, ValidityReport, check_regime
 
 # Per-interval cap on log modal gain; a detuned run that amplifies any mode
 # by more than e^50 within one snapshot interval is numerically meaningless.
@@ -58,6 +56,10 @@ FINITE_PEAK_LIMIT = 1e300
 # call time.
 QUAD_ABS_TOL = 1e-10  # absolute, per component of (I_s, I_w)
 QUAD_MAX_DEPTH = 48
+# Open panels a level may hold, or twice the root panels if more. Round-off
+# that a huge detuning amplifies fails every panel, and the open panels would
+# double per level until memory ran out. Converging runs open a few hundred.
+QUAD_MAX_PANELS = 2**16
 
 
 def adaptive_simpson(f, a, b, breakpoints=()) -> np.ndarray:
@@ -76,8 +78,8 @@ def adaptive_simpson(f, a, b, breakpoints=()) -> np.ndarray:
     an interval left to right, so on the same nodes the result equals the
     depth-first recursion bit for bit. Returns the component shape followed
     by the shape of a. Raises QuadratureError, with the achieved estimate,
-    for the earliest panel whose depth budget runs out before the tolerance
-    is met.
+    for the earliest panel still open when the depth budget runs out or the
+    next level would hold more open panels than the cap allows.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
     if np.any(b < a):
@@ -102,8 +104,8 @@ def adaptive_simpson(f, a, b, breakpoints=()) -> np.ndarray:
     root = np.arange(pa.size)
     tol = QUAD_ABS_TOL
     max_depth = QUAD_MAX_DEPTH
+    max_open = max(QUAD_MAX_PANELS, 2 * pa.size)
     levels = []  # per depth: (accepted mask, accepted values)
-    failures = []  # (root panel, local error estimate)
     for depth in range(max_depth + 1):
         if root.size == 0:
             break
@@ -118,12 +120,18 @@ def adaptive_simpson(f, a, b, breakpoints=()) -> np.ndarray:
         delta = left + right - whole
         err = np.abs(delta).max(axis=0)
         done = err <= 15.0 * tol
-        if depth == max_depth:
-            failures += zip(root[~done].tolist(), (err[~done] / 15.0).tolist())
-            done[:] = True
+        split = ~done
+        n_open = 2 * int(np.count_nonzero(split))
+        if n_open and (depth == max_depth or n_open > max_open):
+            first = int(root[split].min())
+            worst = float(err[split & (root == first)].max()) / 15.0
+            raise QuadratureError(
+                f"quadrature did not converge on [{lo[first]}, {hi[first]}]: worst local error "
+                f"estimate {worst:.3e} exceeds the panel tolerance {tol:.3e} at depth {depth}, "
+                f"with {n_open} panels to open against a cap of {max_open}"
+            )
         levels.append((done, (left + right + delta / 15.0)[:, done]))
         # Children of the rejected panels: all left halves, then all right halves.
-        split = ~done
         x5 = np.stack([pa, lm, pm, rm, pb])[:, split]
         f5 = np.stack([fa, flm, fm, frm, fb], axis=1)[..., split]
         x = np.concatenate([x5[0:3], x5[2:5]], axis=1)
@@ -131,14 +139,6 @@ def adaptive_simpson(f, a, b, breakpoints=()) -> np.ndarray:
         whole = np.concatenate([left[:, split], right[:, split]], axis=1)
         root = np.concatenate([root[split], root[split]])
         tol = 0.5 * tol
-    if failures:
-        first = min(panel for panel, _ in failures)
-        worst = max(e for panel, e in failures if panel == first)
-        raise QuadratureError(
-            f"quadrature did not converge on [{lo[first]}, {hi[first]}]: worst local error "
-            f"estimate {worst:.3e} exceeds tolerance {QUAD_ABS_TOL:.1e} "
-            f"at depth {max_depth}"
-        )
 
     values = whole[:, :0]  # value of every panel of the level below
     for done, accepted in reversed(levels):
@@ -281,30 +281,35 @@ def apply_evolution(
     return max_gain
 
 
-def reconstruct(psi: FieldGrid, theta: float, params: MediumParams) -> tuple[FieldGrid, FieldGrid, FieldGrid]:
-    """Bright field, probe field, and lower-level coherence from the dark field.
+def _factors(theta: float, params: MediumParams) -> tuple[complex, complex, complex]:
+    """The factors that take the dark field to the bright field, the probe field and the lower-level coherence.
 
     The zeroth-order bright ratio depends on theta alone. Inverting the
     dark/bright superposition on (Psi, Phi) returns the probe and coherence
-    exactly, so the round trip back to (Psi, Phi) is identity. Each field is
-    linear in psi, so a time derivative of psi maps to that of each field.
+    exactly, so the round trip back to (Psi, Phi) is identity.
     """
     ratio = bright_ratio(theta, params)
     cos_t = math.cos(theta)
     sin_t = math.sin(theta)
-    root_n = math.sqrt(params.n_atoms)
-    phi = FieldGrid(psi.grid, ratio * psi.values)
-    e_field = FieldGrid(psi.grid, (cos_t + sin_t * ratio) * psi.values)
-    sigma_bc = FieldGrid(psi.grid, -((sin_t - cos_t * ratio) / root_n) * psi.values)
-    return phi, e_field, sigma_bc
+    return ratio, cos_t + sin_t * ratio, -((sin_t - cos_t * ratio) / math.sqrt(params.n_atoms))
+
+
+def reconstruct(psi: FieldGrid, theta: float, params: MediumParams) -> tuple[FieldGrid, FieldGrid, FieldGrid]:
+    """Bright field, probe field, and lower-level coherence from the dark field.
+
+    Each field is linear in psi, so a time derivative of psi maps to that of
+    each field.
+    """
+    return tuple(FieldGrid(psi.grid, factor * psi.values) for factor in _factors(theta, params))
 
 
 @dataclass(frozen=True)
 class Snapshot:
     """The dark field at one time, with the control sample that reconstructs the rest.
 
-    phi, e_field and sigma_bc are built by reconstruct on first access and
-    cached, so a run that reads only psi never builds them.
+    phi, e_field and sigma_bc are built from psi each time they are read and
+    are not kept, so a snapshot holds one field and a run that reads only
+    psi never builds the others.
     """
 
     t: float  # s
@@ -313,21 +318,20 @@ class Snapshot:
     params: MediumParams
     peak: float  # max |psi|
 
-    @cached_property
-    def _reconstructed(self) -> tuple[FieldGrid, FieldGrid, FieldGrid]:
-        return reconstruct(self.psi, self.theta, self.params)
+    def _derived(self, which: int) -> FieldGrid:
+        return FieldGrid(self.psi.grid, _factors(self.theta, self.params)[which] * self.psi.values)
 
     @property
     def phi(self) -> FieldGrid:
-        return self._reconstructed[0]
+        return self._derived(0)
 
     @property
     def e_field(self) -> FieldGrid:
-        return self._reconstructed[1]
+        return self._derived(1)
 
     @property
     def sigma_bc(self) -> FieldGrid:
-        return self._reconstructed[2]
+        return self._derived(2)
 
 
 @dataclass(frozen=True)
@@ -438,7 +442,6 @@ class BlockEvolution:
         snapshot_dt: float,
         force: bool = False,
         initial_field: FieldGrid | None = None,
-        extra_notes: tuple[str, ...] = (),
     ):
         if horizon <= 0:
             raise ConfigError(f"horizon must be positive, got {horizon}")
@@ -466,10 +469,9 @@ class BlockEvolution:
         self._steps = {}  # medium index -> (I_s and I_w per interval, theta per snapshot)
         for j, params in enumerate(self.media):
             try:
-                validity = check_regime(params, pulse, schedule, extra_notes)
-                if not validity.blocking_pass and not force:
-                    blocking = [name for name in validity.failed() if name in BLOCKING_CHECKS]
-                    raise ValidityError("regime checks failed: " + ", ".join(blocking))
+                validity = check_regime(params, pulse, schedule)
+                if not force:
+                    validity.gate()
             except EitmemError as exc:
                 self.failed[j] = exc
                 continue
@@ -587,7 +589,6 @@ def simulate(
     snapshot_dt: float,
     force: bool = False,
     initial_field: FieldGrid | None = None,
-    extra_notes: tuple[str, ...] = (),
 ) -> SimulationResult:
     """Run the spectral evolution of one medium and take a snapshot every snapshot_dt.
 
@@ -598,9 +599,7 @@ def simulate(
     exponents of all snapshot intervals come from one quadrature pass. This
     is the block evolution on a block of one.
     """
-    block = BlockEvolution(
-        [params], grid, pulse, schedule, horizon, snapshot_dt, force, initial_field, extra_notes
-    )
+    block = BlockEvolution([params], grid, pulse, schedule, horizon, snapshot_dt, force, initial_field)
     snapshots = tuple(snap for _, members in block.evolve() for _, snap in members)
     if block.failed:
         raise block.failed[0]

@@ -9,7 +9,7 @@ from eitmem.coefficients import CoefficientSample
 from eitmem.control import ControlSchedule
 from eitmem.grids import GridSpec
 from eitmem.model import MediumParams, PulseSpec
-from eitmem.scenario import Scenario, default_scenario
+from eitmem.scenario import REQUIRED, Scenario, default_scenario
 from eitmem.solver import simulate
 
 # Scaled-down medium for reference-integrator comparisons: unit light speed
@@ -22,8 +22,6 @@ def scaled_medium(**overrides) -> MediumParams:
         g=1.0,
         n_atoms=1.0e7,
         length=1.0,
-        cell_diameter=0.1,
-        nu_p=1.0,
         gamma_ba=10.0,
         gamma_bc=0.01,
         c=1.0,
@@ -58,6 +56,26 @@ def scaled_violating_scenario() -> Scenario:
         output_time=2.0,
         label="scaled_violating",
     )
+
+
+def file_keys(rows) -> dict:
+    """Each key a scenario file may hold under a key table, in file order, with its default.
+
+    A complex row gives <key>_re, with the row's default, and <key>_im,
+    which defaults to 0.
+    """
+    keys = {}
+    for key, kind, default in rows:
+        if kind is complex:
+            keys[key + "_re"], keys[key + "_im"] = default, 0.0
+        else:
+            keys[key] = default
+    return keys
+
+
+def required_keys(rows) -> set[str]:
+    """The keys of a key table that a scenario file must hold."""
+    return {key for key, default in file_keys(rows).items() if default is REQUIRED}
 
 
 @pytest.fixture(scope="session")

@@ -217,8 +217,6 @@ def test_criterion_08_structural_invariants(default_sc, default_result, no_spin_
             g=10.0 ** rng.uniform(4, 7),
             n_atoms=10.0 ** rng.uniform(6, 10),
             length=5e-3,
-            cell_diameter=2e-4,
-            nu_p=1e15,
             gamma_ba=10.0 ** rng.uniform(6, 9),
             gamma_bc=10.0 ** rng.uniform(2, 5),
             delta=rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(5, 8),

@@ -17,7 +17,7 @@ from eitmem import analysis, cli, solver
 from eitmem.cli import SWEEP_COLUMNS, _decay_fit_warning, main
 from eitmem.control import ControlSchedule
 from eitmem.errors import EitmemError, SimulationError
-from eitmem.scenario import default_scenario, save_scenario, with_medium
+from eitmem.scenario import IGNORED_MEDIUM_KEYS, MEDIUM_KEYS, default_scenario, save_scenario, with_medium
 from eitmem.solver import BlockEvolution, simulate
 
 from conftest import scaled_pass_scenario
@@ -141,10 +141,12 @@ def test_validate_blocks_strong_probe(tmp_path, capsys):
     ini = tmp_path / "hot.ini"
     save_scenario(hot, ini)
     assert main(["validate", str(ini)]) == 3
-    assert "low_intensity" in capsys.readouterr().err
+    message = "validity error: blocking regime checks failed: low_intensity\n"
+    assert capsys.readouterr().err == message
     # the same scenario runs when the gate is explicitly overridden
     rc = main(["run", str(ini), "--out-dir", str(tmp_path), "--csv-stride", "1024"])
     assert rc == 3
+    assert capsys.readouterr().err == message
     assert main(["run", str(ini), "--out-dir", str(tmp_path), "--csv-stride", "1024", "--force"]) == 0
 
 
@@ -282,8 +284,7 @@ def _reference_sweep(sc, axis: str, values) -> tuple[list[dict], list[str], list
         warning = None
         try:
             result = simulate(
-                sc_v.medium, sc_v.grid, sc_v.pulse, sc_v.schedule, sc_v.horizon, sc_v.snapshot_dt,
-                extra_notes=sc_v.notes,
+                sc_v.medium, sc_v.grid, sc_v.pulse, sc_v.schedule, sc_v.horizon, sc_v.snapshot_dt
             )
             fields, warning = _reference_row(sc_v, result)
             row.update(fields)
@@ -517,6 +518,45 @@ def test_a_predicted_peak_below_the_floor_leaves_the_run_and_its_sweep_row_alike
     ]
 
 
+def test_a_faint_snapshot_after_the_output_leaves_the_run_and_its_sweep_row_alike(tmp_path):
+    # On a constant control the whole-run velocity is fitted from the first
+    # to the output snapshot; at this amplitude the snapshots after the
+    # output fall below the tracking floor, and no reported number reads them.
+    sc = scaled_pass_scenario()
+    faint = dataclasses.replace(sc, pulse=dataclasses.replace(sc.pulse, amplitude=1.03e-12), output_time=2.0)
+    ini = tmp_path / "faint.ini"
+    save_scenario(faint, ini)
+    assert main(["run", str(ini), "--out-dir", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    result = simulate(faint.medium, faint.grid, faint.pulse, faint.schedule, faint.horizon, faint.snapshot_dt)
+    track = analysis.track_pulse(result)
+    assert np.isnan(track.peak_amp[-1])
+    v, resid = analysis.fit_velocity(track, 0.0, 2.0)
+    assert summary["v_g_overall"]["measured"] == v and summary["v_g_overall"]["fit_residual_rms"] == resid
+    assert main(["sweep", str(ini), "--axis", "gamma_bc", "--values", "0.01", "--out-dir", str(tmp_path)]) == 0
+    (row,) = read_sweep(tmp_path / "sweep.csv")
+    assert row["status"] == "ok"
+    assert float(row["output_peak"]) == summary["output_peak"]["measured_peak"]
+    for name in ("aligned_l2", "phase_shift", "high_k_fraction"):
+        assert float(row[name]) == summary["distortion"][name], name
+
+
+def test_ignored_medium_keys_give_one_note_each_printed_and_written_once(tmp_path, capsys):
+    ini = tmp_path / "old.ini"
+    save_scenario(scaled_pass_scenario(), ini)
+    old = "\n".join(f"{key} = 1.5" for key in IGNORED_MEDIUM_KEYS)
+    ini.write_text(ini.read_text().replace("[medium]\n", f"[medium]\n{old}\n"))
+    notes = [f"[medium] {key} = 1.5 accepted but unused: {why}" for key, why in IGNORED_MEDIUM_KEYS.items()]
+    assert main(["validate", str(ini)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-len(notes) - 1 :] == [f"note: {note}" for note in notes] + ["verdict: ok to run"]
+    assert main(["run", str(ini), "--out-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.splitlines()[: len(notes)] == [f"note: {note}" for note in notes]
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["notes"] == notes
+    assert "notes" not in summary["validity"]
+
+
 def test_measurement_stays_in_analysis():
     # A sweep row is run's summary of that medium only while both measure
     # through analysis.measured; the command line fits nothing and tests no
@@ -526,14 +566,31 @@ def test_measurement_stays_in_analysis():
         assert banned not in source
 
 
-def _run_cli(argv, env_update=None) -> subprocess.CompletedProcess:
-    """eitmem's command line in a fresh interpreter, with env_update added to the environment."""
+def _run_cli(argv, env_update=None, address_space=None) -> subprocess.CompletedProcess:
+    """eitmem's command line in a fresh interpreter, with env_update added to the environment.
+
+    address_space, in bytes, caps the interpreter's address space when given.
+    """
     src = str(pathlib.Path(cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     env.update(env_update or {})
-    return subprocess.run(
-        [sys.executable, "-m", "eitmem.cli", *argv], env=env, capture_output=True, text=True
-    )
+    code = "import sys; from eitmem.cli import main; sys.exit(main(sys.argv[1:]))"
+    if address_space is not None:
+        code = f"import resource; resource.setrlimit(resource.RLIMIT_AS, ({address_space}, {address_space})); {code}"
+    return subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True)
+
+
+def test_a_quadrature_that_cannot_converge_ends_as_its_sweep_row(tmp_path):
+    # At delta_p = 1e15 the integrand is round-off of order 1e5, so no panel
+    # converges and the open panels double at every level, until the cap ends
+    # the pass. The address-space limit turns a missing cap into a failure
+    # here rather than into a host out of memory.
+    argv = ["sweep", "--axis", "delta_p", "--values", "1e15", "--force", "--out-dir", str(tmp_path)]
+    proc = _run_cli(argv, address_space=2**30)
+    assert proc.returncode == 0, proc.stderr
+    (row,) = read_sweep(tmp_path / "sweep.csv")
+    assert row["status"].startswith("QuadratureError: quadrature did not converge on [0.0, 1.5e-05]: ")
+    assert row["status"].endswith(f"panels to open against a cap of {solver.QUAD_MAX_PANELS}")
 
 
 def test_run_whose_modes_overflow_exits_4_without_numpy_warnings(tmp_path):
@@ -700,13 +757,7 @@ def _ini_bases():
     }
 
 
-NUMERIC_INI_KEYS = [
-    ("tanh_profile", "medium", key)
-    for key in (
-        "g", "n_atoms", "length", "cell_diameter", "nu_p",
-        "gamma_ba", "gamma_bc", "delta", "delta_p", "c",
-    )
-] + [
+NUMERIC_INI_KEYS = [("tanh_profile", "medium", key) for key, _, _ in MEDIUM_KEYS] + [
     ("tanh_profile", "grid", "z_min"),
     ("tanh_profile", "grid", "z_max"),
     ("tanh_profile", "grid", "n_points"),

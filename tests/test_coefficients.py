@@ -31,8 +31,6 @@ def _random_params(rng) -> MediumParams:
         g=10.0 ** rng.uniform(4, 7),
         n_atoms=10.0 ** rng.uniform(6, 10),
         length=5e-3,
-        cell_diameter=2e-4,
-        nu_p=1.0,
         gamma_ba=10.0 ** rng.uniform(6, 9),
         gamma_bc=10.0 ** rng.uniform(2, 5),
         delta=float(rng.uniform(-1, 1)) * 10.0 ** rng.uniform(5, 8),
@@ -165,8 +163,6 @@ def test_degenerate_denominator_is_reported():
         g=1.0,
         n_atoms=1e6,
         length=1.0,
-        cell_diameter=0.1,
-        nu_p=1.0,
         gamma_ba=1e-300,
         gamma_bc=0.0,
         delta=0.0,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from eitmem.control import ControlSchedule
-from eitmem.errors import ConfigError
+from eitmem.errors import ConfigError, ValidityError
 from eitmem.model import MediumParams, PulseSpec, ValidityReport, check_regime
 from eitmem.scenario import default_scenario
 
@@ -18,13 +18,11 @@ def test_medium_params_rejects_nonpositive_core_fields():
         g=1e6,
         n_atoms=1e8,
         length=5e-3,
-        cell_diameter=2e-4,
-        nu_p=1.0,
         gamma_ba=1e8,
         gamma_bc=1e4,
     )
     MediumParams(**good)
-    for key in ("g", "n_atoms", "length", "cell_diameter", "gamma_ba"):
+    for key in ("g", "n_atoms", "length", "gamma_ba"):
         bad = dict(good)
         bad[key] = 0.0
         with pytest.raises(ConfigError):
@@ -101,7 +99,6 @@ def test_validity_report_to_dict_round_trips_checks():
             "adiabatic_parameter": 1e-5,
             "low_intensity": 0.5,
         },
-        notes=("hello",),
     )
     d = report.to_dict()
     assert d["high_density_ratio"] == 1e8
@@ -117,7 +114,9 @@ def test_validity_report_to_dict_round_trips_checks():
     assert d["strong"]["high_density"] and not d["strong"]["adiabatic_time"]
     assert report.failed() == ["adiabatic_length", "low_intensity"]
     assert not report.blocking_pass
-    assert d["notes"] == ["hello"]
+    with pytest.raises(ValidityError, match="^blocking regime checks failed: low_intensity$"):
+        report.gate()
+    assert "notes" not in d
 
 
 def test_regime_checks_monotone_in_detuning():

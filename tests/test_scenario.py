@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import pathlib
 import re
 
 import numpy as np
@@ -13,6 +14,13 @@ from eitmem.grids import MAX_POINTS, GridSpec
 from eitmem.model import PulseSpec
 from eitmem.scenario import (
     DEFAULT_LABEL,
+    GRID_KEYS,
+    IGNORED_MEDIUM_KEYS,
+    MEDIUM_KEYS,
+    PULSE_KEYS,
+    REQUIRED,
+    RUN_KEYS,
+    SCHEDULE_KEYS,
     Scenario,
     default_scenario,
     load_scenario,
@@ -20,7 +28,7 @@ from eitmem.scenario import (
     with_medium,
 )
 
-from conftest import scaled_medium
+from conftest import file_keys, required_keys, scaled_medium
 
 
 def test_default_scenario_reference_numbers():
@@ -29,7 +37,6 @@ def test_default_scenario_reference_numbers():
     assert (m.g, m.n_atoms, m.length) == (1.0e6, 1.0e8, 5.0e-3)
     assert (m.gamma_ba, m.gamma_bc) == (1.0e8, 1.0e4)
     assert (m.delta, m.delta_p) == (0.0, 0.0)
-    assert m.nu_p == pytest.approx(2.0 * math.pi * 5.0e14, rel=1e-12)
     assert (sc.grid.z_min, sc.grid.z_max, sc.grid.n_points) == (-10e-3, 10e-3, 16384)
     assert (sc.pulse.amplitude, sc.pulse.center_z, sc.pulse.width) == (0.2, -2e-3, 1e-3)
     assert sc.schedule.kind == "tanh_profile"
@@ -152,15 +159,13 @@ def test_missing_file_and_sections(tmp_path):
         load_scenario(path)
 
 
+# Per schedule kind, the required keys test_missing_key_is_named deletes in
+# turn: the kind's own, past `kind` itself (a file without it fails on the
+# kind), and for the tanh kind those of every other section.
 REQUIRED_KEYS = {
-    "tanh_profile": (
-        "g", "n_atoms", "length", "cell_diameter", "nu_p", "gamma_ba", "gamma_bc",
-        "z_min", "z_max", "n_points", "amplitude_re", "center_z", "width",
-        "horizon", "snapshot_dt",
-    ),
-    "constant": ("omega",),
-    "tabulated": ("times", "thetas"),
+    kind: sorted(required_keys(rows[1:])) for kind, rows in SCHEDULE_KEYS.items()
 }
+REQUIRED_KEYS["tanh_profile"] += sorted(required_keys(MEDIUM_KEYS + GRID_KEYS + PULSE_KEYS + RUN_KEYS))
 
 
 def test_missing_key_is_named(tmp_path):
@@ -212,6 +217,64 @@ def test_population_decay_keys_accepted_with_note(tmp_path):
     assert len(sc.notes) == 1
     assert "gamma_a" in sc.notes[0]
     assert "unused" in sc.notes[0]
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_tables() -> dict[str, list[list[str]]]:
+    """README's tables, by the first cell of their header, as rows of stripped cells."""
+    tables, rows = {}, None
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if not line.startswith("|"):
+            rows = None
+            continue
+        cells = [cell.strip() for cell in re.split(r"(?<!\\)\|", line.strip()[1:-1])]
+        if rows is None:
+            rows = tables[cells[0]] = []
+        elif set("".join(cells)) != {"-"}:
+            rows.append(cells)
+    return tables
+
+
+def _documented_keys(rows) -> dict[str, dict[str, str]]:
+    """By the first cell, a blank one continuing the row above: each `key` of the second cell and its last cell."""
+    keys, group = {}, None
+    for cells in rows:
+        group = cells[0] or group
+        for key in re.findall(r"`(\w+)`", cells[1]):
+            keys.setdefault(group, {})[key] = cells[-1]
+    return keys
+
+
+def test_readme_key_tables_match_the_scenario_format():
+    tables = _readme_tables()
+    documented = _documented_keys(tables["Section"]) | _documented_keys(tables["`kind`"])
+    tables_by_name = {
+        "`[medium]`": MEDIUM_KEYS,
+        "`[grid]`": GRID_KEYS,
+        "`[pulse]`": PULSE_KEYS,
+        "`[schedule]`": SCHEDULE_KEYS["constant"][:1],  # kind; the other keys depend on it
+        "`[run]`": RUN_KEYS,
+    } | {f"`{kind}`": rows[1:] for kind, rows in SCHEDULE_KEYS.items()}
+    expected = {name: file_keys(rows) for name, rows in tables_by_name.items()}
+    # the same keys, in the order save_scenario writes them
+    assert {name: list(keys) for name, keys in documented.items()} == {
+        name: list(keys) for name, keys in expected.items()
+    }
+    for name, keys in documented.items():
+        for key, text in keys.items():
+            default = expected[name][key]
+            if default is REQUIRED:
+                assert text == "required", key
+            elif isinstance(default, str):
+                assert text == f"`{default}`", key
+            elif isinstance(default, (int, float)):
+                assert float(text) == default, key
+            else:  # None or computed: described in words
+                assert text != "required", key
+    ignored = {re.fullmatch(r"`(\w+)`", key).group(1): reason for key, reason in tables["Ignored key"]}
+    assert ignored == IGNORED_MEDIUM_KEYS
 
 
 def test_optional_keys_have_defaults(tmp_path):

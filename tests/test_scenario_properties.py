@@ -18,18 +18,31 @@ from eitmem.control import ControlSchedule
 from eitmem.errors import ConfigError
 from eitmem.grids import GridSpec
 from eitmem.model import MediumParams, PulseSpec
-from eitmem.scenario import Scenario, default_scenario, load_scenario, save_scenario
+from eitmem.scenario import (
+    GRID_KEYS,
+    IGNORED_MEDIUM_KEYS,
+    MEDIUM_KEYS,
+    PULSE_KEYS,
+    RUN_KEYS,
+    SCHEDULE_KEYS,
+    Scenario,
+    default_scenario,
+    load_scenario,
+    save_scenario,
+)
+
+from conftest import required_keys
 
 # Few examples keep tier-1 fast; no example database is written.
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, database=None)
 
-# Keys a scenario file must give, as README documents them.
+# Keys a scenario file must give, by section; [schedule] of every kind.
 REQUIRED_KEYS = {
-    "medium": {"g", "n_atoms", "length", "cell_diameter", "nu_p", "gamma_ba", "gamma_bc"},
-    "grid": {"z_min", "z_max", "n_points"},
-    "pulse": {"amplitude_re", "center_z", "width"},
-    "schedule": {"kind", "omega", "times", "thetas"},
-    "run": {"horizon", "snapshot_dt"},
+    "medium": required_keys(MEDIUM_KEYS),
+    "grid": required_keys(GRID_KEYS),
+    "pulse": required_keys(PULSE_KEYS),
+    "schedule": set().union(*map(required_keys, SCHEDULE_KEYS.values())),
+    "run": required_keys(RUN_KEYS),
 }
 
 
@@ -44,8 +57,6 @@ def scenarios(draw) -> Scenario:
         g=draw(_real(1e-3, 1e9)),
         n_atoms=draw(_real(1.0, 1e12)),
         length=draw(_real(1e-6, 1e3)),
-        cell_diameter=draw(_real(1e-6, 1e3)),
-        nu_p=draw(_real(1e-3, 1e16)),
         gamma_ba=draw(_real(1e-3, 1e10)),
         gamma_bc=draw(_real(0.0, 1e8)),
         delta=draw(_real(-1e9, 1e9)),
@@ -144,7 +155,7 @@ def test_one_corrupted_key_exits_2_naming_it(sc, data):
             cp[section][key] = data.draw(BAD_VALUES)
         elif corruption == "unknown":
             # l_p is a valid key that a scenario without one leaves out
-            valid = keys + ["gamma_a", "gamma_c", "l_p"]
+            valid = keys + list(IGNORED_MEDIUM_KEYS) + ["l_p"]
             key = data.draw(NEW_KEYS.filter(lambda k: k not in valid))
             cp[section][key] = "1.0"
         else:
