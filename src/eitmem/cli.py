@@ -118,6 +118,7 @@ def cmd_run(args) -> int:
     if args.oracle:
         dt = args.oracle_dt if args.oracle_dt is not None else sc.snapshot_dt / 1000.0
         cfg = oracle.OracleConfig(dt=dt, snapshot_dt=sc.snapshot_dt)
+        oracle.step_count(sc.horizon, cfg)
     result = solver.simulate(
         sc.medium,
         sc.grid,
@@ -180,7 +181,7 @@ def cmd_run(args) -> int:
     coef_path = os.path.join(out_dir, "coefficients.csv")
     summary_path = os.path.join(out_dir, "summary.json")
     solver.write_snapshots_csv(result, snap_path, stride=args.csv_stride)
-    solver.write_coefficient_csv(result.coefficient_trace, coef_path)
+    solver.write_coefficient_csv(result, coef_path)
     written = [snap_path, coef_path, summary_path]
 
     if args.oracle:

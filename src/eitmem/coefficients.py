@@ -36,7 +36,6 @@ class CoefficientSample:
     holds for every real k by construction.
     """
 
-    t: float | np.ndarray  # s
     s_part: complex | np.ndarray  # 1/s
     w_part: complex | np.ndarray  # m/s
 
@@ -100,14 +99,14 @@ def bright_ratio(theta, params: MediumParams):
     return d_ba * d_bc * np.tan(theta) * s2 / den
 
 
-def exponent_integrand(theta, theta_dot, params: MediumParams, t=0.0) -> CoefficientSample:
+def exponent_integrand(theta, theta_dot, params: MediumParams) -> CoefficientSample:
     """Exact (s_part, w_part) built from a0_b0. The general code path."""
     a0, b0 = a0_b0(theta, theta_dot, params)
     _, d_bc = params.coherence_factors()
     s2 = np.sin(theta) ** 2
     s_part = d_bc * s2 + a0
     w_part = params.c * ((1.0 - s2) + b0)
-    return CoefficientSample(t=t, s_part=s_part, w_part=w_part)
+    return CoefficientSample(s_part=s_part, w_part=w_part)
 
 
 def v_g_min(params: MediumParams) -> float:

@@ -34,6 +34,9 @@ CHUNK_STEPS = 1024
 # 3*3*4096 and 3*3*8192 for the OpenBLAS bundled with numpy 2.4), and for
 # products this small the hand-off costs far more than it saves.
 BLOCK_POINTS = 2048
+# Past 2^53 steps, float64 step indices, and so the step midpoints
+# t0 + (i + 0.5) dt, are no longer distinct.
+MAX_STEPS = 2**53
 
 # Pade-13 coefficients and scaling threshold: Higham, SIAM J. Matrix Anal.
 # Appl. 26, 1179 (2005); Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31,
@@ -85,18 +88,28 @@ class OracleConfig:
             raise ConfigError(f"dt {self.dt} must divide snapshot_dt {self.snapshot_dt} evenly")
 
 
-def _substeps(horizon: float, dt: float, snapshot_dt: float) -> tuple[int, int]:
-    n_steps = whole_steps(horizon, dt)
-    if not n_steps:
-        raise ConfigError(f"dt {dt} must divide the horizon {horizon} evenly")
-    per_snap = whole_steps(snapshot_dt, dt)
-    if not per_snap:
-        raise ConfigError(f"dt {dt} must divide snapshot_dt {snapshot_dt} evenly")
-    if n_steps % per_snap != 0:
+def step_count(horizon: float, cfg: OracleConfig) -> int:
+    """Steps of a march to horizon: snapshot intervals x steps per interval.
+
+    Raises ConfigError unless cfg.snapshot_dt divides horizon evenly, and
+    when the count passes MAX_STEPS, so a caller can reject a step before
+    any long work.
+    """
+    intervals = whole_steps(horizon, cfg.snapshot_dt)
+    if not intervals:
+        raise ConfigError(f"snapshot_dt {cfg.snapshot_dt} must divide the horizon {horizon} evenly")
+    n_steps = intervals * whole_steps(cfg.snapshot_dt, cfg.dt)
+    if n_steps > MAX_STEPS:
         raise ConfigError(
-            f"snapshot_dt {snapshot_dt} must divide the horizon {horizon} evenly"
+            f"dt {cfg.dt} takes {n_steps} steps to the horizon {horizon}, more than "
+            f"2^53 = {MAX_STEPS}, past which step midpoints are no longer distinct"
         )
-    return n_steps, per_snap
+    return n_steps
+
+
+def _substeps(horizon: float, cfg: OracleConfig) -> tuple[int, int]:
+    """The steps of a march to horizon and the steps per snapshot interval."""
+    return step_count(horizon, cfg), whole_steps(cfg.snapshot_dt, cfg.dt)
 
 
 def expm(a) -> np.ndarray:
@@ -204,7 +217,7 @@ def integrate_reduced(
     """
     if initial.e_field.grid != grid:
         raise ConfigError("initial state grid does not match the run grid")
-    n_steps, per_snap = _substeps(horizon, cfg.dt, cfg.snapshot_dt)
+    n_steps, per_snap = _substeps(horizon, cfg)
     n = grid.n_points
     dt = cfg.dt
     half_phase = np.exp(-1j * grid.k_array() * params.c * dt / 2.0)

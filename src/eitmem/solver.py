@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import CoefficientSample, bright_ratio, exponent_integrand
-from .control import ControlSchedule
+from .coefficients import bright_ratio, exponent_integrand
+from .control import ControlSchedule, _sorted_distinct
 from .errors import (
     AmplificationOverflowError,
     ConfigError,
@@ -203,7 +203,6 @@ def accumulate_exponent(
     schedule: ControlSchedule,
     t0,
     t1,
-    traces: list[list[CoefficientSample]] | None = None,
 ) -> np.ndarray:
     """Integrate (s_part, w_part) of every medium over [t0, t1] in one quadrature pass.
 
@@ -212,8 +211,7 @@ def accumulate_exponent(
     pulse displacement over the interval. Each (medium, interval) is split
     at the schedule's breakpoints into root panels of its own, and each
     medium's integrand is evaluated on its own nodes, so a medium gets the
-    nodes, sums and errors of a pass over it alone. When traces holds one
-    list per medium, each batch of a medium's evaluations is appended to it.
+    nodes, sums and errors of a pass over it alone.
     """
     t0, t1 = np.broadcast_arrays(np.asarray(t0, dtype=float), np.asarray(t1, dtype=float))
     shape = (len(media),) + t0.shape
@@ -223,11 +221,8 @@ def accumulate_exponent(
         y = np.empty((2, t.size), dtype=complex)
         for j in sorted(set(medium.tolist())):  # np.unique would import numpy.ma, about 1 MB
             at = medium == j
-            t_j = t[at]
-            theta, theta_dot, _ = schedule.eval(media[j], t_j)
-            cs = exponent_integrand(theta, theta_dot, media[j], t=t_j)
-            if traces is not None:
-                traces[j].append(cs)
+            theta, theta_dot, _ = schedule.eval(media[j], t[at])
+            cs = exponent_integrand(theta, theta_dot, media[j])
             y[:, at] = cs.s_part, cs.w_part
         return y
 
@@ -337,7 +332,6 @@ class Snapshot:
 @dataclass(frozen=True)
 class SimulationResult:
     snapshots: tuple[Snapshot, ...]
-    coefficient_trace: CoefficientSample  # arrays over the distinct quadrature nodes, by time
     validity: ValidityReport
     params: MediumParams
     grid: GridSpec
@@ -465,7 +459,6 @@ class BlockEvolution:
         self.times = [0.0] + [i * snapshot_dt for i in range(1, n_steps)] + [horizon]
         self.failed: dict[int, EitmemError] = {}
         self.validity: dict[int, ValidityReport] = {}
-        self.traces: dict[int, list[CoefficientSample]] = {}
         self._steps = {}  # medium index -> (I_s and I_w per interval, theta per snapshot)
         for j, params in enumerate(self.media):
             try:
@@ -482,9 +475,8 @@ class BlockEvolution:
     def _integrate(self, group: list[int], schedule: ControlSchedule) -> None:
         """The exponents of the media in group from one quadrature pass, or if it raises, from one per medium."""
         t = np.array(self.times)
-        traces = [[] for _ in group]
         try:
-            i_s, i_w = accumulate_exponent([self.media[j] for j in group], schedule, t[:-1], t[1:], traces)
+            i_s, i_w = accumulate_exponent([self.media[j] for j in group], schedule, t[:-1], t[1:])
         except EitmemError as exc:
             if len(group) > 1:
                 for j in group:
@@ -494,7 +486,6 @@ class BlockEvolution:
                 del self.validity[group[0]]
             return
         for r, j in enumerate(group):
-            self.traces[j] = traces[r]
             self._steps[j] = (i_s[r], i_w[r], schedule.eval(self.media[j], t).theta)
 
     def _snapshot(self, j: int, i: int, psi: FieldGrid, peak: float) -> Snapshot:
@@ -605,25 +596,10 @@ def simulate(
         raise block.failed[0]
     return SimulationResult(
         snapshots=snapshots,
-        coefficient_trace=_distinct_nodes(block.traces[0]),
         validity=block.validity[0],
         params=params,
         grid=grid,
         schedule=schedule,
-    )
-
-
-def _distinct_nodes(trace: list[CoefficientSample]) -> CoefficientSample:
-    """All traced integrand evaluations in time order, one per distinct node."""
-    t = np.concatenate([cs.t for cs in trace])
-    order = np.argsort(t, kind="stable")
-    t = t[order]
-    first = np.concatenate(([True], t[1:] != t[:-1]))
-    pick = order[first]
-    return CoefficientSample(
-        t=t[first],
-        s_part=np.concatenate([cs.s_part for cs in trace])[pick],
-        w_part=np.concatenate([cs.w_part for cs in trace])[pick],
     )
 
 
@@ -640,8 +616,16 @@ def write_snapshots_csv(result: SimulationResult, path, stride: int = 1):
     write_csv(path, header, field_tables(result.grid.z_array(), snapshots, stride))
 
 
-def write_coefficient_csv(trace: CoefficientSample, path):
-    """Coefficient trace rows: t, alpha1, alpha2, beta, v_g, one per node."""
-    names = ("t", "alpha1", "alpha2", "beta", "v_g")
-    columns = [getattr(trace, name) for name in names]
-    write_csv(path, ",".join(names) + "\n", [columns])
+def write_coefficient_csv(result: SimulationResult, path):
+    """Rows t, alpha1, alpha2, beta, v_g of the coefficient law along the run's schedule.
+
+    The times are the snapshot times and the schedule's sample_times within
+    the run, in order and each once, so the rows depend on the law alone and
+    not on where the quadrature evaluated it.
+    """
+    snap_times = [snap.t for snap in result.snapshots]
+    scan = result.schedule.sample_times()
+    t = _sorted_distinct(np.concatenate([snap_times, scan[(scan >= 0.0) & (scan <= snap_times[-1])]]))
+    theta, theta_dot, _ = result.schedule.eval(result.params, t)
+    cs = exponent_integrand(theta, theta_dot, result.params)
+    write_csv(path, "t,alpha1,alpha2,beta,v_g\n", [[t, cs.alpha1, cs.alpha2, cs.beta, cs.v_g]])

@@ -95,13 +95,18 @@ def default_result(default_sc):
     )
 
 
+def coefficient_times(result) -> list[float]:
+    """The times of coefficients.csv: snapshot times and the schedule's sample_times within the run, sorted, each once."""
+    horizon = result.snapshots[-1].t
+    scan = [t for t in result.schedule.sample_times().tolist() if 0.0 <= t <= horizon]
+    return sorted({snap.t for snap in result.snapshots} | set(scan))
+
+
 def medium_with(default: MediumParams, **overrides) -> MediumParams:
     return dataclasses.replace(default, **overrides)
 
 
-def coeffs_high_density(
-    theta: float, theta_dot: float, params: MediumParams, t: float = 0.0
-) -> CoefficientSample:
+def coeffs_high_density(theta: float, theta_dot: float, params: MediumParams) -> CoefficientSample:
     """First order in |D G|/g^2 N: the four closed-form coefficients.
 
     An independent check on exponent_integrand, to which it agrees to first
@@ -125,4 +130,4 @@ def coeffs_high_density(
     beta = dp * s2 + (s2 / g2n) * (im_dg * common - re_dg * dp * s2)
     alpha2 = -params.c * im_dg * s2 * s2 / g2n
     v_g = params.c * (c2 + re_dg * s2 * s2 / g2n)
-    return CoefficientSample(t=t, s_part=complex(alpha1, beta), w_part=complex(v_g, -alpha2))
+    return CoefficientSample(s_part=complex(alpha1, beta), w_part=complex(v_g, -alpha2))

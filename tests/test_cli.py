@@ -723,6 +723,24 @@ def test_run_rejects_oracle_dt_that_does_not_divide_before_writing(tmp_path, cap
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_run_rejects_an_oracle_dt_past_2_53_steps_before_the_spectral_run(tmp_path, capsys, monkeypatch):
+    # 1e-20 s divides both the 15 us cadence and the 180 us horizon, in 1.8e16 steps.
+    def spectral_run(*args, **kwargs):
+        raise AssertionError("the spectral run started")
+
+    monkeypatch.setattr(solver, "simulate", spectral_run)
+    out = tmp_path / "out"
+    rc = main(["run", "--out-dir", str(out), "--oracle", "--oracle-dt", "1e-20"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "config error: dt 1e-20 takes 18000000000000000 steps to the horizon 0.00018, more than "
+        "2^53 = 9007199254740992, past which step midpoints are no longer distinct\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("stride", ["0", "-1"])
 def test_run_rejects_a_bad_csv_stride_before_any_work(tmp_path, capsys, stride):
     out = tmp_path / "out"

@@ -132,8 +132,7 @@ def test_conjugation_symmetry_under_detuning_flip():
 
 
 def test_coefficient_sample_decomposition_is_consistent():
-    cs = coeffs_high_density(1.1, 3e3, default_scenario().medium, t=2e-5)
-    assert cs.t == 2e-5
+    cs = coeffs_high_density(1.1, 3e3, default_scenario().medium)
     assert cs.s_part == complex(cs.alpha1, cs.beta)
     assert cs.w_part == complex(cs.v_g, -cs.alpha2)
 

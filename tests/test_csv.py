@@ -11,9 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from eitmem.coefficients import exponent_integrand
 from eitmem.grids import FieldGrid, GridSpec, field_tables, write_csv
 from eitmem.oracle import OracleConfig, OracleState, write_oracle_csv
 from eitmem.solver import write_coefficient_csv, write_snapshots_csv
+
+from conftest import coefficient_times
 
 
 def per_value_rows(tables, stride: int = 1) -> bytes:
@@ -76,10 +79,12 @@ def test_oracle_csv_matches_the_per_value_writer(tmp_path):
 
 
 def test_coefficient_csv_matches_the_per_value_writer(tmp_path, default_result):
-    trace = default_result.coefficient_trace
     path = tmp_path / "coefficients.csv"
-    write_coefficient_csv(trace, path)
-    columns = [trace.t, trace.alpha1, trace.alpha2, trace.beta, trace.v_g]
+    write_coefficient_csv(default_result, path)
+    t = np.array(coefficient_times(default_result))
+    sample = default_result.schedule.eval(default_result.params, t)
+    cs = exponent_integrand(sample.theta, sample.theta_dot, default_result.params)
+    columns = [t, cs.alpha1, cs.alpha2, cs.beta, cs.v_g]
     assert rows_after_header(path, 1) == per_value_rows([columns])
 
 

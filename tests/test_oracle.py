@@ -19,11 +19,13 @@ from eitmem.control import ControlSchedule
 from eitmem.errors import ConfigError, InvalidComparisonError, SimulationError
 from eitmem.grids import FieldGrid, GridSpec, gaussian_field
 from eitmem.oracle import (
+    MAX_STEPS,
     OracleConfig,
     OracleState,
     compare_to_adiabatic,
     expm,
     integrate_reduced,
+    step_count,
     write_oracle_csv,
 )
 from eitmem.scenario import default_scenario
@@ -76,6 +78,18 @@ def test_step_cadence_must_divide():
             1.0,
             OracleConfig(dt=0.125, snapshot_dt=0.3),
         )
+
+
+def test_step_count_is_intervals_times_steps_per_interval():
+    # Past about 1e15 steps horizon / dt and snapshot_dt / dt round apart: at
+    # dt = 2e-20 s the first rounds to 9000000000000001 steps, which no
+    # whole number of 15 us intervals holds.
+    assert step_count(180e-6, OracleConfig(dt=2e-20, snapshot_dt=1.5e-5)) == 12 * 750_000_000_000_000
+    assert step_count(2.0**53, OracleConfig(dt=1.0, snapshot_dt=2.0**52)) == MAX_STEPS == 2**53
+    with pytest.raises(ConfigError, match=r"^dt 1.0 takes 13510798882111488 steps to the horizon"):
+        step_count(3 * 2.0**52, OracleConfig(dt=1.0, snapshot_dt=2.0**52))
+    with pytest.raises(ConfigError, match=r"^snapshot_dt 0.3 must divide the horizon 1.0 evenly$"):
+        step_count(1.0, OracleConfig(dt=0.1, snapshot_dt=0.3))
 
 
 def test_state_fields_must_share_grid():
@@ -314,19 +328,22 @@ def test_chunked_propagators_follow_step_midpoints(monkeypatch):
                 assert np.max(np.abs(got.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_cli_import_leaves_scipy_linalg_unloaded():
+def test_cli_import_leaves_scipy_linalg_unloaded(tmp_path):
     # scipy.linalg costs a third of a second to import and numpy.ma about
-    # 11 ms; neither is needed to import the CLI or to run a check.
+    # 11 ms; neither is needed to import the CLI, to run a check, or to make
+    # a default run and write its artifacts.
     src = str(pathlib.Path(eitmem.oracle.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
         "import sys, eitmem.cli; eitmem.cli.main(['validate']); "
+        f"assert eitmem.cli.main(['run', '--out-dir', {str(tmp_path)!r}]) == 0; "
         "print(sorted({'numpy.ma', 'scipy.linalg'} & set(sys.modules)))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.splitlines()[-1] == "[]"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["coefficients.csv", "snapshots.csv", "summary.json"]
 
 
 def test_reference_integrator_stays_independent():

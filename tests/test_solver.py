@@ -42,6 +42,8 @@ from eitmem.solver import (
     write_snapshots_csv,
 )
 
+from conftest import coefficient_times
+
 SEED = 90210
 
 
@@ -328,12 +330,33 @@ def test_field_columns_take_the_scalar_complex_abs():
 
 def test_coefficient_csv_layout(tmp_path, default_result):
     path = tmp_path / "c.csv"
-    write_coefficient_csv(default_result.coefficient_trace, path)
+    write_coefficient_csv(default_result, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,alpha1,alpha2,beta,v_g"
-    assert len(lines) == len(default_result.coefficient_trace.t) + 1
+    assert len(lines) == len(coefficient_times(default_result)) + 1
+    assert [float(line.split(",")[0]) for line in lines[1:]] == coefficient_times(default_result)
     first = [float(x) for x in lines[1].split(",")]
     assert len(first) == 5
+
+
+@pytest.mark.parametrize("kind", ["tanh", "tabulated"])
+def test_coefficient_csv_tabulates_the_law_whatever_the_quadrature(tmp_path, monkeypatch, default_sc, kind):
+    sc = default_sc
+    schedule = _schedules(sc)[kind]
+    written = []
+    for tol in (1e-10, 1e-8):
+        monkeypatch.setattr(solver_module, "QUAD_ABS_TOL", tol)
+        result = simulate(sc.medium, sc.grid, sc.pulse, schedule, sc.horizon, sc.snapshot_dt)
+        path = tmp_path / f"{tol}.csv"
+        write_coefficient_csv(result, path)
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
+    rows = [[float(x) for x in line.split(",")] for line in written[0].decode().splitlines()[1:]]
+    assert [row[0] for row in rows] == coefficient_times(result)
+    for t, *coefficients in rows:
+        sample = schedule.eval(sc.medium, t)
+        cs = exponent_integrand(sample.theta, sample.theta_dot, sc.medium)
+        assert coefficients == pytest.approx([cs.alpha1, cs.alpha2, cs.beta, cs.v_g], rel=1e-14, abs=0.0)
 
 
 def test_whole_steps_counts_even_divisions_only():
@@ -539,24 +562,53 @@ def test_batched_simpson_matches_recursive_form(default_sc, kind):
 BLOCK_MEDIA = ({}, {"delta_p": 300.0, "gamma_bc": 2e3}, {"delta_p": 1e8}, {"delta_p": 900.0, "gamma_bc": 0.0})
 
 
-def _traced_pass(media, schedule, edges):
-    """(I_s, I_w) of one quadrature pass over media, and each medium's sorted nodes."""
-    traces = [[] for _ in media]
-    got = accumulate_exponent(media, schedule, edges[:-1], edges[1:], traces)
-    return got, [sorted(np.concatenate([cs.t for cs in trace]).tolist()) for trace in traces]
+def _record_nodes(monkeypatch) -> dict:
+    """Per medium, the batches of nodes of the last quadrature pass over it that returned.
+
+    Wraps solver.accumulate_exponent and ControlSchedule.eval: each schedule
+    evaluation inside a pass is one batch of that medium's nodes, and a pass
+    that raises records nothing.
+    """
+    nodes, open_passes = {}, []
+    evaluate, accumulate = ControlSchedule.eval, solver_module.accumulate_exponent
+
+    def traced_eval(schedule, params, t):
+        if open_passes:
+            open_passes[-1].setdefault(params, []).append(np.array(t, dtype=float))
+        return evaluate(schedule, params, t)
+
+    def traced_pass(media, *args):
+        open_passes.append({})
+        try:
+            result = accumulate(media, *args)
+        finally:
+            batches = open_passes.pop()
+        nodes.update((params, batches.get(params, [])) for params in media)
+        return result
+
+    monkeypatch.setattr(ControlSchedule, "eval", traced_eval)
+    monkeypatch.setattr(solver_module, "accumulate_exponent", traced_pass)
+    return nodes
+
+
+def _traced_pass(nodes, media, schedule, edges):
+    """(I_s, I_w) of one quadrature pass over media, and each medium's sorted nodes, from _record_nodes."""
+    got = solver_module.accumulate_exponent(media, schedule, edges[:-1], edges[1:])
+    return got, [sorted(np.concatenate(nodes[params]).tolist()) for params in media]
 
 
 @pytest.mark.parametrize("kind", ["constant", "tanh", "tabulated"])
-def test_block_quadrature_matches_one_pass_per_medium(default_sc, kind):
+def test_block_quadrature_matches_one_pass_per_medium(default_sc, monkeypatch, kind):
     schedule = _schedules(default_sc)[kind]
     media = [dataclasses.replace(default_sc.medium, **change) for change in BLOCK_MEDIA]
     edges = np.arange(13) * 15e-6
-    block, block_nodes = _traced_pass(media, schedule, edges)
+    nodes = _record_nodes(monkeypatch)
+    block, block_nodes = _traced_pass(nodes, media, schedule, edges)
     assert block.shape == (2, len(media), 12)
     for j, params in enumerate(media):
-        alone, (nodes,) = _traced_pass([params], schedule, edges)
+        alone, (alone_nodes,) = _traced_pass(nodes, [params], schedule, edges)
         assert block[:, j].tobytes() == alone[:, 0].tobytes()
-        assert block_nodes[j] == nodes
+        assert block_nodes[j] == alone_nodes
     if kind == "tanh":
         assert len(block_nodes[2]) > len(block_nodes[0])
 
@@ -570,27 +622,29 @@ def test_a_medium_that_fails_the_block_quadrature_carries_its_own_error(default_
     else:
         integrand = solver_module.exponent_integrand
 
-        def singular(theta, theta_dot, params, t=0.0):
+        def singular(theta, theta_dot, params):
             if params is media[2]:
                 raise SingularParametersError("coefficient denominator vanished")
-            return integrand(theta, theta_dot, params, t=t)
+            return integrand(theta, theta_dot, params)
 
         monkeypatch.setattr(solver_module, "exponent_integrand", singular)
     sc = default_sc
     args = (sc.grid, sc.pulse, sc.schedule, sc.horizon, sc.snapshot_dt, True)
+    nodes = _record_nodes(monkeypatch)
     block = BlockEvolution(media, *args)
+    block_nodes = dict(nodes)
     assert list(block.failed) == [2]
     assert isinstance(block.failed[2], (QuadratureError, SingularParametersError))
     for j, params in enumerate(media):
         alone = BlockEvolution([params], *args)
         if j == 2:
             assert (type(block.failed[j]), str(block.failed[j])) == (type(alone.failed[0]), str(alone.failed[0]))
-            assert j not in block.traces and j not in block.validity
+            assert params not in block_nodes and j not in block.validity
             continue
         assert not alone.failed
         for got, want in zip(block._steps[j], alone._steps[0]):
             assert got.tobytes() == want.tobytes()
-        assert [cs.t.tobytes() for cs in block.traces[j]] == [cs.t.tobytes() for cs in alone.traces[0]]
+        assert [t.tobytes() for t in block_nodes[params]] == [t.tobytes() for t in nodes[params]]
 
 
 def test_batched_simpson_names_the_earliest_exhausted_panel(monkeypatch):
