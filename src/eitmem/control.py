@@ -23,6 +23,10 @@ SCHEDULE_KINDS = ("constant", "tanh_profile", "tabulated")
 # interpolation of theta is already accurate; checked at construction.
 TABULATED_DENSITY_TOL = 1e-6  # rad
 
+# Instants this close, relative to their size, are one: a time reached by two
+# sums, such as a snapshot time and a scan point, rounds an ulp or two apart.
+INSTANT_RTOL = 1e-12
+
 
 class ControlSample(NamedTuple):
     """One sample per requested time: floats for a float time, arrays for an array."""
@@ -214,6 +218,6 @@ class ControlSchedule:
 
 
 def _sorted_distinct(x: np.ndarray) -> np.ndarray:
-    """np.unique for a 1-D float array without NaN; np.unique imports numpy.ma."""
+    """A 1-D float array without NaN sorted, less each value within INSTANT_RTOL of the one before; np.unique imports numpy.ma."""
     x = np.sort(x)
-    return x[np.concatenate(([True], x[1:] != x[:-1]))]
+    return x[np.concatenate(([True], x[1:] - x[:-1] > INSTANT_RTOL * np.abs(x[1:])))]

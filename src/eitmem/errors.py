@@ -46,7 +46,7 @@ class DomainOverflowError(SimulationError):
 
 
 class AmplificationOverflowError(SimulationError):
-    """Modal gain exceeded the overflow guard (badly off-resonant scenario)."""
+    """Modal gain since t = 0 passed the bound past which modes could overflow (badly off-resonant scenario)."""
 
 
 class QuadratureError(SimulationError):

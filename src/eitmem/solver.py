@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import bright_ratio, exponent_integrand
-from .control import ControlSchedule, _sorted_distinct
+from .control import INSTANT_RTOL, ControlSchedule, _sorted_distinct
 from .errors import (
     AmplificationOverflowError,
     ConfigError,
@@ -28,10 +28,6 @@ from .errors import (
 )
 from .grids import FieldGrid, GridSpec, field_tables, gaussian_field, squared_norm, whole_steps, write_csv
 from .model import MediumParams, PulseSpec, ValidityReport, check_regime
-
-# Per-interval cap on log modal gain; a detuned run that amplifies any mode
-# by more than e^50 within one snapshot interval is numerically meaningless.
-LOG_GAIN_GUARD = 50.0
 
 # Anti-wraparound margin: the periodic domain must be at least this many
 # pulse lengths long, and the pulse must start clear of the edges.
@@ -47,10 +43,6 @@ WRAPAROUND_SUPPORT_FLOOR = 1e-6  # relative to the full-field peak
 # squared norm's pairwise sum and in the inverse FFT stays below 1e-11
 # relative up to the largest grid.
 PEAK_BOUND_MARGIN = 1e-9
-# A row whose upper peak bound times n_points stays under this transforms to
-# finite samples: no partial sum of its inverse FFT can come near the
-# largest double, 1.8e308.
-FINITE_PEAK_LIMIT = 1e300
 
 # Adaptive Simpson controls for the coefficient time integrals, read at
 # call time.
@@ -178,20 +170,14 @@ def peak_bounds(modes: np.ndarray) -> tuple[float, float]:
     With numpy's ifft normalisation Parseval gives ||psi||^2 = ||m||^2 / n,
     so max |psi| is at least the rms ||m|| / n and, by Cauchy-Schwarz, at
     most ||m|| / sqrt(n). Both bounds come from one squared_norm and are
-    widened by PEAK_BOUND_MARGIN. A row whose squared norm overflows or
-    underflows is summed again scaled by a power of two; a row holding a
-    non-finite mode gets (0, inf).
+    widened by PEAK_BOUND_MARGIN. A row whose squared norm underflows is
+    summed again scaled by a power of two; under amplification_bound none overflows.
     """
     n = modes.size
-    with np.errstate(over="ignore", invalid="ignore"):
-        total = squared_norm(modes)
+    total = squared_norm(modes)
     shift = 0
-    if not 2.0**-960 <= total < math.inf:
+    if total < 2.0**-960:  # a zero row keeps shift 0 and bounds (0, 0)
         top = float(np.max(np.abs(modes)))
-        if top == 0.0:
-            return 0.0, 0.0
-        if not math.isfinite(top):
-            return 0.0, math.inf
         shift = max(math.frexp(top)[1], -1023)
         total = squared_norm(modes * math.ldexp(1.0, -shift))
     norm = math.ldexp(math.sqrt(total), shift)
@@ -251,29 +237,49 @@ def mode_factor(k_grid: np.ndarray, i_s: complex, i_w: complex, out: np.ndarray 
     return np.outer(rows, cols, out=out).ravel()
 
 
-def apply_evolution(
-    modes: np.ndarray, k_grid: np.ndarray, i_s: complex, i_w: complex, factor: np.ndarray | None = None
-) -> float:
-    """Multiply one field's modes in place by exp(-I_s - i k I_w); returns the largest log modal gain.
+def amplification_bound(
+    modes0: np.ndarray, k_grid: np.ndarray, i_s: np.ndarray, i_w: np.ndarray, times
+) -> list[tuple[int, AmplificationOverflowError | None]]:
+    """Per row of interval exponents, the first interval past the amplification bound and its error, or (intervals, None).
 
-    A nonzero Im(I_w) makes the magnitude k-dependent: one spectral wing is
-    amplified, the other attenuated. That gain is the distortion mechanism
-    for detuned runs, so the largest log modal gain of the step is guarded
-    against overflow before the modes are touched. The log gain is linear
-    in k, so its largest value sits at the most positive or most negative
-    mode. A caller that evolves many intervals passes one factor buffer to
-    every call, so no interval allocates and faults in a new factor.
+    A row of i_s and i_w holds one medium's exponents over the intervals
+    between consecutive times. An interval passes the bound when ln max|m0|
+    plus the largest modal log gain accumulated since t = 0, or its own, is
+    above ln(sqrt(DBL_MAX) / n). Below it no mode, mode_factor table, field
+    sample, squared norm or n-point FFT sum overflows, whatever the cadence.
     """
     half = k_grid.size // 2
-    extremes = k_grid[[half - 1, half]]  # largest and most negative k, FFT order
-    max_gain = float(np.max(-i_s.real + extremes * i_w.imag))
-    if max_gain > LOG_GAIN_GUARD:
-        raise AmplificationOverflowError(
-            f"modal log gain {max_gain:.2f} exceeds guard {LOG_GAIN_GUARD:.0f} in one "
-            f"interval; the scenario is too far off resonance for a meaningful run"
+    extremes = k_grid[[half - 1, half], np.newaxis]  # largest and most negative k, FFT order
+
+    def max_log_gain(i_s, i_w):  # -Re(I_s) + k Im(I_w) is linear in k, so largest at an extreme mode
+        return np.max(-i_s.real[:, np.newaxis] + extremes * i_w.imag[:, np.newaxis], axis=1)
+
+    bound = math.log(math.sqrt(np.finfo(float).max) / k_grid.size)
+    peak0 = float(np.max(np.abs(modes0)))
+    log_peak0 = math.log(peak0) if peak0 else -math.inf  # a zero field cannot overflow
+    accumulated = max_log_gain(np.cumsum(i_s, axis=-1), np.cumsum(i_w, axis=-1))
+    own = max_log_gain(i_s, i_w)
+    limits = []
+    for gain, step, over in zip(accumulated, own, np.maximum(log_peak0 + accumulated, own) > bound):
+        i = int(np.argmax(over))
+        message = (
+            f"ln max|m0| = {log_peak0:.2f} plus the modal log gain {gain[i]:.2f} accumulated since t = 0 by the "
+            f"interval [{times[i]:.6e}, {times[i + 1]:.6e}] s ({step[i]:.2f} in it alone) passes "
+            f"ln(sqrt(DBL_MAX) / n) = {bound:.2f}; the scenario is too far off resonance for a meaningful run"
         )
+        limits.append((i, AmplificationOverflowError(message)) if over[i] else (over.size, None))
+    return limits
+
+
+def apply_evolution(
+    modes: np.ndarray, k_grid: np.ndarray, i_s: complex, i_w: complex, factor: np.ndarray | None = None
+) -> None:
+    """Multiply one field's modes in place by exp(-I_s - i k I_w), which stays finite under amplification_bound.
+
+    A caller that evolves many intervals passes one factor buffer to every
+    call, so no interval allocates and faults in a new factor.
+    """
     modes *= mode_factor(k_grid, i_s, i_w, out=factor)
-    return max_gain
 
 
 def _factors(theta: float, params: MediumParams) -> tuple[complex, complex, complex]:
@@ -394,13 +400,6 @@ def _check_wraparound(
     return edge < WRAPAROUND_SUPPORT_FLOOR * low
 
 
-def _fields_and_peaks(modes: np.ndarray) -> tuple[np.ndarray, list[float]]:
-    """The samples of every row of modes and each row's max |psi|, NaN or inf once the row overflows."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        fields = inverse_transform(modes)
-        return fields, [float(np.max(np.abs(row))) for row in fields]
-
-
 class BlockEvolution:
     """The spectral evolution of a block of media that share grid, pulse, schedule and horizon.
 
@@ -416,14 +415,14 @@ class BlockEvolution:
     and a distorted row amplifies that round-off.
 
     Checks of the shared arguments raise. Each medium's own checks (regime,
-    quadrature, gain guard, finite field, wraparound) run per row, in the
-    order a run of that medium alone meets them. A medium that fails leaves
-    the block with the exception its own run would raise, kept in `failed`
-    by medium index; the others carry on. `evolve` yields, per snapshot
-    read, its index and the (medium index, Snapshot) pairs of the rows
-    still running, so a caller that reduces each snapshot as it arrives
-    holds one block of fields at a time. Whether a field it reads is bright
-    enough to measure is the caller's decision.
+    quadrature, amplification bound, wraparound) run per row, in the order
+    a run of that medium alone meets them. A medium that fails leaves the
+    block with the exception its own run would raise, kept in `failed` by
+    medium index; the others carry on. `evolve` yields, per snapshot read,
+    its index and the (medium index, Snapshot) pairs of the rows still
+    running, so a caller that reduces each snapshot as it arrives holds one
+    block of fields at a time. Whether a field it reads is bright enough to
+    measure is the caller's decision.
     """
 
     def __init__(
@@ -499,26 +498,17 @@ class BlockEvolution:
         return [live[r] for r in kept], modes[kept]
 
     def _check_row(self, modes: np.ndarray, low: float, high: float, probe, i: int) -> None:
-        """The finite and wraparound checks of one row of modes at snapshot i.
+        """The wraparound check of one row of modes at snapshot i.
 
         low and high bound the row's max |psi|: a transformed row passes its
         peak as both, a row not transformed its peak_bounds. When the bounds
-        cannot settle a check and low < high, the row alone is transformed
-        and checked on its peak, so every row meets the same checks in the
-        same order and with the same errors. A peak that is NaN is never
-        transformed again: it fails the comparison.
+        cannot settle the check, the row alone is transformed and checked on
+        its peak, so every row meets the same check with the same error.
         """
         t = self.times[i]
-        if high * modes.size < FINITE_PEAK_LIMIT and _check_wraparound(modes, low, high, probe, t):
-            return
-        if low < high:
-            _, (high,) = _fields_and_peaks(modes[np.newaxis])
-        if not math.isfinite(high):
-            raise SimulationError(
-                f"field overflowed to non-finite samples in the interval "
-                f"[{self.times[i - 1]:.6e}, {t:.6e}] s"
-            )
-        _check_wraparound(modes, high, high, probe, t)
+        if not _check_wraparound(modes, low, high, probe, t):
+            peak = float(np.max(np.abs(inverse_transform(modes[np.newaxis]))))
+            _check_wraparound(modes, peak, peak, probe, t)
 
     def evolve(self, read=None):
         """Run the block; yields, per snapshot read, its index and the (medium index, Snapshot) pairs of the rows still running.
@@ -526,13 +516,17 @@ class BlockEvolution:
         read holds the indices into `times` of the snapshots whose fields the
         caller reads; None reads them all. Only those snapshots take the
         block inverse FFT. Every other snapshot checks each row from bounds
-        on its peak (_check_row).
+        on its peak (_check_row). The amplification bound is read from the
+        exponents before any mode moves, and a row stops at the first
+        interval past it.
         """
         live = [j for j in range(len(self.media)) if j not in self.failed]
         if not live:
             return
         k = self.grid.k_array()
         modes0 = forward_transform(self.psi0)
+        s_rows, w_rows, _ = zip(*(self._steps[j] for j in live))
+        limits = dict(zip(live, amplification_bound(modes0, k, np.array(s_rows), np.array(w_rows), self.times)))
         probe = _edge_probe(k, self.pulse)
         if read is None or 0 in read:
             peak0 = self.psi0.peak()
@@ -541,22 +535,20 @@ class BlockEvolution:
         modes[:] = modes0
         factor = np.empty(modes0.size, dtype=complex)
         for i in range(1, len(self.times)):
-            # Modes that pass the per-interval guard can still overflow over
-            # many intervals. A row whose peak is then not finite fails with
-            # the interval named, so numpy is not asked to warn on the way.
-            with np.errstate(over="ignore", invalid="ignore"):
-                for r, j in enumerate(live):
+            for r, j in enumerate(live):
+                stop, error = limits[j]
+                if i - 1 == stop:
+                    self.failed[j] = error
+                else:
                     i_s, i_w, _ = self._steps[j]
-                    try:
-                        apply_evolution(modes[r], k, i_s[i - 1], i_w[i - 1], factor)
-                    except EitmemError as exc:
-                        self.failed[j] = exc
+                    apply_evolution(modes[r], k, i_s[i - 1], i_w[i - 1], factor)
             live, modes = self._drop_failed(live, modes)
             if not live:
                 return
             is_read = read is None or i in read
             if is_read:
-                fields, peaks = _fields_and_peaks(modes)
+                fields = inverse_transform(modes)
+                peaks = [float(np.max(np.abs(row))) for row in fields]
             members = []
             for r, j in enumerate(live):
                 try:
@@ -620,12 +612,15 @@ def write_coefficient_csv(result: SimulationResult, path):
     """Rows t, alpha1, alpha2, beta, v_g of the coefficient law along the run's schedule.
 
     The times are the snapshot times and the schedule's sample_times within
-    the run, in order and each once, so the rows depend on the law alone and
-    not on where the quadrature evaluated it.
+    the run but not within INSTANT_RTOL of a snapshot time, in order, so the
+    rows depend on the law alone and not on where the quadrature evaluated it.
     """
-    snap_times = [snap.t for snap in result.snapshots]
+    snap_times = np.array([snap.t for snap in result.snapshots])
     scan = result.schedule.sample_times()
-    t = _sorted_distinct(np.concatenate([snap_times, scan[(scan >= 0.0) & (scan <= snap_times[-1])]]))
+    scan = scan[(scan >= 0.0) & (scan <= snap_times[-1])]
+    after = np.searchsorted(snap_times, scan)  # 0 only for t = 0, which snap_times[0] matches exactly
+    gap = np.minimum(np.abs(scan - snap_times[after - 1]), snap_times[after] - scan)  # to the nearest snapshot
+    t = _sorted_distinct(np.concatenate([snap_times, scan[gap > INSTANT_RTOL * scan]]))
     theta, theta_dot, _ = result.schedule.eval(result.params, t)
     cs = exponent_integrand(theta, theta_dot, result.params)
     write_csv(path, "t,alpha1,alpha2,beta,v_g\n", [[t, cs.alpha1, cs.alpha2, cs.beta, cs.v_g]])

@@ -96,10 +96,10 @@ def default_result(default_sc):
 
 
 def coefficient_times(result) -> list[float]:
-    """The times of coefficients.csv: snapshot times and the schedule's sample_times within the run, sorted, each once."""
-    horizon = result.snapshots[-1].t
-    scan = [t for t in result.schedule.sample_times().tolist() if 0.0 <= t <= horizon]
-    return sorted({snap.t for snap in result.snapshots} | set(scan))
+    """The times of coefficients.csv, sorted: the snapshot times, and the schedule's sample_times within the run not within 1e-12 relative of one."""
+    snaps = [snap.t for snap in result.snapshots]
+    scan = result.schedule.sample_times().tolist()
+    return sorted(snaps + [t for t in scan if 0.0 <= t <= snaps[-1] and all(abs(t - u) > 1e-12 * t for u in snaps)])
 
 
 def medium_with(default: MediumParams, **overrides) -> MediumParams:

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -21,7 +23,6 @@ from eitmem.grids import FieldGrid, GridSpec, field_tables, gaussian_field, whol
 from eitmem.model import PulseSpec
 from eitmem.control import ControlSchedule
 from eitmem.solver import (
-    LOG_GAIN_GUARD,
     PEAK_BOUND_MARGIN,
     WRAPAROUND_LOWPASS_HARMONICS,
     WRAPAROUND_SUPPORT_FLOOR,
@@ -30,6 +31,7 @@ from eitmem.solver import (
     _edge_probe,
     accumulate_exponent,
     adaptive_simpson,
+    amplification_bound,
     apply_evolution,
     check_pulse_fits,
     forward_transform,
@@ -75,7 +77,8 @@ def _bound_test_row(shape: str, n: int = 512) -> np.ndarray:
     return row
 
 
-@pytest.mark.parametrize("scale", [1.0, 1e250, 1e-300])
+# 1e145 keeps the largest mode under the amplification bound on 512 points.
+@pytest.mark.parametrize("scale", [1.0, 1e145, 1e-300])
 @pytest.mark.parametrize("shape", ["random", "gaussian", "zero", "single_mode", "spike"])
 def test_peak_bounds_bracket_the_transformed_peak(shape, scale):
     row = _bound_test_row(shape) * scale
@@ -90,12 +93,6 @@ def test_peak_bounds_bracket_the_transformed_peak(shape, scale):
         assert peak <= low * (1.0 + 2.0 * PEAK_BOUND_MARGIN)
     if shape == "spike":  # all of the norm sits in one sample: the norm bound is attained
         assert peak >= high * (1.0 - 2.0 * PEAK_BOUND_MARGIN)
-
-
-def test_peak_bounds_of_a_row_with_a_non_finite_mode_bound_nothing():
-    row = _bound_test_row("random")
-    row[3] = complex(math.inf, 0.0)
-    assert peak_bounds(row) == (0.0, math.inf)
 
 
 def test_gaussian_spectrum_is_gaussian():
@@ -122,13 +119,57 @@ def test_apply_evolution_decay_and_shift():
     assert np.max(np.abs(out - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
+def _log_gain_bound(n: int) -> float:
+    """ln(sqrt(DBL_MAX) / n): no mode under it can overflow an n-point transform or squared norm."""
+    return math.log(math.sqrt(sys.float_info.max) / n)
+
+
 def test_apply_evolution_guards_runaway_gain():
-    grid = GridSpec(-1.0, 1.0, 128)
-    modes = forward_transform(gaussian_field(grid, 1.0, 0.0, 0.2))
-    before = modes.copy()
-    with pytest.raises(AmplificationOverflowError):
-        apply_evolution(modes, grid.k_array(), complex(-60.0, 0.0), 0j)
-    assert np.array_equal(modes, before)
+    # evolve never hands apply_evolution an interval past the amplification
+    # bound: the bound stops each row of synthetic exponents at its first one.
+    k = GridSpec(-1.0, 1.0, 128).k_array()
+    times = np.arange(41) * 1e-6
+    steady = np.full(40, -100.0 + 0j)  # 100 e-folds per interval on every mode
+    heavy = np.r_[1000.0, -400.0, np.zeros(38)].astype(complex)  # damped, then 400 e-folds in one interval
+    quiet = np.full(40, -1.0 + 0j)
+    i_s = np.array([steady, heavy, quiet])
+    for peak0, first_steady in ((1.0, 3), (math.exp(60.0), 2), (0.0, 40)):
+        limits = amplification_bound(np.array([peak0]), k, i_s, np.zeros_like(i_s), times)
+        assert [stop for stop, _ in limits] == [first_steady, 1, 40]
+        assert [error is None for _, error in limits] == [first_steady == 40, False, True]
+    error = amplification_bound(np.array([1.0]), k, i_s, np.zeros_like(i_s), times)[0][1]
+    assert isinstance(error, AmplificationOverflowError)
+    assert str(error) == (
+        f"ln max|m0| = 0.00 plus the modal log gain 400.00 accumulated since t = 0 by the interval "
+        f"[3.000000e-06, 4.000000e-06] s (100.00 in it alone) passes ln(sqrt(DBL_MAX) / n) = "
+        f"{_log_gain_bound(k.size):.2f}; the scenario is too far off resonance for a meaningful run"
+    )
+
+
+@pytest.mark.parametrize(
+    "delta_p, outcome",
+    [(500.0, None), (2000.0, None), (2600.0, AmplificationOverflowError), (5000.0, AmplificationOverflowError), (5500.0, AmplificationOverflowError)],
+)
+def test_a_detuned_run_has_one_outcome_at_every_snapshot_cadence(default_sc, delta_p, outcome):
+    # The bound is read from the gain accumulated since t = 0, which the
+    # cadence does not change: 67.64 e-folds at 500 rad/s, 692.57 at 5000.
+    p = dataclasses.replace(default_sc.medium, delta_p=delta_p)
+    for snapshot_dt in (5e-6, 1.5e-5, 1.8e-4):
+        args = (p, default_sc.grid, default_sc.pulse, default_sc.schedule, default_sc.horizon, snapshot_dt)
+        if outcome is None:
+            assert simulate(*args).snapshots[-1].t == default_sc.horizon
+        else:
+            with pytest.raises(outcome):
+                simulate(*args)
+
+
+def test_solver_neither_suppresses_nor_outlives_overflow():
+    # Overflow is ruled out from the exponents before any mode moves, so no
+    # warning needs suppressing; under filterwarnings = error a stray
+    # overflow then fails the tests.
+    source = pathlib.Path(solver_module.__file__).read_text()
+    for banned in ("errstate", "FINITE_PEAK_LIMIT", "LOG_GAIN_GUARD"):
+        assert banned not in source
 
 
 def test_adaptive_simpson_is_exact_on_cubics(monkeypatch):
@@ -339,6 +380,16 @@ def test_coefficient_csv_layout(tmp_path, default_result):
     assert len(first) == 5
 
 
+def test_coefficient_csv_holds_each_instant_once(tmp_path, default_result):
+    # Snapshot times and schedule samples reached by other sums round an
+    # ulp apart; each such pair is one row, at the snapshot time.
+    path = tmp_path / "c.csv"
+    write_coefficient_csv(default_result, path)
+    t = np.loadtxt(path, delimiter=",", skiprows=1, usecols=0)
+    assert np.all(np.diff(t) > 1e-12)
+    assert {snap.t for snap in default_result.snapshots} <= set(t.tolist())
+
+
 @pytest.mark.parametrize("kind", ["tanh", "tabulated"])
 def test_coefficient_csv_tabulates_the_law_whatever_the_quadrature(tmp_path, monkeypatch, default_sc, kind):
     sc = default_sc
@@ -455,9 +506,9 @@ def test_mode_factor_matches_direct_exponential():
         k_max = np.max(np.abs(k))
         for _ in range(4):
             i_w = complex(rng.uniform(-1.0, 1.0) * grid.length, rng.uniform(-40.0, 40.0) / k_max)
-            # keep the largest log modal gain inside the guard
+            # keep the largest log modal gain inside the amplification bound
             edge_gain = k_max * abs(i_w.imag)
-            i_s = complex(rng.uniform(edge_gain - LOG_GAIN_GUARD, edge_gain + 30.0), rng.uniform(-100.0, 100.0))
+            i_s = complex(rng.uniform(edge_gain - _log_gain_bound(n), edge_gain + 30.0), rng.uniform(-100.0, 100.0))
             got = mode_factor(k, i_s, i_w)
             buffer = np.empty(n, dtype=complex)
             mode_factor(k, i_s, i_w, out=buffer)
@@ -480,12 +531,19 @@ def test_mode_factor_stays_finite_under_heavy_damping():
 
 
 def test_apply_evolution_max_log_gain_is_the_full_grid_maximum():
-    grid = GridSpec(-1e-2, 1e-2, 1024)
-    k = grid.k_array()
-    modes = forward_transform(gaussian_field(grid, 1.0, 0.0, 1e-3))
-    for i_w in (complex(1e-4, 2e-4), complex(1e-4, -2e-4), complex(1e-4, 0.0)):
-        gain = apply_evolution(modes, k, complex(0.25, 1.0), i_w)
-        assert gain == float(np.max(-0.25 + k * i_w.imag))
+    # The bound reads the gain at the two extreme modes; a k-linear gain that
+    # drifts up one spectral wing, then the other, stops a row where the
+    # largest gain over the whole grid passes the bound.
+    k = GridSpec(-1e-2, 1e-2, 1024).k_array()
+    rng = np.random.default_rng(SEED)
+    wings = [rng.uniform(-60.0, 10.0, 40) * sign / np.max(np.abs(k)) for sign in (1.0, -1.0)]
+    i_s = rng.uniform(-20.0, 20.0, (2, 40)) + 0j
+    i_w = rng.uniform(-1e-3, 1e-3, (2, 40)) + 1j * np.array(wings)
+    limits = amplification_bound(np.array([1.0]), k, i_s, i_w, np.arange(41) * 1e-6)
+    for (stop, error), a_s, a_w in zip(limits, np.cumsum(i_s, axis=1), np.cumsum(i_w, axis=1)):
+        over = np.max(-a_s.real[:, np.newaxis] + k * a_w.imag[:, np.newaxis], axis=1) > _log_gain_bound(k.size)
+        assert over.any() and stop == int(np.argmax(over))
+        assert isinstance(error, AmplificationOverflowError)
 
 
 def _recursive_simpson(f, a, b, nodes):
