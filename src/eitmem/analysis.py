@@ -155,7 +155,7 @@ def predict_output(
 
     exact_exponent = adaptive_simpson(integrand, 0.0, t0_duration, schedule.breakpoints())
     k = input_field.grid.k_array()
-    shifted = np.fft.ifft(np.fft.fft(input_field.values) * np.exp(-1j * k * displacement))
+    shifted = np.fft.ifft(np.fft.fft(input_field.values) * mode_factor(k, 0.0, displacement))
     z_in, _ = interpolated_peak(input_field)
     return (
         FieldGrid(input_field.grid, math.exp(-params.gamma_bc * t0_duration) * shifted),

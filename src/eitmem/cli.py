@@ -401,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw = sub.add_parser("sweep", help="rerun a scenario across one parameter axis")
     sw.add_argument("scenario_file", nargs="?", default=None)
     sw.add_argument("--axis", required=True, choices=SWEEP_AXES)
-    sw.add_argument("--values", required=True, help="comma separated numbers")
+    sw.add_argument("--values", required=True, help="comma separated numbers; negative ones as --values=-200,-100")
     sw.add_argument("--out-dir", default=".")
     sw.add_argument("--force", action="store_true")
     sw.set_defaults(func=cmd_sweep)

@@ -73,6 +73,16 @@ def _denominator(s2, params: MediumParams, what: str):
     return den
 
 
+def _finite(value, what: str, params: MediumParams):
+    """value, or SingularParametersError naming what where the law's products of rates and detunings overflowed."""
+    if np.all(np.isfinite(value)):
+        return value
+    raise SingularParametersError(
+        f"{what} overflowed for gamma_ba = {params.gamma_ba:.3g}, gamma_bc = {params.gamma_bc:.3g}, delta = "
+        f"{params.delta:.3g}, delta_p = {params.delta_p:.3g} rad/s, past the range of the coefficient law"
+    )
+
+
 def a0_b0(theta, theta_dot, params: MediumParams):
     """Exact correction pair (A0, B0) at control-field instants.
 
@@ -83,11 +93,12 @@ def a0_b0(theta, theta_dot, params: MediumParams):
     sin_t = np.sin(theta)
     s2 = sin_t * sin_t
     dg = d_ba * d_bc
-    den = _denominator(s2, params, "coefficient")
-    switch = np.where(theta_dot != 0.0, dg * np.tan(theta) * s2 * theta_dot, 0.0j)
-    a0 = (switch - d_ba * d_bc * d_bc * s2 * s2) / den
-    b0 = dg * s2 * s2 / den
-    return a0, b0
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite reports an overflow
+        den = _denominator(s2, params, "coefficient")
+        switch = np.where(theta_dot != 0.0, dg * np.tan(theta) * s2 * theta_dot, 0.0j)
+        a0 = (switch - d_ba * d_bc * d_bc * s2 * s2) / den
+        b0 = dg * s2 * s2 / den
+    return _finite(a0, "A0", params), _finite(b0, "B0", params)
 
 
 def bright_ratio(theta, params: MediumParams):
@@ -95,8 +106,9 @@ def bright_ratio(theta, params: MediumParams):
     d_ba, d_bc = params.coherence_factors()
     sin_t = np.sin(theta)
     s2 = sin_t * sin_t
-    den = _denominator(s2, params, "bright-ratio")
-    return d_ba * d_bc * np.tan(theta) * s2 / den
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite reports an overflow
+        den = _denominator(s2, params, "bright-ratio")
+        return _finite(d_ba * d_bc * np.tan(theta) * s2 / den, "bright ratio Phi/Psi", params)
 
 
 def exponent_integrand(theta, theta_dot, params: MediumParams) -> CoefficientSample:

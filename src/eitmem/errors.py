@@ -58,7 +58,7 @@ class UntrackableFieldError(SimulationError):
 
 
 class SingularParametersError(EitmemError):
-    """Coefficient denominator collapsed (cannot occur in the high-density regime)."""
+    """Coefficient-law denominator collapsed or a value overflowed (cannot occur for a physical medium)."""
 
 
 class InvalidComparisonError(EitmemError):

@@ -1,8 +1,8 @@
 """Spectral engine for the adiabatic polariton evolution.
 
-The polariton field is evolved exactly in k-space: each interval contributes
-integrals I_s and I_w of the closed-form coefficients, and every mode is
-multiplied by exp(-I_s - i k I_w). Media that share grid, pulse, schedule
+The polariton field is evolved exactly in k-space: each snapshot's modes are
+the initial ones times exp(-S - i k W), with S and W the integrals of the
+closed-form coefficients from t = 0. Media that share grid, pulse, schedule
 and horizon evolve together as one block, and a single run is a block of
 one. The bright state, the probe field, and the lower-level coherence are
 each the dark field times a factor of the snapshot's mixing angle, and a
@@ -238,48 +238,44 @@ def mode_factor(k_grid: np.ndarray, i_s: complex, i_w: complex, out: np.ndarray 
 
 
 def amplification_bound(
-    modes0: np.ndarray, k_grid: np.ndarray, i_s: np.ndarray, i_w: np.ndarray, times
+    modes0: np.ndarray, k_grid: np.ndarray, s: np.ndarray, w: np.ndarray, times
 ) -> list[tuple[int, AmplificationOverflowError | None]]:
-    """Per row of interval exponents, the first interval past the amplification bound and its error, or (intervals, None).
+    """Per row of exponents from t = 0 to times[1:], the first index past the bound and its error, or (row length, None).
 
-    A row of i_s and i_w holds one medium's exponents over the intervals
-    between consecutive times. An interval passes the bound when ln max|m0|
-    plus the largest modal log gain accumulated since t = 0, or its own, is
-    above ln(sqrt(DBL_MAX) / n). Below it no mode, mode_factor table, field
-    sample, squared norm or n-point FFT sum overflows, whatever the cadence.
+    A mode is m0 times a factor whose log magnitude -Re S + k Im W peaks,
+    at G, at an extreme mode. G is bounded by the lesser of
+    ln(sqrt(DBL_MAX) / n) - ln max|m0|, below which no mode, field sample,
+    squared norm or FFT sum overflows, and ln(DBL_MAX), below which no
+    factor or mode_factor table does: the second binds when max|m0| is zero or below 1e-154 / n.
     """
     half = k_grid.size // 2
     extremes = k_grid[[half - 1, half], np.newaxis]  # largest and most negative k, FFT order
-
-    def max_log_gain(i_s, i_w):  # -Re(I_s) + k Im(I_w) is linear in k, so largest at an extreme mode
-        return np.max(-i_s.real[:, np.newaxis] + extremes * i_w.imag[:, np.newaxis], axis=1)
-
+    gains = np.max(-s.real[:, np.newaxis] + extremes * w.imag[:, np.newaxis], axis=1)
     bound = math.log(math.sqrt(np.finfo(float).max) / k_grid.size)
+    ln_max = math.log(np.finfo(float).max)
     peak0 = float(np.max(np.abs(modes0)))
-    log_peak0 = math.log(peak0) if peak0 else -math.inf  # a zero field cannot overflow
-    accumulated = max_log_gain(np.cumsum(i_s, axis=-1), np.cumsum(i_w, axis=-1))
-    own = max_log_gain(i_s, i_w)
+    log_peak0 = math.log(peak0) if peak0 else -math.inf
+    allowed = min(bound - log_peak0, ln_max)
     limits = []
-    for gain, step, over in zip(accumulated, own, np.maximum(log_peak0 + accumulated, own) > bound):
+    for gain, over in zip(gains, gains > allowed):
         i = int(np.argmax(over))
         message = (
-            f"ln max|m0| = {log_peak0:.2f} plus the modal log gain {gain[i]:.2f} accumulated since t = 0 by the "
-            f"interval [{times[i]:.6e}, {times[i + 1]:.6e}] s ({step[i]:.2f} in it alone) passes "
-            f"ln(sqrt(DBL_MAX) / n) = {bound:.2f}; the scenario is too far off resonance for a meaningful run"
+            f"the modal log gain {gain[i]:.2f} accumulated from t = 0 to the snapshot at {times[i + 1]:.6e} s passes "
+            f"{allowed:.2f}, the lesser of ln(sqrt(DBL_MAX) / n) = {bound:.2f} less ln max|m0| = {log_peak0:.2f} "
+            f"and ln(DBL_MAX) = {ln_max:.2f}; the scenario is too far off resonance for a meaningful run"
         )
         limits.append((i, AmplificationOverflowError(message)) if over[i] else (over.size, None))
     return limits
 
 
-def apply_evolution(
-    modes: np.ndarray, k_grid: np.ndarray, i_s: complex, i_w: complex, factor: np.ndarray | None = None
-) -> None:
-    """Multiply one field's modes in place by exp(-I_s - i k I_w), which stays finite under amplification_bound.
+def apply_evolution(modes0: np.ndarray, k_grid: np.ndarray, s: complex, w: complex, out: np.ndarray | None = None):
+    """modes0 * mode_factor(k_grid, s, w) bit for bit: the modes when S and W are the exponents since t = 0.
 
-    A caller that evolves many intervals passes one factor buffer to every
-    call, so no interval allocates and faults in a new factor.
+    The factor is written into out when one is given, then multiplied there
+    by modes0; under amplification_bound both stay finite.
     """
-    modes *= mode_factor(k_grid, i_s, i_w, out=factor)
+    factor = mode_factor(k_grid, s, w, out=out)
+    return np.multiply(modes0, factor, out=factor)
 
 
 def _factors(theta: float, params: MediumParams) -> tuple[complex, complex, complex]:
@@ -404,7 +400,9 @@ class BlockEvolution:
     """The spectral evolution of a block of media that share grid, pulse, schedule and horizon.
 
     The exponents of every medium come from one quadrature pass, which
-    gives each medium the bits of a pass over it alone. The modes of the
+    gives each medium the bits of a pass over it alone, summed from t = 0
+    to each snapshot. A snapshot's modes are psi0's times one factor of
+    those sums, so no mode state passes between snapshots. The modes of the
     block form one (media x n) array, so each snapshot the caller reads
     takes one inverse FFT along the last axis for the whole block; along
     that axis the 2-D transform equals the row-by-row 1-D transforms bit
@@ -458,7 +456,7 @@ class BlockEvolution:
         self.times = [0.0] + [i * snapshot_dt for i in range(1, n_steps)] + [horizon]
         self.failed: dict[int, EitmemError] = {}
         self.validity: dict[int, ValidityReport] = {}
-        self._steps = {}  # medium index -> (I_s and I_w per interval, theta per snapshot)
+        self._exponents = {}  # medium index -> (S and W from t = 0 to times[1:], theta per snapshot)
         for j, params in enumerate(self.media):
             try:
                 validity = check_regime(params, pulse, schedule)
@@ -472,10 +470,10 @@ class BlockEvolution:
             self._integrate(list(self.validity), schedule)
 
     def _integrate(self, group: list[int], schedule: ControlSchedule) -> None:
-        """The exponents of the media in group from one quadrature pass, or if it raises, from one per medium."""
+        """The exponents since t = 0 of the media in group from one quadrature pass, or if it raises, from one per medium."""
         t = np.array(self.times)
         try:
-            i_s, i_w = accumulate_exponent([self.media[j] for j in group], schedule, t[:-1], t[1:])
+            s, w = np.cumsum(accumulate_exponent([self.media[j] for j in group], schedule, t[:-1], t[1:]), axis=-1)
         except EitmemError as exc:
             if len(group) > 1:
                 for j in group:
@@ -485,17 +483,10 @@ class BlockEvolution:
                 del self.validity[group[0]]
             return
         for r, j in enumerate(group):
-            self._steps[j] = (i_s[r], i_w[r], schedule.eval(self.media[j], t).theta)
+            self._exponents[j] = (s[r], w[r], schedule.eval(self.media[j], t).theta)
 
     def _snapshot(self, j: int, i: int, psi: FieldGrid, peak: float) -> Snapshot:
-        return Snapshot(self.times[i], psi, float(self._steps[j][2][i]), self.media[j], peak)
-
-    def _drop_failed(self, live: list[int], modes: np.ndarray) -> tuple[list[int], np.ndarray]:
-        """The running media and their rows of modes, less those that just failed."""
-        kept = [r for r, j in enumerate(live) if j not in self.failed]
-        if len(kept) == len(live):
-            return live, modes
-        return [live[r] for r in kept], modes[kept]
+        return Snapshot(self.times[i], psi, float(self._exponents[j][2][i]), self.media[j], peak)
 
     def _check_row(self, modes: np.ndarray, low: float, high: float, probe, i: int) -> None:
         """The wraparound check of one row of modes at snapshot i.
@@ -517,34 +508,30 @@ class BlockEvolution:
         caller reads; None reads them all. Only those snapshots take the
         block inverse FFT. Every other snapshot checks each row from bounds
         on its peak (_check_row). The amplification bound is read from the
-        exponents before any mode moves, and a row stops at the first
-        interval past it.
+        exponents before any mode is built, and a row stops at the first
+        snapshot past it.
         """
         live = [j for j in range(len(self.media)) if j not in self.failed]
         if not live:
             return
         k = self.grid.k_array()
         modes0 = forward_transform(self.psi0)
-        s_rows, w_rows, _ = zip(*(self._steps[j] for j in live))
+        s_rows, w_rows, _ = zip(*(self._exponents[j] for j in live))
         limits = dict(zip(live, amplification_bound(modes0, k, np.array(s_rows), np.array(w_rows), self.times)))
         probe = _edge_probe(k, self.pulse)
         if read is None or 0 in read:
             peak0 = self.psi0.peak()
             yield 0, [(j, self._snapshot(j, 0, self.psi0, peak0)) for j in live]
-        modes = np.empty((len(live), modes0.size), dtype=complex)
-        modes[:] = modes0
-        factor = np.empty(modes0.size, dtype=complex)
+        rows = np.empty((len(live), modes0.size), dtype=complex)
         for i in range(1, len(self.times)):
-            for r, j in enumerate(live):
-                stop, error = limits[j]
-                if i - 1 == stop:
-                    self.failed[j] = error
-                else:
-                    i_s, i_w, _ = self._steps[j]
-                    apply_evolution(modes[r], k, i_s[i - 1], i_w[i - 1], factor)
-            live, modes = self._drop_failed(live, modes)
+            self.failed.update((j, limits[j][1]) for j in live if limits[j][0] == i - 1)
+            live = [j for j in live if j not in self.failed]
             if not live:
                 return
+            modes = rows[: len(live)]
+            for r, j in enumerate(live):
+                s, w, _ = self._exponents[j]
+                apply_evolution(modes0, k, s[i - 1], w[i - 1], modes[r])
             is_read = read is None or i in read
             if is_read:
                 fields = inverse_transform(modes)
@@ -558,7 +545,7 @@ class BlockEvolution:
                         members.append((j, self._snapshot(j, i, FieldGrid(self.grid, fields[r]), peaks[r])))
                 except EitmemError as exc:
                     self.failed[j] = exc
-            live, modes = self._drop_failed(live, modes)
+            live = [j for j in live if j not in self.failed]
             if is_read:
                 yield i, members
 

@@ -586,7 +586,7 @@ def test_a_quadrature_that_cannot_converge_ends_as_its_sweep_row(tmp_path):
 
 def test_run_whose_modes_overflow_exits_4_without_numpy_warnings(tmp_path):
     # The modes would pass the largest double late in the run; the bound
-    # stops the run at the 17th of 36 intervals, before any mode moves there.
+    # stops the run at the 17th of 36 snapshots, before any mode is built there.
     ini = tmp_path / "overflow.ini"
     save_scenario(with_medium(default_scenario(), delta_p=5500.0), ini)
     out_dir = tmp_path / "out"
@@ -594,9 +594,9 @@ def test_run_whose_modes_overflow_exits_4_without_numpy_warnings(tmp_path):
     assert proc.returncode == 4
     assert proc.stdout == ""
     assert proc.stderr == (
-        "runtime error: ln max|m0| = 5.67 plus the modal log gain 359.84 accumulated since t = 0 by the "
-        "interval [8.000000e-05, 8.500000e-05] s (21.17 in it alone) passes ln(sqrt(DBL_MAX) / n) = 345.19; "
-        "the scenario is too far off resonance for a meaningful run\n"
+        "runtime error: the modal log gain 359.84 accumulated from t = 0 to the snapshot at 8.500000e-05 s "
+        "passes 339.52, the lesser of ln(sqrt(DBL_MAX) / n) = 345.19 less ln max|m0| = 5.67 and ln(DBL_MAX) "
+        "= 709.78; the scenario is too far off resonance for a meaningful run\n"
     )
     assert not out_dir.exists()
 
@@ -628,6 +628,41 @@ def test_sweep_memory_stays_bounded(tmp_path, capsys):
     assert rc == 0
     assert len(read_sweep(tmp_path / "sweep.csv")) == 16
     assert peak < 10e6
+
+
+@pytest.mark.parametrize("verb", ["validate", "run"])
+def test_a_coefficient_law_that_overflows_exits_4_in_one_line_naming_the_quantity(tmp_path, capsys, verb):
+    # D_ba D_bc tan(theta) overflows at gamma_ba = 1e300; under
+    # filterwarnings = error a numpy warning on the way would fail the test.
+    ini = tmp_path / "absurd.ini"
+    save_scenario(with_medium(default_scenario(), gamma_ba=1e300), ini)
+    out = tmp_path / "out"
+    argv = [verb, str(ini)] + (["--out-dir", str(out)] if verb == "run" else [])
+    assert main(argv) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "runtime error: bright ratio Phi/Psi overflowed for gamma_ba = 1e+300, gamma_bc = 1e+04, delta = 0, "
+        "delta_p = 0 rad/s, past the range of the coefficient law\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("axis, value, quantity", [("gamma_bc", "1e200", "A0"), ("delta_p", "1e160", "bright ratio Phi/Psi")])
+def test_a_sweep_row_whose_coefficient_law_overflows_names_the_quantity(tmp_path, capsys, axis, value, quantity):
+    # Before the law checked its values, NaN panels split up to the
+    # quadrature's panel cap and the row ended as a QuadratureError.
+    assert main(["sweep", "--axis", axis, "--values", value, "--force", "--out-dir", str(tmp_path)]) == 0
+    (row,) = read_sweep(tmp_path / "sweep.csv")
+    assert row["status"].startswith(f"SingularParametersError: {quantity} overflowed for ")
+    assert capsys.readouterr().err == ""
+
+
+def test_sweep_takes_negative_values_after_an_equals_sign(tmp_path, capsys):
+    # "--values -200,-100" would read as an option; "--values=" does not.
+    assert main(["sweep", "--axis", "delta_p", "--values=-200,-100", "--out-dir", str(tmp_path)]) == 0
+    rows = read_sweep(tmp_path / "sweep.csv")
+    assert [(float(row["value"]), row["status"]) for row in rows] == [(-200.0, "ok"), (-100.0, "ok")]
 
 
 def test_sweep_rejects_unparsable_values(tmp_path, capsys):

@@ -111,9 +111,8 @@ def test_gaussian_spectrum_is_gaussian():
 def test_apply_evolution_decay_and_shift():
     grid = GridSpec(-10e-3, 10e-3, 2048)
     f = gaussian_field(grid, 0.2, -2e-3, 1e-3)
-    modes = forward_transform(f)
     shift = 17 * grid.dz
-    apply_evolution(modes, grid.k_array(), complex(0.7, 0.0), complex(shift, 0.0))
+    modes = apply_evolution(forward_transform(f), grid.k_array(), complex(0.7, 0.0), complex(shift, 0.0))
     out = inverse_transform(modes)
     ref = np.roll(f.values, 17) * math.exp(-0.7)
     assert np.max(np.abs(out - ref)) <= 1e-10 * np.max(np.abs(ref))
@@ -125,24 +124,30 @@ def _log_gain_bound(n: int) -> float:
 
 
 def test_apply_evolution_guards_runaway_gain():
-    # evolve never hands apply_evolution an interval past the amplification
-    # bound: the bound stops each row of synthetic exponents at its first one.
+    # evolve never hands apply_evolution a snapshot past the amplification
+    # bound: the bound stops each row of synthetic exponents since t = 0 at
+    # its first one. Only the accumulated gain counts, so a row that gains
+    # 400 e-folds in one interval after 1000 of damping runs to the end.
     k = GridSpec(-1.0, 1.0, 128).k_array()
     times = np.arange(41) * 1e-6
     steady = np.full(40, -100.0 + 0j)  # 100 e-folds per interval on every mode
-    heavy = np.r_[1000.0, -400.0, np.zeros(38)].astype(complex)  # damped, then 400 e-folds in one interval
+    heavy = np.r_[1000.0, -400.0, np.zeros(38)].astype(complex)
     quiet = np.full(40, -1.0 + 0j)
-    i_s = np.array([steady, heavy, quiet])
-    for peak0, first_steady in ((1.0, 3), (math.exp(60.0), 2), (0.0, 40)):
-        limits = amplification_bound(np.array([peak0]), k, i_s, np.zeros_like(i_s), times)
-        assert [stop for stop, _ in limits] == [first_steady, 1, 40]
-        assert [error is None for _, error in limits] == [first_steady == 40, False, True]
-    error = amplification_bound(np.array([1.0]), k, i_s, np.zeros_like(i_s), times)[0][1]
+    s = np.cumsum([steady, heavy, quiet], axis=1)
+    # A pulse whose ln max|m0| is below ln(sqrt(DBL_MAX) / n) - ln(DBL_MAX)
+    # stops where the factor alone would pass ln(DBL_MAX): 800 e-folds.
+    for peak0, first_steady in ((1.0, 3), (math.exp(60.0), 2), (1e-200, 7), (0.0, 7)):
+        limits = amplification_bound(np.array([peak0]), k, s, np.zeros_like(s), times)
+        assert [stop for stop, _ in limits] == [first_steady, 40, 40]
+        assert [error is None for _, error in limits] == [False, True, True]
+    error = amplification_bound(np.array([1.0]), k, s, np.zeros_like(s), times)[0][1]
     assert isinstance(error, AmplificationOverflowError)
+    bound = _log_gain_bound(k.size)
     assert str(error) == (
-        f"ln max|m0| = 0.00 plus the modal log gain 400.00 accumulated since t = 0 by the interval "
-        f"[3.000000e-06, 4.000000e-06] s (100.00 in it alone) passes ln(sqrt(DBL_MAX) / n) = "
-        f"{_log_gain_bound(k.size):.2f}; the scenario is too far off resonance for a meaningful run"
+        f"the modal log gain 400.00 accumulated from t = 0 to the snapshot at 4.000000e-06 s passes "
+        f"{bound:.2f}, the lesser of ln(sqrt(DBL_MAX) / n) = {bound:.2f} less ln max|m0| = 0.00 and "
+        f"ln(DBL_MAX) = {math.log(sys.float_info.max):.2f}; the scenario is too far off resonance for a "
+        f"meaningful run"
     )
 
 
@@ -453,19 +458,19 @@ def _full_grid_edge_hit(psi: FieldGrid, pulse: PulseSpec) -> bool:
 
 
 def _edge_check_against_full_grid(sc, params) -> float | None:
-    """March a run interval by interval with both edge checks.
+    """Build a run's modes snapshot by snapshot, as the engine does, with both edge checks.
 
     Asserts that the four low-passed edge samples agree and that both checks
     fire together; returns the time they fired, or None.
     """
     times = np.arange(sc.horizon / sc.snapshot_dt + 1) * sc.snapshot_dt
-    (i_s,), (i_w,) = accumulate_exponent([params], sc.schedule, times[:-1], times[1:])
+    (s,), (w,) = np.cumsum(accumulate_exponent([params], sc.schedule, times[:-1], times[1:]), axis=-1)
     k = sc.grid.k_array()
-    modes = forward_transform(gaussian_field(sc.grid, sc.pulse.amplitude, sc.pulse.center_z, sc.pulse.width))
+    modes0 = forward_transform(gaussian_field(sc.grid, sc.pulse.amplitude, sc.pulse.center_z, sc.pulse.width))
     probe = _edge_probe(k, sc.pulse)
     index, basis = probe
-    for j in range(len(i_s)):
-        apply_evolution(modes, k, i_s[j], i_w[j])
+    for j in range(len(s)):
+        modes = apply_evolution(modes0, k, s[j], w[j])
         psi = FieldGrid(sc.grid, inverse_transform(modes))
         reference = _full_grid_lowpass(psi, sc.pulse)[[0, 1, -2, -1]]
         edges = np.abs(modes[index] @ basis)
@@ -537,10 +542,10 @@ def test_apply_evolution_max_log_gain_is_the_full_grid_maximum():
     k = GridSpec(-1e-2, 1e-2, 1024).k_array()
     rng = np.random.default_rng(SEED)
     wings = [rng.uniform(-60.0, 10.0, 40) * sign / np.max(np.abs(k)) for sign in (1.0, -1.0)]
-    i_s = rng.uniform(-20.0, 20.0, (2, 40)) + 0j
-    i_w = rng.uniform(-1e-3, 1e-3, (2, 40)) + 1j * np.array(wings)
-    limits = amplification_bound(np.array([1.0]), k, i_s, i_w, np.arange(41) * 1e-6)
-    for (stop, error), a_s, a_w in zip(limits, np.cumsum(i_s, axis=1), np.cumsum(i_w, axis=1)):
+    s = np.cumsum(rng.uniform(-20.0, 20.0, (2, 40)) + 0j, axis=1)
+    w = np.cumsum(rng.uniform(-1e-3, 1e-3, (2, 40)) + 1j * np.array(wings), axis=1)
+    limits = amplification_bound(np.array([1.0]), k, s, w, np.arange(41) * 1e-6)
+    for (stop, error), a_s, a_w in zip(limits, s, w):
         over = np.max(-a_s.real[:, np.newaxis] + k * a_w.imag[:, np.newaxis], axis=1) > _log_gain_bound(k.size)
         assert over.any() and stop == int(np.argmax(over))
         assert isinstance(error, AmplificationOverflowError)
@@ -700,9 +705,37 @@ def test_a_medium_that_fails_the_block_quadrature_carries_its_own_error(default_
             assert params not in block_nodes and j not in block.validity
             continue
         assert not alone.failed
-        for got, want in zip(block._steps[j], alone._steps[0]):
+        for got, want in zip(block._exponents[j], alone._exponents[0]):
             assert got.tobytes() == want.tobytes()
         assert [t.tobytes() for t in block_nodes[params]] == [t.tobytes() for t in nodes[params]]
+
+
+def test_each_snapshot_is_psi0_modes_times_one_factor_of_the_exponents_since_t0(default_sc, monkeypatch):
+    # No mode state passes between snapshots: every row of every snapshot
+    # is psi0's modes times mode_factor of the running sums, from t = 0, of
+    # the interval exponents, bit for bit. 800 rad/s is distorted, so the
+    # round-off of a product of per-interval factors is amplified there.
+    sc = default_sc
+    media = [dataclasses.replace(sc.medium, delta_p=delta_p) for delta_p in (0.0, 300.0, 800.0)]
+    transformed = []
+    inverse = solver_module.inverse_transform
+
+    def traced(modes):
+        transformed.append(modes.copy())
+        return inverse(modes)
+
+    monkeypatch.setattr(solver_module, "inverse_transform", traced)
+    block = BlockEvolution(media, sc.grid, sc.pulse, sc.schedule, sc.horizon, sc.snapshot_dt)
+    assert len(list(block.evolve())) == len(block.times) and not block.failed
+    t = np.array(block.times)
+    s, w = np.cumsum(accumulate_exponent(media, sc.schedule, t[:-1], t[1:]), axis=-1)
+    modes0 = forward_transform(block.psi0)
+    k = sc.grid.k_array()
+    assert len(transformed) == len(t) - 1
+    for i, modes in enumerate(transformed):
+        assert modes.shape == (len(media), k.size)
+        for r in range(len(media)):
+            assert modes[r].tobytes() == (modes0 * mode_factor(k, s[r, i], w[r, i])).tobytes()
 
 
 def test_batched_simpson_names_the_earliest_exhausted_panel(monkeypatch):
