@@ -8,7 +8,7 @@ predictor, and computes the detuning/bandwidth/transit design bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -172,15 +172,6 @@ class DistortionReport:
     shift: float  # m, the aligning displacement
     verdict: str  # clean | distorted
 
-    def to_dict(self) -> dict:
-        return {
-            "aligned_l2": self.aligned_l2,
-            "high_k_fraction": self.high_k_fraction,
-            "phase_shift": self.phase_shift,
-            "shift": self.shift,
-            "verdict": self.verdict,
-        }
-
 
 def _correlation_shift(corr: np.ndarray) -> float:
     """Circular shift in cells, refined below a cell, at the peak of |cross-correlation| corr.
@@ -277,16 +268,6 @@ class DesignLimits:
     t_transit_max: float  # s, storage ceiling from the residual drift
     notes: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
-            "delta_p_max": self.delta_p_max,
-            "delta_max": self.delta_max,
-            "bw_limit": self.bw_limit,
-            "bw_mismatch_limit": self.bw_mismatch_limit,
-            "t_transit_max": self.t_transit_max,
-            "notes": list(self.notes),
-        }
-
 
 def design_limits(params: MediumParams, l_p: float, t0: float) -> DesignLimits:
     """Detuning, bandwidth, and transit bounds for a pulse of length l_p stored for t0.
@@ -322,13 +303,6 @@ class LowIntensityReport:
     worst_ratio: float
     flagged_times: tuple[float, ...]
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "worst_ratio": self.worst_ratio,
-            "flagged_times": list(self.flagged_times),
-            "passed": self.passed,
-        }
 
 
 def check_low_intensity(
@@ -429,7 +403,7 @@ def assemble_summary(result: SimulationResult, output_time: float | None = None)
     track = track_pulse(result)
     summary: dict = {
         "validity": result.validity.to_dict(),
-        "low_intensity": check_low_intensity(result, params, schedule).to_dict(),
+        "low_intensity": asdict(check_low_intensity(result, params, schedule)),
     }
     m = measured(track, schedule, output_time)
     summary |= dict.fromkeys(m.windows)
@@ -461,6 +435,6 @@ def assemble_summary(result: SimulationResult, output_time: float | None = None)
         output["predicted_peak_simple"] = quadratic_peak(z, np.abs(field_simple.values))[1]
         output["predicted_peak_exact"] = quadratic_peak(z, np.abs(field_exact.values))[1]
     summary["output_peak"] = output
-    summary["distortion"] = measure_distortion(snaps[0].psi, [out_snap.psi])[0].to_dict()
+    summary["distortion"] = asdict(measure_distortion(snaps[0].psi, [out_snap.psi])[0])
     summary["v_g_floor"] = v_g_min(params)
     return summary

@@ -188,8 +188,8 @@ def cmd_run(args) -> int:
         oracle_path = os.path.join(out_dir, "oracle_snapshots.csv")
         oracle.write_oracle_csv(states, oracle_path, cfg, stride=args.csv_stride)
         comparison_path = os.path.join(out_dir, "comparison.json")
-        _write_json(comparison_path, report.to_dict())
-        summary["oracle_comparison"] = report.to_dict()
+        summary["oracle_comparison"] = dataclasses.asdict(report)
+        _write_json(comparison_path, summary["oracle_comparison"])
         print(
             f"oracle: max probe-field discrepancy {report.max_linf:.4g} (rel L-inf), "
             f"{report.max_l2:.4g} (rel L2)"
@@ -231,10 +231,8 @@ def cmd_limits(args) -> int:
     if args.out_dir is not None:
         os.makedirs(args.out_dir, exist_ok=True)
         path = os.path.join(args.out_dir, "limits.json")
-        payload = lim.to_dict()
-        payload["pulse_length"] = args.pulse_length
-        payload["storage_time"] = args.storage_time
-        _write_json(path, payload)
+        inputs = {"pulse_length": args.pulse_length, "storage_time": args.storage_time}
+        _write_json(path, dataclasses.asdict(lim) | inputs)
         print(f"wrote {path}")
     return EXIT_OK
 

@@ -142,6 +142,19 @@ def field_tables(z: np.ndarray, snapshots, stride: int):
     return (columns(t, fields) for t, fields in snapshots)
 
 
+def field_header(names) -> str:
+    """The header line of a field CSV whose field_tables hold the fields `names`, in order.
+
+    The columns are t, z, then re_X, im_X and abs_X of each field X, where
+    X is the field's attribute name less a `_field` suffix: e_field is e.
+    """
+    columns = ["t", "z"]
+    for name in names:
+        x = name.removesuffix("_field")
+        columns += [f"re_{x}", f"im_{x}", f"abs_{x}"]
+    return ",".join(columns) + "\n"
+
+
 def write_csv(path, header: str, tables) -> None:
     """Write header, then every row of each table as comma-separated floats.
 

@@ -64,6 +64,11 @@ class MediumParams:
             raise ConfigError(f"gamma_bc must be nonnegative, got {self.gamma_bc}")
         if self.c <= 0:
             raise ConfigError(f"c must be positive, got {self.c}")
+        if self.g2n == 0 or math.isinf(self.g2n):
+            raise ConfigError(
+                f"g^2 N must neither underflow to 0 nor overflow, "
+                f"got g = {self.g} and n_atoms = {self.n_atoms}"
+            )
 
     @property
     def g2n(self) -> float:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .control import ControlSchedule
 from .errors import ConfigError, InvalidComparisonError, SimulationError
-from .grids import FieldGrid, GridSpec, field_tables, squared_norm, whole_steps, write_csv
+from .grids import FieldGrid, GridSpec, field_header, field_tables, squared_norm, whole_steps, write_csv
 from .model import MediumParams
 
 # Coupling propagators are built for at most this many step midpoints at a
@@ -72,6 +72,10 @@ class OracleState:
     def __post_init__(self):
         if not (self.e_field.grid == self.sigma_ba.grid == self.sigma_bc.grid):
             raise ConfigError("oracle fields must share one grid")
+
+
+# The OracleState fields oracle_snapshots.csv holds, in column order.
+ORACLE_FIELDS = ("e_field", "sigma_ba", "sigma_bc")
 
 
 @dataclass(frozen=True)
@@ -276,19 +280,6 @@ class ComparisonReport:
     ratios: dict
     attribution: str
 
-    def to_dict(self) -> dict:
-        return {
-            "observable": self.observable,
-            "times": list(self.times),
-            "linf_rel": list(self.linf_rel),
-            "l2_rel": list(self.l2_rel),
-            "max_linf": self.max_linf,
-            "max_l2": self.max_l2,
-            "failed_checks": list(self.failed_checks),
-            "ratios": dict(self.ratios),
-            "attribution": self.attribution,
-        }
-
 
 def compare_to_adiabatic(
     oracle_run: list[OracleState], adiabatic_run, observable: str = "e_field"
@@ -350,12 +341,6 @@ def write_oracle_csv(states: list[OracleState], path, cfg: OracleConfig, stride:
     """Snapshot rows in the solver CSV layout, with a provenance header."""
     if not states:
         raise ConfigError("no states to write")
-    header = (
-        f"# scheme=splitting_spectral_advection dt={cfg.dt!r}\n"
-        "t,z,re_e,im_e,abs_e,re_sigma_ba,im_sigma_ba,abs_sigma_ba,"
-        "re_sigma_bc,im_sigma_bc,abs_sigma_bc\n"
-    )
-    snapshots = (
-        (st.t, (st.e_field.values, st.sigma_ba.values, st.sigma_bc.values)) for st in states
-    )
+    header = f"# scheme=splitting_spectral_advection dt={cfg.dt!r}\n" + field_header(ORACLE_FIELDS)
+    snapshots = ((st.t, [getattr(st, name).values for name in ORACLE_FIELDS]) for st in states)
     write_csv(path, header, field_tables(states[0].e_field.grid.z_array(), snapshots, stride))

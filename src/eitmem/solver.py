@@ -26,7 +26,7 @@ from .errors import (
     QuadratureError,
     SimulationError,
 )
-from .grids import FieldGrid, GridSpec, field_tables, gaussian_field, squared_norm, whole_steps, write_csv
+from .grids import FieldGrid, GridSpec, field_header, field_tables, gaussian_field, squared_norm, whole_steps, write_csv
 from .model import MediumParams, PulseSpec, ValidityReport, check_regime
 
 # Anti-wraparound margin: the periodic domain must be at least this many
@@ -582,21 +582,22 @@ def simulate(
     )
 
 
+# The Snapshot fields snapshots.csv holds, in column order.
+SNAPSHOT_FIELDS = ("psi", "phi", "e_field", "sigma_bc")
+# The CoefficientSample projections coefficients.csv holds after t, in column order.
+COEFFICIENT_COLUMNS = ("alpha1", "alpha2", "beta", "v_g")
+
+
 def write_snapshots_csv(result: SimulationResult, path, stride: int = 1):
-    """Dump every snapshot as rows of t, z, and Re/Im/abs of each field."""
-    header = (
-        "t,z,re_psi,im_psi,abs_psi,re_phi,im_phi,abs_phi,"
-        "re_e,im_e,abs_e,re_sigma_bc,im_sigma_bc,abs_sigma_bc\n"
-    )
+    """Dump every snapshot as rows of t, z, and Re/Im/abs of each of SNAPSHOT_FIELDS."""
     snapshots = (
-        (snap.t, (snap.psi.values, snap.phi.values, snap.e_field.values, snap.sigma_bc.values))
-        for snap in result.snapshots
+        (snap.t, [getattr(snap, name).values for name in SNAPSHOT_FIELDS]) for snap in result.snapshots
     )
-    write_csv(path, header, field_tables(result.grid.z_array(), snapshots, stride))
+    write_csv(path, field_header(SNAPSHOT_FIELDS), field_tables(result.grid.z_array(), snapshots, stride))
 
 
 def write_coefficient_csv(result: SimulationResult, path):
-    """Rows t, alpha1, alpha2, beta, v_g of the coefficient law along the run's schedule.
+    """Rows of t and the COEFFICIENT_COLUMNS of the coefficient law along the run's schedule.
 
     The times are the snapshot times and the schedule's sample_times within
     the run but not within INSTANT_RTOL of a snapshot time, in order, so the
@@ -610,4 +611,5 @@ def write_coefficient_csv(result: SimulationResult, path):
     t = _sorted_distinct(np.concatenate([snap_times, scan[gap > INSTANT_RTOL * scan]]))
     theta, theta_dot, _ = result.schedule.eval(result.params, t)
     cs = exponent_integrand(theta, theta_dot, result.params)
-    write_csv(path, "t,alpha1,alpha2,beta,v_g\n", [[t, cs.alpha1, cs.alpha2, cs.beta, cs.v_g]])
+    header = ",".join(("t",) + COEFFICIENT_COLUMNS) + "\n"
+    write_csv(path, header, [[t] + [getattr(cs, name) for name in COEFFICIENT_COLUMNS]])

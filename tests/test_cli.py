@@ -13,9 +13,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from eitmem import analysis, cli, solver
+from eitmem import analysis, cli, oracle, solver
 from eitmem.cli import SWEEP_COLUMNS, _decay_fit_warning, main
 from eitmem.control import ControlSchedule
+from eitmem.grids import field_header
 from eitmem.errors import EitmemError
 from eitmem.scenario import IGNORED_MEDIUM_KEYS, MEDIUM_KEYS, default_scenario, save_scenario, with_medium
 from eitmem.solver import BlockEvolution, simulate
@@ -187,6 +188,10 @@ def _strict_json(path) -> dict:
     return json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
 
 
+def field_names(record) -> set[str]:
+    return {f.name for f in dataclasses.fields(record)}
+
+
 def test_limits_writes_frozen_bounds(tmp_path, capsys):
     rc = main(["limits", "--out-dir", str(tmp_path)])
     assert rc == 0
@@ -196,6 +201,9 @@ def test_limits_writes_frozen_bounds(tmp_path, capsys):
     assert payload["delta_max"] == pytest.approx(2003334.8901419416, rel=1e-9)
     assert payload["pulse_length"] == 1e-3
     assert payload["storage_time"] == 53e-6
+    # limits.json is the DesignLimits record, field for field, and the two inputs
+    assert payload.keys() - {"pulse_length", "storage_time"} == field_names(analysis.DesignLimits)
+    assert isinstance(payload["notes"], list)
 
     longer = tmp_path / "longer"
     rc = main(
@@ -726,7 +734,18 @@ def test_run_with_reference_comparison(tmp_path, capsys):
     first = (out / "oracle_snapshots.csv").read_text().splitlines()[0]
     assert first == "# scheme=splitting_spectral_advection dt=0.001"
     summary = _strict_json(out / "summary.json")
-    assert summary["oracle_comparison"]["max_linf"] == comparison["max_linf"]
+    assert summary["oracle_comparison"] == comparison
+    # each record block holds exactly its record's fields, and each field
+    # CSV's header is the one derived from the fields it holds
+    assert comparison.keys() == field_names(oracle.ComparisonReport)
+    assert summary["distortion"].keys() == field_names(analysis.DistortionReport)
+    assert summary["low_intensity"].keys() == field_names(analysis.LowIntensityReport)
+    oracle_header = (out / "oracle_snapshots.csv").read_text().splitlines(True)[1]
+    assert oracle_header == field_header(oracle.ORACLE_FIELDS)
+    snapshot_header = (out / "snapshots.csv").read_text().splitlines(True)[0]
+    assert snapshot_header == field_header(solver.SNAPSHOT_FIELDS)
+    coefficient_header = (out / "coefficients.csv").read_text().splitlines()[0]
+    assert coefficient_header.split(",") == ["t", *solver.COEFFICIENT_COLUMNS]
     # a constant control never switches: its adiabatic time ratio is unbounded
     assert comparison["ratios"]["adiabatic_time_ratio"] is None
 
@@ -843,3 +862,45 @@ def test_non_finite_ini_value_exits_2_naming_the_key(tmp_path, capsys, kind, sec
         cp.write(fh)
     assert main(["validate", str(ini)]) == 2
     assert f"[{section}] {key} " in capsys.readouterr().err
+
+
+def _default_ini_with(path, section: str, key: str, text: str) -> None:
+    """Write the default scenario to path with [section] key set to text, which no constructor checks."""
+    save_scenario(default_scenario(), path)
+    cp = configparser.ConfigParser()
+    cp.read(path)
+    cp[section][key] = text
+    with open(path, "w") as fh:
+        cp.write(fh)
+
+
+@pytest.mark.parametrize("verb", ["validate", "limits"])
+@pytest.mark.parametrize("value", [1e-300, -1e-300, 1e-30, -1e-30, 1e30, -1e30, 1e300, -1e300])
+@pytest.mark.parametrize("key", [key for key, _, _ in MEDIUM_KEYS])
+def test_a_medium_value_at_any_scale_ends_in_an_exit_code_not_a_traceback(tmp_path, capsys, key, value, verb):
+    # A value the constructor rejects is written to the file all the same,
+    # so it too goes through the CLI. A bound limits prints as inf, at a
+    # vanishing gamma_ba, gamma_bc or c, is unbounded, not a fault.
+    ini = tmp_path / "extreme.ini"
+    _default_ini_with(ini, "medium", key, repr(value))
+    rc = main([verb, str(ini)])
+    err = capsys.readouterr().err
+    assert rc in (0, 2, 3, 4)
+    assert len(err.splitlines()) == (rc != 0)
+
+
+@pytest.mark.parametrize("verb", ["validate", "limits", "run"])
+@pytest.mark.parametrize("key,value", [("g", 1e-300), ("g", 1e300), ("n_atoms", 1e300)])
+def test_a_g2n_that_underflows_or_overflows_exits_2_naming_g_and_n_atoms(tmp_path, capsys, key, value, verb):
+    ini = tmp_path / "extreme.ini"
+    _default_ini_with(ini, "medium", key, repr(value))
+    out = tmp_path / "out"
+    assert main([verb, str(ini)] + (["--out-dir", str(out)] if verb != "validate" else [])) == 2
+    medium = default_scenario().medium
+    g, n_atoms = (value, medium.n_atoms) if key == "g" else (medium.g, value)
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"config error: g^2 N must neither underflow to 0 nor overflow, got g = {g} and n_atoms = {n_atoms}\n"
+    )
+    assert captured.out == ""
+    assert not out.exists()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import pathlib
@@ -329,15 +330,15 @@ def test_chunked_propagators_follow_step_midpoints(monkeypatch):
 
 
 def test_cli_import_leaves_scipy_linalg_unloaded(tmp_path):
-    # scipy.linalg costs a third of a second to import and numpy.ma about
-    # 11 ms; neither is needed to import the CLI, to run a check, or to make
-    # a default run and write its artifacts.
+    # scipy.linalg costs a third of a second to import, numpy.ma about 11 ms
+    # and numpy.polynomial 4-10 ms; none is needed to import the CLI, to run
+    # a check, or to make a default run and write its artifacts.
     src = str(pathlib.Path(eitmem.oracle.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
         "import sys, eitmem.cli; eitmem.cli.main(['validate']); "
         f"assert eitmem.cli.main(['run', '--out-dir', {str(tmp_path)!r}]) == 0; "
-        "print(sorted({'numpy.ma', 'scipy.linalg'} & set(sys.modules)))"
+        "print(sorted({'numpy.ma', 'numpy.polynomial', 'scipy.linalg'} & set(sys.modules)))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
@@ -453,6 +454,6 @@ def test_comparison_agrees_when_checks_pass():
     # the same comparison is available on the spin coherence
     bc = compare_to_adiabatic(states, result, observable="sigma_bc")
     assert bc.max_linf < 0.01
-    d = report.to_dict()
+    d = dataclasses.asdict(report)
     assert d["observable"] == "e_field"
     assert d["ratios"]["high_density_ratio"] > 1e7
