@@ -121,22 +121,18 @@ class ControlSchedule:
             raise ConfigError("tabulated times must be strictly increasing")
         if np.any(th <= 0) or np.any(th >= 0.5 * math.pi):
             raise ConfigError("tabulated thetas must lie strictly inside (0, pi/2)")
-        from scipy.interpolate import PchipInterpolator
-
-        interp = PchipInterpolator(t, th, extrapolate=False)
+        object.__setattr__(self, "_cubic", (t, _monotone_cubic(t, th)))
         # Density check: a midpoint refinement must agree with straight
         # linear interpolation, otherwise the table undersamples theta(t).
         mid = 0.5 * (t[:-1] + t[1:])
         linear = 0.5 * (th[:-1] + th[1:])
-        gap = np.max(np.abs(np.asarray(interp(mid)) - linear))
+        gap = np.max(np.abs(_cubic_at(*self._cubic, mid)[0] - linear))
         if gap > TABULATED_DENSITY_TOL:
             raise ConfigError(
                 f"tabulated schedule too sparse: midpoint interpolation differs "
                 f"from linear by {gap:.3e} rad (limit {TABULATED_DENSITY_TOL:.1e}); "
                 f"add samples where theta bends"
             )
-        object.__setattr__(self, "_interp", interp)
-        object.__setattr__(self, "_interp_dot", interp.derivative())
 
     def _cot_theta(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """tanh profile: (x, dx/dt) with x = cot(theta)."""
@@ -161,9 +157,9 @@ class ControlSchedule:
             return ControlSample(theta[()], theta_dot[()], (params.g_root_n * x)[()])
         # tabulated: hold the endpoint values outside the table
         tc = np.clip(t, self.times[0], self.times[-1])
-        theta = self._interp(tc)
+        theta, theta_dot = _cubic_at(*self._cubic, tc)
         inside = (self.times[0] < t) & (t < self.times[-1])
-        theta_dot = np.where(inside, self._interp_dot(tc), 0.0)
+        theta_dot = np.where(inside, theta_dot, 0.0)
         omega = omega_from_theta(theta, params.g, params.n_atoms)
         return ControlSample(theta[()], theta_dot[()], omega[()])
 
@@ -193,7 +189,7 @@ class ControlSchedule:
         t = np.asarray(self.times)
         th = np.asarray(self.thetas)
         dense = np.linspace(t[0], t[-1], 20 * len(t))
-        rate = np.max(np.abs(np.asarray(self._interp_dot(dense))))
+        rate = np.max(np.abs(_cubic_at(*self._cubic, dense)[1]))
         swing = float(np.max(th) - np.min(th))
         if rate == 0.0 or swing == 0.0:
             return math.inf
@@ -215,6 +211,52 @@ class ControlSchedule:
             return _sorted_distinct(pts[pts >= 0.0])
         t = np.asarray(self.times)
         return _sorted_distinct(np.concatenate([t, 0.5 * (t[:-1] + t[1:])]))
+
+
+def _monotone_cubic(t: np.ndarray, th: np.ndarray) -> np.ndarray:
+    """Coefficients (c3, c2, c1, c0), one column per interval, of the monotone
+    piecewise-cubic Hermite interpolant of th(t) in powers of (time - t[i]).
+
+    Knot slopes follow PCHIP (Fritsch & Carlson, SIAM J. Numer. Anal. 17, 238
+    (1980)): inside the table the Fritsch-Butland weighted harmonic mean of
+    the two secants, or 0 where they change sign or one is flat; at each end
+    the three-point one-sided slope, limited to keep the shape. A two-knot
+    table is linear. Every slope is at most three times its neighbouring
+    secants, so each cubic stays between its two knot values.
+    """
+    h = np.diff(t)
+    m = np.diff(th) / h
+    d = np.full(th.shape, m[0])
+    if len(t) > 2:
+        same = (np.sign(m[:-1]) == np.sign(m[1:])) & (m[:-1] != 0.0)
+        w1 = (2.0 * h[1:] + h[:-1])[same]
+        w2 = (h[1:] + 2.0 * h[:-1])[same]
+        d[1:-1] = 0.0
+        d[1:-1][same] = (w1 + w2) / (w1 / m[:-1][same] + w2 / m[1:][same])
+        d[0] = _end_slope(h[0], h[1], m[0], m[1])
+        d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
+    k = (d[:-1] + d[1:] - 2.0 * m) / h
+    return np.array([k / h, (m - d[:-1]) / h - k, d[:-1], th[:-1]])
+
+
+def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    """One-sided three-point slope at a table end, set to 0 where its sign
+    differs from the end secant's and limited to 3*m0 where the secants change sign."""
+    d = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _cubic_at(knots: np.ndarray, coefficients: np.ndarray, t) -> tuple[np.ndarray, np.ndarray]:
+    """The cubic of _monotone_cubic and its rate at times t inside the table."""
+    # segment i holds knots[i] <= t < knots[i + 1]; the last holds the last knot too
+    i = np.searchsorted(knots[1:-1], t, side="right")
+    c3, c2, c1, c0 = coefficients[:, i]
+    s = t - knots[i]
+    return ((c3 * s + c2) * s + c1) * s + c0, (3.0 * c3 * s + 2.0 * c2) * s + c1
 
 
 def _sorted_distinct(x: np.ndarray) -> np.ndarray:

@@ -4,9 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from eitmem.control import (
     ControlSchedule,
+    _cubic_at,
+    _monotone_cubic,
     omega_from_theta,
     theta_from_omega,
 )
@@ -121,6 +124,80 @@ def test_tabulated_rejects_sparse_sampling(default_sc):
     thetas = [src.eval(p, float(t)).theta for t in knots]
     with pytest.raises(ConfigError, match="sparse"):
         ControlSchedule(kind="tabulated", times=tuple(knots), thetas=tuple(thetas))
+
+
+def _assert_matches_pchip(knots, thetas, times, theta, theta_dot):
+    # 1e-14 of the largest reference value, theta and its rate each; a flat
+    # table's rate must come out exactly 0.
+    reference = PchipInterpolator(knots, thetas)
+    for got, want in ((theta, reference(times)), (theta_dot, reference.derivative()(times))):
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def _tabulated_fixtures():
+    sc = default_scenario()
+    full = np.linspace(0.0, 180e-6, 4001)
+    short = np.linspace(0.0, 100e-6, 2001)
+    flat = np.linspace(0.0, 1e-5, 64)
+    return {
+        "default_4001": (full, sc.schedule.eval(sc.medium, full).theta),
+        "first_100us_2001": (short, sc.schedule.eval(sc.medium, short).theta),
+        "flat_64": (flat, np.full(64, 1.0)),
+        "two_knots_rising": (np.array([0.0, 180e-6]), np.array([0.3, 1.2])),
+        "two_knots_falling": (np.array([10e-6, 11e-6]), np.array([1.5, 0.2])),
+    }
+
+
+TABULATED_FIXTURES = _tabulated_fixtures()
+
+
+@pytest.mark.parametrize("name", list(TABULATED_FIXTURES))
+def test_tabulated_schedule_matches_pchip(default_sc, name):
+    knots, thetas = TABULATED_FIXTURES[name]
+    tab = ControlSchedule(kind="tabulated", times=tuple(knots), thetas=tuple(thetas))
+    rng = np.random.default_rng(SEED)
+    # eval holds theta_dot at 0 on the end knots, so read the inner ones
+    inner = np.concatenate(
+        [knots[1:-1], 0.5 * (knots[:-1] + knots[1:]), rng.uniform(knots[0], knots[-1], 200)]
+    )
+    sample = tab.eval(default_sc.medium, inner)
+    _assert_matches_pchip(knots, thetas, inner, sample.theta, sample.theta_dot)
+    if len(knots) == 2:
+        slope = (thetas[1] - thetas[0]) / (knots[1] - knots[0])
+        assert sample.theta == pytest.approx(thetas[0] + slope * (inner - knots[0]), rel=1e-14)
+        assert sample.theta_dot == pytest.approx(np.full(inner.shape, slope), rel=1e-14)
+
+
+def _random_table(rng, shape):
+    n = 2 if shape == "two_knots" else int(rng.integers(3, 60))
+    knots = np.cumsum(rng.uniform(0.05, 2.0, n)) * 1e-6
+    if shape == "monotone":
+        thetas = np.sort(rng.uniform(0.05, 1.5, n))[:: rng.choice([-1, 1])]
+    elif shape == "flat_runs":
+        # a few levels drawn with repeats, so runs of equal values and
+        # values that come back after leaving
+        thetas = rng.choice(rng.uniform(0.05, 1.5, 3), n)
+    else:
+        thetas = rng.uniform(0.05, 1.5, n)
+    return knots, thetas
+
+
+@pytest.mark.parametrize("shape", ["monotone", "non_monotone", "flat_runs", "two_knots"])
+def test_monotone_cubic_matches_pchip_on_random_tables(shape):
+    rng = np.random.default_rng(SEED)
+    for _ in range(100):
+        knots, thetas = _random_table(rng, shape)
+        times = np.concatenate(
+            [knots, 0.5 * (knots[:-1] + knots[1:]), rng.uniform(knots[0], knots[-1], 10 * len(knots))]
+        )
+        theta, theta_dot = _cubic_at(knots, _monotone_cubic(knots, thetas), times)
+        _assert_matches_pchip(knots, thetas, times, theta, theta_dot)
+        # shape preserved: between two knots theta stays between their
+        # values, up to the rounding of the cubic's last sums
+        i = np.searchsorted(knots[1:-1], times, side="right")
+        low = np.minimum(thetas[i], thetas[i + 1]) - 1e-15
+        high = np.maximum(thetas[i], thetas[i + 1]) + 1e-15
+        assert np.all((low <= theta) & (theta <= high))
 
 
 def test_tabulated_requires_strictly_increasing_times():

@@ -29,7 +29,7 @@ from eitmem.oracle import (
     step_count,
     write_oracle_csv,
 )
-from eitmem.scenario import default_scenario
+from eitmem.scenario import default_scenario, save_scenario
 from eitmem.solver import simulate
 
 GRID = GridSpec(-2.0, 2.0, 1024)
@@ -329,22 +329,43 @@ def test_chunked_propagators_follow_step_midpoints(monkeypatch):
                 assert np.max(np.abs(got.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_cli_import_leaves_scipy_linalg_unloaded(tmp_path):
-    # scipy.linalg costs a third of a second to import, numpy.ma about 11 ms
-    # and numpy.polynomial 4-10 ms; none is needed to import the CLI, to run
-    # a check, or to make a default run and write its artifacts.
+def test_cli_runs_load_no_scipy_numpy_ma_or_numpy_polynomial(tmp_path):
+    # scipy.interpolate costs about two thirds of a second to import,
+    # scipy.linalg a third, numpy.ma about 11 ms and numpy.polynomial 4-10 ms;
+    # none is needed to import the CLI, to run a check, or to make a default
+    # or a tabulated run and write its artifacts.
+    base = default_scenario()
+    knots = np.linspace(0.0, 180e-6, 4001)
+    thetas = base.schedule.eval(base.medium, knots).theta
+    ini = tmp_path / "tabulated.ini"
+    save_scenario(
+        dataclasses.replace(
+            base, schedule=ControlSchedule(kind="tabulated", times=tuple(knots), thetas=tuple(thetas))
+        ),
+        str(ini),
+    )
     src = str(pathlib.Path(eitmem.oracle.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
         "import sys, eitmem.cli; eitmem.cli.main(['validate']); "
-        f"assert eitmem.cli.main(['run', '--out-dir', {str(tmp_path)!r}]) == 0; "
-        "print(sorted({'numpy.ma', 'numpy.polynomial', 'scipy.linalg'} & set(sys.modules)))"
+        f"assert eitmem.cli.main(['run', '--out-dir', {str(tmp_path / 'default')!r}]) == 0; "
+        f"assert eitmem.cli.main(['run', {str(ini)!r}, '--out-dir', {str(tmp_path / 'tabulated')!r}]) == 0; "
+        "print(sorted(name for name in sys.modules if name in ('numpy.ma', 'numpy.polynomial', 'scipy') "
+        "or name.startswith('scipy.')))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     ).stdout
     assert out.splitlines()[-1] == "[]"
-    assert sorted(path.name for path in tmp_path.iterdir()) == ["coefficients.csv", "snapshots.csv", "summary.json"]
+    for run in ("default", "tabulated"):
+        written = sorted(path.name for path in (tmp_path / run).iterdir())
+        assert written == ["coefficients.csv", "snapshots.csv", "summary.json"]
+
+
+def test_package_source_names_no_scipy():
+    # scipy is a test-only dependency: the tests use it as a reference
+    for path in pathlib.Path(eitmem.oracle.__file__).parent.glob("*.py"):
+        assert "scipy" not in path.read_text(), path.name
 
 
 def test_reference_integrator_stays_independent():
