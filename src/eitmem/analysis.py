@@ -305,10 +305,8 @@ class LowIntensityReport:
     passed: bool
 
 
-def check_low_intensity(
-    result: SimulationResult, params: MediumParams, schedule: ControlSchedule
-) -> LowIntensityReport:
-    """Worst probe-vs-control Rabi ratio over the snapshots.
+def check_low_intensity(result: SimulationResult) -> LowIntensityReport:
+    """Worst probe-vs-control Rabi ratio over the snapshots of a run, on its own medium and schedule.
 
     The probe Rabi scale is g * max|E|; the run respects the weak-probe
     assumption when that stays well under the control Rabi frequency at
@@ -316,9 +314,9 @@ def check_low_intensity(
     """
     flagged = []
     worst = 0.0
-    omegas = schedule.eval(params, np.array([snap.t for snap in result.snapshots])).omega
+    omegas = result.schedule.eval(result.params, np.array([snap.t for snap in result.snapshots])).omega
     for snap, omega_c in zip(result.snapshots, omegas.tolist()):
-        ratio = params.g * float(np.max(np.abs(snap.e_field.values))) / omega_c
+        ratio = result.params.g * float(np.max(np.abs(snap.e_field.values))) / omega_c
         worst = max(worst, ratio)
         if ratio > PROBE_CONTROL_LIMIT:
             flagged.append(snap.t)
@@ -403,7 +401,7 @@ def assemble_summary(result: SimulationResult, output_time: float | None = None)
     track = track_pulse(result)
     summary: dict = {
         "validity": result.validity.to_dict(),
-        "low_intensity": asdict(check_low_intensity(result, params, schedule)),
+        "low_intensity": asdict(check_low_intensity(result)),
     }
     m = measured(track, schedule, output_time)
     summary |= dict.fromkeys(m.windows)

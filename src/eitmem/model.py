@@ -90,6 +90,26 @@ class MediumParams:
         return self.delta == 0.0 and self.delta_p == 0.0
 
 
+def coupling_matrix(params: MediumParams, omega: np.ndarray) -> np.ndarray:
+    """Balanced generator of the local atomic block, one per control value.
+
+    The block acting on (E, sigma_ba, sigma_bc) is
+    M = [[0, i g N, 0], [i g, -d_ba, i Omega], [0, i Omega*, -d_bc]].
+    Returned is D M D^-1 with D = diag(1, sqrt N, sqrt N): both field
+    couplings become i g sqrt N, which cuts the norm by a factor of about
+    sqrt N and with it the squarings expm needs.
+    """
+    omega = np.asarray(omega)
+    d_ba, d_bc = params.coherence_factors()
+    m = np.zeros(omega.shape + (3, 3), dtype=complex)
+    m[..., 0, 1] = m[..., 1, 0] = 1j * params.g_root_n
+    m[..., 1, 1] = -d_ba
+    m[..., 1, 2] = 1j * omega
+    m[..., 2, 1] = 1j * np.conj(omega)
+    m[..., 2, 2] = -d_bc
+    return m
+
+
 @dataclass(frozen=True)
 class PulseSpec:
     """Gaussian information pulse: amplitude * exp(-((z-center)/width)^2)."""

@@ -24,7 +24,7 @@ import numpy as np
 from .control import ControlSchedule
 from .errors import ConfigError, InvalidComparisonError, SimulationError
 from .grids import FieldGrid, GridSpec, field_header, field_tables, squared_norm, whole_steps, write_csv
-from .model import MediumParams
+from .model import MediumParams, coupling_matrix
 
 # Coupling propagators are built for at most this many step midpoints at a
 # time, so memory stays flat however small dt is.
@@ -160,29 +160,9 @@ def _norm1(a: np.ndarray) -> np.ndarray:
     return np.abs(a).sum(axis=-2).max(axis=-1)
 
 
-def _coupling_matrix(params: MediumParams, omega: np.ndarray) -> np.ndarray:
-    """Balanced generator of the local atomic block, one per control value.
-
-    The block acting on (E, sigma_ba, sigma_bc) is
-    M = [[0, i g N, 0], [i g, -d_ba, i Omega], [0, i Omega*, -d_bc]].
-    Returned is D M D^-1 with D = diag(1, sqrt N, sqrt N): both field
-    couplings become i g sqrt N, which cuts the norm by a factor of about
-    sqrt N and with it the squarings expm needs.
-    """
-    omega = np.asarray(omega)
-    d_ba, d_bc = params.coherence_factors()
-    m = np.zeros(omega.shape + (3, 3), dtype=complex)
-    m[..., 0, 1] = m[..., 1, 0] = 1j * params.g_root_n
-    m[..., 1, 1] = -d_ba
-    m[..., 1, 2] = 1j * omega
-    m[..., 2, 1] = 1j * np.conj(omega)
-    m[..., 2, 2] = -d_bc
-    return m
-
-
 def _propagators(params: MediumParams, omega: np.ndarray, dt: float) -> np.ndarray:
     """exp(M dt) for each control value, by way of the balanced generator."""
-    p = expm(_coupling_matrix(params, omega) * dt)
+    p = expm(coupling_matrix(params, omega) * dt)
     root_n = math.sqrt(params.n_atoms)
     p[..., 0, 1:] *= root_n
     p[..., 1:, 0] /= root_n

@@ -26,7 +26,7 @@ from .errors import (
     QuadratureError,
     SimulationError,
 )
-from .grids import FieldGrid, GridSpec, field_header, field_tables, gaussian_field, squared_norm, whole_steps, write_csv
+from .grids import FieldGrid, GridSpec, field_header, field_tables, gaussian_field, whole_steps, write_csv
 from .model import MediumParams, PulseSpec, ValidityReport, check_regime
 
 # Anti-wraparound margin: the periodic domain must be at least this many
@@ -38,11 +38,6 @@ DOMAIN_PADDING_FACTOR = 4.0
 # the physical pulse actually is. Cutoff in units of 2*pi/pulse_length.
 WRAPAROUND_LOWPASS_HARMONICS = 32.0
 WRAPAROUND_SUPPORT_FLOOR = 1e-6  # relative to the full-field peak
-
-# Relative widening of the Parseval bounds on a row's peak. Rounding in the
-# squared norm's pairwise sum and in the inverse FFT stays below 1e-11
-# relative up to the largest grid.
-PEAK_BOUND_MARGIN = 1e-9
 
 # Adaptive Simpson controls for the coefficient time integrals, read at
 # call time.
@@ -162,26 +157,6 @@ def forward_transform(f: FieldGrid) -> np.ndarray:
 def inverse_transform(modes: np.ndarray) -> np.ndarray:
     """Samples of every row of a block of modes, from one FFT along the last axis."""
     return np.fft.ifft(modes, axis=-1)
-
-
-def peak_bounds(modes: np.ndarray) -> tuple[float, float]:
-    """Lower and upper bounds on max |inverse_transform(modes)| of one row of n modes.
-
-    With numpy's ifft normalisation Parseval gives ||psi||^2 = ||m||^2 / n,
-    so max |psi| is at least the rms ||m|| / n and, by Cauchy-Schwarz, at
-    most ||m|| / sqrt(n). Both bounds come from one squared_norm and are
-    widened by PEAK_BOUND_MARGIN. A row whose squared norm underflows is
-    summed again scaled by a power of two; under amplification_bound none overflows.
-    """
-    n = modes.size
-    total = squared_norm(modes)
-    shift = 0
-    if total < 2.0**-960:  # a zero row keeps shift 0 and bounds (0, 0)
-        top = float(np.max(np.abs(modes)))
-        shift = max(math.frexp(top)[1], -1023)
-        total = squared_norm(modes * math.ldexp(1.0, -shift))
-    norm = math.ldexp(math.sqrt(total), shift)
-    return norm / n * (1.0 - PEAK_BOUND_MARGIN), norm / math.sqrt(n) * (1.0 + PEAK_BOUND_MARGIN)
 
 
 def accumulate_exponent(
@@ -371,29 +346,30 @@ def _edge_probe(k_grid: np.ndarray, pulse: PulseSpec) -> tuple[np.ndarray, np.nd
 
 
 def _check_wraparound(
-    modes: np.ndarray, low: float, high: float, probe: tuple[np.ndarray, np.ndarray], t: float
-) -> bool:
+    modes: np.ndarray, peak: float | None, probe: tuple[np.ndarray, np.ndarray], t: float
+) -> None:
     """Raise when the low-passed field of one row of modes reaches an edge sample.
 
-    low and high bound the row's max |psi|; a transformed row passes its
-    peak as both. The check raises when an edge sample reaches the floor
-    times high, returns True when every edge sample is below the floor
-    times low, and returns False when the bounds cannot tell. The floor is
-    relative to the full field, not the low-passed one: a run whose high-k
-    modes were amplified into garbage leaves ~1e-16 * garbage of transform
-    roundoff in every retained mode, and measuring support against the tiny
-    smooth remnant would abort sweeps whose whole point is to report that
-    garbage as a distorted verdict.
+    It raises when an edge sample is at least the floor times peak, the
+    row's max |psi|; a row of zero peak passes. A row not transformed
+    passes None: as |m_k| <= n max |psi|, it passes at once below the floor
+    times max |m| / n, and is transformed for its peak otherwise. The
+    floor is relative to the full field, not the low-passed one: a run
+    whose high-k modes were amplified into garbage leaves ~1e-16 * garbage
+    of transform roundoff in every retained mode, and measuring support
+    against the tiny smooth remnant would abort sweeps whose whole point is
+    to report that garbage as a distorted verdict.
     """
-    if high == 0.0:
-        return True
     index, basis = probe
     edge = float(np.max(np.abs(modes[index] @ basis)))
-    if edge >= WRAPAROUND_SUPPORT_FLOOR * high:
+    if peak is None:
+        if edge < WRAPAROUND_SUPPORT_FLOOR * float(np.max(np.abs(modes))) / modes.size:
+            return
+        peak = float(np.max(np.abs(inverse_transform(modes[np.newaxis]))))
+    if peak and edge >= WRAPAROUND_SUPPORT_FLOOR * peak:
         raise DomainOverflowError(
             t, f"pulse support reached the domain edge at t = {t:.6e} s"
         )
-    return edge < WRAPAROUND_SUPPORT_FLOOR * low
 
 
 class BlockEvolution:
@@ -406,11 +382,11 @@ class BlockEvolution:
     block form one (media x n) array, so each snapshot the caller reads
     takes one inverse FFT along the last axis for the whole block; along
     that axis the 2-D transform equals the row-by-row 1-D transforms bit
-    for bit. A snapshot the caller does not read is checked
-    from Parseval bounds on each row's peak, and a row is transformed there
-    only when its bounds cannot settle a check. Mode products and every
-    reduction stay per row: broadcast across rows they round differently,
-    and a distorted row amplifies that round-off.
+    for bit. A snapshot the caller does not read transforms only the rows
+    whose largest mode cannot settle the edge check, so every row meets the
+    exact check with the same error. Mode products and every reduction stay
+    per row: broadcast across rows they round differently, and a distorted
+    row amplifies that round-off.
 
     Checks of the shared arguments raise. Each medium's own checks (regime,
     quadrature, amplification bound, wraparound) run per row, in the order
@@ -488,28 +464,15 @@ class BlockEvolution:
     def _snapshot(self, j: int, i: int, psi: FieldGrid, peak: float) -> Snapshot:
         return Snapshot(self.times[i], psi, float(self._exponents[j][2][i]), self.media[j], peak)
 
-    def _check_row(self, modes: np.ndarray, low: float, high: float, probe, i: int) -> None:
-        """The wraparound check of one row of modes at snapshot i.
-
-        low and high bound the row's max |psi|: a transformed row passes its
-        peak as both, a row not transformed its peak_bounds. When the bounds
-        cannot settle the check, the row alone is transformed and checked on
-        its peak, so every row meets the same check with the same error.
-        """
-        t = self.times[i]
-        if not _check_wraparound(modes, low, high, probe, t):
-            peak = float(np.max(np.abs(inverse_transform(modes[np.newaxis]))))
-            _check_wraparound(modes, peak, peak, probe, t)
-
     def evolve(self, read=None):
         """Run the block; yields, per snapshot read, its index and the (medium index, Snapshot) pairs of the rows still running.
 
         read holds the indices into `times` of the snapshots whose fields the
         caller reads; None reads them all. Only those snapshots take the
-        block inverse FFT. Every other snapshot checks each row from bounds
-        on its peak (_check_row). The amplification bound is read from the
-        exponents before any mode is built, and a row stops at the first
-        snapshot past it.
+        block inverse FFT; every other snapshot transforms only the rows
+        that _check_wraparound cannot settle from their largest mode. The
+        amplification bound is read from the exponents before any mode is
+        built, and a row stops at the first snapshot past it.
         """
         live = [j for j in range(len(self.media)) if j not in self.failed]
         if not live:
@@ -539,8 +502,7 @@ class BlockEvolution:
             members = []
             for r, j in enumerate(live):
                 try:
-                    bounds = (peaks[r], peaks[r]) if is_read else peak_bounds(modes[r])
-                    self._check_row(modes[r], *bounds, probe, i)
+                    _check_wraparound(modes[r], peaks[r] if is_read else None, probe, self.times[i])
                     if is_read:
                         members.append((j, self._snapshot(j, i, FieldGrid(self.grid, fields[r]), peaks[r])))
                 except EitmemError as exc:

@@ -325,5 +325,5 @@ def test_criterion_10_probe_amplitude_in_storage(default_sc, default_result):
     peak = float(np.max(np.abs(snap.e_field.values)))
     print(f"criterion 10: stored |E| peak {peak:.3e}")
     assert 1e-4 / 3.0 <= peak <= 3e-4
-    report = check_low_intensity(default_result, default_sc.medium, default_sc.schedule)
+    report = check_low_intensity(default_result)
     assert report.passed

@@ -348,7 +348,7 @@ def test_design_limits_scaling_laws(default_sc):
 
 
 def test_low_intensity_check_passes_default_run(default_sc, default_result):
-    report = check_low_intensity(default_result, default_sc.medium, default_sc.schedule)
+    report = check_low_intensity(default_result)
     assert report.passed
     assert report.flagged_times == ()
     assert 1e-5 < report.worst_ratio < 0.01
@@ -373,7 +373,7 @@ def test_low_intensity_check_flags_hot_probe(default_sc):
         snapshot_dt=15e-6,
         force=True,
     )
-    report = check_low_intensity(result, default_sc.medium, default_sc.schedule)
+    report = check_low_intensity(result)
     assert not report.passed
     assert report.worst_ratio > PROBE_CONTROL_LIMIT
     assert report.flagged_times != ()

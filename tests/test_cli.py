@@ -454,10 +454,10 @@ def test_sweep_block_takes_one_quadrature_pass(tmp_path, monkeypatch):
     assert in_block == len(evaluations)
 
 
-# A medium whose bounds cannot settle the wraparound check at a snapshot
-# not read: (scenario, medium change). At gamma_ba = 5e8 the exact edge
-# check then raises at 180 us; at 2e9 it passes at 105 us, and the bounds
-# alone raise at 120 us.
+# A medium whose edge check max |m| / n cannot settle at a snapshot not
+# read: (scenario, medium change). The row is transformed there, and at
+# gamma_ba = 5e8 the exact edge check raises at 180 us; at 2e9 it passes
+# at 105 us and raises at 120 us.
 UNREAD_FALLBACKS = {
     "wraparound_raises": (default_scenario, {"gamma_ba": 5e8}),
     "wraparound_passes": (default_scenario, {"gamma_ba": 2e9}),
@@ -469,25 +469,35 @@ def test_unread_snapshots_fall_back_to_the_exact_checks(monkeypatch, case):
     make_scenario, change = UNREAD_FALLBACKS[case]
     sc = with_medium(make_scenario(), **change)
     args = (sc.grid, sc.pulse, sc.schedule, sc.horizon, sc.snapshot_dt)
-    unsettled = []  # times at which the wraparound bounds could not tell
-    check = solver._check_wraparound
-
-    def recording(modes, low, high, probe, t):
-        settled = check(modes, low, high, probe, t)
-        if low != high and not settled:
-            unsettled.append(t)
-        return settled
-
-    monkeypatch.setattr(solver, "_check_wraparound", recording)
     rows = _count_transformed_rows(monkeypatch)
     block = BlockEvolution([sc.medium], *args)
     assert list(block.evolve(())) == []
-    assert rows and set(rows) == {1}
-    assert unsettled
+    assert rows and set(rows) == {1}  # nothing is read, so each transform is one row's fallback
     monkeypatch.undo()
     with pytest.raises(EitmemError) as exc:
         simulate(sc.medium, *args)
     assert (type(block.failed[0]), str(block.failed[0])) == (type(exc.value), str(exc.value))
+
+
+def _failures(block: BlockEvolution) -> dict:
+    return {j: (type(exc), str(exc)) for j, exc in block.failed.items()}
+
+
+@pytest.mark.parametrize("case", sorted(BLOCKED_SWEEPS) + sorted(UNREAD_FALLBACKS))
+def test_reading_no_snapshot_fails_the_rows_that_reading_every_snapshot_fails(case):
+    if case in BLOCKED_SWEEPS:
+        make_scenario, axis, values, _ = BLOCKED_SWEEPS[case]
+        changes = [{axis: value} for value in values]
+    else:
+        make_scenario, change = UNREAD_FALLBACKS[case]
+        changes = [change]
+    sc = make_scenario()
+    media = [with_medium(sc, **change).medium for change in changes]
+    args = (sc.grid, sc.pulse, sc.schedule, sc.horizon, sc.snapshot_dt)
+    unread, read = BlockEvolution(media, *args), BlockEvolution(media, *args)
+    assert list(unread.evolve(())) == []
+    assert list(read.evolve(None))
+    assert _failures(unread) == _failures(read)
 
 
 def test_sweep_with_no_snapshot_in_the_stored_window_leaves_both_fits_blank(tmp_path):

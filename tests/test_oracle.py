@@ -19,6 +19,7 @@ from eitmem.coefficients import bright_ratio, exponent_integrand
 from eitmem.control import ControlSchedule
 from eitmem.errors import ConfigError, InvalidComparisonError, SimulationError
 from eitmem.grids import FieldGrid, GridSpec, gaussian_field
+from eitmem.model import coupling_matrix
 from eitmem.oracle import (
     MAX_STEPS,
     OracleConfig,
@@ -259,7 +260,7 @@ def medium_controls():
 
 def test_expm_matches_scipy_on_oracle_generators():
     for params, dt, omega in medium_controls():
-        generators = eitmem.oracle._coupling_matrix(params, np.array(omega)) * dt
+        generators = coupling_matrix(params, np.array(omega)) * dt
         for m in generators:
             for a in (m, unbalanced(params, m)):
                 assert rel_diff(expm(a), scipy.linalg.expm(a)) < 1e-12
@@ -271,7 +272,7 @@ def test_expm_matches_scipy_on_oracle_generators():
 
 def test_expm_batches_over_leading_axes():
     params, dt, omega = next(medium_controls())
-    generators = eitmem.oracle._coupling_matrix(params, np.array(omega)) * dt
+    generators = coupling_matrix(params, np.array(omega)) * dt
     rng = np.random.default_rng(7)
     batch = generators[rng.integers(0, len(generators), size=(2, 5))]
     batch = batch * rng.uniform(0.1, 3.0, size=(2, 5, 1, 1))
