@@ -103,6 +103,12 @@ class ControlSchedule:
                     f"floor must be positive (got {self.floor}); a zero floor turns "
                     f"the control field fully off and theta reaches pi/2"
                 )
+            # eval squares cot(theta) and scales it by g sqrt(N). A finite
+            # square of its largest value keeps both finite: g^2 N is finite
+            # (MediumParams), so g sqrt(N) is below the root of the largest float.
+            plateau = self.scale + self.floor
+            if math.isinf(plateau * plateau):
+                raise ConfigError(f"the cot(theta) plateau scale + floor = {plateau!r} overflows when squared")
             if self.steepness <= 0:
                 raise ConfigError(f"steepness must be positive, got {self.steepness}")
             if not self.t2 > self.t1:
@@ -121,6 +127,10 @@ class ControlSchedule:
             raise ConfigError("tabulated times must be strictly increasing")
         if np.any(th <= 0) or np.any(th >= 0.5 * math.pi):
             raise ConfigError("tabulated thetas must lie strictly inside (0, pi/2)")
+        # The tanh plateau's bound, at the smallest theta: the cubic stays between its knots.
+        cot_max = 1.0 / math.tan(th.min())
+        if math.isinf(cot_max * cot_max):
+            raise ConfigError(f"cot(theta) at the smallest of thetas, {cot_max!r}, overflows when squared")
         object.__setattr__(self, "_cubic", (t, _monotone_cubic(t, th)))
         # Density check: a midpoint refinement must agree with straight
         # linear interpolation, otherwise the table undersamples theta(t).

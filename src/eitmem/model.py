@@ -19,6 +19,7 @@ from .errors import ConfigError, ValidityError, require_finite
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from .control import ControlSchedule
+    from .grids import GridSpec
 
 C_VACUUM = 2.99792458e8  # m/s
 
@@ -117,23 +118,52 @@ class PulseSpec:
     amplitude: complex  # dimensionless polariton amplitude
     center_z: float  # m
     width: float  # m, 1/e half-width
-    l_p: float | None = None  # pulse length in the medium, m; defaults to 2*width
 
     def __post_init__(self):
         for name in ("amplitude", "center_z", "width"):
             require_finite(name, getattr(self, name))
-        if self.l_p is not None:
-            require_finite("l_p", self.l_p)
         if self.width <= 0:
             raise ConfigError(f"pulse width must be positive, got {self.width}")
-        if self.l_p is not None and self.l_p <= 0:
-            raise ConfigError(f"l_p must be positive, got {self.l_p}")
         if abs(self.amplitude) == 0:
             raise ConfigError("pulse amplitude must be nonzero")
 
     @property
     def pulse_length(self) -> float:
-        return self.l_p if self.l_p is not None else 2.0 * self.width
+        """The pulse's 1/e length, 2 * width."""
+        return 2.0 * self.width
+
+
+# Anti-wraparound margin: the periodic domain must be at least this many
+# pulse lengths long, and the pulse must start clear of the edges.
+DOMAIN_PADDING_FACTOR = 4.0
+
+# Fewest grid spacings per pulse width. The Gaussian's mode at the grid's
+# Nyquist wavenumber pi/dz is exp(-(pi width / (2 dz))^2) of its peak, which
+# is 2^-52 at this width, so a narrower pulse is not resolved by the grid.
+# The rule also keeps ((z - center)/width)^2 below (n_points/3.8)^2, so
+# gaussian_field cannot overflow.
+MIN_WIDTH_SPACINGS = 2.0 / math.pi * math.sqrt(52.0 * math.log(2.0))
+
+
+def check_pulse_fits(grid: "GridSpec", pulse: PulseSpec):
+    """Raise ConfigError unless the grid holds the pulse clear of its edges and resolves it."""
+    support = pulse.pulse_length
+    if grid.length < DOMAIN_PADDING_FACTOR * support:
+        raise ConfigError(
+            f"domain length {grid.length} m is below {DOMAIN_PADDING_FACTOR}x the "
+            f"pulse length {support} m; enlarge the grid to keep the periodic "
+            f"boundary out of play"
+        )
+    if not (grid.z_min + support <= pulse.center_z <= grid.z_max - support):
+        raise ConfigError(
+            f"pulse center {pulse.center_z} m sits within one pulse length of the "
+            f"domain edge [{grid.z_min}, {grid.z_max}]"
+        )
+    if pulse.width < MIN_WIDTH_SPACINGS * grid.dz:
+        raise ConfigError(
+            f"pulse width {pulse.width} m is below {MIN_WIDTH_SPACINGS:.4f} grid spacings "
+            f"(z_max - z_min) / n_points = {grid.dz} m, so the grid does not resolve the pulse"
+        )
 
 
 # The regime checks, in report order: (check name, key of its ratio in the
@@ -249,7 +279,9 @@ def check_regime(
     theta = sample.theta
     f = bright_ratio(theta, params)
     e_est = abs(pulse.amplitude) * np.abs(np.cos(theta) + np.sin(theta) * f)
-    worst = float(np.max(params.g * e_est / sample.omega))
+    # A vanishing control Rabi frequency takes the ratio to inf, which fails the check.
+    with np.errstate(over="ignore"):
+        worst = float(np.max(params.g * e_est / sample.omega))
 
     ratios = {
         "high_density": high_density,

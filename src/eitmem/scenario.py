@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from .control import SCHEDULE_KINDS, ControlSchedule
 from .errors import ConfigError, require_finite
 from .grids import MAX_SNAPSHOT_SAMPLES, GridSpec, whole_steps
-from .model import MediumParams, PulseSpec
-from .solver import check_pulse_fits
+from .model import MediumParams, PulseSpec, check_pulse_fits
 
 DEFAULT_LABEL = "storage_default"
 
@@ -37,16 +36,14 @@ REQUIRED = dataclasses.MISSING
 
 # One (key, type, default) row per key, in the order the file is written.
 # The type is float, int, str, tuple (comma-separated floats) or complex
-# (keys <key>_re and <key>_im, the imaginary part defaulting to 0). A field
-# that is None is left out of the file. A callable default is computed from
-# the keys of its section read before it.
+# (keys <key>_re and <key>_im, the imaginary part defaulting to 0). A
+# callable default is computed from the keys of its section read before it.
 MEDIUM_KEYS = tuple((f.name, float, f.default) for f in dataclasses.fields(MediumParams))
 GRID_KEYS = (("z_min", float, REQUIRED), ("z_max", float, REQUIRED), ("n_points", int, REQUIRED))
 PULSE_KEYS = (
     ("amplitude", complex, REQUIRED),
     ("center_z", float, REQUIRED),
     ("width", float, REQUIRED),
-    ("l_p", float, None),  # absent: twice the width
 )
 _KIND_KEYS = {
     "constant": (("omega", float, REQUIRED),),
@@ -158,12 +155,10 @@ def save_scenario(scenario: Scenario, path: str):
 
 
 def _format_section(obj, rows) -> dict[str, str]:
-    """The text of each row's field of obj, by key; a None field is left out."""
+    """The text of each row's field of obj, by key."""
     out = {}
     for key, kind, _ in rows:
         value = getattr(obj, key)
-        if value is None:
-            continue
         if kind is complex:
             out[key + "_re"] = repr(float(value.real))
             out[key + "_im"] = repr(float(value.imag))

@@ -27,11 +27,7 @@ from .errors import (
     SimulationError,
 )
 from .grids import FieldGrid, GridSpec, field_header, field_tables, gaussian_field, whole_steps, write_csv
-from .model import MediumParams, PulseSpec, ValidityReport, check_regime
-
-# Anti-wraparound margin: the periodic domain must be at least this many
-# pulse lengths long, and the pulse must start clear of the edges.
-DOMAIN_PADDING_FACTOR = 4.0
+from .model import MediumParams, PulseSpec, ValidityReport, check_pulse_fits, check_regime
 
 # The wraparound monitor looks at a low-passed view of the field so that
 # broadband amplified floor noise in far-detuned runs does not mask where
@@ -313,21 +309,6 @@ class SimulationResult:
     params: MediumParams
     grid: GridSpec
     schedule: ControlSchedule
-
-
-def check_pulse_fits(grid: GridSpec, pulse: PulseSpec):
-    support = pulse.pulse_length
-    if grid.length < DOMAIN_PADDING_FACTOR * support:
-        raise ConfigError(
-            f"domain length {grid.length} m is below {DOMAIN_PADDING_FACTOR}x the "
-            f"pulse length {support} m; enlarge the grid to keep the periodic "
-            f"boundary out of play"
-        )
-    if not (grid.z_min + support <= pulse.center_z <= grid.z_max - support):
-        raise ConfigError(
-            f"pulse center {pulse.center_z} m sits within one pulse length of the "
-            f"domain edge [{grid.z_min}, {grid.z_max}]"
-        )
 
 
 def _edge_probe(k_grid: np.ndarray, pulse: PulseSpec) -> tuple[np.ndarray, np.ndarray]:

@@ -817,14 +817,14 @@ def test_cli_requires_a_subcommand():
         main([])
 
 
-def _ini_bases():
-    """One scenario per schedule kind, so every INI key exists somewhere."""
+def _ini_bases(n_points: int = 16384):
+    """One scenario per schedule kind, so every INI key exists somewhere, on n_points."""
     base = default_scenario()
+    base = dataclasses.replace(base, grid=dataclasses.replace(base.grid, n_points=n_points))
     knots = np.linspace(0.0, 180e-6, 4001)
     thetas = base.schedule.eval(base.medium, knots).theta
-    pulse = dataclasses.replace(base.pulse, l_p=2e-3)
     return {
-        "tanh_profile": dataclasses.replace(base, pulse=pulse),
+        "tanh_profile": base,
         "constant": dataclasses.replace(base, schedule=ControlSchedule(kind="constant", omega=5.0e9)),
         "tabulated": dataclasses.replace(
             base, schedule=ControlSchedule(kind="tabulated", times=tuple(knots), thetas=tuple(thetas))
@@ -840,7 +840,6 @@ NUMERIC_INI_KEYS = [("tanh_profile", "medium", key) for key, _, _ in MEDIUM_KEYS
     ("tanh_profile", "pulse", "amplitude_im"),
     ("tanh_profile", "pulse", "center_z"),
     ("tanh_profile", "pulse", "width"),
-    ("tanh_profile", "pulse", "l_p"),
     ("tanh_profile", "schedule", "scale"),
     ("tanh_profile", "schedule", "floor"),
     ("tanh_profile", "schedule", "steepness"),
@@ -897,6 +896,46 @@ def test_a_medium_value_at_any_scale_ends_in_an_exit_code_not_a_traceback(tmp_pa
     err = capsys.readouterr().err
     assert rc in (0, 2, 3, 4)
     assert len(err.splitlines()) == (rc != 0)
+
+
+# Values that once reached numpy and overflowed there: a pulse width the
+# grid does not resolve, and a largest cot(theta) whose square overflows.
+# Each is now refused when the scenario is built.
+OVERFLOW_LEAKS = {
+    ("z_min", -1e300),
+    ("z_max", 1e300),
+    ("width", 1e-300),
+    ("scale", 1e300),
+    ("floor", 1e300),
+    ("thetas", 1e-300),
+}
+
+
+@pytest.mark.parametrize(
+    "kind,section,key", [case for case in NUMERIC_INI_KEYS if case[1] != "medium"]
+)
+def test_a_value_at_any_scale_outside_medium_ends_in_an_exit_code_not_a_traceback(tmp_path, capsys, kind, section, key):
+    # Small grids keep the runs quick. A tuple key gets the value at every
+    # knot. Under the suite's filterwarnings = error, a numpy warning fails
+    # the test rather than reaching stderr.
+    base = tmp_path / "base.ini"
+    save_scenario(_ini_bases(n_points=256)[kind], base)
+    for value in (1e-300, -1e-300, 1e-30, -1e-30, 1e30, -1e30, 1e300, -1e300, 0.0):
+        cp = configparser.ConfigParser()
+        cp.read(base)
+        entries = len(cp[section][key].split(","))
+        cp[section][key] = ", ".join([repr(value)] * entries)
+        ini = tmp_path / "extreme.ini"
+        with open(ini, "w") as fh:
+            cp.write(fh)
+        for argv in (["validate", str(ini)], ["run", str(ini), "--out-dir", str(tmp_path / "out")]):
+            rc = main(argv)
+            err = capsys.readouterr().err
+            case = (argv[0], key, value)
+            assert rc in (0, 2, 3, 4), case
+            assert len(err.splitlines()) == (rc != 0), case
+            if (key, value) in OVERFLOW_LEAKS:
+                assert rc == 2 and key in err, case
 
 
 @pytest.mark.parametrize("verb", ["validate", "limits", "run"])

@@ -56,11 +56,9 @@ def test_coherence_factors_pack_detunings():
     assert default_scenario().medium.is_resonant()
 
 
-def test_pulse_spec_length_defaults_to_twice_width():
+def test_pulse_length_is_twice_the_width():
     p = PulseSpec(amplitude=0.2, center_z=0.0, width=1e-3)
     assert p.pulse_length == pytest.approx(2e-3)
-    q = PulseSpec(amplitude=0.2, center_z=0.0, width=1e-3, l_p=5e-3)
-    assert q.pulse_length == pytest.approx(5e-3)
 
 
 def test_regime_report_default_scenario():

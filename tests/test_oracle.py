@@ -330,6 +330,15 @@ def test_chunked_propagators_follow_step_midpoints(monkeypatch):
                 assert np.max(np.abs(got.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def _fresh_python(code: str) -> str:
+    """Standard output of code run in a new interpreter that imports this package."""
+    src = str(pathlib.Path(eitmem.oracle.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    ).stdout
+
+
 def test_cli_runs_load_no_scipy_numpy_ma_or_numpy_polynomial(tmp_path):
     # scipy.interpolate costs about two thirds of a second to import,
     # scipy.linalg a third, numpy.ma about 11 ms and numpy.polynomial 4-10 ms;
@@ -345,8 +354,6 @@ def test_cli_runs_load_no_scipy_numpy_ma_or_numpy_polynomial(tmp_path):
         ),
         str(ini),
     )
-    src = str(pathlib.Path(eitmem.oracle.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (
         "import sys, eitmem.cli; eitmem.cli.main(['validate']); "
         f"assert eitmem.cli.main(['run', '--out-dir', {str(tmp_path / 'default')!r}]) == 0; "
@@ -354,10 +361,7 @@ def test_cli_runs_load_no_scipy_numpy_ma_or_numpy_polynomial(tmp_path):
         "print(sorted(name for name in sys.modules if name in ('numpy.ma', 'numpy.polynomial', 'scipy') "
         "or name.startswith('scipy.')))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    ).stdout
-    assert out.splitlines()[-1] == "[]"
+    assert _fresh_python(code).splitlines()[-1] == "[]"
     for run in ("default", "tabulated"):
         written = sorted(path.name for path in (tmp_path / run).iterdir())
         assert written == ["coefficients.csv", "snapshots.csv", "summary.json"]
@@ -376,6 +380,15 @@ def test_reference_integrator_stays_independent():
     source = pathlib.Path(eitmem.oracle.__file__).read_text()
     for banned in ("from .solver", "from .coefficients", "import solver", "import coefficients"):
         assert banned not in source
+
+
+@pytest.mark.parametrize("module", ["eitmem.oracle", "eitmem.scenario"])
+def test_the_integrator_and_the_scenario_loader_load_no_engine_module(module):
+    # The test above reads one file's text; an import through another module
+    # or through the package shows only in what a fresh interpreter holds.
+    code = f"import sys, {module}; print(*sorted(m for m in sys.modules if m.split('.')[0] == 'eitmem'))"
+    loaded = set(_fresh_python(code).split())
+    assert loaded == {"eitmem", "eitmem.control", "eitmem.errors", "eitmem.grids", "eitmem.model", module}
 
 
 def test_oracle_csv_provenance_and_layout(tmp_path):

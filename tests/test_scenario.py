@@ -81,7 +81,6 @@ def test_constructors_reject_non_finite_values(bad):
         "z_max": lambda: GridSpec(-1e-2, bad, 1024),
         "width": lambda: PulseSpec(amplitude=0.2, center_z=0.0, width=bad),
         "amplitude": lambda: PulseSpec(amplitude=complex(0.2, bad), center_z=0.0, width=1e-3),
-        "l_p": lambda: PulseSpec(amplitude=0.2, center_z=0.0, width=1e-3, l_p=bad),
         "t1": lambda: ControlSchedule(kind="tanh_profile", t1=bad),
         "thetas": lambda: ControlSchedule(kind="tabulated", times=(0.0, 1.0), thetas=(1.0, bad)),
         "horizon": lambda: dataclasses.replace(sc, horizon=bad),
@@ -137,7 +136,7 @@ def test_ini_round_trip_all_schedule_kinds(tmp_path):
         ),
         dataclasses.replace(
             base,
-            pulse=PulseSpec(amplitude=0.1 + 0.05j, center_z=-2e-3, width=1e-3, l_p=3e-3),
+            pulse=PulseSpec(amplitude=0.1 + 0.05j, center_z=-2e-3, width=1e-3),
             label="complex_amplitude",
         ),
     ]
@@ -301,15 +300,12 @@ def test_optional_keys_have_defaults(tmp_path):
     assert sc.label == DEFAULT_LABEL
 
 
-@pytest.mark.parametrize("bad", ["-5.0", "0.0"])
-def test_pulse_length_is_optional_and_must_be_positive(tmp_path, bad):
+def test_a_pulse_length_key_is_unrecognized(tmp_path):
+    # The pulse length is twice the width; a file cannot name another one.
     path = tmp_path / "pulse.ini"
     save_scenario(default_scenario(), path)
-    text = path.read_text()
-    assert "l_p" not in text
-    assert load_scenario(path).pulse.l_p is None
-    path.write_text(text.replace("[pulse]", f"[pulse]\nl_p = {bad}"))
-    with pytest.raises(ConfigError, match="l_p must be positive"):
+    path.write_text(path.read_text().replace("[pulse]", "[pulse]\nl_p = 2e-3"))
+    with pytest.raises(ConfigError, match=re.escape("[pulse] has unrecognized key 'l_p'")):
         load_scenario(path)
 
 

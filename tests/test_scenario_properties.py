@@ -65,16 +65,16 @@ def scenarios(draw) -> Scenario:
     )
     z_min = draw(_real(-1e3, 1e3))
     span = draw(_real(1e-3, 1e3))
-    grid = GridSpec(z_min, z_min + span, 2 ** draw(st.integers(6, 20)))
+    n_points = 2 ** draw(st.integers(6, 20))
+    grid = GridSpec(z_min, z_min + span, n_points)
     # The pulse length stays under a quarter of the domain (DOMAIN_PADDING_FACTOR
-    # is 4), and the center keeps more than one pulse length from either edge.
-    width = span * draw(_real(1e-4, 0.1))
-    l_p = draw(st.none() | _real(1e-4, 0.2).map(lambda f: span * f))
+    # is 4), the center keeps more than one pulse length from either edge, and
+    # the width spans at least 4 grid spacings (MIN_WIDTH_SPACINGS is 3.822).
+    width = span * draw(_real(max(1e-4, 4.0 / n_points), 0.1))
     pulse = PulseSpec(
         amplitude=complex(draw(_real(1e-3, 10.0)), draw(_real(-10.0, 10.0))),
         center_z=z_min + span * draw(_real(0.3, 0.7)),
         width=width,
-        l_p=l_p,
     )
     horizon = draw(_real(1e-6, 1e3))
     kind = draw(st.sampled_from(("constant", "tanh_profile", "tabulated")))
@@ -154,8 +154,7 @@ def test_one_corrupted_key_exits_2_naming_it(sc, data):
             key = data.draw(st.sampled_from([k for k in keys if k != "label"]))
             cp[section][key] = data.draw(BAD_VALUES)
         elif corruption == "unknown":
-            # l_p is a valid key that a scenario without one leaves out
-            valid = keys + list(IGNORED_MEDIUM_KEYS) + ["l_p"]
+            valid = keys + list(IGNORED_MEDIUM_KEYS)
             key = data.draw(NEW_KEYS.filter(lambda k: k not in valid))
             cp[section][key] = "1.0"
         else:

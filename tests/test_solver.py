@@ -20,7 +20,7 @@ from eitmem.errors import (
 )
 from eitmem.coefficients import exponent_integrand
 from eitmem.grids import FieldGrid, GridSpec, field_tables, gaussian_field, whole_steps
-from eitmem.model import PulseSpec
+from eitmem.model import MIN_WIDTH_SPACINGS, PulseSpec, check_pulse_fits
 from eitmem.control import ControlSchedule
 from eitmem.solver import (
     WRAPAROUND_LOWPASS_HARMONICS,
@@ -32,7 +32,6 @@ from eitmem.solver import (
     adaptive_simpson,
     amplification_bound,
     apply_evolution,
-    check_pulse_fits,
     forward_transform,
     inverse_transform,
     mode_factor,
@@ -292,6 +291,13 @@ def test_pulse_must_fit_the_grid():
         check_pulse_fits(grid, PulseSpec(amplitude=0.2, center_z=-9.5e-3, width=1e-3))
     with pytest.raises(ConfigError):
         check_pulse_fits(GridSpec(-3e-3, 3e-3, 1024), PulseSpec(0.2, 0.0, 1e-3))
+    # The grid must resolve the width: at the smallest width the Gaussian's
+    # Nyquist mode, exp(-(pi w / 2 dz)^2) of its peak, is 2^-52.
+    assert math.exp(-((math.pi * MIN_WIDTH_SPACINGS / 2) ** 2)) == pytest.approx(2.0**-52, rel=1e-12)
+    width = MIN_WIDTH_SPACINGS * grid.dz
+    check_pulse_fits(grid, PulseSpec(0.2, 0.0, width))
+    with pytest.raises(ConfigError, match=r"^pulse width .* is below 3\.8220 grid spacings"):
+        check_pulse_fits(grid, PulseSpec(0.2, 0.0, math.nextafter(width, 0.0)))
 
 
 def test_run_aborts_when_pulse_reaches_the_edge(default_sc):
