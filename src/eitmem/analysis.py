@@ -216,17 +216,9 @@ def measure_distortion(input_field: FieldGrid, output_fields: list[FieldGrid]) -
     k_width = math.sqrt(float(np.sum(power_in * (k - k_mean) ** 2)) / total_in)
     outside = np.abs(k - k_mean) > HIGH_K_BANDWIDTH_FACTOR * k_width
     del power_in  # freed before the outputs' spectra are built, for a lower peak RSS
-    # An amplified output can sit so near the largest double that its
-    # transform or its squares overflow. An output above 1 is measured
-    # scaled down by a power of two to a peak near 1, which is exact, and
-    # aligned_l2 gets the scale back.
-    exponents = []
-    spectra = np.empty((len(output_fields), vin.size), dtype=complex)
-    for row, output_field in zip(spectra, output_fields):
-        if output_field.grid != grid:
-            raise InvalidComparisonError("input and output live on different grids")
-        exponents.append(max(math.frexp(output_field.peak())[1], 0))
-        np.multiply(output_field.values, 2.0 ** -exponents[-1], out=row)
+    if any(output_field.grid != grid for output_field in output_fields):
+        raise InvalidComparisonError("input and output live on different grids")
+    spectra = np.array([output_field.values for output_field in output_fields], dtype=complex).reshape(-1, vin.size)
     np.fft.fft(spectra, axis=-1, out=spectra)
     # conj(f_in) is the left operand: numpy's complex product need not
     # round the same with its operands swapped.
@@ -235,13 +227,13 @@ def measure_distortion(input_field: FieldGrid, output_fields: list[FieldGrid]) -
     shifts = [_correlation_shift(np.abs(row)) * grid.dz for row in corr]
     del corr  # freed before the residuals are built, for a lower peak RSS
     reports = []
-    for f_out, shift, exponent in zip(spectra, shifts, exponents):
+    for f_out, shift in zip(spectra, shifts):
         residual = mode_factor(k, 0.0, shift)
         residual *= f_in  # the shifted input's modes
         scale = complex(np.sum(np.conj(residual) * f_out)) / total_in
         residual *= scale
         residual -= f_out  # in place, so that an output holds few spectra at once
-        aligned_l2 = math.ldexp(math.sqrt(squared_norm(residual) / total_in), exponent)
+        aligned_l2 = math.sqrt(squared_norm(residual) / total_in)
         power_out = np.abs(f_out) ** 2
         total_out = float(np.sum(power_out))
         # The out-of-band sum and the total are separate pairwise sums, so

@@ -25,6 +25,10 @@ def whole_steps(span: float, step: float) -> int:
     return n
 
 
+# While every mode of a field on n points stays below ROOT_DBL_MAX / n, its
+# samples, their squares and every FFT or squared-norm sum stay finite.
+ROOT_DBL_MAX = math.sqrt(np.finfo(float).max)
+
 # Largest grid a run may ask for. The 13 snapshots of a default-length run
 # on 2^22 points already hold about 0.9 GB of complex samples, and that is
 # the most samples a run may hold over all its snapshots.

@@ -16,10 +16,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ConfigError, ValidityError, require_finite
+from .grids import ROOT_DBL_MAX, GridSpec
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     from .control import ControlSchedule
-    from .grids import GridSpec
 
 C_VACUUM = 2.99792458e8  # m/s
 
@@ -145,8 +145,8 @@ DOMAIN_PADDING_FACTOR = 4.0
 MIN_WIDTH_SPACINGS = 2.0 / math.pi * math.sqrt(52.0 * math.log(2.0))
 
 
-def check_pulse_fits(grid: "GridSpec", pulse: PulseSpec):
-    """Raise ConfigError unless the grid holds the pulse clear of its edges and resolves it."""
+def check_pulse_fits(grid: GridSpec, pulse: PulseSpec):
+    """Raise ConfigError unless the grid holds the pulse clear of its edges, resolves it, and keeps its modes' squares finite."""
     support = pulse.pulse_length
     if grid.length < DOMAIN_PADDING_FACTOR * support:
         raise ConfigError(
@@ -163,6 +163,13 @@ def check_pulse_fits(grid: "GridSpec", pulse: PulseSpec):
         raise ConfigError(
             f"pulse width {pulse.width} m is below {MIN_WIDTH_SPACINGS:.4f} grid spacings "
             f"(z_max - z_min) / n_points = {grid.dz} m, so the grid does not resolve the pulse"
+        )
+    # No mode passes |amplitude| times the pulse's sample sum, sqrt(pi) width / dz + 1 at most.
+    largest_mode = abs(pulse.amplitude) * (math.sqrt(math.pi) * pulse.width / grid.dz + 1.0)
+    if largest_mode > ROOT_DBL_MAX / grid.n_points:
+        raise ConfigError(
+            f"pulse amplitude {pulse.amplitude} gives modes up to {largest_mode:.3e}, past sqrt(DBL_MAX) / n_points "
+            f"= {ROOT_DBL_MAX / grid.n_points:.3e}, where squared norms overflow"
         )
 
 

@@ -182,6 +182,11 @@ def _step_propagators(params, schedule, t0, dt, n_steps):
         yield from _propagators(params, omega, dt)
 
 
+def _advection(grid: GridSpec, c: float, tau: float) -> np.ndarray:
+    """exp(-i k c tau): the exact advection of every mode over a time tau."""
+    return np.exp(-1j * grid.k_array() * c * tau)
+
+
 def integrate_reduced(
     params: MediumParams,
     grid: GridSpec,
@@ -196,53 +201,43 @@ def integrate_reduced(
     Symmetric (second order, Strang) splitting: the advection term is an
     exact spectral phase over each half step, and the local atomic-coupling
     block is the exact matrix exponential of its generator frozen at the
-    step midpoint. progress, if given, is called as
+    step midpoint. The three fields' modes are one (3, n) array. One full
+    phase joins each step's closing half to the next one's opening half; a
+    snapshot applies its closing half to a copy and transforms that copy,
+    whose rows become its fields. progress, if given, is called as
     progress(steps_done, n_steps, t) after each snapshot.
     """
     if initial.e_field.grid != grid:
         raise ConfigError("initial state grid does not match the run grid")
     n_steps, per_snap = _substeps(horizon, cfg)
-    n = grid.n_points
     dt = cfg.dt
-    half_phase = np.exp(-1j * grid.k_array() * params.c * dt / 2.0)
-    stack = np.vstack(
-        [
-            np.fft.fft(initial.e_field.values),
-            np.fft.fft(initial.sigma_ba.values),
-            np.fft.fft(initial.sigma_bc.values),
-        ]
-    )
+    stack = np.fft.fft([getattr(initial, name).values for name in ORACLE_FIELDS], axis=-1)
     spare = np.empty_like(stack)
+    stack[0] *= _advection(grid, params.c, dt / 2.0)
+    phase = _advection(grid, params.c, dt)
     t0 = initial.t
 
     states = [initial]
     for i, propagator in enumerate(_step_propagators(params, schedule, t0, dt, n_steps)):
-        stack[0] *= half_phase
-        for c in range(0, n, BLOCK_POINTS):
+        for c in range(0, grid.n_points, BLOCK_POINTS):
             block = slice(c, c + BLOCK_POINTS)
             np.matmul(propagator, stack[:, block], out=spare[:, block])
         stack, spare = spare, stack
-        stack[0] *= half_phase
         if (i + 1) % per_snap == 0:
             t = t0 + (i + 1) * dt
+            np.multiply(stack[0], _advection(grid, params.c, dt / 2.0), out=spare[0])
+            spare[1:] = stack[1:]
             # A non-finite value never turns finite in later steps, so one
             # check per interval catches it; it must come before FieldGrid,
             # which would reject the samples as a configuration error.
-            if not np.all(np.isfinite(stack)):
-                raise SimulationError(
-                    f"oracle produced non-finite values in "
-                    f"[{t - per_snap * dt:.6e}, {t:.6e}] s"
-                )
-            states.append(
-                OracleState(
-                    e_field=FieldGrid(grid, np.fft.ifft(stack[0])),
-                    sigma_ba=FieldGrid(grid, np.fft.ifft(stack[1])),
-                    sigma_bc=FieldGrid(grid, np.fft.ifft(stack[2])),
-                    t=t,
-                )
-            )
+            if not np.all(np.isfinite(spare)):
+                raise SimulationError(f"oracle produced non-finite values in [{t - per_snap * dt:.6e}, {t:.6e}] s")
+            np.fft.ifft(spare, axis=-1, out=spare)
+            states.append(OracleState(*(FieldGrid(grid, values) for values in spare), t=t))
+            spare = np.empty_like(stack)
             if progress is not None:
                 progress(i + 1, n_steps, t)
+        stack[0] *= phase
     return states
 
 

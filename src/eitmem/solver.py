@@ -26,7 +26,7 @@ from .errors import (
     QuadratureError,
     SimulationError,
 )
-from .grids import FieldGrid, GridSpec, field_header, field_tables, gaussian_field, whole_steps, write_csv
+from .grids import ROOT_DBL_MAX, FieldGrid, GridSpec, field_header, field_tables, gaussian_field, squared_norm, whole_steps, write_csv
 from .model import MediumParams, PulseSpec, ValidityReport, check_pulse_fits, check_regime
 
 # The wraparound monitor looks at a low-passed view of the field so that
@@ -140,8 +140,8 @@ def forward_transform(f: FieldGrid) -> np.ndarray:
     """Discrete transform of a field's samples; checked against Parseval."""
     n = f.grid.n_points
     modes = np.fft.fft(f.values)
-    lhs = float(np.sum(np.abs(f.values) ** 2))
-    rhs = float(np.sum(np.abs(modes) ** 2)) / n
+    lhs = squared_norm(f.values)
+    rhs = squared_norm(modes) / n
     scale = max(lhs, rhs, 1e-300)
     if abs(lhs - rhs) > 1e-10 * scale:
         raise SimulationError(
@@ -222,7 +222,7 @@ def amplification_bound(
     half = k_grid.size // 2
     extremes = k_grid[[half - 1, half], np.newaxis]  # largest and most negative k, FFT order
     gains = np.max(-s.real[:, np.newaxis] + extremes * w.imag[:, np.newaxis], axis=1)
-    bound = math.log(math.sqrt(np.finfo(float).max) / k_grid.size)
+    bound = math.log(ROOT_DBL_MAX / k_grid.size)
     ln_max = math.log(np.finfo(float).max)
     peak0 = float(np.max(np.abs(modes0)))
     log_peak0 = math.log(peak0) if peak0 else -math.inf

@@ -899,8 +899,9 @@ def test_a_medium_value_at_any_scale_ends_in_an_exit_code_not_a_traceback(tmp_pa
 
 
 # Values that once reached numpy and overflowed there: a pulse width the
-# grid does not resolve, and a largest cot(theta) whose square overflows.
-# Each is now refused when the scenario is built.
+# grid does not resolve, a largest cot(theta) whose square overflows, and
+# an amplitude whose modes square past the largest double. Each is now
+# refused when the scenario is built.
 OVERFLOW_LEAKS = {
     ("z_min", -1e300),
     ("z_max", 1e300),
@@ -908,6 +909,10 @@ OVERFLOW_LEAKS = {
     ("scale", 1e300),
     ("floor", 1e300),
     ("thetas", 1e-300),
+    ("amplitude_re", 1e300),
+    ("amplitude_re", -1e300),
+    ("amplitude_im", 1e300),
+    ("amplitude_im", -1e300),
 }
 
 
@@ -917,10 +922,11 @@ OVERFLOW_LEAKS = {
 def test_a_value_at_any_scale_outside_medium_ends_in_an_exit_code_not_a_traceback(tmp_path, capsys, kind, section, key):
     # Small grids keep the runs quick. A tuple key gets the value at every
     # knot. Under the suite's filterwarnings = error, a numpy warning fails
-    # the test rather than reaching stderr.
+    # the test rather than reaching stderr. A loud pulse fails low_intensity,
+    # so amplitudes near and past the largest finite modes also run forced.
     base = tmp_path / "base.ini"
     save_scenario(_ini_bases(n_points=256)[kind], base)
-    for value in (1e-300, -1e-300, 1e-30, -1e-30, 1e30, -1e30, 1e300, -1e300, 0.0):
+    for value in (1e-300, -1e-300, 1e-30, -1e-30, 1e30, -1e30, 1e148, 1e300, -1e300, 0.0):
         cp = configparser.ConfigParser()
         cp.read(base)
         entries = len(cp[section][key].split(","))
@@ -928,14 +934,117 @@ def test_a_value_at_any_scale_outside_medium_ends_in_an_exit_code_not_a_tracebac
         ini = tmp_path / "extreme.ini"
         with open(ini, "w") as fh:
             cp.write(fh)
-        for argv in (["validate", str(ini)], ["run", str(ini), "--out-dir", str(tmp_path / "out")]):
+        out = ["--out-dir", str(tmp_path / "out")]
+        runs = [["validate", str(ini)], ["run", str(ini)] + out]
+        if key.startswith("amplitude") and value in (1e148, 1e300):
+            runs.append(["run", str(ini), "--force"] + out)
+        for argv in runs:
             rc = main(argv)
             err = capsys.readouterr().err
-            case = (argv[0], key, value)
+            case = (argv, key, value)
             assert rc in (0, 2, 3, 4), case
             assert len(err.splitlines()) == (rc != 0), case
             if (key, value) in OVERFLOW_LEAKS:
-                assert rc == 2 and key in err, case
+                assert rc == 2 and key.removesuffix("_re").removesuffix("_im") in err, case
+
+
+@pytest.mark.parametrize("amplitude", [1e148, 1e300])
+@pytest.mark.parametrize("argv", [["validate"], ["run"], ["run", "--force"]])
+def test_a_pulse_whose_modes_square_past_the_largest_double_exits_2_naming_the_amplitude(tmp_path, capsys, argv, amplitude):
+    # On the default grid the largest input mode reaches sqrt(DBL_MAX) / n at
+    # an amplitude of about 5.6e146.
+    ini = tmp_path / "loud.ini"
+    _default_ini_with(ini, "pulse", "amplitude_re", repr(amplitude))
+    out = tmp_path / "out"
+    assert main([argv[0], str(ini)] + argv[1:] + (["--out-dir", str(out)] if argv[0] == "run" else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: pulse amplitude {complex(amplitude)} gives modes up to ")
+    assert len(captured.err.splitlines()) == 1
+    assert not out.exists()
+
+
+def test_a_pulse_just_inside_the_mode_limit_runs_forced(tmp_path, capsys):
+    ini = tmp_path / "loud.ini"
+    _default_ini_with(ini, "pulse", "amplitude_re", "5e146")
+    assert main(["run", str(ini), "--force", "--out-dir", str(tmp_path), "--csv-stride", "1024"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+_TABULATED = ControlSchedule(kind="tabulated", times=(0.0, 90e-6, 180e-6), thetas=(1.2, 1.3, 1.4))
+
+
+@pytest.mark.parametrize(
+    "schedule,section,edits,message",
+    [
+        (None, "grid", {"n_points": "32"}, "n_points must be at least 64, got 32"),
+        (None, "grid", {"n_points": "1000"}, "n_points must be a power of two, got 1000"),
+        (_TABULATED, "schedule", {"thetas": "1.2, 1.3"}, "times and thetas must have equal length"),
+        (_TABULATED, "schedule", {"times": "0.0"}, "times and thetas must have equal length"),
+        (_TABULATED, "schedule", {"times": "0.0", "thetas": "1.2"}, "tabulated schedule needs at least 2 samples"),
+        (_TABULATED, "schedule", {"times": "0.0, 9e-05, 1e-4x"}, "[schedule] times: entry '1e-4x' cannot be parsed as a number"),
+    ],
+)
+def test_a_malformed_grid_or_table_exits_2_in_one_stderr_line(tmp_path, capsys, schedule, section, edits, message):
+    ini = tmp_path / "bad.ini"
+    save_scenario(default_scenario() if schedule is None else dataclasses.replace(default_scenario(), schedule=schedule), ini)
+    cp = configparser.ConfigParser()
+    cp.read(ini)
+    cp[section].update(edits)
+    with open(ini, "w") as fh:
+        cp.write(fh)
+    assert main(["validate", str(ini)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def test_sweep_past_the_value_limit_exits_2_before_writing(tmp_path, capsys):
+    values = ",".join(["0"] * (cli.MAX_SWEEP_VALUES + 1))
+    assert main(["sweep", "--axis", "delta_p", "--values", values, "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: sweep asks for {cli.MAX_SWEEP_VALUES + 1} runs, limit is {cli.MAX_SWEEP_VALUES}\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_out_dir_that_is_a_file_exits_4_with_an_io_error(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["limits", "--out-dir", str(taken)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error: ") and str(taken) in err
+    assert len(err.splitlines()) == 1
+
+
+def test_validate_prints_a_plain_pass_between_the_pass_and_strong_pass_factors(tmp_path, capsys):
+    # amplitude 2 puts the probe/control ratio at 0.0199, inside (0.01, 0.1]
+    ini = tmp_path / "brighter.ini"
+    _default_ini_with(ini, "pulse", "amplitude_re", "2.0")
+    assert main(["validate", str(ini)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert ["low_intensity", "0.0199", "pass"] in [line.split() for line in captured.out.splitlines()]
+
+
+def test_run_prints_a_poor_decay_fit_in_one_stderr_line(tmp_path, capsys):
+    ini = tmp_path / "detuned.ini"
+    save_scenario(with_medium(default_scenario(), delta_p=800.0), ini)
+    assert main(["run", str(ini), "--out-dir", str(tmp_path), "--csv-stride", "1024"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("warning: decay fit residual rms ")
+    assert _strict_json(tmp_path / "summary.json")["decay_rate"]["fit_residual_rms"] > analysis.DECAY_FIT_RMS_LIMIT
+
+
+def test_run_leaves_out_a_decay_fit_with_too_few_stored_samples(tmp_path, capsys):
+    # Snapshots every 22.5 us put two samples, 67.5 and 90 us, in the stored
+    # window [60, 95] us: enough for v_g_off, too few for a decay fit.
+    argv = ["run", "--snapshot-dt", "22.5e-6", "--out-dir", str(tmp_path), "--csv-stride", "1024"]
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "stored decay rate" not in captured.out
+    summary = _strict_json(tmp_path / "summary.json")
+    assert summary["decay_rate"] is None and summary["v_g_off"] is not None
 
 
 @pytest.mark.parametrize("verb", ["validate", "limits", "run"])

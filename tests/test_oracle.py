@@ -330,6 +330,22 @@ def test_chunked_propagators_follow_step_midpoints(monkeypatch):
                 assert np.max(np.abs(got.values - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+def test_the_march_takes_one_transform_in_and_one_out_per_snapshot(monkeypatch):
+    calls = []
+    for name in ("fft", "ifft"):
+        transform = getattr(np.fft, name)
+
+        def counted(a, *args, _name=name, _transform=transform, **kwargs):
+            calls.append((_name, np.shape(a)))
+            return _transform(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    sched = ControlSchedule(kind="tanh_profile", scale=0.3, floor=0.02, steepness=10.0, t1=0.3, t2=0.8)
+    states = integrate_reduced(scaled_medium(), GRID, probe_state(), sched, 1.05, OracleConfig(dt=0.01, snapshot_dt=0.07))
+    shape = (3, GRID.n_points)
+    assert calls == [("fft", shape)] + [("ifft", shape)] * (len(states) - 1)
+
+
 def _fresh_python(code: str) -> str:
     """Standard output of code run in a new interpreter that imports this package."""
     src = str(pathlib.Path(eitmem.oracle.__file__).parents[1])
