@@ -16,14 +16,13 @@ from .coefficients import alpha1_slow_light, max_transit_time, v_g_min
 from .control import ControlSchedule
 from .errors import ConfigError, InvalidComparisonError, UntrackableFieldError, require_finite
 from .grids import FieldGrid, squared_norm
-from .model import MediumParams
+from .model import PASS_FACTOR, MediumParams
 from .solver import SimulationResult, Snapshot, accumulate_exponent, adaptive_simpson, mode_factor
 
 TRACK_AMPLITUDE_FLOOR = 1e-12
 DISTORTION_THRESHOLD = 0.1  # aligned_l2 above this reads as destroyed
 HIGH_K_BANDWIDTH_FACTOR = 3.0  # spectral energy beyond this many input widths
 DECAY_FIT_RMS_LIMIT = 0.05  # log-amplitude residual above which a decay fit reads as poor
-PROBE_CONTROL_LIMIT = 0.1  # max tolerated probe/control Rabi ratio
 
 # Prefactor of the detuning and bandwidth bounds. Kept as a named constant:
 # it encodes "distortion stays negligible", not a derived quantity.
@@ -310,7 +309,7 @@ def check_low_intensity(result: SimulationResult) -> LowIntensityReport:
     for snap, omega_c in zip(result.snapshots, omegas.tolist()):
         ratio = result.params.g * float(np.max(np.abs(snap.e_field.values))) / omega_c
         worst = max(worst, ratio)
-        if ratio > PROBE_CONTROL_LIMIT:
+        if ratio > 1.0 / PASS_FACTOR:
             flagged.append(snap.t)
     return LowIntensityReport(worst_ratio=worst, flagged_times=tuple(flagged), passed=not flagged)
 

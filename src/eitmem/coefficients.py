@@ -8,7 +8,8 @@ The polariton spectral law multiplies each k-mode by exp(-I_s - i k I_w) with
 A0 and B0 carry the non-ideal corrections (decay and detunings). The real and
 imaginary parts of (s_part, w_part) are the damping alpha1, phase rate beta,
 k-linear gain alpha2, and group velocity v_g. This module holds the exact
-forms and the resonance special cases.
+forms, the dark field's factors to the other fields, and the resonance special
+cases: every closed form of the law that the engine and the regime check read.
 The exact forms take a float or an array of mixing angles, elementwise.
 """
 
@@ -111,13 +112,29 @@ def bright_ratio(theta, params: MediumParams):
         return _finite(d_ba * d_bc * np.tan(theta) * s2 / den, "bright ratio Phi/Psi", params)
 
 
+def field_factors(theta, params: MediumParams):
+    """The factors that take the dark field to the bright field, the probe field and the lower-level coherence.
+
+    The zeroth-order bright ratio depends on theta alone. Inverting the
+    dark/bright superposition on (Psi, Phi) returns the probe and coherence
+    exactly, so the round trip back to (Psi, Phi) is identity.
+    """
+    ratio = bright_ratio(theta, params)
+    cos_t = np.cos(theta)
+    sin_t = np.sin(theta)
+    return ratio, cos_t + sin_t * ratio, -((sin_t - cos_t * ratio) / math.sqrt(params.n_atoms))
+
+
 def exponent_integrand(theta, theta_dot, params: MediumParams) -> CoefficientSample:
-    """Exact (s_part, w_part) built from a0_b0. The general code path."""
+    """Exact (s_part, w_part) with the corrections of a0_b0. The general code path.
+
+    cos^2(theta) is taken as such: near 1e-10 in the stored window, 1 - sin^2 is 1e-7 off it.
+    """
     a0, b0 = a0_b0(theta, theta_dot, params)
     _, d_bc = params.coherence_factors()
     s2 = np.sin(theta) ** 2
     s_part = d_bc * s2 + a0
-    w_part = params.c * ((1.0 - s2) + b0)
+    w_part = params.c * (np.cos(theta) ** 2 + b0)
     return CoefficientSample(s_part=s_part, w_part=w_part)
 
 

@@ -10,7 +10,7 @@ pulse/switching scales, and the low-intensity (weak probe) limit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -244,13 +244,6 @@ class ValidityReport:
         }
 
 
-def _resonant_group_velocity(theta: float, params: MediumParams) -> float:
-    """Group-velocity scale c(cos^2 + gamma_bc gamma_ba sin^4/g2n), m/s."""
-    s2 = math.sin(theta) ** 2
-    c2 = 1.0 - s2
-    return params.c * (c2 + params.gamma_bc * params.gamma_ba * s2 * s2 / params.g2n)
-
-
 def check_regime(
     params: MediumParams,
     pulse: PulseSpec,
@@ -260,7 +253,7 @@ def check_regime(
 
     The switching duration is the schedule's own ControlSchedule.turn_time().
     """
-    from .coefficients import bright_ratio  # local import, avoids a cycle
+    from .coefficients import exponent_integrand, field_factors  # local import, avoids a cycle
 
     d_ba, d_bc = params.coherence_factors()
     decoherence = abs(d_ba * d_bc)
@@ -269,8 +262,20 @@ def check_regime(
     adiab_length_scale = math.sqrt(params.gamma_ba * params.c * params.length / params.g2n)
     adiab_length = pulse.pulse_length / adiab_length_scale
 
+    # Pre-run probe-intensity estimate: the probe field is the dark field
+    # times the law's probe factor, and the probe Rabi scale is g |E|
+    # (calibrated against the post-run check in the analysis module). It
+    # comes first, so an overflowing law is named by its bright ratio.
     sample = schedule.eval(params, schedule.sample_times())
-    v_g0 = _resonant_group_velocity(float(sample.theta[0]), params)
+    e_est = abs(pulse.amplitude) * np.abs(field_factors(sample.theta, params)[1])
+    # A vanishing control Rabi frequency takes the ratio to inf, which fails the check.
+    with np.errstate(over="ignore"):
+        worst = float(np.max(params.g * e_est / sample.omega))
+
+    # The adiabatic scales take the resonant group velocity, which is positive
+    # for theta below pi/2; a two-photon detuning can turn the detuned one negative.
+    resonant = replace(params, delta=0.0, delta_p=0.0)
+    v_g0 = float(exponent_integrand(float(sample.theta[0]), 0.0, resonant).v_g)
     adiab_time_scale = (params.gamma_ba / params.g2n) * (v_g0 / params.c)  # s
     turn_time = schedule.turn_time()
     adiab_time = turn_time / adiab_time_scale if adiab_time_scale > 0 else math.inf
@@ -278,17 +283,6 @@ def check_regime(
     pulse_duration = pulse.pulse_length / v_g0  # s
     t_char = min(turn_time, pulse_duration)
     adiab_parameter = 1.0 / (params.g_root_n * t_char)
-
-    # Pre-run probe-intensity estimate: the probe amplitude tracks
-    # |cos(theta) + sin(theta) f| |Psi| where f is the adiabatic bright/dark
-    # ratio, and the probe Rabi scale is g |E| (calibrated against the
-    # post-run check in the analysis module).
-    theta = sample.theta
-    f = bright_ratio(theta, params)
-    e_est = abs(pulse.amplitude) * np.abs(np.cos(theta) + np.sin(theta) * f)
-    # A vanishing control Rabi frequency takes the ratio to inf, which fails the check.
-    with np.errstate(over="ignore"):
-        worst = float(np.max(params.g * e_est / sample.omega))
 
     ratios = {
         "high_density": high_density,

@@ -31,8 +31,10 @@ from .model import MediumParams, coupling_matrix
 CHUNK_STEPS = 1024
 # The 3x3 mode update runs on column blocks this wide. OpenBLAS hands a
 # gemm to its thread pool once m*n*k passes a build-time threshold (between
-# 3*3*4096 and 3*3*8192 for the OpenBLAS bundled with numpy 2.4), and for
-# products this small the hand-off costs far more than it saves.
+# 3*3*4096 and 3*3*8192 for the OpenBLAS bundled with numpy 2.4). One
+# threaded product over the default grid's 16384 columns gives the same
+# bytes and a faster median march on a 2-vCPU host, but stalled for about a
+# second in 2 of 50 cold runs there; these blocks stalled in none of 50.
 BLOCK_POINTS = 2048
 # Past 2^53 steps, float64 step indices, and so the step midpoints
 # t0 + (i + 0.5) dt, are no longer distinct.

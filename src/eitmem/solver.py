@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import bright_ratio, exponent_integrand
+from .coefficients import exponent_integrand, field_factors
 from .control import INSTANT_RTOL, ControlSchedule, _sorted_distinct
 from .errors import (
     AmplificationOverflowError,
@@ -249,26 +249,13 @@ def apply_evolution(modes0: np.ndarray, k_grid: np.ndarray, s: complex, w: compl
     return np.multiply(modes0, factor, out=factor)
 
 
-def _factors(theta: float, params: MediumParams) -> tuple[complex, complex, complex]:
-    """The factors that take the dark field to the bright field, the probe field and the lower-level coherence.
-
-    The zeroth-order bright ratio depends on theta alone. Inverting the
-    dark/bright superposition on (Psi, Phi) returns the probe and coherence
-    exactly, so the round trip back to (Psi, Phi) is identity.
-    """
-    ratio = bright_ratio(theta, params)
-    cos_t = math.cos(theta)
-    sin_t = math.sin(theta)
-    return ratio, cos_t + sin_t * ratio, -((sin_t - cos_t * ratio) / math.sqrt(params.n_atoms))
-
-
 def reconstruct(psi: FieldGrid, theta: float, params: MediumParams) -> tuple[FieldGrid, FieldGrid, FieldGrid]:
     """Bright field, probe field, and lower-level coherence from the dark field.
 
     Each field is linear in psi, so a time derivative of psi maps to that of
     each field.
     """
-    return tuple(FieldGrid(psi.grid, factor * psi.values) for factor in _factors(theta, params))
+    return tuple(FieldGrid(psi.grid, factor * psi.values) for factor in field_factors(theta, params))
 
 
 @dataclass(frozen=True)
@@ -287,7 +274,7 @@ class Snapshot:
     peak: float  # max |psi|
 
     def _derived(self, which: int) -> FieldGrid:
-        return FieldGrid(self.psi.grid, _factors(self.theta, self.params)[which] * self.psi.values)
+        return FieldGrid(self.psi.grid, field_factors(self.theta, self.params)[which] * self.psi.values)
 
     @property
     def phi(self) -> FieldGrid:

@@ -10,7 +10,6 @@ import pytest
 from eitmem.analysis import (
     DECAY_FIT_RMS_LIMIT,
     DISTORTION_THRESHOLD,
-    PROBE_CONTROL_LIMIT,
     TRACK_AMPLITUDE_FLOOR,
     PulseTrack,
     assemble_summary,
@@ -28,7 +27,7 @@ from eitmem.coefficients import max_transit_time
 from eitmem.control import ControlSchedule
 from eitmem.errors import ConfigError, InvalidComparisonError, UntrackableFieldError
 from eitmem.grids import ROOT_DBL_MAX, FieldGrid, GridSpec, gaussian_field
-from eitmem.model import MediumParams
+from eitmem.model import PASS_FACTOR, MediumParams
 from eitmem.oracle import OracleState, compare_to_adiabatic
 from eitmem.solver import simulate
 
@@ -380,7 +379,7 @@ def test_low_intensity_check_flags_hot_probe(default_sc):
     )
     report = check_low_intensity(result)
     assert not report.passed
-    assert report.worst_ratio > PROBE_CONTROL_LIMIT
+    assert report.worst_ratio > 1.0 / PASS_FACTOR
     assert report.flagged_times != ()
 
 

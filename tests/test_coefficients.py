@@ -110,6 +110,17 @@ def test_group_velocity_floor_at_full_rotation():
     assert dense.v_g == pytest.approx(floor, rel=1e-12)
 
 
+@pytest.mark.parametrize("cot", [1e-5, 5e-4])  # the default schedule's floor and plateau
+def test_group_velocity_keeps_cos_squared_to_full_precision(cot):
+    # w_part / c - B0 is cos^2(theta) = cot^2 / (1 + cot^2), 1e-10 at the
+    # floor, where 1 - sin^2(theta) would keep only seven digits of it
+    p = default_scenario().medium
+    theta = math.atan2(1.0, cot)
+    _, b0 = a0_b0(theta, 0.0, p)
+    cos2 = (exponent_integrand(theta, 0.0, p).w_part / p.c - b0).real
+    assert cos2 == pytest.approx(cot**2 / (1.0 + cot**2), rel=1e-10, abs=0.0)
+
+
 def test_instantaneous_velocity_of_shipped_schedule():
     # frozen: x(0) = 5.0876e-4 gives c x^2/(1+x^2) + v_floor sin^4 = 80.5963 m/s
     sc = default_scenario()

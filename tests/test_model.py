@@ -1,10 +1,12 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from eitmem.coefficients import exponent_integrand
 from eitmem.control import ControlSchedule
 from eitmem.errors import ConfigError, ValidityError
 from eitmem.model import MediumParams, PulseSpec, ValidityReport, check_regime
@@ -119,8 +121,6 @@ def test_validity_report_to_dict_round_trips_checks():
 
 def test_regime_checks_monotone_in_detuning():
     # larger detunings shrink the high-density ratio
-    import dataclasses
-
     sc = default_scenario()
     rng = np.random.default_rng(SEED)
     prev = check_regime(sc.medium, sc.pulse, sc.schedule).ratios["high_density"]
@@ -129,6 +129,20 @@ def test_regime_checks_monotone_in_detuning():
         ratio = check_regime(p, sc.pulse, sc.schedule).ratios["high_density"]
         assert ratio < prev
         prev = ratio
+
+
+def test_adiabatic_scales_take_the_resonant_group_velocity():
+    # at delta_p = 1e7 the detuned group velocity at the start is negative;
+    # the adiabatic scales stay finite, positive and equal to the resonant ones
+    sc = default_scenario()
+    detuned = dataclasses.replace(sc.medium, delta_p=1e7)
+    theta0 = float(sc.schedule.eval(detuned, sc.schedule.sample_times()).theta[0])
+    assert exponent_integrand(theta0, 0.0, detuned).v_g < 0.0
+    report = check_regime(detuned, sc.pulse, sc.schedule)
+    resonant = check_regime(sc.medium, sc.pulse, sc.schedule)
+    for name in ("adiabatic_time", "adiabatic_parameter"):
+        assert 0.0 < report.ratios[name] < math.inf
+        assert report.ratios[name] == resonant.ratios[name]
 
 
 def test_constant_schedule_has_infinite_turn_time():

@@ -15,7 +15,7 @@ from conftest import SCALED_OMEGA, scaled_medium, scaled_pass_scenario
 
 import eitmem.oracle
 from eitmem.cli import oracle_initial_state
-from eitmem.coefficients import bright_ratio, exponent_integrand
+from eitmem.coefficients import exponent_integrand, field_factors
 from eitmem.control import ControlSchedule
 from eitmem.errors import ConfigError, InvalidComparisonError, SimulationError
 from eitmem.grids import FieldGrid, GridSpec, gaussian_field
@@ -444,8 +444,7 @@ def test_initial_optical_coherence_solves_the_spin_equation(make):
     cs = exponent_integrand(sample.theta, sample.theta_dot, p)
     k = sc.grid.k_array()
     dpsi = np.fft.ifft(-(cs.s_part + 1j * k * cs.w_part) * np.fft.fft(psi0.values))
-    f = bright_ratio(sample.theta, p)
-    ratio_bc = -(math.sin(sample.theta) - math.cos(sample.theta) * f) / math.sqrt(p.n_atoms)
+    ratio_bc = field_factors(sample.theta, p)[2]
     assert np.array_equal(initial.sigma_bc.values, ratio_bc * psi0.values)
     _, d_bc = p.coherence_factors()
     expected = (ratio_bc * dpsi + d_bc * initial.sigma_bc.values) / (1j * sample.omega)
