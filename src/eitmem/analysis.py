@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .coefficients import alpha1_slow_light, max_transit_time, v_g_min
+from .coefficients import alpha1_slow_light, max_transit_time, v_g_min, weak_probe_ratio
 from .control import ControlSchedule
 from .errors import ConfigError, InvalidComparisonError, UntrackableFieldError, require_finite
 from .grids import FieldGrid, squared_norm
@@ -68,10 +68,9 @@ def track_sample(z: np.ndarray, snap: Snapshot) -> tuple[float, float, float]:
 
     Only a reported number that reads such a sample raises (_check_tracked).
     """
-    a = np.abs(snap.psi.values)
-    if float(np.max(a)) < TRACK_AMPLITUDE_FLOOR:
+    if snap.peak < TRACK_AMPLITUDE_FLOOR:
         return snap.t, math.nan, math.nan
-    return (snap.t,) + quadratic_peak(z, a)
+    return (snap.t,) + quadratic_peak(z, np.abs(snap.psi.values))
 
 
 def track_pulse(result: SimulationResult) -> PulseTrack:
@@ -133,34 +132,27 @@ def predict_output(
     schedule: ControlSchedule,
     input_field: FieldGrid,
     t0_duration: float,
-) -> tuple[FieldGrid, FieldGrid, float]:
-    """Closed-form output after storage time T0 from t = 0: shifted and damped input.
+) -> tuple[float, float]:
+    """Closed-form output peak after storage time T0 from t = 0: the input's peak, damped.
 
-    The input is displaced once, by the integral of the group velocity, and
-    damped two ways: by the uniform factor exp(-gamma_bc T0) (simple), and
-    by the integrated resonant damping rate including the switching term
-    (exact). Returns the simple field, the exact field and the predicted
-    output peak position.
+    The law moves the input without changing its shape, so the output peak
+    is the input's interpolated peak times a damping factor, taken two
+    ways: the uniform exp(-gamma_bc T0) (simple), and exp(-integral of
+    alpha1 dt), the resonant damping rate with the switching term (exact).
+    Returns (simple, exact).
     """
     if not params.is_resonant():
         raise ConfigError("output prediction is for resonant media only; detunings are set")
     if t0_duration < 0:
         raise ConfigError(f"storage duration must be nonnegative, got {t0_duration}")
-    displacement = accumulate_exponent([params], schedule, 0.0, t0_duration)[1, 0].real
 
     def integrand(t: np.ndarray, _) -> np.ndarray:
         theta, theta_dot, _ = schedule.eval(params, t)
         return alpha1_slow_light(theta, theta_dot, params)
 
     exact_exponent = adaptive_simpson(integrand, 0.0, t0_duration, schedule.breakpoints())
-    k = input_field.grid.k_array()
-    shifted = np.fft.ifft(np.fft.fft(input_field.values) * mode_factor(k, 0.0, displacement))
-    z_in, _ = interpolated_peak(input_field)
-    return (
-        FieldGrid(input_field.grid, math.exp(-params.gamma_bc * t0_duration) * shifted),
-        FieldGrid(input_field.grid, math.exp(-float(exact_exponent)) * shifted),
-        z_in + displacement,
-    )
+    _, peak = interpolated_peak(input_field)
+    return peak * math.exp(-params.gamma_bc * t0_duration), peak * math.exp(-float(exact_exponent))
 
 
 @dataclass(frozen=True)
@@ -299,19 +291,16 @@ class LowIntensityReport:
 def check_low_intensity(result: SimulationResult) -> LowIntensityReport:
     """Worst probe-vs-control Rabi ratio over the snapshots of a run, on its own medium and schedule.
 
-    The probe Rabi scale is g * max|E|; the run respects the weak-probe
-    assumption when that stays well under the control Rabi frequency at
-    every snapshot.
+    Each snapshot's ratio is weak_probe_ratio at its max|psi|, so no probe
+    field is built; a snapshot whose ratio passes 1 / PASS_FACTOR is flagged.
     """
-    flagged = []
-    worst = 0.0
-    omegas = result.schedule.eval(result.params, np.array([snap.t for snap in result.snapshots])).omega
-    for snap, omega_c in zip(result.snapshots, omegas.tolist()):
-        ratio = result.params.g * float(np.max(np.abs(snap.e_field.values))) / omega_c
-        worst = max(worst, ratio)
-        if ratio > 1.0 / PASS_FACTOR:
-            flagged.append(snap.t)
-    return LowIntensityReport(worst_ratio=worst, flagged_times=tuple(flagged), passed=not flagged)
+    snaps = result.snapshots
+    times = np.array([snap.t for snap in snaps])
+    omegas = result.schedule.eval(result.params, times).omega
+    thetas = np.array([snap.theta for snap in snaps])
+    ratios = weak_probe_ratio(result.params, thetas, omegas, np.array([snap.peak for snap in snaps]))
+    flagged = tuple(times[ratios > 1.0 / PASS_FACTOR].tolist())
+    return LowIntensityReport(worst_ratio=float(np.max(ratios, initial=0.0)), flagged_times=flagged, passed=not flagged)
 
 
 def stored_window(schedule: ControlSchedule) -> tuple[float, float] | None:
@@ -380,9 +369,11 @@ def assemble_summary(result: SimulationResult, output_time: float | None = None)
     snapshot, so a number `sweep` reports for a medium is the one here, and
     a sample below the tracking floor raises the error `run` exits 4 with.
     Velocity windows are derived from the schedule when it is the tanh
-    switch; otherwise only the whole-run velocity is reported. The
-    predicted output peaks are read off predicted fields, to which the
-    tracking floor does not apply.
+    switch; otherwise only the whole-run velocity is reported. Each
+    predicted output peak is the first snapshot's peak times exp(-damping):
+    of the exponent integral Re I_s, and, in a resonant medium only, of
+    gamma_bc T0 and of the integral of alpha1 (predict_output). The
+    tracking floor applies to the measured samples, not to the predictions.
     """
     params = result.params
     schedule = result.schedule
@@ -419,10 +410,7 @@ def assemble_summary(result: SimulationResult, output_time: float | None = None)
         "predicted_peak": track.peak_amp[0] * math.exp(-i_s[-1].real),
     }
     if params.is_resonant():
-        z = result.grid.z_array()
-        field_simple, field_exact, _ = predict_output(params, schedule, snaps[0].psi, out_snap.t)
-        output["predicted_peak_simple"] = quadratic_peak(z, np.abs(field_simple.values))[1]
-        output["predicted_peak_exact"] = quadratic_peak(z, np.abs(field_exact.values))[1]
+        output["predicted_peak_simple"], output["predicted_peak_exact"] = predict_output(params, schedule, snaps[0].psi, out_snap.t)
     summary["output_peak"] = output
     summary["distortion"] = asdict(measure_distortion(snaps[0].psi, [out_snap.psi])[0])
     summary["v_g_floor"] = v_g_min(params)

@@ -8,8 +8,8 @@ The polariton spectral law multiplies each k-mode by exp(-I_s - i k I_w) with
 A0 and B0 carry the non-ideal corrections (decay and detunings). The real and
 imaginary parts of (s_part, w_part) are the damping alpha1, phase rate beta,
 k-linear gain alpha2, and group velocity v_g. This module holds the exact
-forms, the dark field's factors to the other fields, and the resonance special
-cases: every closed form of the law that the engine and the regime check read.
+forms, the dark field's factors and the weak-probe ratio, and the resonance
+special cases: every closed form of the law that the engine and the checks read.
 The exact forms take a float or an array of mixing angles, elementwise.
 """
 
@@ -123,6 +123,17 @@ def field_factors(theta, params: MediumParams):
     cos_t = np.cos(theta)
     sin_t = np.sin(theta)
     return ratio, cos_t + sin_t * ratio, -((sin_t - cos_t * ratio) / math.sqrt(params.n_atoms))
+
+
+def weak_probe_ratio(params: MediumParams, theta, omega, amplitude):
+    """Probe-to-control Rabi ratio g |E| / Omega for dark-field peaks amplitude at mixing angles theta, elementwise.
+
+    |E| is amplitude times |probe factor|. A vanishing control Rabi
+    frequency takes the ratio to inf, which fails the check.
+    """
+    e_peak = amplitude * np.abs(field_factors(theta, params)[1])
+    with np.errstate(over="ignore"):
+        return params.g * e_peak / omega
 
 
 def exponent_integrand(theta, theta_dot, params: MediumParams) -> CoefficientSample:

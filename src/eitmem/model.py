@@ -253,7 +253,7 @@ def check_regime(
 
     The switching duration is the schedule's own ControlSchedule.turn_time().
     """
-    from .coefficients import exponent_integrand, field_factors  # local import, avoids a cycle
+    from .coefficients import exponent_integrand, weak_probe_ratio  # local import, avoids a cycle
 
     d_ba, d_bc = params.coherence_factors()
     decoherence = abs(d_ba * d_bc)
@@ -262,15 +262,10 @@ def check_regime(
     adiab_length_scale = math.sqrt(params.gamma_ba * params.c * params.length / params.g2n)
     adiab_length = pulse.pulse_length / adiab_length_scale
 
-    # Pre-run probe-intensity estimate: the probe field is the dark field
-    # times the law's probe factor, and the probe Rabi scale is g |E|
-    # (calibrated against the post-run check in the analysis module). It
-    # comes first, so an overflowing law is named by its bright ratio.
+    # Pre-run probe-intensity estimate at the pulse's amplitude. It comes
+    # first, so an overflowing law is named by its bright ratio.
     sample = schedule.eval(params, schedule.sample_times())
-    e_est = abs(pulse.amplitude) * np.abs(field_factors(sample.theta, params)[1])
-    # A vanishing control Rabi frequency takes the ratio to inf, which fails the check.
-    with np.errstate(over="ignore"):
-        worst = float(np.max(params.g * e_est / sample.omega))
+    worst = float(np.max(weak_probe_ratio(params, sample.theta, sample.omega, abs(pulse.amplitude))))
 
     # The adiabatic scales take the resonant group velocity, which is positive
     # for theta below pi/2; a two-photon detuning can turn the detuned one negative.

@@ -454,6 +454,22 @@ def test_sweep_block_takes_one_quadrature_pass(tmp_path, monkeypatch):
     assert in_block == len(evaluations)
 
 
+def test_a_default_run_takes_three_quadrature_passes(tmp_path, monkeypatch):
+    # The run's exponent table, the summary's velocity and output-peak
+    # windows, and the exact damping of the resonant output prediction.
+    passes = []
+    quadrature = solver.adaptive_simpson
+
+    def counting(*args, **kwargs):
+        passes.append(1)
+        return quadrature(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "adaptive_simpson", counting)
+    monkeypatch.setattr(analysis, "adaptive_simpson", counting)
+    assert main(["run", "--out-dir", str(tmp_path), "--csv-stride", "256"]) == 0
+    assert len(passes) == 3
+
+
 # A medium whose edge check max |m| / n cannot settle at a snapshot not
 # read: (scenario, medium change). The row is transformed there, and at
 # gamma_ba = 5e8 the exact edge check raises at 180 us; at 2e9 it passes
