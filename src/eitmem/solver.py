@@ -6,7 +6,10 @@ closed-form coefficients from t = 0. Media that share grid, pulse, schedule
 and horizon evolve together as one block, and a single run is a block of
 one. The bright state, the probe field, and the lower-level coherence are
 each the dark field times a factor of the snapshot's mixing angle, and a
-snapshot builds one only when it is read.
+snapshot builds one only when it is read. A row stops where its modes
+could overflow or where its pulse, moved by Re W, reaches the domain edge;
+both limits are read from the exponents, so a snapshot no one reads builds
+no modes.
 """
 
 from __future__ import annotations
@@ -29,11 +32,9 @@ from .errors import (
 from .grids import ROOT_DBL_MAX, FieldGrid, GridSpec, field_header, field_tables, gaussian_field, squared_norm, whole_steps, write_csv
 from .model import MediumParams, PulseSpec, ValidityReport, check_pulse_fits, check_regime
 
-# The wraparound monitor looks at a low-passed view of the field so that
-# broadband amplified floor noise in far-detuned runs does not mask where
-# the physical pulse actually is. Cutoff in units of 2*pi/pulse_length.
-WRAPAROUND_LOWPASS_HARMONICS = 32.0
-WRAPAROUND_SUPPORT_FLOOR = 1e-6  # relative to the full-field peak
+# The input's support, which the domain-edge check moves by Re W: the
+# samples where |psi0| is at least this times its peak.
+WRAPAROUND_SUPPORT_FLOOR = 1e-6
 
 # Adaptive Simpson controls for the coefficient time integrals, read at
 # call time.
@@ -298,46 +299,35 @@ class SimulationResult:
     schedule: ControlSchedule
 
 
-def _edge_probe(k_grid: np.ndarray, pulse: PulseSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Retained modes of the wraparound low-pass and their inverse-transform basis.
+def _check_wraparound(psi0: FieldGrid, w: np.ndarray, times) -> list[tuple[int, DomainOverflowError | None]]:
+    """Per row of exponents W from t = 0 to times[1:], the first index where the pulse reaches an edge and its error, or (row length, None).
 
-    Returns the indices of the modes with |k| below the cutoff and the
-    (retained x 4) matrix that takes those modes to the low-passed field at
-    grid samples 0, 1, n-2 and n-1.
+    The input's support runs from the first to the last sample where |psi0|
+    is at least WRAPAROUND_SUPPORT_FLOOR times its peak. Under the law a
+    Gaussian keeps its |psi| shape and moves by Re W whatever Im W is, and
+    so does any input when W is real. So a row stops at the first snapshot
+    where the support, at t = 0 or moved by Re W / dz cells, reaches sample
+    0, 1, n-2 or n-1. The shift is counted on the line, not modulo n, so a
+    pulse that crossed an edge between snapshots is caught. An input of
+    zero peak has no support and never stops.
     """
-    n = k_grid.size
-    cutoff = WRAPAROUND_LOWPASS_HARMONICS * 2.0 * np.pi / pulse.pulse_length
-    index = np.flatnonzero(np.abs(k_grid) <= cutoff)
-    m = np.where(index < n // 2, index, index - n)  # signed mode numbers, FFT order
-    edges = np.array([0.0, 1.0, -2.0, -1.0])  # samples 0, 1, n-2, n-1, taken mod n
-    return index, np.exp(2j * np.pi * np.outer(m, edges) / n) / n
-
-
-def _check_wraparound(
-    modes: np.ndarray, peak: float | None, probe: tuple[np.ndarray, np.ndarray], t: float
-) -> None:
-    """Raise when the low-passed field of one row of modes reaches an edge sample.
-
-    It raises when an edge sample is at least the floor times peak, the
-    row's max |psi|; a row of zero peak passes. A row not transformed
-    passes None: as |m_k| <= n max |psi|, it passes at once below the floor
-    times max |m| / n, and is transformed for its peak otherwise. The
-    floor is relative to the full field, not the low-passed one: a run
-    whose high-k modes were amplified into garbage leaves ~1e-16 * garbage
-    of transform roundoff in every retained mode, and measuring support
-    against the tiny smooth remnant would abort sweeps whose whole point is
-    to report that garbage as a distorted verdict.
-    """
-    index, basis = probe
-    edge = float(np.max(np.abs(modes[index] @ basis)))
-    if peak is None:
-        if edge < WRAPAROUND_SUPPORT_FLOOR * float(np.max(np.abs(modes))) / modes.size:
-            return
-        peak = float(np.max(np.abs(inverse_transform(modes[np.newaxis]))))
-    if peak and edge >= WRAPAROUND_SUPPORT_FLOOR * peak:
-        raise DomainOverflowError(
-            t, f"pulse support reached the domain edge at t = {t:.6e} s"
-        )
+    magnitude = np.abs(psi0.values)
+    peak = float(np.max(magnitude))
+    if not peak:
+        return [(w.shape[1], None)] * len(w)
+    support = np.flatnonzero(magnitude >= WRAPAROUND_SUPPORT_FLOOR * peak)
+    shift = w.real / psi0.grid.dz
+    low = support[0] + np.minimum(shift, 0.0)
+    high = support[-1] + np.maximum(shift, 0.0)
+    limits = []
+    for over in (low <= 1) | (high >= magnitude.size - 2):
+        i = int(np.argmax(over))
+        if over[i]:
+            t = times[i + 1]
+            limits.append((i, DomainOverflowError(t, f"pulse support reached the domain edge at t = {t:.6e} s")))
+        else:
+            limits.append((over.size, None))
+    return limits
 
 
 class BlockEvolution:
@@ -350,11 +340,11 @@ class BlockEvolution:
     block form one (media x n) array, so each snapshot the caller reads
     takes one inverse FFT along the last axis for the whole block; along
     that axis the 2-D transform equals the row-by-row 1-D transforms bit
-    for bit. A snapshot the caller does not read transforms only the rows
-    whose largest mode cannot settle the edge check, so every row meets the
-    exact check with the same error. Mode products and every reduction stay
-    per row: broadcast across rows they round differently, and a distorted
-    row amplifies that round-off.
+    for bit. A snapshot the caller does not read builds no modes: every
+    row's stop, at the amplification bound or the domain edge, is read from
+    its exponents alone. Mode products and every reduction stay per row:
+    broadcast across rows they round differently, and a distorted row
+    amplifies that round-off.
 
     Checks of the shared arguments raise. Each medium's own checks (regime,
     quadrature, amplification bound, wraparound) run per row, in the order
@@ -396,7 +386,6 @@ class BlockEvolution:
             self.psi0 = initial_field
         self.media = tuple(media)
         self.grid = grid
-        self.pulse = pulse
         self.times = [0.0] + [i * snapshot_dt for i in range(1, n_steps)] + [horizon]
         self.failed: dict[int, EitmemError] = {}
         self.validity: dict[int, ValidityReport] = {}
@@ -436,11 +425,11 @@ class BlockEvolution:
         """Run the block; yields, per snapshot read, its index and the (medium index, Snapshot) pairs of the rows still running.
 
         read holds the indices into `times` of the snapshots whose fields the
-        caller reads; None reads them all. Only those snapshots take the
-        block inverse FFT; every other snapshot transforms only the rows
-        that _check_wraparound cannot settle from their largest mode. The
-        amplification bound is read from the exponents before any mode is
-        built, and a row stops at the first snapshot past it.
+        caller reads; None reads them all. Only those snapshots build modes
+        and take the block inverse FFT. Both per-row limits, the
+        amplification bound and the domain edge, are read from the exponents
+        before any mode is built, and a row stops at the first snapshot past
+        the earlier one, the amplification bound on a tie.
         """
         live = [j for j in range(len(self.media)) if j not in self.failed]
         if not live:
@@ -448,8 +437,10 @@ class BlockEvolution:
         k = self.grid.k_array()
         modes0 = forward_transform(self.psi0)
         s_rows, w_rows, _ = zip(*(self._exponents[j] for j in live))
-        limits = dict(zip(live, amplification_bound(modes0, k, np.array(s_rows), np.array(w_rows), self.times)))
-        probe = _edge_probe(k, self.pulse)
+        s_rows, w_rows = np.array(s_rows), np.array(w_rows)
+        bounds = amplification_bound(modes0, k, s_rows, w_rows, self.times)
+        edges = _check_wraparound(self.psi0, w_rows, self.times)
+        limits = {j: min(bound, edge, key=lambda limit: limit[0]) for j, bound, edge in zip(live, bounds, edges)}
         if read is None or 0 in read:
             peak0 = self.psi0.peak()
             yield 0, [(j, self._snapshot(j, 0, self.psi0, peak0)) for j in live]
@@ -459,25 +450,17 @@ class BlockEvolution:
             live = [j for j in live if j not in self.failed]
             if not live:
                 return
+            if read is not None and i not in read:
+                continue
             modes = rows[: len(live)]
             for r, j in enumerate(live):
                 s, w, _ = self._exponents[j]
                 apply_evolution(modes0, k, s[i - 1], w[i - 1], modes[r])
-            is_read = read is None or i in read
-            if is_read:
-                fields = inverse_transform(modes)
-                peaks = [float(np.max(np.abs(row))) for row in fields]
-            members = []
-            for r, j in enumerate(live):
-                try:
-                    _check_wraparound(modes[r], peaks[r] if is_read else None, probe, self.times[i])
-                    if is_read:
-                        members.append((j, self._snapshot(j, i, FieldGrid(self.grid, fields[r]), peaks[r])))
-                except EitmemError as exc:
-                    self.failed[j] = exc
-            live = [j for j in live if j not in self.failed]
-            if is_read:
-                yield i, members
+            fields = inverse_transform(modes)
+            yield i, [
+                (j, self._snapshot(j, i, FieldGrid(self.grid, row), float(np.max(np.abs(row)))))
+                for j, row in zip(live, fields)
+            ]
 
 
 def simulate(

@@ -161,6 +161,18 @@ def test_run_reports_runtime_failures(tmp_path, capsys):
     assert "runtime error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("omega", [2e7, 2.1e7])
+def test_run_stops_a_pulse_that_crosses_the_edge_between_snapshots(tmp_path, capsys, omega):
+    # A constant control this strong moves the pulse almost the whole domain
+    # in one snapshot interval, so at 15 us it can sit clear of both edges
+    # again; its support has crossed the right edge by then.
+    sc = dataclasses.replace(default_scenario(), schedule=ControlSchedule(kind="constant", omega=omega))
+    ini = tmp_path / "fast.ini"
+    save_scenario(sc, ini)
+    assert main(["run", str(ini), "--out-dir", str(tmp_path)]) == 4
+    assert capsys.readouterr().err == "runtime error: pulse support reached the domain edge at t = 1.500000e-05 s\n"
+
+
 @pytest.mark.parametrize("verb", ["validate", "run"])
 def test_grid_above_the_point_ceiling_exits_2_naming_n_points(tmp_path, capsys, verb):
     ini = tmp_path / "huge.ini"
@@ -470,10 +482,10 @@ def test_a_default_run_takes_three_quadrature_passes(tmp_path, monkeypatch):
     assert len(passes) == 3
 
 
-# A medium whose edge check max |m| / n cannot settle at a snapshot not
-# read: (scenario, medium change). The row is transformed there, and at
-# gamma_ba = 5e8 the exact edge check raises at 180 us; at 2e9 it passes
-# at 105 us and raises at 120 us.
+# A medium whose pulse reaches the domain edge: (scenario, medium change).
+# The edge check reads the exponents, so a block that reads no snapshot
+# builds no modes and transforms none, and still stops the row where a run
+# does: at 180 us for gamma_ba = 5e8, and at 120 us for 2e9.
 UNREAD_FALLBACKS = {
     "wraparound_raises": (default_scenario, {"gamma_ba": 5e8}),
     "wraparound_passes": (default_scenario, {"gamma_ba": 2e9}),
@@ -488,7 +500,7 @@ def test_unread_snapshots_fall_back_to_the_exact_checks(monkeypatch, case):
     rows = _count_transformed_rows(monkeypatch)
     block = BlockEvolution([sc.medium], *args)
     assert list(block.evolve(())) == []
-    assert rows and set(rows) == {1}  # nothing is read, so each transform is one row's fallback
+    assert rows == []
     monkeypatch.undo()
     with pytest.raises(EitmemError) as exc:
         simulate(sc.medium, *args)

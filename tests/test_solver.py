@@ -23,11 +23,8 @@ from eitmem.grids import FieldGrid, GridSpec, field_tables, gaussian_field, whol
 from eitmem.model import MIN_WIDTH_SPACINGS, PulseSpec, check_pulse_fits
 from eitmem.control import ControlSchedule
 from eitmem.solver import (
-    WRAPAROUND_LOWPASS_HARMONICS,
-    WRAPAROUND_SUPPORT_FLOOR,
     BlockEvolution,
     _check_wraparound,
-    _edge_probe,
     accumulate_exponent,
     adaptive_simpson,
     amplification_bound,
@@ -84,10 +81,6 @@ def test_largest_mode_bounds_the_transformed_peak_from_below(shape, scale):
     assert low <= peak
     if shape == "single_mode":  # |psi| is flat: the bound is attained
         assert peak == pytest.approx(low, rel=1e-15)
-    if shape == "zero":  # a row of zero modes passes the edge check, read or not
-        probe = _edge_probe(GridSpec(-1.0, 1.0, row.size).k_array(), PulseSpec(0.2, -0.3, 0.05))
-        for known in (None, 0.0):
-            _check_wraparound(row, known, probe, 0.0)
 
 
 def test_gaussian_spectrum_is_gaussian():
@@ -315,6 +308,51 @@ def test_run_aborts_when_pulse_reaches_the_edge(default_sc):
     assert err.value.t > 125e-6
 
 
+def test_edge_check_ignores_amplified_floor_of_distorted_run(default_sc):
+    p = dataclasses.replace(default_sc.medium, delta_p=800.0)
+    res = simulate(p, default_sc.grid, default_sc.pulse, default_sc.schedule, default_sc.horizon, default_sc.snapshot_dt)
+    assert len(res.snapshots) == 13
+
+
+# Changes from the default scenario, run under force, and the time each row
+# stops at the domain edge, or None where it runs to the horizon. A centre
+# of -7.5 mm puts the edge inside the support at t = 0, so that row stops
+# at the first snapshot.
+EDGE_LADDER = (
+    [("medium", "gamma_ba", v, 1.8e-4) for v in (5e8, 6e8, 7e8)]
+    + [("medium", "gamma_ba", v, 1.65e-4) for v in (8e8, 1e9)]
+    + [("medium", "gamma_ba", 1.5e9, 1.35e-4), ("medium", "gamma_ba", 2e9, 1.2e-4)]
+    + [("medium", "gamma_ba", 3e9, 7.5e-5), ("medium", "gamma_ba", 5e9, 4.5e-5)]
+    + [("medium", "gamma_bc", 1e5, 1.65e-4), ("medium", "gamma_bc", 3e5, 7.5e-5)]
+    + [("pulse", "center_z", 3e-3, 1.5e-4), ("pulse", "center_z", 5e-3, 3e-5), ("pulse", "center_z", -7.5e-3, 1.5e-5)]
+    + [("pulse", "width", 2e-3, 1.65e-4)]
+    + [("medium", "delta_p", v, None) for v in (0.0, 200.0, 800.0, 2000.0, -2000.0)]
+    + [("medium", "delta", v, None) for v in (2e6, 2e7)]
+)
+
+
+@pytest.mark.parametrize("section, name, value, t_stop", EDGE_LADDER, ids=lambda v: str(v))
+def test_a_pulse_stops_where_its_moved_support_reaches_an_edge(default_sc, section, name, value, t_stop):
+    sc = dataclasses.replace(default_sc, **{section: dataclasses.replace(getattr(default_sc, section), **{name: value})})
+    args = (sc.medium, sc.grid, sc.pulse, sc.schedule, sc.horizon, sc.snapshot_dt)
+    if t_stop is None:
+        assert len(simulate(*args, force=True).snapshots) == 13
+        return
+    with pytest.raises(DomainOverflowError) as err:
+        simulate(*args, force=True)
+    assert err.value.t == pytest.approx(t_stop, rel=1e-12)
+    assert str(err.value) == f"pulse support reached the domain edge at t = {t_stop:.6e} s"
+
+
+def test_an_input_of_zero_peak_never_reaches_an_edge():
+    grid = GridSpec(-1.0, 1.0, 64)
+    w = np.array([[0.5, 5.0, -50.0]], dtype=complex)  # one row, displacements far past the domain
+    assert _check_wraparound(FieldGrid(grid, np.zeros(64, dtype=complex)), w, [0.0, 1.0, 2.0, 3.0]) == [(3, None)]
+    # the same displacements stop a pulse at the second snapshot
+    limits = _check_wraparound(gaussian_field(grid, 1.0, 0.0, 0.1), w, [0.0, 1.0, 2.0, 3.0])
+    assert [(i, error.t) for i, error in limits] == [(1, 2.0)]
+
+
 def test_validity_gate_blocks_and_force_overrides(default_sc):
     hot = PulseSpec(amplitude=1e3, center_z=-2e-3, width=1e-3)
     with pytest.raises(ValidityError, match="low_intensity"):
@@ -440,68 +478,6 @@ def test_snapshot_cadence_must_divide_horizon(default_sc):
 
 # ---------------------------------------------------------------------------
 # The spectral update against the direct forms it replaced.
-
-
-def _full_grid_lowpass(psi: FieldGrid, pulse: PulseSpec) -> np.ndarray:
-    """The wraparound monitor's low-passed |field|, by FFT over the whole grid."""
-    n = psi.grid.n_points
-    spectrum = np.fft.fft(psi.values)
-    k = 2.0 * np.pi * np.fft.fftfreq(n, d=psi.grid.dz)
-    cutoff = WRAPAROUND_LOWPASS_HARMONICS * 2.0 * np.pi / pulse.pulse_length
-    return np.abs(np.fft.ifft(np.where(np.abs(k) <= cutoff, spectrum, 0.0)))
-
-
-def _full_grid_edge_hit(psi: FieldGrid, pulse: PulseSpec) -> bool:
-    peak = psi.peak()
-    if peak == 0.0:
-        return False
-    support = _full_grid_lowpass(psi, pulse) >= WRAPAROUND_SUPPORT_FLOOR * peak
-    return bool(support[0] or support[1] or support[-2] or support[-1])
-
-
-def _edge_check_against_full_grid(sc, params) -> float | None:
-    """Build a run's modes snapshot by snapshot, as the engine does, with both edge checks.
-
-    Asserts that the four low-passed edge samples agree and that both checks
-    fire together; returns the time they fired, or None.
-    """
-    times = np.arange(sc.horizon / sc.snapshot_dt + 1) * sc.snapshot_dt
-    (s,), (w,) = np.cumsum(accumulate_exponent([params], sc.schedule, times[:-1], times[1:]), axis=-1)
-    k = sc.grid.k_array()
-    modes0 = forward_transform(gaussian_field(sc.grid, sc.pulse.amplitude, sc.pulse.center_z, sc.pulse.width))
-    probe = _edge_probe(k, sc.pulse)
-    index, basis = probe
-    for j in range(len(s)):
-        modes = apply_evolution(modes0, k, s[j], w[j])
-        psi = FieldGrid(sc.grid, inverse_transform(modes))
-        reference = _full_grid_lowpass(psi, sc.pulse)[[0, 1, -2, -1]]
-        edges = np.abs(modes[index] @ basis)
-        assert np.max(np.abs(edges - reference)) <= 1e-12 * psi.peak()
-        hit = _full_grid_edge_hit(psi, sc.pulse)
-        try:
-            _check_wraparound(modes, psi.peak(), probe, times[j + 1])
-        except DomainOverflowError:
-            assert hit
-            return times[j + 1]
-        assert not hit
-    return None
-
-
-def test_edge_check_fires_with_the_full_grid_check(default_sc):
-    # the same drifting pulse as test_run_aborts_when_pulse_reaches_the_edge
-    p = dataclasses.replace(default_sc.medium, gamma_ba=1e9)
-    t_hit = _edge_check_against_full_grid(default_sc, p)
-    assert t_hit is not None
-    with pytest.raises(DomainOverflowError) as err:
-        simulate(p, default_sc.grid, default_sc.pulse, default_sc.schedule, default_sc.horizon, default_sc.snapshot_dt)
-    assert err.value.t == pytest.approx(t_hit, rel=1e-12)
-
-
-def test_edge_check_ignores_amplified_floor_of_distorted_run(default_sc):
-    p = dataclasses.replace(default_sc.medium, delta_p=800.0)
-    assert _edge_check_against_full_grid(default_sc, p) is None
-    res = simulate(p, default_sc.grid, default_sc.pulse, default_sc.schedule, default_sc.horizon, default_sc.snapshot_dt)
-    assert len(res.snapshots) == 13
 
 
 def test_mode_factor_matches_direct_exponential():
