@@ -40,9 +40,9 @@ class SimulationError(EitmemError):
 class DomainOverflowError(SimulationError):
     """Transported pulse support reached the edge of the periodic z-domain."""
 
-    def __init__(self, t: float, message: str | None = None):
+    def __init__(self, t: float):
         self.t = t
-        super().__init__(message or f"pulse support reached the domain edge at t={t:.6e} s")
+        super().__init__(f"pulse support reached the domain edge at t = {t:.6e} s")
 
 
 class AmplificationOverflowError(SimulationError):

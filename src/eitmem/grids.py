@@ -25,6 +25,21 @@ def whole_steps(span: float, step: float) -> int:
     return n
 
 
+def snapshot_intervals(horizon: float, snapshot_dt: float) -> int:
+    """The snapshot clock of every run: snapshots at i * snapshot_dt below this count, then at the horizon.
+
+    Raises ConfigError unless both are finite and positive and snapshot_dt divides the horizon evenly.
+    """
+    for name, value in (("horizon", horizon), ("snapshot_dt", snapshot_dt)):
+        require_finite(name, value)
+        if not value > 0:
+            raise ConfigError(f"{name} must be positive, got {value}")
+    n = whole_steps(horizon, snapshot_dt)
+    if not n:
+        raise ConfigError(f"snapshot_dt {snapshot_dt} must divide the horizon {horizon} evenly")
+    return n
+
+
 # While every mode of a field on n points stays below ROOT_DBL_MAX / n, its
 # samples, their squares and every FFT or squared-norm sum stay finite.
 ROOT_DBL_MAX = math.sqrt(np.finfo(float).max)

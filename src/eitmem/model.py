@@ -134,7 +134,7 @@ class PulseSpec:
 
 
 # Anti-wraparound margin: the periodic domain must be at least this many
-# pulse lengths long, and the pulse must start clear of the edges.
+# pulse lengths long.
 DOMAIN_PADDING_FACTOR = 4.0
 
 # Fewest grid spacings per pulse width. The Gaussian's mode at the grid's
@@ -144,25 +144,44 @@ DOMAIN_PADDING_FACTOR = 4.0
 # gaussian_field cannot overflow.
 MIN_WIDTH_SPACINGS = 2.0 / math.pi * math.sqrt(52.0 * math.log(2.0))
 
+# A pulse's support is the samples where |psi| is at least this times its
+# peak. check_pulse_fits admits a Gaussian only where its support passes
+# support_clear, and the spectral engine stops a row where the moved one fails.
+SUPPORT_FLOOR = 1e-6
+
+
+def support_clear(first, last, n_points: int):
+    """Whether a support from sample position first to last, fractional or arrays, misses samples 0, 1, n-2 and n-1."""
+    return (first > 1) & (last < n_points - 2)
+
 
 def check_pulse_fits(grid: GridSpec, pulse: PulseSpec):
-    """Raise ConfigError unless the grid holds the pulse clear of its edges, resolves it, and keeps its modes' squares finite."""
-    support = pulse.pulse_length
-    if grid.length < DOMAIN_PADDING_FACTOR * support:
+    """Raise ConfigError unless the grid is long enough for the pulse, resolves it, holds its support clear of the edges, and keeps its modes' squares finite.
+
+    The support is gaussian_field's, in closed form: its sampled peak lies within dz/2 of the center, so no
+    sample farther than hypot(width sqrt(-ln SUPPORT_FLOOR), dz/2) from it reaches the floor; the radius is
+    widened by the rounding of z and of the exponent.
+    """
+    if grid.length < DOMAIN_PADDING_FACTOR * pulse.pulse_length:
         raise ConfigError(
             f"domain length {grid.length} m is below {DOMAIN_PADDING_FACTOR}x the "
-            f"pulse length {support} m; enlarge the grid to keep the periodic "
+            f"pulse length {pulse.pulse_length} m; enlarge the grid to keep the periodic "
             f"boundary out of play"
-        )
-    if not (grid.z_min + support <= pulse.center_z <= grid.z_max - support):
-        raise ConfigError(
-            f"pulse center {pulse.center_z} m sits within one pulse length of the "
-            f"domain edge [{grid.z_min}, {grid.z_max}]"
         )
     if pulse.width < MIN_WIDTH_SPACINGS * grid.dz:
         raise ConfigError(
             f"pulse width {pulse.width} m is below {MIN_WIDTH_SPACINGS:.4f} grid spacings "
             f"(z_max - z_min) / n_points = {grid.dz} m, so the grid does not resolve the pulse"
+        )
+    radius = math.hypot(pulse.width * math.sqrt(-math.log(SUPPORT_FLOOR)), 0.5 * grid.dz)
+    radius += 1e-13 * max(abs(grid.z_min), abs(grid.z_max), radius)
+    first = (pulse.center_z - radius - grid.z_min) / grid.dz
+    last = (pulse.center_z + radius - grid.z_min) / grid.dz
+    if not support_clear(first, last, grid.n_points):
+        raise ConfigError(
+            f"pulse support, {radius:.6g} m either side of the center {pulse.center_z} m where |psi| is at "
+            f"least {SUPPORT_FLOOR:g} of its peak, reaches sample 0, 1, n-2 or n-1 of the domain "
+            f"[z_min, z_max] = [{grid.z_min}, {grid.z_max}]"
         )
     # No mode passes |amplitude| times the pulse's sample sum, sqrt(pi) width / dz + 1 at most.
     largest_mode = abs(pulse.amplitude) * (math.sqrt(math.pi) * pulse.width / grid.dz + 1.0)

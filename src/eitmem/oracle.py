@@ -23,7 +23,7 @@ import numpy as np
 
 from .control import ControlSchedule
 from .errors import ConfigError, InvalidComparisonError, SimulationError
-from .grids import FieldGrid, GridSpec, field_header, field_tables, squared_norm, whole_steps, write_csv
+from .grids import FieldGrid, GridSpec, field_header, field_tables, snapshot_intervals, squared_norm, whole_steps, write_csv
 from .model import MediumParams, coupling_matrix
 
 # Coupling propagators are built for at most this many step midpoints at a
@@ -101,10 +101,7 @@ def step_count(horizon: float, cfg: OracleConfig) -> int:
     when the count passes MAX_STEPS, so a caller can reject a step before
     any long work.
     """
-    intervals = whole_steps(horizon, cfg.snapshot_dt)
-    if not intervals:
-        raise ConfigError(f"snapshot_dt {cfg.snapshot_dt} must divide the horizon {horizon} evenly")
-    n_steps = intervals * whole_steps(cfg.snapshot_dt, cfg.dt)
+    n_steps = snapshot_intervals(horizon, cfg.snapshot_dt) * whole_steps(cfg.snapshot_dt, cfg.dt)
     if n_steps > MAX_STEPS:
         raise ConfigError(
             f"dt {cfg.dt} takes {n_steps} steps to the horizon {horizon}, more than "

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .control import SCHEDULE_KINDS, ControlSchedule
 from .errors import ConfigError, require_finite
-from .grids import MAX_SNAPSHOT_SAMPLES, GridSpec, whole_steps
+from .grids import MAX_SNAPSHOT_SAMPLES, GridSpec, snapshot_intervals
 from .model import MediumParams, PulseSpec, check_pulse_fits
 
 DEFAULT_LABEL = "storage_default"
@@ -83,23 +83,13 @@ class Scenario:
     notes: tuple[str, ...] = dataclasses.field(default=(), compare=False)
 
     def __post_init__(self):
-        for name in ("horizon", "snapshot_dt", "output_time"):
-            require_finite(name, getattr(self, name))
-        if not self.horizon > 0.0:
-            raise ConfigError("horizon must be positive")
-        if not (0.0 < self.snapshot_dt <= self.horizon):
-            raise ConfigError("snapshot_dt must lie in (0, horizon]")
-        n_steps = whole_steps(self.horizon, self.snapshot_dt)
-        if not n_steps:
-            raise ConfigError(
-                "snapshot_dt must divide the horizon evenly "
-                f"(horizon/snapshot_dt = {self.horizon / self.snapshot_dt!r})"
-            )
+        n_steps = snapshot_intervals(self.horizon, self.snapshot_dt)
         if (n_steps + 1) * self.grid.n_points > MAX_SNAPSHOT_SAMPLES:
             raise ConfigError(
                 f"{n_steps + 1} snapshots of {self.grid.n_points} points exceed the "
                 f"{MAX_SNAPSHOT_SAMPLES} samples a run may hold; lengthen snapshot_dt"
             )
+        require_finite("output_time", self.output_time)
         if not (0.0 <= self.output_time <= self.horizon):
             raise ConfigError("output_time must lie within [0, horizon]")
         # configparser strips a value's edge whitespace on load, so such a

@@ -7,9 +7,9 @@ and horizon evolve together as one block, and a single run is a block of
 one. The bright state, the probe field, and the lower-level coherence are
 each the dark field times a factor of the snapshot's mixing angle, and a
 snapshot builds one only when it is read. A row stops where its modes
-could overflow or where its pulse, moved by Re W, reaches the domain edge;
-both limits are read from the exponents, so a snapshot no one reads builds
-no modes.
+could overflow or where its pulse's support, moved by Re W, fails the edge
+rule that check_pulse_fits applies at t = 0; both limits are read from the
+exponents, so a snapshot no one reads builds no modes.
 """
 
 from __future__ import annotations
@@ -29,12 +29,8 @@ from .errors import (
     QuadratureError,
     SimulationError,
 )
-from .grids import ROOT_DBL_MAX, FieldGrid, GridSpec, field_header, field_tables, gaussian_field, squared_norm, whole_steps, write_csv
-from .model import MediumParams, PulseSpec, ValidityReport, check_pulse_fits, check_regime
-
-# The input's support, which the domain-edge check moves by Re W: the
-# samples where |psi0| is at least this times its peak.
-WRAPAROUND_SUPPORT_FLOOR = 1e-6
+from .grids import ROOT_DBL_MAX, FieldGrid, GridSpec, field_header, field_tables, gaussian_field, snapshot_intervals, squared_norm, write_csv
+from .model import SUPPORT_FLOOR, MediumParams, PulseSpec, ValidityReport, check_pulse_fits, check_regime, support_clear
 
 # Adaptive Simpson controls for the coefficient time integrals, read at
 # call time.
@@ -209,42 +205,11 @@ def mode_factor(k_grid: np.ndarray, i_s: complex, i_w: complex, out: np.ndarray 
     return np.outer(rows, cols, out=out).ravel()
 
 
-def amplification_bound(
-    modes0: np.ndarray, k_grid: np.ndarray, s: np.ndarray, w: np.ndarray, times
-) -> list[tuple[int, AmplificationOverflowError | None]]:
-    """Per row of exponents from t = 0 to times[1:], the first index past the bound and its error, or (row length, None).
-
-    A mode is m0 times a factor whose log magnitude -Re S + k Im W peaks,
-    at G, at an extreme mode. G is bounded by the lesser of
-    ln(sqrt(DBL_MAX) / n) - ln max|m0|, below which no mode, field sample,
-    squared norm or FFT sum overflows, and ln(DBL_MAX), below which no
-    factor or mode_factor table does: the second binds when max|m0| is zero or below 1e-154 / n.
-    """
-    half = k_grid.size // 2
-    extremes = k_grid[[half - 1, half], np.newaxis]  # largest and most negative k, FFT order
-    gains = np.max(-s.real[:, np.newaxis] + extremes * w.imag[:, np.newaxis], axis=1)
-    bound = math.log(ROOT_DBL_MAX / k_grid.size)
-    ln_max = math.log(np.finfo(float).max)
-    peak0 = float(np.max(np.abs(modes0)))
-    log_peak0 = math.log(peak0) if peak0 else -math.inf
-    allowed = min(bound - log_peak0, ln_max)
-    limits = []
-    for gain, over in zip(gains, gains > allowed):
-        i = int(np.argmax(over))
-        message = (
-            f"the modal log gain {gain[i]:.2f} accumulated from t = 0 to the snapshot at {times[i + 1]:.6e} s passes "
-            f"{allowed:.2f}, the lesser of ln(sqrt(DBL_MAX) / n) = {bound:.2f} less ln max|m0| = {log_peak0:.2f} "
-            f"and ln(DBL_MAX) = {ln_max:.2f}; the scenario is too far off resonance for a meaningful run"
-        )
-        limits.append((i, AmplificationOverflowError(message)) if over[i] else (over.size, None))
-    return limits
-
-
 def apply_evolution(modes0: np.ndarray, k_grid: np.ndarray, s: complex, w: complex, out: np.ndarray | None = None):
     """modes0 * mode_factor(k_grid, s, w) bit for bit: the modes when S and W are the exponents since t = 0.
 
     The factor is written into out when one is given, then multiplied there
-    by modes0; under amplification_bound both stay finite.
+    by modes0; under _check_wraparound's amplification limit both stay finite.
     """
     factor = mode_factor(k_grid, s, w, out=out)
     return np.multiply(modes0, factor, out=factor)
@@ -299,32 +264,55 @@ class SimulationResult:
     schedule: ControlSchedule
 
 
-def _check_wraparound(psi0: FieldGrid, w: np.ndarray, times) -> list[tuple[int, DomainOverflowError | None]]:
-    """Per row of exponents W from t = 0 to times[1:], the first index where the pulse reaches an edge and its error, or (row length, None).
+def _check_wraparound(
+    psi0: FieldGrid, modes0: np.ndarray, k_grid: np.ndarray, s: np.ndarray, w: np.ndarray, times
+) -> list[tuple[int, EitmemError | None]]:
+    """Per row of exponents S, W from t = 0 to times[1:], the first index past either limit and its error, or (row length, None).
 
-    The input's support runs from the first to the last sample where |psi0|
-    is at least WRAPAROUND_SUPPORT_FLOOR times its peak. Under the law a
+    Amplification: a mode is m0 times a factor whose log magnitude
+    -Re S + k Im W peaks, at G, at an extreme mode. G is bounded by the
+    lesser of ln(sqrt(DBL_MAX) / n) - ln max|m0|, below which no mode,
+    field sample, squared norm or FFT sum overflows, and ln(DBL_MAX), below
+    which no factor or mode_factor table does: the second binds when
+    max|m0| is zero or below 1e-154 / n.
+
+    Domain edge: the input's support runs from the first to the last sample
+    where |psi0| is at least SUPPORT_FLOOR times its peak. Under the law a
     Gaussian keeps its |psi| shape and moves by Re W whatever Im W is, and
-    so does any input when W is real. So a row stops at the first snapshot
-    where the support, at t = 0 or moved by Re W / dz cells, reaches sample
-    0, 1, n-2 or n-1. The shift is counted on the line, not modulo n, so a
-    pulse that crossed an edge between snapshots is caught. An input of
-    zero peak has no support and never stops.
+    so does any input when W is real. So a row reaches the edge at the
+    first snapshot where the support, at t = 0 or moved by Re W / dz cells
+    rounded outward to whole cells, fails support_clear. The shift is
+    counted on the line, not modulo n, so a pulse that crossed an edge
+    between snapshots is caught. An input of zero peak never reaches one.
+    A snapshot past both limits stops its row with the amplification error.
     """
+    half = k_grid.size // 2
+    extremes = k_grid[[half - 1, half], np.newaxis]  # largest and most negative k, FFT order
+    gains = np.max(-s.real[:, np.newaxis] + extremes * w.imag[:, np.newaxis], axis=1)
+    bound = math.log(ROOT_DBL_MAX / k_grid.size)
+    ln_max = math.log(np.finfo(float).max)
+    peak0 = float(np.max(np.abs(modes0)))
+    log_peak0 = math.log(peak0) if peak0 else -math.inf
+    allowed = min(bound - log_peak0, ln_max)
     magnitude = np.abs(psi0.values)
-    peak = float(np.max(magnitude))
-    if not peak:
-        return [(w.shape[1], None)] * len(w)
-    support = np.flatnonzero(magnitude >= WRAPAROUND_SUPPORT_FLOOR * peak)
+    support = np.flatnonzero(magnitude >= SUPPORT_FLOOR * np.max(magnitude))
     shift = w.real / psi0.grid.dz
-    low = support[0] + np.minimum(shift, 0.0)
-    high = support[-1] + np.maximum(shift, 0.0)
+    low = support[0] + np.floor(np.minimum(shift, 0.0))
+    high = support[-1] + np.ceil(np.maximum(shift, 0.0))
+    edge = ~support_clear(low, high, magnitude.size) & bool(magnitude.any())
     limits = []
-    for over in (low <= 1) | (high >= magnitude.size - 2):
-        i = int(np.argmax(over))
+    for gain, over, hit in zip(gains, gains > allowed, edge):
+        i = int(np.argmax(over | hit))
+        t = times[i + 1]
         if over[i]:
-            t = times[i + 1]
-            limits.append((i, DomainOverflowError(t, f"pulse support reached the domain edge at t = {t:.6e} s")))
+            message = (
+                f"the modal log gain {gain[i]:.2f} accumulated from t = 0 to the snapshot at {t:.6e} s passes "
+                f"{allowed:.2f}, the lesser of ln(sqrt(DBL_MAX) / n) = {bound:.2f} less ln max|m0| = {log_peak0:.2f} "
+                f"and ln(DBL_MAX) = {ln_max:.2f}; the scenario is too far off resonance for a meaningful run"
+            )
+            limits.append((i, AmplificationOverflowError(message)))
+        elif hit[i]:
+            limits.append((i, DomainOverflowError(t)))
         else:
             limits.append((over.size, None))
     return limits
@@ -342,11 +330,12 @@ class BlockEvolution:
     that axis the 2-D transform equals the row-by-row 1-D transforms bit
     for bit. A snapshot the caller does not read builds no modes: every
     row's stop, at the amplification bound or the domain edge, is read from
-    its exponents alone. Mode products and every reduction stay per row:
+    its exponents alone, by _check_wraparound. Mode products and every reduction stay per row:
     broadcast across rows they round differently, and a distorted row
     amplifies that round-off.
 
-    Checks of the shared arguments raise. Each medium's own checks (regime,
+    Checks of the shared arguments raise, check_pulse_fits and the snapshot
+    clock (grids.snapshot_intervals) among them. Each medium's own checks (regime,
     quadrature, amplification bound, wraparound) run per row, in the order
     a run of that medium alone meets them. A medium that fails leaves the
     block with the exception its own run would raise, kept in `failed` by
@@ -368,15 +357,7 @@ class BlockEvolution:
         force: bool = False,
         initial_field: FieldGrid | None = None,
     ):
-        if horizon <= 0:
-            raise ConfigError(f"horizon must be positive, got {horizon}")
-        if snapshot_dt <= 0:
-            raise ConfigError(f"snapshot_dt must be positive, got {snapshot_dt}")
-        n_steps = whole_steps(horizon, snapshot_dt)
-        if not n_steps:
-            raise ConfigError(
-                f"snapshot_dt {snapshot_dt} must divide the horizon {horizon} evenly"
-            )
+        n_steps = snapshot_intervals(horizon, snapshot_dt)
         if initial_field is None:
             check_pulse_fits(grid, pulse)
             self.psi0 = gaussian_field(grid, pulse.amplitude, pulse.center_z, pulse.width)
@@ -426,10 +407,10 @@ class BlockEvolution:
 
         read holds the indices into `times` of the snapshots whose fields the
         caller reads; None reads them all. Only those snapshots build modes
-        and take the block inverse FFT. Both per-row limits, the
-        amplification bound and the domain edge, are read from the exponents
-        before any mode is built, and a row stops at the first snapshot past
-        the earlier one, the amplification bound on a tie.
+        and take the block inverse FFT. Before any mode is built,
+        _check_wraparound gives each row its first snapshot past the
+        amplification bound or the domain edge, with the amplification error
+        where one snapshot is past both, and the row stops there.
         """
         live = [j for j in range(len(self.media)) if j not in self.failed]
         if not live:
@@ -437,10 +418,7 @@ class BlockEvolution:
         k = self.grid.k_array()
         modes0 = forward_transform(self.psi0)
         s_rows, w_rows, _ = zip(*(self._exponents[j] for j in live))
-        s_rows, w_rows = np.array(s_rows), np.array(w_rows)
-        bounds = amplification_bound(modes0, k, s_rows, w_rows, self.times)
-        edges = _check_wraparound(self.psi0, w_rows, self.times)
-        limits = {j: min(bound, edge, key=lambda limit: limit[0]) for j, bound, edge in zip(live, bounds, edges)}
+        limits = dict(zip(live, _check_wraparound(self.psi0, modes0, k, np.array(s_rows), np.array(w_rows), self.times)))
         if read is None or 0 in read:
             peak0 = self.psi0.peak()
             yield 0, [(j, self._snapshot(j, 0, self.psi0, peak0)) for j in live]

@@ -244,7 +244,7 @@ def test_distortion_of_each_output_does_not_depend_on_the_block(n_points):
 
 
 def test_distortion_of_an_output_at_the_amplification_bound_is_finite():
-    # amplification_bound stops a run before any mode passes sqrt(DBL_MAX) / n,
+    # the amplification limit stops a run before any mode passes sqrt(DBL_MAX) / n,
     # so an output's spectrum, its squares and their sums stay finite
     # unscaled; the suite turns any overflow warning into an error.
     grid = GridSpec(-10e-3, 10e-3, 2048)

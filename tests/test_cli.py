@@ -174,6 +174,24 @@ def test_run_stops_a_pulse_that_crosses_the_edge_between_snapshots(tmp_path, cap
 
 
 @pytest.mark.parametrize("verb", ["validate", "run"])
+def test_a_pulse_whose_support_starts_on_the_edge_exits_2_from_validate_and_run(tmp_path, capsys, verb):
+    # At -7.5 mm the default pulse's 1e-6 support, 3.72 widths either side
+    # of its center, starts 1.2 mm outside the domain. The engine would stop
+    # the run at the first snapshot; the scenario is rejected before it.
+    ini = tmp_path / "edge.ini"
+    _default_ini_with(ini, "pulse", "center_z", "-0.0075")
+    argv = [verb, str(ini)] + (["--out-dir", str(tmp_path / "out")] if verb == "run" else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "config error: pulse support, 0.00371692 m either side of the center -0.0075 m where |psi| is at least "
+        "1e-06 of its peak, reaches sample 0, 1, n-2 or n-1 of the domain [z_min, z_max] = [-0.01, 0.01]\n"
+    )
+    assert [path.name for path in tmp_path.iterdir()] == ["edge.ini"]
+
+
+@pytest.mark.parametrize("verb", ["validate", "run"])
 def test_grid_above_the_point_ceiling_exits_2_naming_n_points(tmp_path, capsys, verb):
     ini = tmp_path / "huge.ini"
     save_scenario(default_scenario(), ini)

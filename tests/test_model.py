@@ -5,11 +5,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from eitmem.coefficients import exponent_integrand
 from eitmem.control import ControlSchedule
 from eitmem.errors import ConfigError, ValidityError
-from eitmem.model import MediumParams, PulseSpec, ValidityReport, check_regime
+from eitmem.grids import GridSpec, gaussian_field
+from eitmem.model import (
+    MIN_WIDTH_SPACINGS,
+    SUPPORT_FLOOR,
+    MediumParams,
+    PulseSpec,
+    ValidityReport,
+    check_pulse_fits,
+    check_regime,
+)
 from eitmem.scenario import default_scenario
 
 SEED = 1021
@@ -61,6 +72,47 @@ def test_coherence_factors_pack_detunings():
 def test_pulse_length_is_twice_the_width():
     p = PulseSpec(amplitude=0.2, center_z=0.0, width=1e-3)
     assert p.pulse_length == pytest.approx(2e-3)
+
+
+def _real(lo: float, hi: float):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def gaussians(draw) -> tuple[GridSpec, PulseSpec]:
+    """A grid and a resolved Gaussian on it, often with its 1e-6 contour within a hair of an edge sample."""
+    z_min = draw(_real(-1e3, 1e3))
+    span = draw(_real(1e-3, 1e3))
+    n = 2 ** draw(st.integers(6, 14))
+    grid = GridSpec(z_min, z_min + span, n)
+    width = grid.dz * draw(_real(MIN_WIDTH_SPACINGS, n / 8.0))
+    radius = width * math.sqrt(-math.log(SUPPORT_FLOOR))
+    if draw(st.booleans()):
+        center = z_min + span * draw(_real(0.0, 1.0))
+    else:
+        # the contour near sample 0, 1 or 2 from the left, or n-3, n-2 or n-1 from the right
+        sample = draw(st.sampled_from((0, 1, 2, n - 3, n - 2, n - 1)))
+        offset = draw(st.sampled_from((0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9, -1e-9)) | _real(-0.01, 0.01))
+        side = 1.0 if sample < n // 2 else -1.0
+        center = z_min + (sample + offset) * grid.dz + side * radius
+    amplitude = complex(draw(_real(1e-3, 10.0)), draw(_real(-10.0, 10.0)))
+    return grid, PulseSpec(amplitude, center, width)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(case=gaussians())
+# Sample n-2 reads 1.0000000015e-6 of the peak, with the contour 1.2e-5
+# spacings short of it: the rounding of z near -1000 m, 6e-5 spacings here.
+@example(case=(GridSpec(-1000.0, -999.9989911081449, 2**19), PulseSpec(1.0, -999.9993721755294, 0.00010252125725070449)))
+def test_an_admitted_gaussian_has_its_sampled_support_clear_of_the_edge_samples(case):
+    grid, pulse = case
+    try:
+        check_pulse_fits(grid, pulse)
+    except ConfigError:
+        return
+    magnitude = np.abs(gaussian_field(grid, pulse.amplitude, pulse.center_z, pulse.width).values)
+    support = np.flatnonzero(magnitude >= SUPPORT_FLOOR * np.max(magnitude))
+    assert support[0] > 1 and support[-1] < grid.n_points - 2
 
 
 def test_regime_report_default_scenario():

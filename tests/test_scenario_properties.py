@@ -68,9 +68,11 @@ def scenarios(draw) -> Scenario:
     n_points = 2 ** draw(st.integers(6, 20))
     grid = GridSpec(z_min, z_min + span, n_points)
     # The pulse length stays under a quarter of the domain (DOMAIN_PADDING_FACTOR
-    # is 4), the center keeps more than one pulse length from either edge, and
-    # the width spans at least 4 grid spacings (MIN_WIDTH_SPACINGS is 3.822).
-    width = span * draw(_real(max(1e-4, 4.0 / n_points), 0.1))
+    # is 4), the width spans at least 4 grid spacings (MIN_WIDTH_SPACINGS is
+    # 3.822), and the 1e-6 support, 3.72 widths either side of the center,
+    # reaches at most 0.261 of the domain from it, which keeps it more than
+    # 0.008 of the domain clear of samples 1 and n-2 on the coarsest grid.
+    width = span * draw(_real(max(1e-4, 4.0 / n_points), 0.07))
     pulse = PulseSpec(
         amplitude=complex(draw(_real(1e-3, 10.0)), draw(_real(-10.0, 10.0))),
         center_z=z_min + span * draw(_real(0.3, 0.7)),

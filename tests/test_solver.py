@@ -20,14 +20,13 @@ from eitmem.errors import (
 )
 from eitmem.coefficients import exponent_integrand
 from eitmem.grids import FieldGrid, GridSpec, field_tables, gaussian_field, whole_steps
-from eitmem.model import MIN_WIDTH_SPACINGS, PulseSpec, check_pulse_fits
+from eitmem.model import MIN_WIDTH_SPACINGS, SUPPORT_FLOOR, PulseSpec, check_pulse_fits
 from eitmem.control import ControlSchedule
 from eitmem.solver import (
     BlockEvolution,
     _check_wraparound,
     accumulate_exponent,
     adaptive_simpson,
-    amplification_bound,
     apply_evolution,
     forward_transform,
     inverse_transform,
@@ -116,7 +115,9 @@ def test_apply_evolution_guards_runaway_gain():
     # bound: the bound stops each row of synthetic exponents since t = 0 at
     # its first one. Only the accumulated gain counts, so a row that gains
     # 400 e-folds in one interval after 1000 of damping runs to the end.
-    k = GridSpec(-1.0, 1.0, 128).k_array()
+    grid = GridSpec(-1.0, 1.0, 128)
+    k = grid.k_array()
+    psi0 = gaussian_field(grid, 1.0, 0.0, 0.1)  # W = 0 keeps it clear of the edges
     times = np.arange(41) * 1e-6
     steady = np.full(40, -100.0 + 0j)  # 100 e-folds per interval on every mode
     heavy = np.r_[1000.0, -400.0, np.zeros(38)].astype(complex)
@@ -125,10 +126,10 @@ def test_apply_evolution_guards_runaway_gain():
     # A pulse whose ln max|m0| is below ln(sqrt(DBL_MAX) / n) - ln(DBL_MAX)
     # stops where the factor alone would pass ln(DBL_MAX): 800 e-folds.
     for peak0, first_steady in ((1.0, 3), (math.exp(60.0), 2), (1e-200, 7), (0.0, 7)):
-        limits = amplification_bound(np.array([peak0]), k, s, np.zeros_like(s), times)
+        limits = _check_wraparound(psi0, np.array([peak0]), k, s, np.zeros_like(s), times)
         assert [stop for stop, _ in limits] == [first_steady, 40, 40]
         assert [error is None for _, error in limits] == [False, True, True]
-    error = amplification_bound(np.array([1.0]), k, s, np.zeros_like(s), times)[0][1]
+    error = _check_wraparound(psi0, np.array([1.0]), k, s, np.zeros_like(s), times)[0][1]
     assert isinstance(error, AmplificationOverflowError)
     bound = _log_gain_bound(k.size)
     assert str(error) == (
@@ -316,15 +317,15 @@ def test_edge_check_ignores_amplified_floor_of_distorted_run(default_sc):
 
 # Changes from the default scenario, run under force, and the time each row
 # stops at the domain edge, or None where it runs to the horizon. A centre
-# of -7.5 mm puts the edge inside the support at t = 0, so that row stops
-# at the first snapshot.
+# whose support is on an edge at t = 0 is rejected before the run
+# (tests/test_cli.py::test_a_pulse_whose_support_starts_on_the_edge_exits_2_from_validate_and_run).
 EDGE_LADDER = (
     [("medium", "gamma_ba", v, 1.8e-4) for v in (5e8, 6e8, 7e8)]
     + [("medium", "gamma_ba", v, 1.65e-4) for v in (8e8, 1e9)]
     + [("medium", "gamma_ba", 1.5e9, 1.35e-4), ("medium", "gamma_ba", 2e9, 1.2e-4)]
     + [("medium", "gamma_ba", 3e9, 7.5e-5), ("medium", "gamma_ba", 5e9, 4.5e-5)]
     + [("medium", "gamma_bc", 1e5, 1.65e-4), ("medium", "gamma_bc", 3e5, 7.5e-5)]
-    + [("pulse", "center_z", 3e-3, 1.5e-4), ("pulse", "center_z", 5e-3, 3e-5), ("pulse", "center_z", -7.5e-3, 1.5e-5)]
+    + [("pulse", "center_z", 3e-3, 1.5e-4), ("pulse", "center_z", 5e-3, 3e-5)]
     + [("pulse", "width", 2e-3, 1.65e-4)]
     + [("medium", "delta_p", v, None) for v in (0.0, 200.0, 800.0, 2000.0, -2000.0)]
     + [("medium", "delta", v, None) for v in (2e6, 2e7)]
@@ -344,13 +345,49 @@ def test_a_pulse_stops_where_its_moved_support_reaches_an_edge(default_sc, secti
     assert str(err.value) == f"pulse support reached the domain edge at t = {t_stop:.6e} s"
 
 
+@pytest.mark.parametrize("center_z, t_stop", [(6.204e-3, 1.35e-4), (6.224e-3, 7.5e-5)])
+def test_a_pulse_that_creeps_toward_the_edge_stops_before_an_edge_sample_reaches_the_floor(default_sc, center_z, t_stop):
+    # Ten times the default atoms and a weak constant control move the pulse
+    # about 0.23 cells of this 1024-point grid per snapshot, with its support
+    # a few cells from sample n-2. The moved support is rounded outward to
+    # whole cells, so no snapshot a row yields has an edge sample at the
+    # floor: at 6.224 mm the row stops at 75 us, where sample n-2 reads
+    # 1.04e-6 of the peak, and at 6.204 mm at 135 us, one snapshot before
+    # sample n-2 would read 1.02e-6.
+    medium = dataclasses.replace(default_sc.medium, n_atoms=1e9)
+    grid = GridSpec(-10e-3, 10e-3, 1024)
+    schedule = ControlSchedule(kind="constant", omega=1e5)
+    pulse = PulseSpec(0.2, center_z, 1e-3)
+    block = BlockEvolution([medium], grid, pulse, schedule, default_sc.horizon, default_sc.snapshot_dt, force=True)
+    times = []
+    for _, members in block.evolve():
+        for _, snap in members:
+            times.append(snap.t)
+            assert np.max(np.abs(snap.psi.values[[0, 1, -2, -1]])) < SUPPORT_FLOOR * snap.peak, snap.t
+    assert isinstance(block.failed[0], DomainOverflowError)
+    assert block.failed[0].t == pytest.approx(t_stop, rel=1e-12)
+    assert times == pytest.approx(np.arange(round(t_stop / default_sc.snapshot_dt)) * default_sc.snapshot_dt)
+
+
 def test_an_input_of_zero_peak_never_reaches_an_edge():
     grid = GridSpec(-1.0, 1.0, 64)
     w = np.array([[0.5, 5.0, -50.0]], dtype=complex)  # one row, displacements far past the domain
-    assert _check_wraparound(FieldGrid(grid, np.zeros(64, dtype=complex)), w, [0.0, 1.0, 2.0, 3.0]) == [(3, None)]
+    s, k, times = np.zeros_like(w), grid.k_array(), [0.0, 1.0, 2.0, 3.0]
+    zero = FieldGrid(grid, np.zeros(64, dtype=complex))
+    assert _check_wraparound(zero, forward_transform(zero), k, s, w, times) == [(3, None)]
     # the same displacements stop a pulse at the second snapshot
-    limits = _check_wraparound(gaussian_field(grid, 1.0, 0.0, 0.1), w, [0.0, 1.0, 2.0, 3.0])
+    pulse = gaussian_field(grid, 1.0, 0.0, 0.1)
+    limits = _check_wraparound(pulse, forward_transform(pulse), k, s, w, times)
     assert [(i, error.t) for i, error in limits] == [(1, 2.0)]
+
+
+def test_a_snapshot_past_both_limits_stops_its_row_with_the_amplification_error():
+    grid = GridSpec(-1.0, 1.0, 64)
+    pulse = gaussian_field(grid, 1.0, 0.0, 0.1)
+    w = np.array([[0.5, 5.0, -50.0]] * 2, dtype=complex)  # the pulse reaches an edge at the second snapshot
+    s = np.array([[0.0, -800.0, -800.0], [0.0, 0.0, -800.0]], dtype=complex)  # 800 e-folds of gain
+    limits = _check_wraparound(pulse, forward_transform(pulse), grid.k_array(), s, w, [0.0, 1.0, 2.0, 3.0])
+    assert [(i, type(error)) for i, error in limits] == [(1, AmplificationOverflowError), (1, DomainOverflowError)]
 
 
 def test_validity_gate_blocks_and_force_overrides(default_sc):
@@ -517,12 +554,14 @@ def test_apply_evolution_max_log_gain_is_the_full_grid_maximum():
     # The bound reads the gain at the two extreme modes; a k-linear gain that
     # drifts up one spectral wing, then the other, stops a row where the
     # largest gain over the whole grid passes the bound.
-    k = GridSpec(-1e-2, 1e-2, 1024).k_array()
+    grid = GridSpec(-1e-2, 1e-2, 1024)
+    k = grid.k_array()
     rng = np.random.default_rng(SEED)
     wings = [rng.uniform(-60.0, 10.0, 40) * sign / np.max(np.abs(k)) for sign in (1.0, -1.0)]
     s = np.cumsum(rng.uniform(-20.0, 20.0, (2, 40)) + 0j, axis=1)
     w = np.cumsum(rng.uniform(-1e-3, 1e-3, (2, 40)) + 1j * np.array(wings), axis=1)
-    limits = amplification_bound(np.array([1.0]), k, s, w, np.arange(41) * 1e-6)
+    psi0 = gaussian_field(grid, 1.0, 0.0, 1e-4)  # moved by Re W, it stays clear of the edges
+    limits = _check_wraparound(psi0, np.array([1.0]), k, s, w, np.arange(41) * 1e-6)
     for (stop, error), a_s, a_w in zip(limits, s, w):
         over = np.max(-a_s.real[:, np.newaxis] + k * a_w.imag[:, np.newaxis], axis=1) > _log_gain_bound(k.size)
         assert over.any() and stop == int(np.argmax(over))
