@@ -334,16 +334,17 @@ class Measured:
 def measured(track: PulseTrack, schedule: ControlSchedule, output_time: float) -> Measured:
     """The velocity and decay fits and the output peak of one track, as every report reads them.
 
-    The velocity windows are the tanh switch's on and stored windows, or
-    else the track from its first sample to the output sample, the one
-    nearest output_time; a window with too few samples, or a decay fit
-    over the stored window that fails, is left out. A sample read below
-    the tracking floor raises UntrackableFieldError.
+    The velocity windows are the tanh switch's on and stored windows, each
+    cut at the track's last sample, or else the track from its first sample
+    to the output sample, the one nearest output_time; a window with too
+    few samples, or a decay fit over the stored window that fails, is left
+    out. A sample read below the tracking floor raises UntrackableFieldError.
     """
     out = output_index(track.times, output_time)
     off_window = stored_window(schedule)
     if off_window is not None:
-        windows = {"v_g_on": (0.0, schedule.t1), "v_g_off": off_window}
+        last = track.times[-1]
+        windows = {"v_g_on": (0.0, min(schedule.t1, last)), "v_g_off": (off_window[0], min(off_window[1], last))}
     else:
         windows = {"v_g_overall": (track.times[0], track.times[out])}
     velocity = {}
@@ -355,7 +356,7 @@ def measured(track: PulseTrack, schedule: ControlSchedule, output_time: float) -
     decay = None
     if "v_g_off" in velocity:
         try:
-            decay = fit_decay(track, *off_window)
+            decay = fit_decay(track, *windows["v_g_off"])
         except (ConfigError, UntrackableFieldError):
             pass
     _check_tracked(track, [0, out])

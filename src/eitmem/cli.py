@@ -204,7 +204,7 @@ def cmd_run(args) -> int:
 
 def cmd_validate(args) -> int:
     sc = _load_scenario(args)
-    report = check_regime(sc.medium, sc.pulse, sc.schedule)
+    report = check_regime(sc.medium, sc.pulse, sc.schedule, sc.horizon)
     _print_validity(report)
     for note in sc.notes:
         print(f"note: {note}")

@@ -190,37 +190,34 @@ class ControlSchedule:
             return tuple(sorted(set(pts)))
         return tuple(self.times)
 
-    def turn_time(self) -> float:
-        """Characteristic switching duration, s. Infinite for constant profiles."""
+    def turn_time(self, horizon: float) -> float:
+        """Switching duration over [0, horizon], s: 1/steepness for a tanh switch, a table's swing in theta over the span divided by its fastest rate there, inf if constant."""
         if self.kind == "constant":
             return math.inf
         if self.kind == "tanh_profile":
             return 1.0 / self.steepness
         t = np.asarray(self.times)
-        th = np.asarray(self.thetas)
-        dense = np.linspace(t[0], t[-1], 20 * len(t))
-        rate = np.max(np.abs(_cubic_at(*self._cubic, dense)[1]))
-        swing = float(np.max(th) - np.min(th))
-        if rate == 0.0 or swing == 0.0:
-            return math.inf
-        return swing / float(rate)
+        span = np.clip([0.0, horizon], t[0], t[-1])
+        theta, rate = _cubic_at(*self._cubic, np.linspace(*span, 20 * len(t)))
+        # The cubic is monotone between knots, so its extremes on the span are at the knots
+        # there or at the span's ends; at the last knot the table's own value is exact.
+        knots = np.asarray(self.thetas)[(span[0] <= t) & (t <= span[1])]
+        swing = float(np.ptp(np.concatenate([knots, theta[[0, -1]][span < t[-1]]])))
+        rate = float(np.max(np.abs(rate)))
+        return swing / rate if rate > 0.0 and swing > 0.0 else math.inf
 
-    def sample_times(self) -> np.ndarray:
-        """Representative times covering plateaus and switches, for pre-run scans."""
-        if self.kind == "constant":
-            return np.array([0.0])
+    def sample_times(self, horizon: float) -> np.ndarray:
+        """The times a pre-run scan reads, in [0, horizon] with both ends: a tanh profile's plateaus and switches, a table's knots and midpoints."""
+        pts = np.array([0.0])
         if self.kind == "tanh_profile":
             w = 8.0 / self.steepness
-            pts = np.concatenate(
-                [
-                    np.linspace(self.t1 - w, self.t1 + w, 33),
-                    np.linspace(self.t2 - w, self.t2 + w, 33),
-                    np.array([0.0, 0.5 * (self.t1 + self.t2), self.t2 + 1.5 * w]),
-                ]
-            )
-            return _sorted_distinct(pts[pts >= 0.0])
-        t = np.asarray(self.times)
-        return _sorted_distinct(np.concatenate([t, 0.5 * (t[:-1] + t[1:])]))
+            switches = np.concatenate([np.linspace(self.t1 - w, self.t1 + w, 33), np.linspace(self.t2 - w, self.t2 + w, 33)])
+            pts = np.concatenate([pts, switches, [0.5 * (self.t1 + self.t2), self.t2 + 1.5 * w]])
+        elif self.kind == "tabulated":
+            t = np.asarray(self.times)
+            pts = np.concatenate([pts, t, 0.5 * (t[:-1] + t[1:])])
+        # The horizon closes the scan; a point within INSTANT_RTOL below it is that instant.
+        return _sorted_distinct(np.append(pts[(pts >= 0.0) & (pts < horizon * (1.0 - INSTANT_RTOL))], horizon))
 
 
 def _monotone_cubic(t: np.ndarray, th: np.ndarray) -> np.ndarray:

@@ -267,10 +267,11 @@ def check_regime(
     params: MediumParams,
     pulse: PulseSpec,
     schedule: "ControlSchedule",
+    horizon: float,
 ) -> ValidityReport:
-    """Evaluate every regime assumption; reports, never raises on physics.
+    """Evaluate every regime assumption over the run's span [0, horizon]; reports, never raises on physics.
 
-    The switching duration is the schedule's own ControlSchedule.turn_time().
+    The schedule is scanned at its sample_times(horizon), whose first, t = 0, gives theta(0), and timed by its turn_time(horizon).
     """
     from .coefficients import exponent_integrand, weak_probe_ratio  # local import, avoids a cycle
 
@@ -283,7 +284,7 @@ def check_regime(
 
     # Pre-run probe-intensity estimate at the pulse's amplitude. It comes
     # first, so an overflowing law is named by its bright ratio.
-    sample = schedule.eval(params, schedule.sample_times())
+    sample = schedule.eval(params, schedule.sample_times(horizon))
     worst = float(np.max(weak_probe_ratio(params, sample.theta, sample.omega, abs(pulse.amplitude))))
 
     # The adiabatic scales take the resonant group velocity, which is positive
@@ -291,7 +292,7 @@ def check_regime(
     resonant = replace(params, delta=0.0, delta_p=0.0)
     v_g0 = float(exponent_integrand(float(sample.theta[0]), 0.0, resonant).v_g)
     adiab_time_scale = (params.gamma_ba / params.g2n) * (v_g0 / params.c)  # s
-    turn_time = schedule.turn_time()
+    turn_time = schedule.turn_time(horizon)
     adiab_time = turn_time / adiab_time_scale if adiab_time_scale > 0 else math.inf
 
     pulse_duration = pulse.pulse_length / v_g0  # s

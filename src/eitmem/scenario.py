@@ -240,10 +240,10 @@ def load_scenario(path: str) -> Scenario:
     grid = GridSpec(**_read_section(cp, "grid", GRID_KEYS))
     pulse = PulseSpec(**_read_section(cp, "pulse", PULSE_KEYS))
     kind = cp["schedule"].get("kind")
+    if kind is None:
+        raise ConfigError("[schedule] is missing required key 'kind'")
     if kind not in SCHEDULE_KINDS:
-        raise ConfigError(
-            f"[schedule] kind must be one of {SCHEDULE_KINDS}, got {kind!r}"
-        )
+        raise ConfigError(f"[schedule] kind must be one of {SCHEDULE_KINDS}, got {kind!r}")
     schedule = ControlSchedule(**_read_section(cp, "schedule", SCHEDULE_KEYS[kind]))
     return Scenario(
         medium=medium,

@@ -373,7 +373,7 @@ class BlockEvolution:
         self._exponents = {}  # medium index -> (S and W from t = 0 to times[1:], theta per snapshot)
         for j, params in enumerate(self.media):
             try:
-                validity = check_regime(params, pulse, schedule)
+                validity = check_regime(params, pulse, schedule, horizon)
                 if not force:
                     validity.gate()
             except EitmemError as exc:
@@ -490,13 +490,12 @@ def write_snapshots_csv(result: SimulationResult, path, stride: int = 1):
 def write_coefficient_csv(result: SimulationResult, path):
     """Rows of t and the COEFFICIENT_COLUMNS of the coefficient law along the run's schedule.
 
-    The times are the snapshot times and the schedule's sample_times within
-    the run but not within INSTANT_RTOL of a snapshot time, in order, so the
+    The times are the snapshot times and the schedule's sample_times over
+    [0, horizon] not within INSTANT_RTOL of a snapshot time, in order, so the
     rows depend on the law alone and not on where the quadrature evaluated it.
     """
     snap_times = np.array([snap.t for snap in result.snapshots])
-    scan = result.schedule.sample_times()
-    scan = scan[(scan >= 0.0) & (scan <= snap_times[-1])]
+    scan = result.schedule.sample_times(snap_times[-1])
     after = np.searchsorted(snap_times, scan)  # 0 only for t = 0, which snap_times[0] matches exactly
     gap = np.minimum(np.abs(scan - snap_times[after - 1]), snap_times[after] - scan)  # to the nearest snapshot
     t = _sorted_distinct(np.concatenate([snap_times, scan[gap > INSTANT_RTOL * scan]]))

@@ -20,6 +20,7 @@ from eitmem.analysis import (
     interpolated_peak,
     measure_distortion,
     predict_output,
+    quadratic_peak,
     stored_window,
     track_pulse,
 )
@@ -45,6 +46,13 @@ def test_interpolated_peak_resolves_subcell_centers():
         z, amp = interpolated_peak(field)
         assert abs(z - center) < 0.01 * grid.dz
         assert abs(amp - 0.37) / 0.37 < 1e-4
+
+
+@pytest.mark.parametrize("at", [0, -1])
+def test_a_peak_on_the_first_or_last_sample_is_that_sample(at):
+    z = np.linspace(0.0, 1.0, 8)
+    a = np.linspace(1.0, 2.0, 8)[:: 1 if at else -1]
+    assert quadratic_peak(z, a) == (z[at], 2.0)
 
 
 def test_interpolated_peak_rejects_dead_field():
@@ -460,3 +468,11 @@ def test_summary_handles_constant_schedule():
     assert "v_g_on" not in summary
     v = summary["v_g_overall"]
     assert v["measured"] == pytest.approx(v["predicted"], rel=0.02)
+
+
+def test_the_on_window_of_a_run_that_ends_before_the_switch_ends_with_the_run(default_sc):
+    # a 15 us run ends before t1 = 30 us: the model's mean velocity is taken over the run, as the fit is
+    sc = dataclasses.replace(default_sc, horizon=15e-6, snapshot_dt=15e-6, output_time=15e-6)
+    result = simulate(sc.medium, sc.grid, sc.pulse, sc.schedule, sc.horizon, sc.snapshot_dt)
+    on = assemble_summary(result, sc.output_time)["v_g_on"]
+    assert on["predicted"] == pytest.approx(on["measured"], rel=1e-9)

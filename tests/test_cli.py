@@ -15,7 +15,7 @@ import pytest
 
 from eitmem import analysis, cli, oracle, solver
 from eitmem.cli import SWEEP_COLUMNS, _decay_fit_warning, main
-from eitmem.control import ControlSchedule
+from eitmem.control import SCHEDULE_KINDS, ControlSchedule
 from eitmem.grids import field_header
 from eitmem.errors import EitmemError
 from eitmem.scenario import IGNORED_MEDIUM_KEYS, MEDIUM_KEYS, default_scenario, save_scenario, with_medium
@@ -149,6 +149,73 @@ def test_validate_blocks_strong_probe(tmp_path, capsys):
     assert rc == 3
     assert capsys.readouterr().err == message
     assert main(["run", str(ini), "--out-dir", str(tmp_path), "--csv-stride", "1024", "--force"]) == 0
+
+
+# Control almost off (theta = _OFF) outside [0, 180 us] and on (theta = _ON)
+# across it. Each table of _PAST_THE_RUN reaches past the run, before t = 0
+# or after 180 us, and _CUT is the same table cut to [0, 180 us].
+_ON, _OFF = 1.5702963, 1.5707963
+_PAST_THE_RUN = {
+    "before": ((-2e-3, -1e-3, 0.0, 180e-6), (_OFF, _OFF, _ON, _ON)),
+    "after": ((0.0, 180e-6, 1e-3, 2e-3), (_ON, _ON, _OFF, _OFF)),
+}
+_CUT = ((0.0, 180e-6), (_ON, _ON))
+
+
+def _save_table_scenario(path, table, horizon=180e-6) -> str:
+    sc = default_scenario()
+    schedule = ControlSchedule(kind="tabulated", times=table[0], thetas=table[1])
+    save_scenario(dataclasses.replace(sc, schedule=schedule, horizon=horizon, output_time=horizon - sc.snapshot_dt), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("table", sorted(_PAST_THE_RUN))
+def test_validate_reads_a_table_over_the_run_alone(tmp_path, capsys, table):
+    assert main(["validate", _save_table_scenario(tmp_path / "cut.ini", _CUT)]) == 0
+    cut = capsys.readouterr()
+    assert "verdict: ok to run" in cut.out
+    assert main(["validate", _save_table_scenario(tmp_path / "past.ini", _PAST_THE_RUN[table])]) == 0
+    assert capsys.readouterr() == cut
+
+
+@pytest.mark.parametrize("table", sorted(_PAST_THE_RUN))
+def test_a_run_reads_a_table_over_the_run_alone(tmp_path, table):
+    for name, knots in (("cut", _CUT), ("past", _PAST_THE_RUN[table])):
+        ini = _save_table_scenario(tmp_path / f"{name}.ini", knots, horizon=90e-6)
+        assert main(["run", ini, "--out-dir", str(tmp_path / name), "--csv-stride", "1024"]) == 0
+    for artifact in ("snapshots.csv", "coefficients.csv", "summary.json"):
+        assert (tmp_path / "past" / artifact).read_bytes() == (tmp_path / "cut" / artifact).read_bytes()
+
+
+def test_a_bright_run_that_ends_before_the_switch_is_judged_on_its_own_span(tmp_path):
+    # At amplitude 20 the probe passes the weak-probe limit only where the
+    # control is off, from t1 = 30 us; a 15 us run never gets there, and the
+    # pre-run scan agrees with the ratio the run's snapshots read.
+    sc = default_scenario()
+    bright = dataclasses.replace(sc.pulse, amplitude=20.0 + 0j)
+    save_scenario(dataclasses.replace(sc, pulse=bright, horizon=15e-6, snapshot_dt=15e-6, output_time=15e-6), tmp_path / "bright.ini")
+    assert main(["run", str(tmp_path / "bright.ini"), "--out-dir", str(tmp_path / "out"), "--csv-stride", "1024"]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    assert summary["validity"]["low_intensity_ratio"] == pytest.approx(summary["low_intensity"]["worst_ratio"], rel=0.01)
+
+
+@pytest.mark.parametrize(
+    "kind, message",
+    [("spline", f"[schedule] kind must be one of {SCHEDULE_KINDS}, got 'spline'"), (None, "[schedule] is missing required key 'kind'")],
+)
+def test_an_unknown_or_missing_schedule_kind_exits_2_in_one_stderr_line(tmp_path, capsys, kind, message):
+    ini = tmp_path / "kind.ini"
+    save_scenario(default_scenario(), ini)
+    cp = configparser.ConfigParser()
+    cp.read(ini)
+    if kind is None:
+        del cp["schedule"]["kind"]
+    else:
+        cp["schedule"]["kind"] = kind
+    with open(ini, "w") as fh:
+        cp.write(fh)
+    assert main(["validate", str(ini)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_run_reports_runtime_failures(tmp_path, capsys):

@@ -96,11 +96,41 @@ def test_breakpoints_bracket_both_switches(default_sc):
 
 
 def test_sample_times_are_nonnegative_and_cover_switches(default_sc):
-    times = default_sc.schedule.sample_times()
+    times = default_sc.schedule.sample_times(default_sc.horizon)
     assert np.all(times >= 0.0)
     assert np.all(np.diff(times) > 0.0)
     assert times.min() == 0.0
     assert any(abs(t - 30e-6) < 5e-5 for t in times)
+
+
+# Control almost off (theta = OFF) outside [0, 180 us] and on (theta = ON) across it.
+ON, OFF = 1.5702963, 1.5707963
+
+
+def test_sample_times_span_zero_to_the_horizon_for_every_kind():
+    table = ControlSchedule(kind="tabulated", times=(-2e-3, -1e-3, 0.0, 180e-6, 1e-3, 2e-3), thetas=(OFF, OFF, ON, ON, OFF, OFF))
+    for schedule in (ControlSchedule(kind="constant", omega=1e5), ControlSchedule(kind="tanh_profile"), table):
+        for horizon in (15e-6, 180e-6, 2e-3):
+            times = schedule.sample_times(horizon)
+            assert times[0] == 0.0 and times[-1] == horizon
+            assert np.all(np.diff(times) > 0.0)
+    assert table.sample_times(180e-6).tolist() == [0.0, 90e-6, 180e-6]
+
+
+def test_a_table_turns_only_where_it_switches_inside_the_run():
+    before = ControlSchedule(kind="tabulated", times=(-2e-3, -1e-3, 0.0, 180e-6), thetas=(OFF, OFF, ON, ON))
+    after = ControlSchedule(kind="tabulated", times=(0.0, 180e-6, 1e-3, 2e-3), thetas=(ON, ON, OFF, OFF))
+    assert math.isinf(before.turn_time(180e-6)) and math.isinf(before.turn_time(1.0))
+    assert math.isinf(after.turn_time(180e-6))
+    assert 0.0 < after.turn_time(2e-3) == after.turn_time(1.0) < math.inf
+    # a table inside the run turns by its full swing over its fastest rate
+    rate = np.max(np.abs(_cubic_at(*after._cubic, np.linspace(0.0, 2e-3, 80))[1]))
+    assert after.turn_time(2e-3) == (OFF - ON) / rate
+
+
+def test_an_unknown_schedule_kind_is_a_config_error():
+    with pytest.raises(ConfigError, match="^unknown schedule kind 'spline'"):
+        ControlSchedule(kind="spline")
 
 
 def test_tabulated_matches_source_profile(default_sc):
@@ -223,4 +253,4 @@ def test_tabulated_clamps_outside_its_range(default_sc):
 def test_turn_time_scales_with_steepness():
     slow = ControlSchedule(kind="tanh_profile", steepness=1e4)
     fast = ControlSchedule(kind="tanh_profile", steepness=1e6)
-    assert slow.turn_time() > fast.turn_time() > 0.0
+    assert slow.turn_time(1.0) > fast.turn_time(1.0) > 0.0

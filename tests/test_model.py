@@ -117,7 +117,7 @@ def test_an_admitted_gaussian_has_its_sampled_support_clear_of_the_edge_samples(
 
 def test_regime_report_default_scenario():
     sc = default_scenario()
-    report = check_regime(sc.medium, sc.pulse, sc.schedule)
+    report = check_regime(sc.medium, sc.pulse, sc.schedule, sc.horizon)
     # collective coupling 1e20 over the 1e12 decoherence product
     assert report.ratios["high_density"] == pytest.approx(1e8, rel=1e-12)
     # 2 mm pulse against sqrt(gamma_ba c L / g^2 N) = 1.22 mm
@@ -137,7 +137,7 @@ def test_regime_report_default_scenario():
 def test_regime_report_flags_strong_probe():
     sc = default_scenario()
     hot = PulseSpec(amplitude=1e3, center_z=sc.pulse.center_z, width=sc.pulse.width)
-    report = check_regime(sc.medium, hot, sc.schedule)
+    report = check_regime(sc.medium, hot, sc.schedule, sc.horizon)
     assert not report.checks["low_intensity"]
     assert not report.blocking_pass
 
@@ -175,10 +175,10 @@ def test_regime_checks_monotone_in_detuning():
     # larger detunings shrink the high-density ratio
     sc = default_scenario()
     rng = np.random.default_rng(SEED)
-    prev = check_regime(sc.medium, sc.pulse, sc.schedule).ratios["high_density"]
+    prev = check_regime(sc.medium, sc.pulse, sc.schedule, sc.horizon).ratios["high_density"]
     for scale in (1e6, 1e7, 1e8):
         p = dataclasses.replace(sc.medium, delta=float(rng.uniform(0.5, 1.0)) * scale)
-        ratio = check_regime(p, sc.pulse, sc.schedule).ratios["high_density"]
+        ratio = check_regime(p, sc.pulse, sc.schedule, sc.horizon).ratios["high_density"]
         assert ratio < prev
         prev = ratio
 
@@ -188,10 +188,10 @@ def test_adiabatic_scales_take_the_resonant_group_velocity():
     # the adiabatic scales stay finite, positive and equal to the resonant ones
     sc = default_scenario()
     detuned = dataclasses.replace(sc.medium, delta_p=1e7)
-    theta0 = float(sc.schedule.eval(detuned, sc.schedule.sample_times()).theta[0])
+    theta0 = float(sc.schedule.eval(detuned, sc.schedule.sample_times(sc.horizon)).theta[0])
     assert exponent_integrand(theta0, 0.0, detuned).v_g < 0.0
-    report = check_regime(detuned, sc.pulse, sc.schedule)
-    resonant = check_regime(sc.medium, sc.pulse, sc.schedule)
+    report = check_regime(detuned, sc.pulse, sc.schedule, sc.horizon)
+    resonant = check_regime(sc.medium, sc.pulse, sc.schedule, sc.horizon)
     for name in ("adiabatic_time", "adiabatic_parameter"):
         assert 0.0 < report.ratios[name] < math.inf
         assert report.ratios[name] == resonant.ratios[name]
@@ -199,7 +199,7 @@ def test_adiabatic_scales_take_the_resonant_group_velocity():
 
 def test_constant_schedule_has_infinite_turn_time():
     sch = ControlSchedule(kind="constant", omega=1e9)
-    assert math.isinf(sch.turn_time())
+    assert math.isinf(sch.turn_time(1.0))
     sc = default_scenario()
-    report = check_regime(sc.medium, sc.pulse, sch)
+    report = check_regime(sc.medium, sc.pulse, sch, sc.horizon)
     assert report.checks["adiabatic_time"]

@@ -10,7 +10,7 @@ import pytest
 
 from eitmem.control import ControlSchedule
 from eitmem.errors import ConfigError
-from eitmem.grids import MAX_POINTS, GridSpec
+from eitmem.grids import MAX_POINTS, FieldGrid, GridSpec
 from eitmem.model import PulseSpec
 from eitmem.scenario import (
     DEFAULT_LABEL,
@@ -89,6 +89,16 @@ def test_constructors_reject_non_finite_values(bad):
     for name, build in cases.items():
         with pytest.raises(ConfigError, match=f"^{name} must be finite"):
             build()
+
+
+def test_a_field_needs_one_finite_sample_per_grid_point():
+    grid = GridSpec(-1.0, 1.0, 64)
+    with pytest.raises(ConfigError, match=re.escape("field has (63,) samples, grid expects (64,)")):
+        FieldGrid(grid, np.ones(63))
+    values = np.ones(64, dtype=complex)
+    values[5] = complex(1.0, math.nan)
+    with pytest.raises(ConfigError, match="^field contains non-finite samples$"):
+        FieldGrid(grid, values)
 
 
 def test_pulse_must_fit_grid():
