@@ -22,10 +22,10 @@ import sys
 import numpy as np
 
 from . import analysis, oracle, solver
-from .coefficients import exponent_integrand
+from .coefficients import exponent_integrand  # noqa: F401 - not called here; perfbench/spans.py counts calls through this binding
 from .errors import ConfigError, EitmemError, ValidityError
-from .grids import FieldGrid, gaussian_field
 from .model import BLOCKING_CHECKS, REGIME_CHECKS, check_regime
+from .oracle import initial_state as oracle_initial_state
 from .scenario import Scenario, default_scenario, load_scenario, with_medium
 
 EXIT_OK = 0
@@ -50,31 +50,6 @@ def _load_scenario(args) -> Scenario:
     if override is not None:
         sc = dataclasses.replace(sc, snapshot_dt=override)
     return sc
-
-
-def oracle_initial_state(params, grid, pulse, schedule) -> oracle.OracleState:
-    """Reduced-system start consistent with the adiabatic ansatz at t = 0.
-
-    The optical coherence comes from inverting the spin equation at first
-    order, using the modal time derivative of the dark field. Starting from
-    sigma_ba = 0 instead launches a spurious transient whose radiated field
-    pollutes the comparison at the percent level.
-    """
-    psi0 = gaussian_field(grid, pulse.amplitude, pulse.center_z, pulse.width)
-    sample = schedule.eval(params, 0.0)
-    _, e_field, sigma_bc = solver.reconstruct(psi0, sample.theta, params)
-    cs = exponent_integrand(sample.theta, sample.theta_dot, params)
-    k = grid.k_array()
-    dpsi = FieldGrid(grid, np.fft.ifft(-(cs.s_part + 1j * k * cs.w_part) * np.fft.fft(psi0.values)))
-    dsigma_bc = solver.reconstruct(dpsi, sample.theta, params)[2]
-    _, d_bc = params.coherence_factors()
-    sba = (dsigma_bc.values + d_bc * sigma_bc.values) / (1j * sample.omega)
-    return oracle.OracleState(
-        e_field=e_field,
-        sigma_ba=FieldGrid(grid, sba),
-        sigma_bc=sigma_bc,
-        t=0.0,
-    )
 
 
 def _write_json(path: str, payload: dict):

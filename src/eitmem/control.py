@@ -191,11 +191,12 @@ class ControlSchedule:
         return tuple(self.times)
 
     def turn_time(self, horizon: float) -> float:
-        """Switching duration over [0, horizon], s: 1/steepness for a tanh switch, a table's swing in theta over the span divided by its fastest rate there, inf if constant."""
+        """Switching duration over [0, horizon], s: inf if constant; for a tanh profile 1/steepness where a switch window t_i -+ 5/steepness, the breakpoints' half-width, meets the span, inf where neither does; a table's swing in theta over the span divided by its fastest rate there."""
         if self.kind == "constant":
             return math.inf
         if self.kind == "tanh_profile":
-            return 1.0 / self.steepness
+            halfwidth = 5.0 / self.steepness
+            return 1.0 / self.steepness if any(-halfwidth <= t <= horizon + halfwidth for t in (self.t1, self.t2)) else math.inf
         t = np.asarray(self.times)
         span = np.clip([0.0, horizon], t[0], t[-1])
         theta, rate = _cubic_at(*self._cubic, np.linspace(*span, 20 * len(t)))

@@ -9,8 +9,8 @@ atomic coherences respond locally,
 
 No adiabatic elimination, no closed-form coefficients: this module must stay
 independent of the spectral engine so the two can check each other. It only
-shares the grid containers and CSV writer, the parameter record, and the
-control schedule.
+shares the grid containers and CSV writer, the parameter record with its
+coupling block and dark eigenpairs, and the control schedule.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ import numpy as np
 
 from .control import ControlSchedule
 from .errors import ConfigError, InvalidComparisonError, SimulationError
-from .grids import FieldGrid, GridSpec, field_header, field_tables, snapshot_intervals, squared_norm, whole_steps, write_csv
-from .model import MediumParams, coupling_matrix
+from .grids import FieldGrid, GridSpec, field_header, field_tables, gaussian_field, snapshot_intervals, squared_norm, whole_steps, write_csv
+from .model import MediumParams, PulseSpec, coupling_matrix, dark_modes
 
 # Coupling propagators are built for at most this many step midpoints at a
 # time, so memory stays flat however small dt is.
@@ -184,6 +184,20 @@ def _step_propagators(params, schedule, t0, dt, n_steps):
 def _advection(grid: GridSpec, c: float, tau: float) -> np.ndarray:
     """exp(-i k c tau): the exact advection of every mode over a time tau."""
     return np.exp(-1j * grid.k_array() * c * tau)
+
+
+def initial_state(params: MediumParams, grid: GridSpec, pulse: PulseSpec, schedule: ControlSchedule) -> OracleState:
+    """The reduced system's dark state at t = 0 whose dark field is the pulse, read from no evolution law.
+
+    Each mode of the pulse above 1e-14 of its largest is carried by its dark_modes vector at Omega(0); the rest are zero.
+    """
+    modes = np.fft.fft(gaussian_field(grid, pulse.amplitude, pulse.center_z, pulse.width).values)
+    kept = np.abs(modes) > 1e-14 * np.max(np.abs(modes))
+    stack = np.zeros((3, grid.n_points), dtype=complex)
+    stack[:, kept] = (dark_modes(params, schedule.eval(params, 0.0).omega, grid.k_array()[kept])[1] * modes[kept, None]).T
+    fields = np.fft.ifft(stack, axis=-1)
+    fields[1:] /= math.sqrt(params.n_atoms)
+    return OracleState(*(FieldGrid(grid, values) for values in fields), t=0.0)
 
 
 def integrate_reduced(

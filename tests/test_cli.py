@@ -199,6 +199,23 @@ def test_a_bright_run_that_ends_before_the_switch_is_judged_on_its_own_span(tmp_
     assert summary["validity"]["low_intensity_ratio"] == pytest.approx(summary["low_intensity"]["worst_ratio"], rel=0.01)
 
 
+@pytest.mark.parametrize("steepness", [1e9, 1e11])
+def test_a_switch_past_a_short_run_does_not_time_it(tmp_path, capsys, steepness):
+    # Both switch windows, t_i -+ 5/steepness, lie past a 15 us run, so the
+    # pulse alone sets its adiabatic time scale; at 1e11 adiabatic_parameter
+    # used to read 10 and both verbs exited 3.
+    sc = default_scenario()
+    schedule = dataclasses.replace(sc.schedule, steepness=steepness)
+    save_scenario(dataclasses.replace(sc, schedule=schedule, horizon=15e-6, snapshot_dt=15e-6, output_time=15e-6), tmp_path / "short.ini")
+    assert main(["validate", str(tmp_path / "short.ini")]) == 0
+    out = capsys.readouterr().out
+    assert "adiabatic_time         inf" in out and "adiabatic_parameter    4.049e-06    strong pass" in out
+    assert main(["run", str(tmp_path / "short.ini"), "--out-dir", str(tmp_path / "out"), "--csv-stride", "1024"]) == 0
+    validity = json.loads((tmp_path / "out" / "summary.json").read_text())["validity"]
+    assert validity["adiabatic_parameter"] == pytest.approx(4.048696e-06, rel=1e-6)
+    assert validity["adiabatic_time_ratio"] is None  # inf, which JSON writes as null
+
+
 @pytest.mark.parametrize(
     "kind, message",
     [("spline", f"[schedule] kind must be one of {SCHEDULE_KINDS}, got 'spline'"), (None, "[schedule] is missing required key 'kind'")],

@@ -254,3 +254,15 @@ def test_turn_time_scales_with_steepness():
     slow = ControlSchedule(kind="tanh_profile", steepness=1e4)
     fast = ControlSchedule(kind="tanh_profile", steepness=1e6)
     assert slow.turn_time(1.0) > fast.turn_time(1.0) > 0.0
+
+
+def test_a_tanh_switch_times_the_run_only_where_its_window_meets_it():
+    # A switch window is t_i -+ 5/steepness, the breakpoints' half-width.
+    for steepness in (1e9, 1e11):
+        assert math.isinf(ControlSchedule(kind="tanh_profile", steepness=steepness).turn_time(15e-6))
+    assert ControlSchedule(kind="tanh_profile").turn_time(15e-6) == 1e-5  # t1 - 5/s = -20 us
+    late = ControlSchedule(kind="tanh_profile", steepness=1e6, t1=20e-6, t2=200e-6)  # t1 window [15, 25] us
+    assert late.turn_time(15.1e-6) == 1e-6 and math.isinf(late.turn_time(14.9e-6))
+    # the t2 window ends at t2 + 5 us
+    assert ControlSchedule(kind="tanh_profile", steepness=1e6, t1=-30e-6, t2=-4.9e-6).turn_time(1e-6) == 1e-6
+    assert math.isinf(ControlSchedule(kind="tanh_profile", steepness=1e6, t1=-30e-6, t2=-5.1e-6).turn_time(1e-6))

@@ -8,7 +8,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from eitmem.coefficients import exponent_integrand
+from conftest import scaled_pass_scenario
+
+from eitmem.coefficients import bright_ratio, exponent_integrand
 from eitmem.control import ControlSchedule
 from eitmem.errors import ConfigError, ValidityError
 from eitmem.grids import GridSpec, gaussian_field
@@ -20,6 +22,8 @@ from eitmem.model import (
     ValidityReport,
     check_pulse_fits,
     check_regime,
+    coupling_matrix,
+    dark_modes,
 )
 from eitmem.scenario import default_scenario
 
@@ -203,3 +207,58 @@ def test_constant_schedule_has_infinite_turn_time():
     sc = default_scenario()
     report = check_regime(sc.medium, sc.pulse, sch, sc.horizon)
     assert report.checks["adiabatic_time"]
+
+
+def _kept_band(sc) -> np.ndarray:
+    """The wavenumbers of the pulse's modes above 1e-14 of the largest: the band the oracle's start carries."""
+    modes = np.fft.fft(gaussian_field(sc.grid, sc.pulse.amplitude, sc.pulse.center_z, sc.pulse.width).values)
+    return sc.grid.k_array()[np.abs(modes) > 1e-14 * np.max(np.abs(modes))]
+
+
+def _generators(params: MediumParams, omega: float, k: np.ndarray) -> np.ndarray:
+    m = np.repeat(coupling_matrix(params, omega)[None], len(k), axis=0)
+    m[:, 0, 0] = -1j * params.c * k
+    return m
+
+
+@pytest.mark.parametrize("make, n_modes", [(default_scenario, 73), (scaled_pass_scenario, 145)])
+def test_dark_modes_are_eigenpairs_of_each_kept_mode(make, n_modes):
+    sc = make()
+    k = _kept_band(sc)
+    assert len(k) == n_modes
+    omega = sc.schedule.eval(sc.medium, 0.0).omega
+    lam, v = dark_modes(sc.medium, omega, k)
+    m = _generators(sc.medium, omega, k)
+    residual = np.linalg.norm(np.einsum("nij,nj->ni", m, v) - lam[:, None] * v, axis=1)
+    assert np.all(residual <= 1e-12 * np.abs(m).sum(axis=-2).max(axis=-1) * np.linalg.norm(v, axis=1))
+
+
+def test_the_dark_mode_is_picked_by_its_overlap_not_by_its_decay():
+    # On the default band the slowest-decaying eigenvector is the photon
+    # branch on most modes; the dark one is near (cos theta, 0, -sin theta).
+    sc = default_scenario()
+    k = _kept_band(sc)
+    omega = sc.schedule.eval(sc.medium, 0.0).omega
+    lam, v = dark_modes(sc.medium, omega, k)
+    every_lam, vecs = np.linalg.eig(_generators(sc.medium, omega, k))
+    slowest = every_lam[np.arange(len(k)), np.argmax(every_lam.real, axis=1)]
+    assert np.sum(~np.isclose(slowest, lam)) > len(k) / 2
+    # v's dark field is 1, so 1/|v| is its overlap with the unit dark direction
+    assert np.min(1.0 / np.linalg.norm(v, axis=1)) >= 0.99
+    theta = math.atan2(sc.medium.g_root_n, omega)
+    overlaps = np.abs(math.cos(theta) * vecs[:, 0] - math.sin(theta) * vecs[:, 2]) / np.linalg.norm(vecs, axis=1)
+    assert np.max(np.sort(overlaps, axis=1)[:, -2]) <= 0.1
+
+
+@pytest.mark.parametrize("delta_p, delta", [(0.0, 0.0), (500.0, 0.0), (0.0, 2e6), (2000.0, 1e8)])
+@pytest.mark.parametrize("cot_theta", [1e-6, 1e-5, 1e-4, 5.1e-4, 1e-2, 1e-1])
+def test_the_stationary_dark_state_has_the_laws_bright_ratio_times_cos2_theta(cot_theta, delta_p, delta):
+    # At k = 0 under a constant control, the model's Phi/Psi is
+    # bright_ratio cos^2 theta, and its probe fraction |E|/|Psi| is cos theta.
+    p = dataclasses.replace(default_scenario().medium, delta_p=delta_p, delta=delta)
+    omega = cot_theta * p.g_root_n
+    theta = math.atan2(p.g_root_n, omega)
+    e, _, sigma = dark_modes(p, omega, np.zeros(1))[1][0]  # sigma = sqrt(N) sigma_bc; Psi = 1
+    phi = math.sin(theta) * e + math.cos(theta) * sigma
+    assert abs(phi / (bright_ratio(theta, p) * math.cos(theta) ** 2) - 1.0) <= 3e-3
+    assert abs(abs(e) / math.cos(theta) - 1.0) <= 1e-6

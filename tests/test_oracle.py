@@ -15,7 +15,6 @@ from conftest import SCALED_OMEGA, scaled_medium, scaled_pass_scenario
 
 import eitmem.oracle
 from eitmem.cli import oracle_initial_state
-from eitmem.coefficients import exponent_integrand, field_factors
 from eitmem.control import ControlSchedule
 from eitmem.errors import ConfigError, InvalidComparisonError, SimulationError
 from eitmem.grids import FieldGrid, GridSpec, gaussian_field
@@ -433,23 +432,22 @@ def test_oracle_csv_provenance_and_layout(tmp_path):
 
 
 @pytest.mark.parametrize("make", [default_scenario, scaled_pass_scenario])
-def test_initial_optical_coherence_solves_the_spin_equation(make):
-    # sigma_ba = (d sigma_bc/dt + d_bc sigma_bc) / (i Omega) at t = 0, with
-    # d sigma_bc/dt taken from the modal law dpsi/dt = -(s_part + i k w_part) psi
+def test_the_start_carries_the_pulse_as_its_dark_field_on_the_kept_modes_alone(make):
+    # cos theta E - sin theta sqrt(N) sigma_bc holds the pulse's modes above
+    # 1e-14 of the largest and no other; the command line starts from the
+    # integrator's own state, which reads nothing of the evolution law.
+    assert oracle_initial_state is eitmem.oracle.initial_state
     sc = make()
     p = sc.medium
     initial = oracle_initial_state(p, sc.grid, sc.pulse, sc.schedule)
-    sample = sc.schedule.eval(p, 0.0)
-    psi0 = gaussian_field(sc.grid, sc.pulse.amplitude, sc.pulse.center_z, sc.pulse.width)
-    cs = exponent_integrand(sample.theta, sample.theta_dot, p)
-    k = sc.grid.k_array()
-    dpsi = np.fft.ifft(-(cs.s_part + 1j * k * cs.w_part) * np.fft.fft(psi0.values))
-    ratio_bc = field_factors(sample.theta, p)[2]
-    assert np.array_equal(initial.sigma_bc.values, ratio_bc * psi0.values)
-    _, d_bc = p.coherence_factors()
-    expected = (ratio_bc * dpsi + d_bc * initial.sigma_bc.values) / (1j * sample.omega)
-    got = initial.sigma_ba.values
-    assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+    theta = sc.schedule.eval(p, 0.0).theta
+    dark = np.fft.fft(math.cos(theta) * initial.e_field.values - math.sin(theta) * math.sqrt(p.n_atoms) * initial.sigma_bc.values)
+    modes = np.fft.fft(gaussian_field(sc.grid, sc.pulse.amplitude, sc.pulse.center_z, sc.pulse.width).values)
+    peak = np.max(np.abs(modes))
+    kept = np.abs(modes) > 1e-14 * peak
+    assert np.max(np.abs(dark[kept] - modes[kept])) <= 1e-15 * peak
+    assert np.max(np.abs(dark[~kept])) <= 1e-15 * peak
+    assert initial.t == 0.0
 
 
 def test_comparison_error_paths():
