@@ -43,17 +43,6 @@ def quadratic_peak(z: np.ndarray, a: np.ndarray) -> tuple[float, float]:
     return float(z[i] + offset * dz), float(amp)
 
 
-def interpolated_peak(field: FieldGrid) -> tuple[float, float]:
-    """(peak position, peak amplitude) of |field| with quadratic refinement."""
-    a = np.abs(field.values)
-    if float(np.max(a)) < TRACK_AMPLITUDE_FLOOR:
-        raise UntrackableFieldError(
-            f"field peak {float(np.max(a)):.3e} lies below the tracking floor "
-            f"{TRACK_AMPLITUDE_FLOOR:.0e}"
-        )
-    return quadratic_peak(field.grid.z_array(), a)
-
-
 @dataclass(frozen=True)
 class PulseTrack:
     """Peak trajectory over a snapshot series; NaN where psi is below the tracking floor."""
@@ -130,16 +119,16 @@ def fit_decay(track: PulseTrack, t0: float, t1: float) -> tuple[float, float]:
 def predict_output(
     params: MediumParams,
     schedule: ControlSchedule,
-    input_field: FieldGrid,
+    input_peak: float,
     t0_duration: float,
 ) -> tuple[float, float]:
     """Closed-form output peak after storage time T0 from t = 0: the input's peak, damped.
 
     The law moves the input without changing its shape, so the output peak
-    is the input's interpolated peak times a damping factor, taken two
-    ways: the uniform exp(-gamma_bc T0) (simple), and exp(-integral of
-    alpha1 dt), the resonant damping rate with the switching term (exact).
-    Returns (simple, exact).
+    is input_peak, the input's tracked peak amplitude, times a damping
+    factor, taken two ways: the uniform exp(-gamma_bc T0) (simple), and
+    exp(-integral of alpha1 dt), the resonant damping rate with the
+    switching term (exact). Returns (simple, exact).
     """
     if not params.is_resonant():
         raise ConfigError("output prediction is for resonant media only; detunings are set")
@@ -151,8 +140,7 @@ def predict_output(
         return alpha1_slow_light(theta, theta_dot, params)
 
     exact_exponent = adaptive_simpson(integrand, 0.0, t0_duration, schedule.breakpoints())
-    _, peak = interpolated_peak(input_field)
-    return peak * math.exp(-params.gamma_bc * t0_duration), peak * math.exp(-float(exact_exponent))
+    return input_peak * math.exp(-params.gamma_bc * t0_duration), input_peak * math.exp(-float(exact_exponent))
 
 
 @dataclass(frozen=True)
@@ -411,7 +399,7 @@ def assemble_summary(result: SimulationResult, output_time: float | None = None)
         "predicted_peak": track.peak_amp[0] * math.exp(-i_s[-1].real),
     }
     if params.is_resonant():
-        output["predicted_peak_simple"], output["predicted_peak_exact"] = predict_output(params, schedule, snaps[0].psi, out_snap.t)
+        output["predicted_peak_simple"], output["predicted_peak_exact"] = predict_output(params, schedule, track.peak_amp[0], out_snap.t)
     summary["output_peak"] = output
     summary["distortion"] = asdict(measure_distortion(snaps[0].psi, [out_snap.psi])[0])
     summary["v_g_floor"] = v_g_min(params)

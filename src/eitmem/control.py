@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ConfigError, require_finite
-from .model import MediumParams
+from .model import MediumParams, omega_from_theta, theta_from_omega
 
 SCHEDULE_KINDS = ("constant", "tanh_profile", "tabulated")
 
@@ -34,23 +34,6 @@ class ControlSample(NamedTuple):
     theta: float | np.ndarray  # rad
     theta_dot: float | np.ndarray  # rad/s
     omega: float | np.ndarray  # rad/s
-
-
-def theta_from_omega(omega: float, g: float, n_atoms: float) -> float:
-    """Mixing angle arctan(g sqrt(N)/Omega), in (0, pi/2)."""
-    if omega <= 0:
-        raise ConfigError(
-            f"omega must be positive (got {omega}); the control field is never "
-            f"turned fully off"
-        )
-    return math.atan2(g * math.sqrt(n_atoms), omega)
-
-
-def omega_from_theta(theta, g: float, n_atoms: float):
-    """Inverse of theta_from_omega on (0, pi/2), elementwise for arrays."""
-    if not np.all((0.0 < theta) & (theta < 0.5 * math.pi)):
-        raise ConfigError(f"theta must lie in (0, pi/2), got {theta}")
-    return g * math.sqrt(n_atoms) / np.tan(theta)
 
 
 def _sech2(y):

@@ -26,7 +26,7 @@ def whole_steps(span: float, step: float) -> int:
 
 
 def snapshot_intervals(horizon: float, snapshot_dt: float) -> int:
-    """The snapshot clock of every run: snapshots at i * snapshot_dt below this count, then at the horizon.
+    """The number of intervals of the snapshot clock (snapshot_times), counted without building it.
 
     Raises ConfigError unless both are finite and positive and snapshot_dt divides the horizon evenly.
     """
@@ -38,6 +38,12 @@ def snapshot_intervals(horizon: float, snapshot_dt: float) -> int:
     if not n:
         raise ConfigError(f"snapshot_dt {snapshot_dt} must divide the horizon {horizon} evenly")
     return n
+
+
+def snapshot_times(horizon: float, snapshot_dt: float) -> list[float]:
+    """The snapshot clock of every run, both engines alike: i * snapshot_dt for i below snapshot_intervals, then the horizon."""
+    n = snapshot_intervals(horizon, snapshot_dt)
+    return [i * snapshot_dt for i in range(n)] + [horizon]
 
 
 # While every mode of a field on n points stays below ROOT_DBL_MAX / n, its

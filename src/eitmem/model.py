@@ -111,17 +111,34 @@ def coupling_matrix(params: MediumParams, omega: np.ndarray) -> np.ndarray:
     return m
 
 
+def theta_from_omega(omega: float, g: float, n_atoms: float) -> float:
+    """Mixing angle arctan(g sqrt(N)/Omega), in (0, pi/2)."""
+    if omega <= 0:
+        raise ConfigError(
+            f"omega must be positive (got {omega}); the control field is never "
+            f"turned fully off"
+        )
+    return math.atan2(g * math.sqrt(n_atoms), omega)
+
+
+def omega_from_theta(theta, g: float, n_atoms: float):
+    """Inverse of theta_from_omega on (0, pi/2), elementwise for arrays."""
+    if not np.all((0.0 < theta) & (theta < 0.5 * math.pi)):
+        raise ConfigError(f"theta must lie in (0, pi/2), got {theta}")
+    return g * math.sqrt(n_atoms) / np.tan(theta)
+
+
 def dark_modes(params: MediumParams, omega: float, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per wavenumber in k, the dark eigenvalue and balanced eigenvector of coupling_matrix at omega plus -i c k on E.
 
-    The dark one of three is nearest (cos theta, 0, -sin theta), theta = atan2(g sqrt(N), omega); the slowest-decaying is the photon branch on
+    The dark one of three is nearest (cos theta, 0, -sin theta), theta = theta_from_omega(omega); the slowest-decaying is the photon branch on
     most modes of a stored pulse. Scaled so that cos theta E - sin theta sqrt(N) sigma_bc = 1. Fleischhauer & Lukin, PRA 65, 022314 (2002).
     """
     k = np.asarray(k, dtype=float)
     m = np.repeat(coupling_matrix(params, omega)[None], len(k), axis=0)
     m[:, 0, 0] = -1j * params.c * k
     lam, vecs = np.linalg.eig(m)
-    theta = math.atan2(params.g_root_n, omega)
+    theta = theta_from_omega(omega, params.g, params.n_atoms)
     dark = math.cos(theta) * vecs[:, 0] - math.sin(theta) * vecs[:, 2]
     rows, pick = np.arange(len(k)), np.argmax(np.abs(dark), axis=-1)
     return lam[rows, pick], vecs[rows, :, pick] / dark[rows, pick][:, None]

@@ -9,8 +9,8 @@ atomic coherences respond locally,
 
 No adiabatic elimination, no closed-form coefficients: this module must stay
 independent of the spectral engine so the two can check each other. It only
-shares the grid containers and CSV writer, the parameter record with its
-coupling block and dark eigenpairs, and the control schedule.
+shares the grid containers, snapshot clock and CSV writer, the parameter
+record with its coupling block and dark eigenpairs, and the control schedule.
 """
 
 from __future__ import annotations
@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import ControlSchedule
+from .control import INSTANT_RTOL, ControlSchedule
 from .errors import ConfigError, InvalidComparisonError, SimulationError
-from .grids import FieldGrid, GridSpec, field_header, field_tables, gaussian_field, snapshot_intervals, squared_norm, whole_steps, write_csv
+from .grids import FieldGrid, GridSpec, field_header, field_tables, gaussian_field, snapshot_intervals, snapshot_times, squared_norm, whole_steps, write_csv
 from .model import MediumParams, PulseSpec, coupling_matrix, dark_modes
 
 # Coupling propagators are built for at most this many step midpoints at a
@@ -36,6 +36,8 @@ CHUNK_STEPS = 1024
 # bytes and a faster median march on a 2-vCPU host, but stalled for about a
 # second in 2 of 50 cold runs there; these blocks stalled in none of 50.
 BLOCK_POINTS = 2048
+# The start carries the pulse's modes above this fraction of its largest.
+KEPT_MODE_FLOOR = 1e-14
 # Past 2^53 steps, float64 step indices, and so the step midpoints
 # t0 + (i + 0.5) dt, are no longer distinct.
 MAX_STEPS = 2**53
@@ -189,10 +191,10 @@ def _advection(grid: GridSpec, c: float, tau: float) -> np.ndarray:
 def initial_state(params: MediumParams, grid: GridSpec, pulse: PulseSpec, schedule: ControlSchedule) -> OracleState:
     """The reduced system's dark state at t = 0 whose dark field is the pulse, read from no evolution law.
 
-    Each mode of the pulse above 1e-14 of its largest is carried by its dark_modes vector at Omega(0); the rest are zero.
+    Each mode of the pulse above KEPT_MODE_FLOOR of its largest is carried by its dark_modes vector at Omega(0); the rest are zero.
     """
     modes = np.fft.fft(gaussian_field(grid, pulse.amplitude, pulse.center_z, pulse.width).values)
-    kept = np.abs(modes) > 1e-14 * np.max(np.abs(modes))
+    kept = np.abs(modes) > KEPT_MODE_FLOOR * np.max(np.abs(modes))
     stack = np.zeros((3, grid.n_points), dtype=complex)
     stack[:, kept] = (dark_modes(params, schedule.eval(params, 0.0).omega, grid.k_array()[kept])[1] * modes[kept, None]).T
     fields = np.fft.ifft(stack, axis=-1)
@@ -209,7 +211,10 @@ def integrate_reduced(
     cfg: OracleConfig,
     progress: Callable[[int, int, float], None] | None = None,
 ) -> list[OracleState]:
-    """March the reduced system and return states at snapshot cadence.
+    """March the reduced system and return its states at the snapshot instants.
+
+    Each state is stamped initial.t plus its instant of grids.snapshot_times,
+    the spectral engine's clock, so both engines stamp an instant alike.
 
     Symmetric (second order, Strang) splitting: the advection term is an
     exact spectral phase over each half step, and the local atomic-coupling
@@ -223,6 +228,7 @@ def integrate_reduced(
     if initial.e_field.grid != grid:
         raise ConfigError("initial state grid does not match the run grid")
     n_steps, per_snap = _substeps(horizon, cfg)
+    times = snapshot_times(horizon, cfg.snapshot_dt)
     dt = cfg.dt
     stack = np.fft.fft([getattr(initial, name).values for name in ORACLE_FIELDS], axis=-1)
     spare = np.empty_like(stack)
@@ -237,14 +243,15 @@ def integrate_reduced(
             np.matmul(propagator, stack[:, block], out=spare[:, block])
         stack, spare = spare, stack
         if (i + 1) % per_snap == 0:
-            t = t0 + (i + 1) * dt
+            snap = (i + 1) // per_snap
+            t = t0 + times[snap]
             np.multiply(stack[0], _advection(grid, params.c, dt / 2.0), out=spare[0])
             spare[1:] = stack[1:]
             # A non-finite value never turns finite in later steps, so one
             # check per interval catches it; it must come before FieldGrid,
             # which would reject the samples as a configuration error.
             if not np.all(np.isfinite(spare)):
-                raise SimulationError(f"oracle produced non-finite values in [{t - per_snap * dt:.6e}, {t:.6e}] s")
+                raise SimulationError(f"oracle produced non-finite values in [{t0 + times[snap - 1]:.6e}, {t:.6e}] s")
             np.fft.ifft(spare, axis=-1, out=spare)
             states.append(OracleState(*(FieldGrid(grid, values) for values in spare), t=t))
             spare = np.empty_like(stack)
@@ -272,7 +279,7 @@ class ComparisonReport:
 def compare_to_adiabatic(
     oracle_run: list[OracleState], adiabatic_run, observable: str = "e_field"
 ) -> ComparisonReport:
-    """Relative L-inf and L2 discrepancy per matched snapshot time.
+    """Relative L-inf and L2 discrepancy of each state from the snapshot of its instant, to within INSTANT_RTOL.
 
     adiabatic_run is any object with .snapshots carrying t/e_field/sigma_bc
     and a .validity report; the validity ratios ride along so an
@@ -285,21 +292,19 @@ def compare_to_adiabatic(
         raise InvalidComparisonError("nothing to compare: empty run")
     if oracle_run[0].e_field.grid != snaps[0].psi.grid:
         raise InvalidComparisonError("oracle and adiabatic runs use different grids")
-    span = max(abs(s.t) for s in oracle_run) or 1.0
-    tol = 1e-6 * span
     times = []
     linf = []
     l2 = []
     for ostate in oracle_run:
         partner = min(snaps, key=lambda s: abs(s.t - ostate.t))
-        if abs(partner.t - ostate.t) > tol:
+        if abs(partner.t - ostate.t) > INSTANT_RTOL * abs(partner.t):
             continue
         o = getattr(ostate, observable).values
         a = getattr(partner, observable).values
         diff = o - a
         denom_inf = max(float(np.max(np.abs(o))), float(np.max(np.abs(a))), 1e-300)
         denom_l2 = max(math.sqrt(squared_norm(o)), math.sqrt(squared_norm(a)), 1e-300)
-        times.append(ostate.t)
+        times.append(partner.t)
         linf.append(float(np.max(np.abs(diff))) / denom_inf)
         l2.append(math.sqrt(squared_norm(diff)) / denom_l2)
     if not times:

@@ -29,7 +29,7 @@ from .errors import (
     QuadratureError,
     SimulationError,
 )
-from .grids import ROOT_DBL_MAX, FieldGrid, GridSpec, field_header, field_tables, gaussian_field, snapshot_intervals, squared_norm, write_csv
+from .grids import ROOT_DBL_MAX, FieldGrid, GridSpec, field_header, field_tables, gaussian_field, snapshot_times, squared_norm, write_csv
 from .model import SUPPORT_FLOOR, MediumParams, PulseSpec, ValidityReport, check_pulse_fits, check_regime, support_clear
 
 # Adaptive Simpson controls for the coefficient time integrals, read at
@@ -335,7 +335,7 @@ class BlockEvolution:
     amplifies that round-off.
 
     Checks of the shared arguments raise, check_pulse_fits and the snapshot
-    clock (grids.snapshot_intervals) among them. Each medium's own checks (regime,
+    clock (grids.snapshot_times) among them. Each medium's own checks (regime,
     quadrature, amplification bound, wraparound) run per row, in the order
     a run of that medium alone meets them. A medium that fails leaves the
     block with the exception its own run would raise, kept in `failed` by
@@ -357,7 +357,7 @@ class BlockEvolution:
         force: bool = False,
         initial_field: FieldGrid | None = None,
     ):
-        n_steps = snapshot_intervals(horizon, snapshot_dt)
+        self.times = snapshot_times(horizon, snapshot_dt)
         if initial_field is None:
             check_pulse_fits(grid, pulse)
             self.psi0 = gaussian_field(grid, pulse.amplitude, pulse.center_z, pulse.width)
@@ -367,7 +367,6 @@ class BlockEvolution:
             self.psi0 = initial_field
         self.media = tuple(media)
         self.grid = grid
-        self.times = [0.0] + [i * snapshot_dt for i in range(1, n_steps)] + [horizon]
         self.failed: dict[int, EitmemError] = {}
         self.validity: dict[int, ValidityReport] = {}
         self._exponents = {}  # medium index -> (S and W from t = 0 to times[1:], theta per snapshot)

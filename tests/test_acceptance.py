@@ -21,10 +21,10 @@ from eitmem.analysis import (
     check_low_intensity,
     fit_decay,
     fit_velocity,
-    interpolated_peak,
     output_index,
     predict_output,
     track_pulse,
+    track_sample,
 )
 from eitmem.cli import main, oracle_initial_state
 from eitmem.coefficients import bright_ratio, exponent_integrand, v_g_min
@@ -90,8 +90,9 @@ def test_criterion_03_output_peak_matches_prediction(default_sc, default_result)
     snaps = default_result.snapshots
     out_snap = snaps[output_index([s.t for s in snaps], 165e-6)]
     assert out_snap.t == pytest.approx(165e-6, rel=1e-12)
-    _, measured = interpolated_peak(out_snap.psi)
-    simple, exact = predict_output(default_sc.medium, default_sc.schedule, default_result.snapshots[0].psi, out_snap.t)
+    z = default_result.grid.z_array()
+    _, _, measured = track_sample(z, out_snap)
+    simple, exact = predict_output(default_sc.medium, default_sc.schedule, track_sample(z, snaps[0])[2], out_snap.t)
     rel = abs(measured - simple) / simple
     modes = abs(simple - exact) / exact
     print(

@@ -17,7 +17,6 @@ from eitmem.analysis import (
     design_limits,
     fit_decay,
     fit_velocity,
-    interpolated_peak,
     measure_distortion,
     predict_output,
     quadratic_peak,
@@ -37,13 +36,13 @@ from conftest import medium_with
 SEED = 6021
 
 
-def test_interpolated_peak_resolves_subcell_centers():
+def test_quadratic_peak_resolves_subcell_centers():
     grid = GridSpec(-10e-3, 10e-3, 256)
     rng = np.random.default_rng(SEED)
     for _ in range(100):
         center = rng.uniform(-5e-3, 5e-3)
         field = gaussian_field(grid, amplitude=0.37, center_z=center, width=1e-3)
-        z, amp = interpolated_peak(field)
+        z, amp = quadratic_peak(grid.z_array(), np.abs(field.values))
         assert abs(z - center) < 0.01 * grid.dz
         assert abs(amp - 0.37) / 0.37 < 1e-4
 
@@ -53,12 +52,6 @@ def test_a_peak_on_the_first_or_last_sample_is_that_sample(at):
     z = np.linspace(0.0, 1.0, 8)
     a = np.linspace(1.0, 2.0, 8)[:: 1 if at else -1]
     assert quadratic_peak(z, a) == (z[at], 2.0)
-
-
-def test_interpolated_peak_rejects_dead_field():
-    grid = GridSpec(-1.0, 1.0, 64)
-    with pytest.raises(UntrackableFieldError, match="floor"):
-        interpolated_peak(FieldGrid(grid, np.zeros(64, dtype=complex)))
 
 
 def test_track_pulse_recovers_width_and_rejects_bad_fields(default_result):
@@ -297,26 +290,22 @@ def test_distortion_and_oracle_comparison_call_no_blas_reduction(monkeypatch, de
 
 
 def test_predict_output_with_zero_storage_is_identity(default_sc):
-    field = gaussian_field(default_sc.grid, 0.2, -2e-3, 1e-3)
-    simple, exact = predict_output(default_sc.medium, default_sc.schedule, field, 0.0)
-    _, peak = interpolated_peak(field)
-    assert simple == peak
-    assert exact == peak
+    simple, exact = predict_output(default_sc.medium, default_sc.schedule, 0.2, 0.0)
+    assert simple == 0.2
+    assert exact == 0.2
 
 
 def test_predict_output_rejects_bad_requests(default_sc):
-    field = gaussian_field(default_sc.grid, 0.2, -2e-3, 1e-3)
     with pytest.raises(ConfigError, match="nonnegative"):
-        predict_output(default_sc.medium, default_sc.schedule, field, -1e-6)
+        predict_output(default_sc.medium, default_sc.schedule, 0.2, -1e-6)
     detuned = medium_with(default_sc.medium, delta_p=100.0)
     with pytest.raises(ConfigError, match="resonant"):
-        predict_output(detuned, default_sc.schedule, field, 1e-6)
+        predict_output(detuned, default_sc.schedule, 0.2, 1e-6)
 
 
 def test_predict_output_amplitude(default_sc):
-    field = gaussian_field(default_sc.grid, 0.2, -2e-3, 1e-3)
     t0 = 75e-6
-    simple, exact = predict_output(default_sc.medium, default_sc.schedule, field, t0)
+    simple, exact = predict_output(default_sc.medium, default_sc.schedule, 0.2, t0)
     assert simple == pytest.approx(0.2 * math.exp(-default_sc.medium.gamma_bc * t0), rel=1e-12)
     # resonant switch correction is parts-per-million here
     assert exact == pytest.approx(simple, rel=1e-5)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import csv
 import dataclasses
+import json
 import math
 import os
 import pathlib
@@ -14,13 +16,15 @@ import scipy.linalg
 from conftest import SCALED_OMEGA, scaled_medium, scaled_pass_scenario
 
 import eitmem.oracle
-from eitmem.cli import oracle_initial_state
+from eitmem.cli import main, oracle_initial_state
 from eitmem.control import ControlSchedule
 from eitmem.errors import ConfigError, InvalidComparisonError, SimulationError
-from eitmem.grids import FieldGrid, GridSpec, gaussian_field
+from eitmem.grids import FieldGrid, GridSpec, gaussian_field, snapshot_times
 from eitmem.model import coupling_matrix
 from eitmem.oracle import (
+    KEPT_MODE_FLOOR,
     MAX_STEPS,
+    ORACLE_FIELDS,
     OracleConfig,
     OracleState,
     compare_to_adiabatic,
@@ -50,6 +54,11 @@ def probe_state(center_z: float = -0.5) -> OracleState:
 
 def constant_schedule(omega: float = SCALED_OMEGA) -> ControlSchedule:
     return ControlSchedule(kind="constant", omega=omega)
+
+
+def short_default_scenario():
+    """The default scenario cut to one 15 us snapshot interval."""
+    return dataclasses.replace(default_scenario(), horizon=15e-6, snapshot_dt=15e-6, output_time=15e-6)
 
 
 def test_config_rejects_bad_values():
@@ -308,7 +317,7 @@ def test_chunked_propagators_follow_step_midpoints(monkeypatch):
     states = integrate_reduced(
         p, GRID, initial, sched, horizon, OracleConfig(dt=dt, snapshot_dt=snapshot_dt)
     )
-    assert len(states) == 16
+    assert [s.t for s in states] == snapshot_times(horizon, snapshot_dt)
 
     k = 2.0 * np.pi * np.fft.fftfreq(GRID.n_points, d=GRID.dz)
     half_phase = np.exp(-1j * k * p.c * dt / 2.0)
@@ -323,7 +332,6 @@ def test_chunked_propagators_follow_step_midpoints(monkeypatch):
         stack[0] *= half_phase
         if (i + 1) % 7 == 0:
             state = states[(i + 1) // 7]
-            assert state.t == pytest.approx((i + 1) * dt, rel=1e-12)
             fields = np.fft.ifft(stack, axis=1)
             for got, ref in zip((state.e_field, state.sigma_ba, state.sigma_bc), fields):
                 assert np.max(np.abs(got.values - ref)) <= 1e-12 * np.max(np.abs(ref))
@@ -434,7 +442,7 @@ def test_oracle_csv_provenance_and_layout(tmp_path):
 @pytest.mark.parametrize("make", [default_scenario, scaled_pass_scenario])
 def test_the_start_carries_the_pulse_as_its_dark_field_on_the_kept_modes_alone(make):
     # cos theta E - sin theta sqrt(N) sigma_bc holds the pulse's modes above
-    # 1e-14 of the largest and no other; the command line starts from the
+    # KEPT_MODE_FLOOR of the largest and no other; the command line starts from the
     # integrator's own state, which reads nothing of the evolution law.
     assert oracle_initial_state is eitmem.oracle.initial_state
     sc = make()
@@ -444,10 +452,45 @@ def test_the_start_carries_the_pulse_as_its_dark_field_on_the_kept_modes_alone(m
     dark = np.fft.fft(math.cos(theta) * initial.e_field.values - math.sin(theta) * math.sqrt(p.n_atoms) * initial.sigma_bc.values)
     modes = np.fft.fft(gaussian_field(sc.grid, sc.pulse.amplitude, sc.pulse.center_z, sc.pulse.width).values)
     peak = np.max(np.abs(modes))
-    kept = np.abs(modes) > 1e-14 * peak
+    kept = np.abs(modes) > KEPT_MODE_FLOOR * peak
     assert np.max(np.abs(dark[kept] - modes[kept])) <= 1e-15 * peak
     assert np.max(np.abs(dark[~kept])) <= 1e-15 * peak
     assert initial.t == 0.0
+
+
+@pytest.mark.parametrize(("make", "dt"), [(scaled_pass_scenario, 5e-4), (short_default_scenario, 1.5e-7)])
+def test_the_march_keeps_the_start_band(make, dt):
+    # Every mode the start leaves out stays at round-off of its row's largest
+    # mode at every snapshot, on all three fields.
+    sc = make()
+    modes = np.abs(np.fft.fft(gaussian_field(sc.grid, sc.pulse.amplitude, sc.pulse.center_z, sc.pulse.width).values))
+    outside = modes <= KEPT_MODE_FLOOR * np.max(modes)
+    assert np.any(outside)
+    initial = oracle_initial_state(sc.medium, sc.grid, sc.pulse, sc.schedule)
+    states = integrate_reduced(sc.medium, sc.grid, initial, sc.schedule, sc.horizon, OracleConfig(dt=dt, snapshot_dt=sc.snapshot_dt))
+    for state in states:
+        rows = np.abs(np.fft.fft([getattr(state, name).values for name in ORACLE_FIELDS], axis=-1))
+        assert np.all(np.max(rows[:, outside], axis=-1) <= 1e-13 * np.max(rows, axis=-1)), state.t
+
+
+def test_the_oracle_stamps_its_states_with_the_engine_instants(tmp_path):
+    # 100 steps of 1.5e-7 s sum to 1.4999999999999999e-05, not the engine's
+    # 1.5e-05: the oracle reads the engine's clock instead of counting steps.
+    ini = tmp_path / "short.ini"
+    save_scenario(short_default_scenario(), str(ini))
+    assert main(["run", str(ini), "--oracle", "--oracle-dt", "1.5e-7", "--out-dir", str(tmp_path)]) == 0
+
+    def stamps(name: str) -> list[str]:
+        with open(tmp_path / name, newline="") as fh:
+            rows = csv.DictReader(line for line in fh if not line.startswith("#"))
+            return list(dict.fromkeys(row["t"] for row in rows))
+
+    engine = stamps("snapshots.csv")
+    assert set(stamps("oracle_snapshots.csv")) <= set(engine)
+    instants = [float(t) for t in engine]
+    assert instants == [0.0, 1.5e-5]
+    assert json.loads((tmp_path / "comparison.json").read_text())["times"] == instants
+    assert json.loads((tmp_path / "summary.json").read_text())["oracle_comparison"]["times"] == instants
 
 
 def test_comparison_error_paths():
