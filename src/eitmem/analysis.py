@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .coefficients import alpha1_slow_light, max_transit_time, v_g_min, weak_probe_ratio
-from .control import ControlSchedule
+from .control import ControlSchedule, TanhSchedule
 from .errors import ConfigError, InvalidComparisonError, UntrackableFieldError, require_finite
 from .grids import FieldGrid, squared_norm
 from .model import PASS_FACTOR, MediumParams
@@ -297,7 +297,7 @@ def stored_window(schedule: ControlSchedule) -> tuple[float, float] | None:
     The margin keeps both switching transients out. Other schedules have no
     stored window and give None.
     """
-    if schedule.kind != "tanh_profile":
+    if not isinstance(schedule, TanhSchedule):
         return None
     margin = 3.0 / schedule.steepness
     return schedule.t1 + margin, schedule.t2 - margin

@@ -9,15 +9,13 @@ polariton remains well defined at every instant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, fields
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, require_finite
 from .model import MediumParams, omega_from_theta, theta_from_omega
-
-SCHEDULE_KINDS = ("constant", "tanh_profile", "tabulated")
 
 # Tabulated schedules must be dense enough that piecewise-linear
 # interpolation of theta is already accurate; checked at construction.
@@ -43,63 +41,111 @@ def _sech2(y):
 
 
 @dataclass(frozen=True)
-class ControlSchedule:
-    """One control-field time profile.
+class ConstantSchedule:
+    """A control field held at omega: theta never moves, so there are no
+    breakpoints, the turn time is inf, and a scan reads t = 0 and the horizon."""
 
-    kind 'constant' holds omega fixed. kind 'tanh_profile' is the smooth
-    off/on switch
+    kind: ClassVar[str] = "constant"
+    omega: float  # rad/s
+
+    def __post_init__(self):
+        for f in fields(self):
+            require_finite(f.name, getattr(self, f.name))
+        if self.omega <= 0:
+            raise ConfigError(f"constant schedule needs omega > 0 (got {self.omega}); the control field is reduced to small values, never to zero")
+
+    def eval(self, params: MediumParams, t) -> ControlSample:
+        t = np.asarray(t, dtype=float)
+        theta = np.full(t.shape, theta_from_omega(self.omega, params.g, params.n_atoms))
+        omega = np.full(t.shape, self.omega)
+        return ControlSample(theta[()], np.zeros(t.shape)[()], omega[()])
+
+    def breakpoints(self) -> tuple[float, ...]:
+        return ()
+
+    def turn_time(self, horizon: float) -> float:
+        return math.inf
+
+    def sample_times(self, horizon: float) -> np.ndarray:
+        return _scan(np.array([0.0]), horizon)
+
+
+@dataclass(frozen=True)
+class TanhSchedule:
+    """The smooth off/on switch
 
         cot(theta) = scale*(1 - 0.5*tanh(s*(t-t1)) + 0.5*tanh(s*(t-t2))) + floor
 
     with steepness s; the plateau before t1 and after t2 has cot(theta)
     approach scale + floor, the window between them has cot(theta) approach
-    floor. kind 'tabulated' interpolates (time, theta) samples with a
-    monotone cubic.
+    floor.
     """
 
-    kind: str
-    omega: float = 0.0  # rad/s, constant kind only
-    scale: float = 5.0e-4  # cot(theta) plateau height, tanh kind
+    kind: ClassVar[str] = "tanh_profile"
+    scale: float = 5.0e-4  # cot(theta) plateau height
     floor: float = 1.0e-5  # cot(theta) minimum, must stay positive
     steepness: float = 1.0e5  # 1/s
     t1: float = 30.0e-6  # s, switch-off center
     t2: float = 125.0e-6  # s, switch-on center
-    times: tuple[float, ...] = ()  # s, tabulated knots
-    thetas: tuple[float, ...] = ()  # rad, tabulated values
 
     def __post_init__(self):
-        for name in ("omega", "scale", "floor", "steepness", "t1", "t2", "times", "thetas"):
-            require_finite(name, getattr(self, name))
-        if self.kind not in SCHEDULE_KINDS:
-            raise ConfigError(f"unknown schedule kind {self.kind!r}, expected one of {SCHEDULE_KINDS}")
-        if self.kind == "constant":
-            if self.omega <= 0:
-                raise ConfigError(
-                    f"constant schedule needs omega > 0 (got {self.omega}); the "
-                    f"control field is reduced to small values, never to zero"
-                )
-        elif self.kind == "tanh_profile":
-            if self.scale <= 0:
-                raise ConfigError(f"scale must be positive, got {self.scale}")
-            if self.floor <= 0:
-                raise ConfigError(
-                    f"floor must be positive (got {self.floor}); a zero floor turns "
-                    f"the control field fully off and theta reaches pi/2"
-                )
-            # eval squares cot(theta) and scales it by g sqrt(N). A finite
-            # square of its largest value keeps both finite: g^2 N is finite
-            # (MediumParams), so g sqrt(N) is below the root of the largest float.
-            plateau = self.scale + self.floor
-            if math.isinf(plateau * plateau):
-                raise ConfigError(f"the cot(theta) plateau scale + floor = {plateau!r} overflows when squared")
-            if self.steepness <= 0:
-                raise ConfigError(f"steepness must be positive, got {self.steepness}")
-            if not self.t2 > self.t1:
-                raise ConfigError(f"t2 must exceed t1, got t1={self.t1}, t2={self.t2}")
-        else:
-            self._init_tabulated()
+        for f in fields(self):
+            require_finite(f.name, getattr(self, f.name))
+        if self.scale <= 0:
+            raise ConfigError(f"scale must be positive, got {self.scale}")
+        if self.floor <= 0:
+            raise ConfigError(f"floor must be positive (got {self.floor}); a zero floor turns the control field fully off and theta reaches pi/2")
+        # eval squares cot(theta) and scales it by g sqrt(N). A finite
+        # square of its largest value keeps both finite: g^2 N is finite
+        # (MediumParams), so g sqrt(N) is below the root of the largest float.
+        plateau = self.scale + self.floor
+        if math.isinf(plateau * plateau):
+            raise ConfigError(f"the cot(theta) plateau scale + floor = {plateau!r} overflows when squared")
+        if self.steepness <= 0:
+            raise ConfigError(f"steepness must be positive, got {self.steepness}")
+        if not self.t2 > self.t1:
+            raise ConfigError(f"t2 must exceed t1, got t1={self.t1}, t2={self.t2}")
 
-    def _init_tabulated(self):
+    def eval(self, params: MediumParams, t) -> ControlSample:
+        """Sample (theta, theta_dot, omega) at time t, a float or an array of times."""
+        t = np.asarray(t, dtype=float)
+        s = self.steepness
+        y1 = s * (t - self.t1)
+        y2 = s * (t - self.t2)
+        x = self.scale * (1.0 - 0.5 * np.tanh(y1) + 0.5 * np.tanh(y2)) + self.floor  # cot(theta)
+        xdot = self.scale * s * (-0.5 * _sech2(y1) + 0.5 * _sech2(y2))
+        theta = np.arctan(1.0 / x)  # x > 0 always, so theta in (0, pi/2)
+        theta_dot = -xdot / (1.0 + x * x)
+        return ControlSample(theta[()], theta_dot[()], (params.g_root_n * x)[()])
+
+    def breakpoints(self) -> tuple[float, ...]:
+        """Times where the profile changes character; quadrature splits here."""
+        halfwidth = 5.0 / self.steepness
+        return tuple(sorted({p for t in (self.t1, self.t2) for p in (t - halfwidth, t, t + halfwidth)}))
+
+    def turn_time(self, horizon: float) -> float:
+        """Switching duration over [0, horizon], s: 1/steepness where a switch window t_i -+ 5/steepness, the breakpoints' half-width, meets the span, inf where neither does."""
+        halfwidth = 5.0 / self.steepness
+        return 1.0 / self.steepness if any(-halfwidth <= t <= horizon + halfwidth for t in (self.t1, self.t2)) else math.inf
+
+    def sample_times(self, horizon: float) -> np.ndarray:
+        """The times a pre-run scan reads, in [0, horizon] with both ends: the plateaus and both switches."""
+        w = 8.0 / self.steepness
+        switches = np.concatenate([np.linspace(self.t1 - w, self.t1 + w, 33), np.linspace(self.t2 - w, self.t2 + w, 33)])
+        return _scan(np.concatenate([[0.0], switches, [0.5 * (self.t1 + self.t2), self.t2 + 1.5 * w]]), horizon)
+
+
+@dataclass(frozen=True)
+class TabulatedSchedule:
+    """(time, theta) samples interpolated with a monotone cubic, the end values held outside the table."""
+
+    kind: ClassVar[str] = "tabulated"
+    times: tuple[float, ...]  # s, knots
+    thetas: tuple[float, ...]  # rad, values
+
+    def __post_init__(self):
+        for f in fields(self):
+            require_finite(f.name, getattr(self, f.name))
         if len(self.times) != len(self.thetas):
             raise ConfigError("times and thetas must have equal length")
         if len(self.times) < 2:
@@ -122,33 +168,13 @@ class ControlSchedule:
         gap = np.max(np.abs(_cubic_at(*self._cubic, mid)[0] - linear))
         if gap > TABULATED_DENSITY_TOL:
             raise ConfigError(
-                f"tabulated schedule too sparse: midpoint interpolation differs "
-                f"from linear by {gap:.3e} rad (limit {TABULATED_DENSITY_TOL:.1e}); "
-                f"add samples where theta bends"
+                f"tabulated schedule too sparse: midpoint interpolation differs from linear by {gap:.3e} rad "
+                f"(limit {TABULATED_DENSITY_TOL:.1e}); add samples where theta bends"
             )
-
-    def _cot_theta(self, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """tanh profile: (x, dx/dt) with x = cot(theta)."""
-        s = self.steepness
-        y1 = s * (t - self.t1)
-        y2 = s * (t - self.t2)
-        x = self.scale * (1.0 - 0.5 * np.tanh(y1) + 0.5 * np.tanh(y2)) + self.floor
-        xdot = self.scale * s * (-0.5 * _sech2(y1) + 0.5 * _sech2(y2))
-        return x, xdot
 
     def eval(self, params: MediumParams, t) -> ControlSample:
         """Sample (theta, theta_dot, omega) at time t, a float or an array of times."""
         t = np.asarray(t, dtype=float)
-        if self.kind == "constant":
-            theta = np.full(t.shape, theta_from_omega(self.omega, params.g, params.n_atoms))
-            omega = np.full(t.shape, self.omega)
-            return ControlSample(theta[()], np.zeros(t.shape)[()], omega[()])
-        if self.kind == "tanh_profile":
-            x, xdot = self._cot_theta(t)
-            theta = np.arctan(1.0 / x)  # x > 0 always, so theta in (0, pi/2)
-            theta_dot = -xdot / (1.0 + x * x)
-            return ControlSample(theta[()], theta_dot[()], (params.g_root_n * x)[()])
-        # tabulated: hold the endpoint values outside the table
         tc = np.clip(t, self.times[0], self.times[-1])
         theta, theta_dot = _cubic_at(*self._cubic, tc)
         inside = (self.times[0] < t) & (t < self.times[-1])
@@ -157,51 +183,41 @@ class ControlSchedule:
         return ControlSample(theta[()], theta_dot[()], omega[()])
 
     def breakpoints(self) -> tuple[float, ...]:
-        """Times where the profile changes character; quadrature splits here."""
-        if self.kind == "constant":
-            return ()
-        if self.kind == "tanh_profile":
-            halfwidth = 5.0 / self.steepness
-            pts = (
-                self.t1 - halfwidth,
-                self.t1,
-                self.t1 + halfwidth,
-                self.t2 - halfwidth,
-                self.t2,
-                self.t2 + halfwidth,
-            )
-            return tuple(sorted(set(pts)))
+        """Times where the profile changes character; quadrature splits here: the knots."""
         return tuple(self.times)
 
     def turn_time(self, horizon: float) -> float:
-        """Switching duration over [0, horizon], s: inf if constant; for a tanh profile 1/steepness where a switch window t_i -+ 5/steepness, the breakpoints' half-width, meets the span, inf where neither does; a table's swing in theta over the span divided by its fastest rate there."""
-        if self.kind == "constant":
-            return math.inf
-        if self.kind == "tanh_profile":
-            halfwidth = 5.0 / self.steepness
-            return 1.0 / self.steepness if any(-halfwidth <= t <= horizon + halfwidth for t in (self.t1, self.t2)) else math.inf
+        """Switching duration over [0, horizon], s: the swing in theta over the span divided by the cubic's fastest rate there; inf where theta does not move."""
         t = np.asarray(self.times)
         span = np.clip([0.0, horizon], t[0], t[-1])
-        theta, rate = _cubic_at(*self._cubic, np.linspace(*span, 20 * len(t)))
         # The cubic is monotone between knots, so its extremes on the span are at the knots
         # there or at the span's ends; at the last knot the table's own value is exact.
         knots = np.asarray(self.thetas)[(span[0] <= t) & (t <= span[1])]
-        swing = float(np.ptp(np.concatenate([knots, theta[[0, -1]][span < t[-1]]])))
-        rate = float(np.max(np.abs(rate)))
+        swing = float(np.ptp(np.concatenate([knots, _cubic_at(*self._cubic, span)[0][span < t[-1]]])))
+        # Each piece's rate is a quadratic in s = time - knot, so on the piece's share
+        # [lo, hi] of the span its size peaks at lo, at hi or at the vertex.
+        meets = (t[1:] >= span[0]) & (t[:-1] <= span[1])
+        start, (c3, c2, c1, _) = t[:-1][meets], self._cubic[1][:, meets]
+        lo, hi = np.maximum(start, span[0]) - start, np.minimum(t[1:][meets], span[1]) - start
+        s = np.clip([lo, hi, np.divide(-c2, 3.0 * c3, out=lo.copy(), where=c3 != 0.0)], lo, hi)
+        rate = float(np.max(np.abs((3.0 * c3 * s + 2.0 * c2) * s + c1)))
         return swing / rate if rate > 0.0 and swing > 0.0 else math.inf
 
     def sample_times(self, horizon: float) -> np.ndarray:
-        """The times a pre-run scan reads, in [0, horizon] with both ends: a tanh profile's plateaus and switches, a table's knots and midpoints."""
-        pts = np.array([0.0])
-        if self.kind == "tanh_profile":
-            w = 8.0 / self.steepness
-            switches = np.concatenate([np.linspace(self.t1 - w, self.t1 + w, 33), np.linspace(self.t2 - w, self.t2 + w, 33)])
-            pts = np.concatenate([pts, switches, [0.5 * (self.t1 + self.t2), self.t2 + 1.5 * w]])
-        elif self.kind == "tabulated":
-            t = np.asarray(self.times)
-            pts = np.concatenate([pts, t, 0.5 * (t[:-1] + t[1:])])
-        # The horizon closes the scan; a point within INSTANT_RTOL below it is that instant.
-        return _sorted_distinct(np.append(pts[(pts >= 0.0) & (pts < horizon * (1.0 - INSTANT_RTOL))], horizon))
+        """The times a pre-run scan reads, in [0, horizon] with both ends: the knots and their midpoints."""
+        t = np.asarray(self.times)
+        return _scan(np.concatenate([[0.0], t, 0.5 * (t[:-1] + t[1:])]), horizon)
+
+
+# The annotation every consumer of a schedule takes.
+ControlSchedule = ConstantSchedule | TanhSchedule | TabulatedSchedule
+# Each [schedule] kind of a scenario file, by its INI name.
+SCHEDULES = {cls.kind: cls for cls in (ConstantSchedule, TanhSchedule, TabulatedSchedule)}
+
+
+def _scan(pts: np.ndarray, horizon: float) -> np.ndarray:
+    """pts in [0, horizon), sorted and distinct, closed by the horizon; a point within INSTANT_RTOL below it is that instant."""
+    return _sorted_distinct(np.append(pts[(pts >= 0.0) & (pts < horizon * (1.0 - INSTANT_RTOL))], horizon))
 
 
 def _monotone_cubic(t: np.ndarray, th: np.ndarray) -> np.ndarray:

@@ -114,10 +114,6 @@ class FieldGrid:
     def peak(self) -> float:
         return float(np.max(np.abs(self.values)))
 
-    def norm(self) -> float:
-        """L2 norm sqrt(integral |f|^2 dz)."""
-        return float(math.sqrt(np.sum(np.abs(self.values) ** 2) * self.grid.dz))
-
 
 def squared_norm(values: np.ndarray) -> float:
     """Sum of |v|^2 over an array, as numpy pairwise sums of the real and imaginary parts.

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .control import INSTANT_RTOL, ControlSchedule
+from .control import INSTANT_RTOL, ConstantSchedule, ControlSchedule
 from .errors import ConfigError, InvalidComparisonError, SimulationError
 from .grids import FieldGrid, GridSpec, field_header, field_tables, gaussian_field, snapshot_intervals, snapshot_times, squared_norm, whole_steps, write_csv
 from .model import MediumParams, PulseSpec, coupling_matrix, dark_modes
@@ -172,7 +172,7 @@ def _propagators(params: MediumParams, omega: np.ndarray, dt: float) -> np.ndarr
 
 def _step_propagators(params, schedule, t0, dt, n_steps):
     """Yield the coupling propagator of each step, frozen at its midpoint."""
-    if schedule.kind == "constant":
+    if isinstance(schedule, ConstantSchedule):
         propagator = _propagators(params, schedule.eval(params, t0).omega, dt)
         for _ in range(n_steps):
             yield propagator

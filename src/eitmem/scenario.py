@@ -13,7 +13,7 @@ import configparser
 import dataclasses
 from dataclasses import dataclass
 
-from .control import SCHEDULE_KINDS, ControlSchedule
+from .control import SCHEDULES, ControlSchedule, TabulatedSchedule, TanhSchedule
 from .errors import ConfigError, require_finite
 from .grids import MAX_SNAPSHOT_SAMPLES, GridSpec, snapshot_intervals
 from .model import MediumParams, PulseSpec, check_pulse_fits
@@ -45,18 +45,13 @@ PULSE_KEYS = (
     ("center_z", float, REQUIRED),
     ("width", float, REQUIRED),
 )
-_KIND_KEYS = {
-    "constant": (("omega", float, REQUIRED),),
-    "tabulated": (("times", tuple, REQUIRED), ("thetas", tuple, REQUIRED)),
+# A [schedule] holds kind, then a row per field of that kind's class. A field
+# annotated tuple[...] (control.py's annotations are strings) is a tuple row.
+SCHEDULE_KEYS = {
+    kind: (("kind", str, REQUIRED),)
+    + tuple((f.name, tuple if f.type.startswith("tuple") else float, f.default) for f in dataclasses.fields(cls))
+    for kind, cls in SCHEDULES.items()
 }
-# The tanh switch owns every defaulted ControlSchedule field no other kind reads.
-_claimed = {key for rows in _KIND_KEYS.values() for key, _, _ in rows}
-_KIND_KEYS["tanh_profile"] = tuple(
-    (f.name, float, f.default)
-    for f in dataclasses.fields(ControlSchedule)
-    if f.default is not REQUIRED and f.name not in _claimed
-)
-SCHEDULE_KEYS = {kind: (("kind", str, REQUIRED),) + _KIND_KEYS[kind] for kind in SCHEDULE_KINDS}
 RUN_KEYS = (
     ("horizon", float, REQUIRED),
     ("snapshot_dt", float, REQUIRED),
@@ -97,7 +92,7 @@ class Scenario:
         if self.label != self.label.strip():
             raise ConfigError(f"label must not start or end with whitespace, got {self.label!r}")
         check_pulse_fits(self.grid, self.pulse)
-        if self.schedule.kind == "tabulated":
+        if isinstance(self.schedule, TabulatedSchedule):
             times = self.schedule.times
             if times[0] > 0.0 or times[-1] < self.horizon:
                 raise ConfigError(
@@ -117,7 +112,7 @@ def default_scenario() -> Scenario:
     )
     grid = GridSpec(z_min=-10.0e-3, z_max=10.0e-3, n_points=16384)
     pulse = PulseSpec(amplitude=0.2, center_z=-2.0e-3, width=1.0e-3)
-    schedule = ControlSchedule(kind="tanh_profile")
+    schedule = TanhSchedule()
     return Scenario(
         medium=medium,
         grid=grid,
@@ -242,9 +237,9 @@ def load_scenario(path: str) -> Scenario:
     kind = cp["schedule"].get("kind")
     if kind is None:
         raise ConfigError("[schedule] is missing required key 'kind'")
-    if kind not in SCHEDULE_KINDS:
-        raise ConfigError(f"[schedule] kind must be one of {SCHEDULE_KINDS}, got {kind!r}")
-    schedule = ControlSchedule(**_read_section(cp, "schedule", SCHEDULE_KEYS[kind]))
+    if kind not in SCHEDULES:
+        raise ConfigError(f"[schedule] kind must be one of {tuple(SCHEDULES)}, got {kind!r}")
+    schedule = SCHEDULES[kind](**_read_section(cp, "schedule", SCHEDULE_KEYS[kind][1:], ("kind",)))
     return Scenario(
         medium=medium,
         grid=grid,

@@ -228,8 +228,8 @@ def reconstruct(psi: FieldGrid, theta: float, params: MediumParams) -> tuple[Fie
 class Snapshot:
     """The dark field at one time, with the control sample that reconstructs the rest.
 
-    phi, e_field and sigma_bc are built from psi each time they are read and
-    are not kept, so a snapshot holds one field and a run that reads only
+    phi, e_field and sigma_bc are built from psi by reconstruct each time
+    they are read and are not kept, so a snapshot holds one field and a run that reads only
     psi never builds the others.
     """
 
@@ -239,20 +239,9 @@ class Snapshot:
     params: MediumParams
     peak: float  # max |psi|
 
-    def _derived(self, which: int) -> FieldGrid:
-        return FieldGrid(self.psi.grid, field_factors(self.theta, self.params)[which] * self.psi.values)
-
-    @property
-    def phi(self) -> FieldGrid:
-        return self._derived(0)
-
-    @property
-    def e_field(self) -> FieldGrid:
-        return self._derived(1)
-
-    @property
-    def sigma_bc(self) -> FieldGrid:
-        return self._derived(2)
+    phi = property(lambda self: reconstruct(self.psi, self.theta, self.params)[0])
+    e_field = property(lambda self: reconstruct(self.psi, self.theta, self.params)[1])
+    sigma_bc = property(lambda self: reconstruct(self.psi, self.theta, self.params)[2])
 
 
 @dataclass(frozen=True)
@@ -472,7 +461,7 @@ def simulate(
     )
 
 
-# The Snapshot fields snapshots.csv holds, in column order.
+# The Snapshot fields snapshots.csv holds, in column order: psi, then reconstruct's three.
 SNAPSHOT_FIELDS = ("psi", "phi", "e_field", "sigma_bc")
 # The CoefficientSample projections coefficients.csv holds after t, in column order.
 COEFFICIENT_COLUMNS = ("alpha1", "alpha2", "beta", "v_g")
@@ -481,7 +470,8 @@ COEFFICIENT_COLUMNS = ("alpha1", "alpha2", "beta", "v_g")
 def write_snapshots_csv(result: SimulationResult, path, stride: int = 1):
     """Dump every snapshot as rows of t, z, and Re/Im/abs of each of SNAPSHOT_FIELDS."""
     snapshots = (
-        (snap.t, [getattr(snap, name).values for name in SNAPSHOT_FIELDS]) for snap in result.snapshots
+        (snap.t, [f.values for f in (snap.psi, *reconstruct(snap.psi, snap.theta, snap.params))])
+        for snap in result.snapshots
     )
     write_csv(path, field_header(SNAPSHOT_FIELDS), field_tables(result.grid.z_array(), snapshots, stride))
 

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from eitmem.coefficients import CoefficientSample
-from eitmem.control import ControlSchedule
+from eitmem.control import ConstantSchedule
 from eitmem.grids import GridSpec
 from eitmem.model import MediumParams, PulseSpec
 from eitmem.scenario import REQUIRED, Scenario, default_scenario
@@ -36,7 +36,7 @@ def scaled_pass_scenario() -> Scenario:
         medium=scaled_medium(),
         grid=GridSpec(-2.0, 2.0, 1024),
         pulse=PulseSpec(amplitude=0.2, center_z=-0.5, width=0.1),
-        schedule=ControlSchedule(kind="constant", omega=SCALED_OMEGA),
+        schedule=ConstantSchedule(omega=SCALED_OMEGA),
         horizon=4.0,
         snapshot_dt=0.5,
         output_time=4.0,
@@ -50,7 +50,7 @@ def scaled_violating_scenario() -> Scenario:
         medium=scaled_medium(gamma_ba=1.0e4),
         grid=GridSpec(-0.25, 0.25, 4096),
         pulse=PulseSpec(amplitude=0.2, center_z=-0.1, width=1.58e-3),
-        schedule=ControlSchedule(kind="constant", omega=SCALED_OMEGA),
+        schedule=ConstantSchedule(omega=SCALED_OMEGA),
         horizon=2.0,
         snapshot_dt=0.25,
         output_time=2.0,

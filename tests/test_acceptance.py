@@ -28,7 +28,7 @@ from eitmem.analysis import (
 )
 from eitmem.cli import main, oracle_initial_state
 from eitmem.coefficients import bright_ratio, exponent_integrand, v_g_min
-from eitmem.grids import gaussian_field
+from eitmem.grids import gaussian_field, squared_norm
 from eitmem.model import MediumParams
 from eitmem.oracle import OracleConfig, compare_to_adiabatic, integrate_reduced
 from eitmem.scenario import default_scenario
@@ -202,7 +202,7 @@ def test_criterion_08_structural_invariants(default_sc, default_result, no_spin_
     assert worst_ft <= 1e-12
 
     # norm conservation without spin decay on resonance
-    norms = [s.psi.norm() for s in no_spin_decay_result.snapshots]
+    norms = [math.sqrt(squared_norm(s.psi.values) * s.psi.grid.dz) for s in no_spin_decay_result.snapshots]
     drift = max(abs(n - norms[0]) for n in norms) / norms[0]
     assert drift <= 1e-10
 

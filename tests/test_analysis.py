@@ -24,7 +24,7 @@ from eitmem.analysis import (
     track_pulse,
 )
 from eitmem.coefficients import max_transit_time
-from eitmem.control import ControlSchedule
+from eitmem.control import ConstantSchedule
 from eitmem.errors import ConfigError, InvalidComparisonError, UntrackableFieldError
 from eitmem.grids import ROOT_DBL_MAX, FieldGrid, GridSpec, gaussian_field
 from eitmem.model import PASS_FACTOR, MediumParams
@@ -411,7 +411,7 @@ def test_summary_fits_the_stored_window(default_sc, default_result):
     sch = default_sc.schedule
     window = stored_window(sch)
     assert window == (sch.t1 + 3.0 / sch.steepness, sch.t2 - 3.0 / sch.steepness)
-    assert stored_window(ControlSchedule(kind="constant", omega=1e9)) is None
+    assert stored_window(ConstantSchedule(omega=1e9)) is None
     # the summary's off-window fits run over exactly that window
     track = track_pulse(default_result)
     summary = assemble_summary(default_result)

@@ -4,6 +4,7 @@ import configparser
 import csv
 import dataclasses
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -15,7 +16,7 @@ import pytest
 
 from eitmem import analysis, cli, oracle, solver
 from eitmem.cli import SWEEP_COLUMNS, _decay_fit_warning, main
-from eitmem.control import SCHEDULE_KINDS, ControlSchedule
+from eitmem.control import SCHEDULES, ConstantSchedule, TabulatedSchedule
 from eitmem.grids import field_header
 from eitmem.errors import EitmemError
 from eitmem.scenario import IGNORED_MEDIUM_KEYS, MEDIUM_KEYS, default_scenario, save_scenario, with_medium
@@ -164,7 +165,7 @@ _CUT = ((0.0, 180e-6), (_ON, _ON))
 
 def _save_table_scenario(path, table, horizon=180e-6) -> str:
     sc = default_scenario()
-    schedule = ControlSchedule(kind="tabulated", times=table[0], thetas=table[1])
+    schedule = TabulatedSchedule(times=table[0], thetas=table[1])
     save_scenario(dataclasses.replace(sc, schedule=schedule, horizon=horizon, output_time=horizon - sc.snapshot_dt), path)
     return str(path)
 
@@ -185,6 +186,18 @@ def test_a_run_reads_a_table_over_the_run_alone(tmp_path, table):
         assert main(["run", ini, "--out-dir", str(tmp_path / name), "--csv-stride", "1024"]) == 0
     for artifact in ("snapshots.csv", "coefficients.csv", "summary.json"):
         assert (tmp_path / "past" / artifact).read_bytes() == (tmp_path / "cut" / artifact).read_bytes()
+
+
+def test_a_table_that_switches_within_a_nanosecond_fails_the_adiabatic_check(tmp_path, capsys):
+    # Off at 30 us and back on at 125 us, each switch 1 ns long between two
+    # knots: the table's cubic turns in 1 ns / 1.5, which is far too fast.
+    h = 1e-9
+    on, off = math.atan(1 / 5.1e-4), math.atan(1 / 1e-5)
+    table = ((0.0, 30e-6, 30e-6 + h, 125e-6, 125e-6 + h, 180e-6), (on, on, off, off, on, on))
+    assert main(["validate", _save_table_scenario(tmp_path / "fast.ini", table)]) == 3
+    captured = capsys.readouterr()
+    assert "adiabatic_parameter    0.15         FAIL" in captured.out
+    assert captured.err == "validity error: blocking regime checks failed: adiabatic_parameter\n"
 
 
 def test_a_bright_run_that_ends_before_the_switch_is_judged_on_its_own_span(tmp_path):
@@ -218,7 +231,7 @@ def test_a_switch_past_a_short_run_does_not_time_it(tmp_path, capsys, steepness)
 
 @pytest.mark.parametrize(
     "kind, message",
-    [("spline", f"[schedule] kind must be one of {SCHEDULE_KINDS}, got 'spline'"), (None, "[schedule] is missing required key 'kind'")],
+    [("spline", f"[schedule] kind must be one of {tuple(SCHEDULES)}, got 'spline'"), (None, "[schedule] is missing required key 'kind'")],
 )
 def test_an_unknown_or_missing_schedule_kind_exits_2_in_one_stderr_line(tmp_path, capsys, kind, message):
     ini = tmp_path / "kind.ini"
@@ -250,7 +263,7 @@ def test_run_stops_a_pulse_that_crosses_the_edge_between_snapshots(tmp_path, cap
     # A constant control this strong moves the pulse almost the whole domain
     # in one snapshot interval, so at 15 us it can sit clear of both edges
     # again; its support has crossed the right edge by then.
-    sc = dataclasses.replace(default_scenario(), schedule=ControlSchedule(kind="constant", omega=omega))
+    sc = dataclasses.replace(default_scenario(), schedule=ConstantSchedule(omega=omega))
     ini = tmp_path / "fast.ini"
     save_scenario(sc, ini)
     assert main(["run", str(ini), "--out-dir", str(tmp_path)]) == 4
@@ -955,9 +968,9 @@ def _ini_bases(n_points: int = 16384):
     thetas = base.schedule.eval(base.medium, knots).theta
     return {
         "tanh_profile": base,
-        "constant": dataclasses.replace(base, schedule=ControlSchedule(kind="constant", omega=5.0e9)),
+        "constant": dataclasses.replace(base, schedule=ConstantSchedule(omega=5.0e9)),
         "tabulated": dataclasses.replace(
-            base, schedule=ControlSchedule(kind="tabulated", times=tuple(knots), thetas=tuple(thetas))
+            base, schedule=TabulatedSchedule(times=tuple(knots), thetas=tuple(thetas))
         ),
     }
 
@@ -1101,7 +1114,7 @@ def test_a_pulse_just_inside_the_mode_limit_runs_forced(tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
-_TABULATED = ControlSchedule(kind="tabulated", times=(0.0, 90e-6, 180e-6), thetas=(1.2, 1.3, 1.4))
+_TABULATED = TabulatedSchedule(times=(0.0, 90e-6, 180e-6), thetas=(1.2, 1.3, 1.4))
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,14 +8,17 @@ import pytest
 from scipy.interpolate import PchipInterpolator
 
 from eitmem.control import (
-    ControlSchedule,
+    SCHEDULES,
+    ConstantSchedule,
+    TabulatedSchedule,
+    TanhSchedule,
     _cubic_at,
     _monotone_cubic,
     omega_from_theta,
     theta_from_omega,
 )
 from eitmem.errors import ConfigError
-from eitmem.scenario import default_scenario
+from eitmem.scenario import SCHEDULE_KEYS, default_scenario
 
 SEED = 40917
 N_DRAWS = 1000
@@ -71,16 +75,16 @@ def test_tanh_profile_sits_on_floor_mid_window(default_sc):
 
 def test_floor_zero_is_rejected():
     with pytest.raises(ConfigError, match="floor"):
-        ControlSchedule(kind="tanh_profile", floor=0.0)
+        TanhSchedule(floor=0.0)
 
 
 def test_window_ordering_is_validated():
     with pytest.raises(ConfigError):
-        ControlSchedule(kind="tanh_profile", t1=100e-6, t2=50e-6)
+        TanhSchedule(t1=100e-6, t2=50e-6)
 
 
 def test_constant_schedule_has_zero_rate():
-    sch = ControlSchedule(kind="constant", omega=725.5)
+    sch = ConstantSchedule(omega=725.5)
     p = default_scenario().medium
     s = sch.eval(p, 12.3)
     assert s.theta_dot == 0.0
@@ -108,8 +112,8 @@ ON, OFF = 1.5702963, 1.5707963
 
 
 def test_sample_times_span_zero_to_the_horizon_for_every_kind():
-    table = ControlSchedule(kind="tabulated", times=(-2e-3, -1e-3, 0.0, 180e-6, 1e-3, 2e-3), thetas=(OFF, OFF, ON, ON, OFF, OFF))
-    for schedule in (ControlSchedule(kind="constant", omega=1e5), ControlSchedule(kind="tanh_profile"), table):
+    table = TabulatedSchedule(times=(-2e-3, -1e-3, 0.0, 180e-6, 1e-3, 2e-3), thetas=(OFF, OFF, ON, ON, OFF, OFF))
+    for schedule in (ConstantSchedule(omega=1e5), TanhSchedule(), table):
         for horizon in (15e-6, 180e-6, 2e-3):
             times = schedule.sample_times(horizon)
             assert times[0] == 0.0 and times[-1] == horizon
@@ -118,19 +122,54 @@ def test_sample_times_span_zero_to_the_horizon_for_every_kind():
 
 
 def test_a_table_turns_only_where_it_switches_inside_the_run():
-    before = ControlSchedule(kind="tabulated", times=(-2e-3, -1e-3, 0.0, 180e-6), thetas=(OFF, OFF, ON, ON))
-    after = ControlSchedule(kind="tabulated", times=(0.0, 180e-6, 1e-3, 2e-3), thetas=(ON, ON, OFF, OFF))
+    before = TabulatedSchedule(times=(-2e-3, -1e-3, 0.0, 180e-6), thetas=(OFF, OFF, ON, ON))
+    after = TabulatedSchedule(times=(0.0, 180e-6, 1e-3, 2e-3), thetas=(ON, ON, OFF, OFF))
     assert math.isinf(before.turn_time(180e-6)) and math.isinf(before.turn_time(1.0))
     assert math.isinf(after.turn_time(180e-6))
     assert 0.0 < after.turn_time(2e-3) == after.turn_time(1.0) < math.inf
-    # a table inside the run turns by its full swing over its fastest rate
-    rate = np.max(np.abs(_cubic_at(*after._cubic, np.linspace(0.0, 2e-3, 80))[1]))
-    assert after.turn_time(2e-3) == (OFF - ON) / rate
+    # a table inside the run turns by its full swing over its fastest rate: a
+    # cubic with flat ends over h = 820 us peaks at 1.5 swing / h mid-piece
+    assert after.turn_time(2e-3) == pytest.approx(820e-6 / 1.5, rel=1e-12)
 
 
-def test_an_unknown_schedule_kind_is_a_config_error():
-    with pytest.raises(ConfigError, match="^unknown schedule kind 'spline'"):
-        ControlSchedule(kind="spline")
+@pytest.mark.parametrize("h", [1e-9, 100e-9])
+def test_a_table_switch_between_any_two_samples_sets_its_turn_time(h):
+    # Each switch takes h, far shorter than the table's span over its knots;
+    # the cubic's fastest rate, 1.5 swing / h, is read from each piece.
+    on, off = math.atan(1 / 5.1e-4), math.atan(1 / 1e-5)
+    table = TabulatedSchedule(times=(0.0, 30e-6, 30e-6 + h, 125e-6, 125e-6 + h, 180e-6), thetas=(on, on, off, off, on, on))
+    assert table.turn_time(180e-6) == pytest.approx(h / 1.5, rel=1e-9)
+
+
+def test_a_table_turn_time_reads_the_fastest_rate_of_its_cubic_on_the_run():
+    # theta = 0.8 + 0.1 sin(2 pi (t - t0) / 50 us) on knots 40 ns apart: the
+    # fastest rate, at t0 + 25 us * n, falls inside a piece, where the rate
+    # at the knots alone reads 7e-6 low; a 1 ns sampling of the cubic over
+    # the run reads it to 3e-9.
+    knots = np.linspace(-10e-6, 110e-6, 3001)
+    t0 = 5.03e-6
+    table = TabulatedSchedule(times=tuple(knots), thetas=tuple(0.8 + 0.1 * np.sin(2 * np.pi * (knots - t0) / 50e-6)))
+    for horizon in (7.3e-6, 13.1e-6, 61.7e-6, 100e-6):
+        theta, rate = _cubic_at(*table._cubic, np.linspace(0.0, horizon, round(horizon / 1e-9) + 1))
+        assert table.turn_time(horizon) == pytest.approx(np.ptp(theta) / np.max(np.abs(rate)), rel=1e-7)
+
+
+# Constructor keywords that build each kind; the fields test adds one of another kind.
+_VALID_KEYWORDS = {"constant": {"omega": 1e5}, "tanh_profile": {}, "tabulated": {"times": (0.0, 1e-6), "thetas": (1.0, 1.0)}}
+
+
+@pytest.mark.parametrize("kind", sorted(SCHEDULES))
+def test_a_schedule_holds_only_the_keys_of_its_kind(kind):
+    cls = SCHEDULES[kind]
+    own = [f.name for f in dataclasses.fields(cls)]
+    assert cls.kind == kind
+    assert own == [key for key, _, _ in SCHEDULE_KEYS[kind][1:]]
+    cls(**_VALID_KEYWORDS[kind])
+    foreign = {f.name for other in SCHEDULES.values() for f in dataclasses.fields(other)} - set(own)
+    assert foreign
+    for name in sorted(foreign):
+        with pytest.raises(TypeError, match=f"unexpected keyword argument '{name}'"):
+            cls(**_VALID_KEYWORDS[kind], **{name: 1.0})
 
 
 def test_tabulated_matches_source_profile(default_sc):
@@ -138,7 +177,7 @@ def test_tabulated_matches_source_profile(default_sc):
     src = default_sc.schedule
     knots = np.linspace(0.0, 180e-6, 4001)
     thetas = [src.eval(p, float(t)).theta for t in knots]
-    tab = ControlSchedule(kind="tabulated", times=tuple(knots), thetas=tuple(thetas))
+    tab = TabulatedSchedule(times=tuple(knots), thetas=tuple(thetas))
     rng = np.random.default_rng(SEED)
     for _ in range(200):
         t = float(rng.uniform(0.0, 180e-6))
@@ -153,7 +192,7 @@ def test_tabulated_rejects_sparse_sampling(default_sc):
     knots = np.linspace(0.0, 180e-6, 7)  # nowhere near resolving the switches
     thetas = [src.eval(p, float(t)).theta for t in knots]
     with pytest.raises(ConfigError, match="sparse"):
-        ControlSchedule(kind="tabulated", times=tuple(knots), thetas=tuple(thetas))
+        TabulatedSchedule(times=tuple(knots), thetas=tuple(thetas))
 
 
 def _assert_matches_pchip(knots, thetas, times, theta, theta_dot):
@@ -184,7 +223,7 @@ TABULATED_FIXTURES = _tabulated_fixtures()
 @pytest.mark.parametrize("name", list(TABULATED_FIXTURES))
 def test_tabulated_schedule_matches_pchip(default_sc, name):
     knots, thetas = TABULATED_FIXTURES[name]
-    tab = ControlSchedule(kind="tabulated", times=tuple(knots), thetas=tuple(thetas))
+    tab = TabulatedSchedule(times=tuple(knots), thetas=tuple(thetas))
     rng = np.random.default_rng(SEED)
     # eval holds theta_dot at 0 on the end knots, so read the inner ones
     inner = np.concatenate(
@@ -232,13 +271,12 @@ def test_monotone_cubic_matches_pchip_on_random_tables(shape):
 
 def test_tabulated_requires_strictly_increasing_times():
     with pytest.raises(ConfigError):
-        ControlSchedule(kind="tabulated", times=(0.0, 1e-6, 1e-6), thetas=(1.0, 1.0, 1.0))
+        TabulatedSchedule(times=(0.0, 1e-6, 1e-6), thetas=(1.0, 1.0, 1.0))
 
 
 def test_tabulated_clamps_outside_its_range(default_sc):
     p = default_sc.medium
-    tab = ControlSchedule(
-        kind="tabulated",
+    tab = TabulatedSchedule(
         times=tuple(np.linspace(0.0, 1e-5, 64)),
         thetas=tuple(np.full(64, 1.0)),
     )
@@ -251,18 +289,18 @@ def test_tabulated_clamps_outside_its_range(default_sc):
 
 
 def test_turn_time_scales_with_steepness():
-    slow = ControlSchedule(kind="tanh_profile", steepness=1e4)
-    fast = ControlSchedule(kind="tanh_profile", steepness=1e6)
+    slow = TanhSchedule(steepness=1e4)
+    fast = TanhSchedule(steepness=1e6)
     assert slow.turn_time(1.0) > fast.turn_time(1.0) > 0.0
 
 
 def test_a_tanh_switch_times_the_run_only_where_its_window_meets_it():
     # A switch window is t_i -+ 5/steepness, the breakpoints' half-width.
     for steepness in (1e9, 1e11):
-        assert math.isinf(ControlSchedule(kind="tanh_profile", steepness=steepness).turn_time(15e-6))
-    assert ControlSchedule(kind="tanh_profile").turn_time(15e-6) == 1e-5  # t1 - 5/s = -20 us
-    late = ControlSchedule(kind="tanh_profile", steepness=1e6, t1=20e-6, t2=200e-6)  # t1 window [15, 25] us
+        assert math.isinf(TanhSchedule(steepness=steepness).turn_time(15e-6))
+    assert TanhSchedule().turn_time(15e-6) == 1e-5  # t1 - 5/s = -20 us
+    late = TanhSchedule(steepness=1e6, t1=20e-6, t2=200e-6)  # t1 window [15, 25] us
     assert late.turn_time(15.1e-6) == 1e-6 and math.isinf(late.turn_time(14.9e-6))
     # the t2 window ends at t2 + 5 us
-    assert ControlSchedule(kind="tanh_profile", steepness=1e6, t1=-30e-6, t2=-4.9e-6).turn_time(1e-6) == 1e-6
-    assert math.isinf(ControlSchedule(kind="tanh_profile", steepness=1e6, t1=-30e-6, t2=-5.1e-6).turn_time(1e-6))
+    assert TanhSchedule(steepness=1e6, t1=-30e-6, t2=-4.9e-6).turn_time(1e-6) == 1e-6
+    assert math.isinf(TanhSchedule(steepness=1e6, t1=-30e-6, t2=-5.1e-6).turn_time(1e-6))

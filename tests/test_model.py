@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from conftest import scaled_pass_scenario
 
 from eitmem.coefficients import bright_ratio, exponent_integrand
-from eitmem.control import ControlSchedule
+from eitmem.control import ConstantSchedule
 from eitmem.errors import ConfigError, ValidityError
 from eitmem.grids import GridSpec, gaussian_field
 from eitmem.model import (
@@ -202,7 +202,7 @@ def test_adiabatic_scales_take_the_resonant_group_velocity():
 
 
 def test_constant_schedule_has_infinite_turn_time():
-    sch = ControlSchedule(kind="constant", omega=1e9)
+    sch = ConstantSchedule(omega=1e9)
     assert math.isinf(sch.turn_time(1.0))
     sc = default_scenario()
     report = check_regime(sc.medium, sc.pulse, sch, sc.horizon)

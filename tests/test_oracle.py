@@ -17,7 +17,7 @@ from conftest import SCALED_OMEGA, scaled_medium, scaled_pass_scenario
 
 import eitmem.oracle
 from eitmem.cli import main, oracle_initial_state
-from eitmem.control import ControlSchedule
+from eitmem.control import ConstantSchedule, TabulatedSchedule, TanhSchedule
 from eitmem.errors import ConfigError, InvalidComparisonError, SimulationError
 from eitmem.grids import FieldGrid, GridSpec, gaussian_field, snapshot_times
 from eitmem.model import coupling_matrix
@@ -52,8 +52,8 @@ def probe_state(center_z: float = -0.5) -> OracleState:
     )
 
 
-def constant_schedule(omega: float = SCALED_OMEGA) -> ControlSchedule:
-    return ControlSchedule(kind="constant", omega=omega)
+def constant_schedule(omega: float = SCALED_OMEGA) -> ConstantSchedule:
+    return ConstantSchedule(omega=omega)
 
 
 def short_default_scenario():
@@ -258,8 +258,8 @@ def medium_controls():
     times = (0.0, sched.t1, 0.5 * (sched.t1 + sched.t2), sched.t2 + 1.0 / sched.steepness)
     yield sc.medium, sc.snapshot_dt / 1000.0, [sched.eval(sc.medium, t).omega for t in times]
     p = scaled_medium()
-    tanh = ControlSchedule(
-        kind="tanh_profile", scale=0.3, floor=0.02, steepness=10.0, t1=1.0, t2=3.0
+    tanh = TanhSchedule(
+        scale=0.3, floor=0.02, steepness=10.0, t1=1.0, t2=3.0
     )
     omega = [tanh.eval(p, t).omega for t in (0.0, 1.0, 2.0, 3.05)] + [SCALED_OMEGA]
     for dt in (5e-4, 1e-3):
@@ -309,8 +309,8 @@ def test_chunked_propagators_follow_step_midpoints(monkeypatch):
     # falls on a snapshot boundary, and the last chunk is partial.
     monkeypatch.setattr(eitmem.oracle, "CHUNK_STEPS", 16)
     p = scaled_medium()
-    sched = ControlSchedule(
-        kind="tanh_profile", scale=0.3, floor=0.02, steepness=10.0, t1=0.3, t2=0.8
+    sched = TanhSchedule(
+        scale=0.3, floor=0.02, steepness=10.0, t1=0.3, t2=0.8
     )
     dt, snapshot_dt, horizon = 0.01, 0.07, 1.05
     initial = probe_state()
@@ -347,7 +347,7 @@ def test_the_march_takes_one_transform_in_and_one_out_per_snapshot(monkeypatch):
             return _transform(a, *args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
-    sched = ControlSchedule(kind="tanh_profile", scale=0.3, floor=0.02, steepness=10.0, t1=0.3, t2=0.8)
+    sched = TanhSchedule(scale=0.3, floor=0.02, steepness=10.0, t1=0.3, t2=0.8)
     states = integrate_reduced(scaled_medium(), GRID, probe_state(), sched, 1.05, OracleConfig(dt=0.01, snapshot_dt=0.07))
     shape = (3, GRID.n_points)
     assert calls == [("fft", shape)] + [("ifft", shape)] * (len(states) - 1)
@@ -373,7 +373,7 @@ def test_cli_runs_load_no_scipy_numpy_ma_or_numpy_polynomial(tmp_path):
     ini = tmp_path / "tabulated.ini"
     save_scenario(
         dataclasses.replace(
-            base, schedule=ControlSchedule(kind="tabulated", times=tuple(knots), thetas=tuple(thetas))
+            base, schedule=TabulatedSchedule(times=tuple(knots), thetas=tuple(thetas))
         ),
         str(ini),
     )

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from eitmem.control import ControlSchedule
+from eitmem.control import ConstantSchedule, TabulatedSchedule, TanhSchedule
 from eitmem.errors import ConfigError
 from eitmem.grids import MAX_POINTS, FieldGrid, GridSpec
 from eitmem.model import PulseSpec
@@ -81,8 +81,8 @@ def test_constructors_reject_non_finite_values(bad):
         "z_max": lambda: GridSpec(-1e-2, bad, 1024),
         "width": lambda: PulseSpec(amplitude=0.2, center_z=0.0, width=bad),
         "amplitude": lambda: PulseSpec(amplitude=complex(0.2, bad), center_z=0.0, width=1e-3),
-        "t1": lambda: ControlSchedule(kind="tanh_profile", t1=bad),
-        "thetas": lambda: ControlSchedule(kind="tabulated", times=(0.0, 1.0), thetas=(1.0, bad)),
+        "t1": lambda: TanhSchedule(t1=bad),
+        "thetas": lambda: TabulatedSchedule(times=(0.0, 1.0), thetas=(1.0, bad)),
         "horizon": lambda: dataclasses.replace(sc, horizon=bad),
         "output_time": lambda: dataclasses.replace(sc, output_time=bad),
     }
@@ -111,7 +111,7 @@ def test_tabulated_schedule_must_cover_run():
     sc = default_scenario()
     t = tuple(np.linspace(0.0, 100e-6, 2001))
     thetas = tuple(sc.schedule.eval(sc.medium, ti).theta for ti in t)
-    short = ControlSchedule(kind="tabulated", times=t, thetas=thetas)
+    short = TabulatedSchedule(times=t, thetas=thetas)
     with pytest.raises(ConfigError, match="cover"):
         dataclasses.replace(sc, schedule=short)
 
@@ -136,12 +136,12 @@ def test_ini_round_trip_all_schedule_kinds(tmp_path):
         ),
         dataclasses.replace(
             base,
-            schedule=ControlSchedule(kind="constant", omega=5.0e9),
+            schedule=ConstantSchedule(omega=5.0e9),
             label="flat_control",
         ),
         dataclasses.replace(
             base,
-            schedule=ControlSchedule(kind="tabulated", times=t, thetas=thetas),
+            schedule=TabulatedSchedule(times=t, thetas=thetas),
             label="tabulated_copy",
         ),
         dataclasses.replace(
@@ -182,9 +182,9 @@ def test_missing_key_is_named(tmp_path):
     t = tuple(np.linspace(0.0, 180e-6, 4001))
     schedules = {
         "tanh_profile": base.schedule,
-        "constant": ControlSchedule(kind="constant", omega=5.0e9),
-        "tabulated": ControlSchedule(
-            kind="tabulated", times=t, thetas=tuple(base.schedule.eval(base.medium, t).theta)
+        "constant": ConstantSchedule(omega=5.0e9),
+        "tabulated": TabulatedSchedule(
+            times=t, thetas=tuple(base.schedule.eval(base.medium, t).theta)
         ),
     }
     path = tmp_path / "gapped.ini"
@@ -302,7 +302,7 @@ def test_optional_keys_have_defaults(tmp_path):
     path.write_text("\n".join(keep))
     sc = load_scenario(path)
     assert sc.pulse == default_scenario().pulse
-    assert sc.schedule == ControlSchedule(kind="tanh_profile")
+    assert sc.schedule == TanhSchedule()
     assert sc.medium.delta == 0.0 and sc.medium.delta_p == 0.0
     assert sc.medium.c == pytest.approx(2.99792458e8)
     # omitted output_time falls back to the last stored interval
@@ -335,7 +335,7 @@ def test_scenario_accepts_scaled_media(tmp_path):
         medium=scaled_medium(),
         grid=GridSpec(-2.0, 2.0, 1024),
         pulse=PulseSpec(amplitude=0.2, center_z=-0.5, width=0.1),
-        schedule=ControlSchedule(kind="constant", omega=725.5),
+        schedule=ConstantSchedule(omega=725.5),
         horizon=4.0,
         snapshot_dt=0.5,
         output_time=4.0,

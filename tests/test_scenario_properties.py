@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eitmem.cli import main
-from eitmem.control import ControlSchedule
+from eitmem.control import ConstantSchedule, TabulatedSchedule, TanhSchedule
 from eitmem.errors import ConfigError
 from eitmem.grids import GridSpec
 from eitmem.model import MediumParams, PulseSpec
@@ -81,11 +81,10 @@ def scenarios(draw) -> Scenario:
     horizon = draw(_real(1e-6, 1e3))
     kind = draw(st.sampled_from(("constant", "tanh_profile", "tabulated")))
     if kind == "constant":
-        schedule = ControlSchedule(kind=kind, omega=draw(_real(1e-3, 1e12)))
+        schedule = ConstantSchedule(omega=draw(_real(1e-3, 1e12)))
     elif kind == "tanh_profile":
         t1 = draw(_real(0.0, 1e-3))
-        schedule = ControlSchedule(
-            kind=kind,
+        schedule = TanhSchedule(
             scale=draw(_real(1e-6, 1.0)),
             floor=draw(_real(1e-8, 1e-2)),
             steepness=draw(_real(1.0, 1e7)),
@@ -99,8 +98,7 @@ def scenarios(draw) -> Scenario:
         times = np.concatenate(([0.0], horizon * steps / steps[-1]))
         times[-1] = horizon
         th0, th1 = draw(_real(0.1, 1.4)), draw(_real(0.1, 1.4))
-        schedule = ControlSchedule(
-            kind=kind,
+        schedule = TabulatedSchedule(
             times=tuple(times.tolist()),
             thetas=tuple((th0 + (th1 - th0) * times / horizon).tolist()),
         )

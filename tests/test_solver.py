@@ -19,9 +19,9 @@ from eitmem.errors import (
     ValidityError,
 )
 from eitmem.coefficients import exponent_integrand
-from eitmem.grids import FieldGrid, GridSpec, field_tables, gaussian_field, whole_steps
+from eitmem.grids import FieldGrid, GridSpec, field_tables, gaussian_field, squared_norm, whole_steps
 from eitmem.model import MIN_WIDTH_SPACINGS, SUPPORT_FLOOR, PulseSpec, check_pulse_fits
-from eitmem.control import ControlSchedule
+from eitmem.control import SCHEDULES, ConstantSchedule, TabulatedSchedule
 from eitmem.solver import (
     BlockEvolution,
     _check_wraparound,
@@ -191,7 +191,7 @@ def test_adaptive_simpson_reports_depth_exhaustion(monkeypatch):
 def test_norm_conserved_without_spin_decay(default_sc):
     p = dataclasses.replace(default_sc.medium, gamma_bc=0.0)
     res = simulate(p, default_sc.grid, default_sc.pulse, default_sc.schedule, 120e-6, 15e-6)
-    norms = [s.psi.norm() for s in res.snapshots]
+    norms = [math.sqrt(squared_norm(s.psi.values) * s.psi.grid.dz) for s in res.snapshots]
     drift = max(abs(n - norms[0]) for n in norms) / norms[0]
     assert drift <= 1e-10
 
@@ -363,7 +363,7 @@ def test_a_pulse_that_creeps_toward_the_edge_stops_before_an_edge_sample_reaches
     # 7.4e-7 of the peak.
     medium = dataclasses.replace(default_sc.medium, n_atoms=1e9)
     grid = GridSpec(-10e-3, 10e-3, 1024)
-    schedule = ControlSchedule(kind="constant", omega=1e5)
+    schedule = ConstantSchedule(omega=1e5)
     pulse = PulseSpec(0.2, center_z, 1e-3)
     block = BlockEvolution([medium], grid, pulse, schedule, default_sc.horizon, default_sc.snapshot_dt, force=True)
     times = []
@@ -609,9 +609,9 @@ def _schedules(default_sc):
     knots = np.linspace(0.0, 180e-6, 4001)
     thetas = default_sc.schedule.eval(p, knots).theta
     return {
-        "constant": ControlSchedule(kind="constant", omega=5.0e9),
+        "constant": ConstantSchedule(omega=5.0e9),
         "tanh": default_sc.schedule,
-        "tabulated": ControlSchedule(kind="tabulated", times=tuple(knots), thetas=tuple(thetas)),
+        "tabulated": TabulatedSchedule(times=tuple(knots), thetas=tuple(thetas)),
     }
 
 
@@ -652,17 +652,20 @@ BLOCK_MEDIA = ({}, {"delta_p": 300.0, "gamma_bc": 2e3}, {"delta_p": 1e8}, {"delt
 def _record_nodes(monkeypatch) -> dict:
     """Per medium, the batches of nodes of the last quadrature pass over it that returned.
 
-    Wraps solver.accumulate_exponent and ControlSchedule.eval: each schedule
-    evaluation inside a pass is one batch of that medium's nodes, and a pass
-    that raises records nothing.
+    Wraps solver.accumulate_exponent and each schedule class's eval: each
+    schedule evaluation inside a pass is one batch of that medium's nodes, and
+    a pass that raises records nothing.
     """
     nodes, open_passes = {}, []
-    evaluate, accumulate = ControlSchedule.eval, solver_module.accumulate_exponent
+    accumulate = solver_module.accumulate_exponent
 
-    def traced_eval(schedule, params, t):
-        if open_passes:
-            open_passes[-1].setdefault(params, []).append(np.array(t, dtype=float))
-        return evaluate(schedule, params, t)
+    def traced(evaluate):
+        def traced_eval(schedule, params, t):
+            if open_passes:
+                open_passes[-1].setdefault(params, []).append(np.array(t, dtype=float))
+            return evaluate(schedule, params, t)
+
+        return traced_eval
 
     def traced_pass(media, *args):
         open_passes.append({})
@@ -673,7 +676,8 @@ def _record_nodes(monkeypatch) -> dict:
         nodes.update((params, batches.get(params, [])) for params in media)
         return result
 
-    monkeypatch.setattr(ControlSchedule, "eval", traced_eval)
+    for cls in SCHEDULES.values():
+        monkeypatch.setattr(cls, "eval", traced(cls.eval))
     monkeypatch.setattr(solver_module, "accumulate_exponent", traced_pass)
     return nodes
 
