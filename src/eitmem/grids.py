@@ -57,6 +57,20 @@ MAX_POINTS = 2**22
 MAX_SNAPSHOT_SAMPLES = 13 * MAX_POINTS
 
 
+# The reference integrator's start carries a mode only where some field's
+# mode is above this fraction of that field's largest.
+KEPT_MODE_FLOOR = 1e-14
+
+
+def kept_modes(modes) -> np.ndarray:
+    """True at each mode where any row of modes, (rows, n) or one row of n, is above KEPT_MODE_FLOOR of that row's largest.
+
+    An all-zero row keeps no mode.
+    """
+    size = np.abs(np.atleast_2d(modes))
+    return np.any(size > KEPT_MODE_FLOOR * np.max(size, axis=-1, keepdims=True), axis=0)
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform grid on [z_min, z_max), periodic by construction."""

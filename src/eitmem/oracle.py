@@ -23,21 +23,20 @@ import numpy as np
 
 from .control import INSTANT_RTOL, ConstantSchedule, ControlSchedule
 from .errors import ConfigError, InvalidComparisonError, SimulationError
-from .grids import FieldGrid, GridSpec, field_header, field_tables, gaussian_field, snapshot_intervals, snapshot_times, squared_norm, whole_steps, write_csv
+from .grids import FieldGrid, GridSpec, field_header, field_tables, gaussian_field, kept_modes, snapshot_intervals, snapshot_times, squared_norm, whole_steps, write_csv
 from .model import MediumParams, PulseSpec, coupling_matrix, dark_modes
 
 # Coupling propagators are built for at most this many step midpoints at a
 # time, so memory stays flat however small dt is.
 CHUNK_STEPS = 1024
-# The 3x3 mode update runs on column blocks this wide. OpenBLAS hands a
-# gemm to its thread pool once m*n*k passes a build-time threshold (between
+# The 3x3 mode update runs on column blocks this wide, and the march keeps
+# only the blocks that hold a kept mode of its start. OpenBLAS hands a gemm
+# to its thread pool once m*n*k passes a build-time threshold (between
 # 3*3*4096 and 3*3*8192 for the OpenBLAS bundled with numpy 2.4). One
 # threaded product over the default grid's 16384 columns gives the same
 # bytes and a faster median march on a 2-vCPU host, but stalled for about a
 # second in 2 of 50 cold runs there; these blocks stalled in none of 50.
 BLOCK_POINTS = 2048
-# The start carries the pulse's modes above this fraction of its largest.
-KEPT_MODE_FLOOR = 1e-14
 # Past 2^53 steps, float64 step indices, and so the step midpoints
 # t0 + (i + 0.5) dt, are no longer distinct.
 MAX_STEPS = 2**53
@@ -183,18 +182,18 @@ def _step_propagators(params, schedule, t0, dt, n_steps):
         yield from _propagators(params, omega, dt)
 
 
-def _advection(grid: GridSpec, c: float, tau: float) -> np.ndarray:
-    """exp(-i k c tau): the exact advection of every mode over a time tau."""
-    return np.exp(-1j * grid.k_array() * c * tau)
+def _advection(k: np.ndarray, c: float, tau: float) -> np.ndarray:
+    """exp(-i k c tau): the exact advection of the modes of wavenumbers k over a time tau."""
+    return np.exp(-1j * k * c * tau)
 
 
 def initial_state(params: MediumParams, grid: GridSpec, pulse: PulseSpec, schedule: ControlSchedule) -> OracleState:
     """The reduced system's dark state at t = 0 whose dark field is the pulse, read from no evolution law.
 
-    Each mode of the pulse above KEPT_MODE_FLOOR of its largest is carried by its dark_modes vector at Omega(0); the rest are zero.
+    Each of the pulse's grids.kept_modes is carried by its dark_modes vector at Omega(0); the rest are zero.
     """
     modes = np.fft.fft(gaussian_field(grid, pulse.amplitude, pulse.center_z, pulse.width).values)
-    kept = np.abs(modes) > KEPT_MODE_FLOOR * np.max(np.abs(modes))
+    kept = kept_modes(modes)
     stack = np.zeros((3, grid.n_points), dtype=complex)
     stack[:, kept] = (dark_modes(params, schedule.eval(params, 0.0).omega, grid.k_array()[kept])[1] * modes[kept, None]).T
     fields = np.fft.ifft(stack, axis=-1)
@@ -219,11 +218,18 @@ def integrate_reduced(
     Symmetric (second order, Strang) splitting: the advection term is an
     exact spectral phase over each half step, and the local atomic-coupling
     block is the exact matrix exponential of its generator frozen at the
-    step midpoint. The three fields' modes are one (3, n) array. One full
+    step midpoint. Each mode moves on its own, so a mode the start leaves at
+    zero stays zero: the march holds only the BLOCK_POINTS-wide column
+    blocks that contain one of the start's grids.kept_modes (2 of 8 on the
+    default grid), as one (3, columns) array of the three fields' modes.
+    Whole blocks, not single modes: a band that reaches every block then
+    gets the products of a march of every mode, bit for bit. One full
     phase joins each step's closing half to the next one's opening half; a
-    snapshot applies its closing half to a copy and transforms that copy,
-    whose rows become its fields. progress, if given, is called as
-    progress(steps_done, n_steps, t) after each snapshot.
+    snapshot applies its closing half as it scatters the marched blocks
+    into a zero (3, n) array, whose inverse transform's rows become its
+    fields.
+    progress, if given, is called as progress(steps_done, n_steps, t) after
+    each snapshot.
     """
     if initial.e_field.grid != grid:
         raise ConfigError("initial state grid does not match the run grid")
@@ -231,30 +237,37 @@ def integrate_reduced(
     times = snapshot_times(horizon, cfg.snapshot_dt)
     dt = cfg.dt
     stack = np.fft.fft([getattr(initial, name).values for name in ORACLE_FIELDS], axis=-1)
+    block_of = np.arange(grid.n_points) // BLOCK_POINTS
+    columns = np.flatnonzero(np.isin(block_of, block_of[kept_modes(stack)]))
+    # np.take gives a C-contiguous array; a fancy-index gather comes out
+    # column-major, and a gemm on that rounds differently
+    stack = np.take(stack, columns, axis=1)
     spare = np.empty_like(stack)
-    stack[0] *= _advection(grid, params.c, dt / 2.0)
-    phase = _advection(grid, params.c, dt)
+    k = grid.k_array()[columns]
+    half = _advection(k, params.c, dt / 2.0)
+    stack[0] *= half
+    phase = _advection(k, params.c, dt)
     t0 = initial.t
 
     states = [initial]
     for i, propagator in enumerate(_step_propagators(params, schedule, t0, dt, n_steps)):
-        for c in range(0, grid.n_points, BLOCK_POINTS):
+        for c in range(0, columns.size, BLOCK_POINTS):
             block = slice(c, c + BLOCK_POINTS)
             np.matmul(propagator, stack[:, block], out=spare[:, block])
         stack, spare = spare, stack
         if (i + 1) % per_snap == 0:
             snap = (i + 1) // per_snap
             t = t0 + times[snap]
-            np.multiply(stack[0], _advection(grid, params.c, dt / 2.0), out=spare[0])
-            spare[1:] = stack[1:]
+            fields = np.zeros((3, grid.n_points), dtype=complex)
+            fields[0, columns] = stack[0] * half
+            fields[1:, columns] = stack[1:]
             # A non-finite value never turns finite in later steps, so one
             # check per interval catches it; it must come before FieldGrid,
             # which would reject the samples as a configuration error.
-            if not np.all(np.isfinite(spare)):
+            if not np.all(np.isfinite(fields)):
                 raise SimulationError(f"oracle produced non-finite values in [{t0 + times[snap - 1]:.6e}, {t:.6e}] s")
-            np.fft.ifft(spare, axis=-1, out=spare)
-            states.append(OracleState(*(FieldGrid(grid, values) for values in spare), t=t))
-            spare = np.empty_like(stack)
+            np.fft.ifft(fields, axis=-1, out=fields)
+            states.append(OracleState(*(FieldGrid(grid, values) for values in fields), t=t))
             if progress is not None:
                 progress(i + 1, n_steps, t)
         stack[0] *= phase

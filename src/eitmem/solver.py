@@ -224,13 +224,18 @@ def reconstruct(psi: FieldGrid, theta: float, params: MediumParams) -> tuple[Fie
     return tuple(FieldGrid(psi.grid, factor * psi.values) for factor in field_factors(theta, params))
 
 
+def _reconstructed(index: int) -> property:
+    """A Snapshot property: reconstruct's field at index, built alone from its field_factors entry."""
+    return property(lambda self: FieldGrid(self.psi.grid, field_factors(self.theta, self.params)[index] * self.psi.values))
+
+
 @dataclass(frozen=True)
 class Snapshot:
     """The dark field at one time, with the control sample that reconstructs the rest.
 
-    phi, e_field and sigma_bc are built from psi by reconstruct each time
-    they are read and are not kept, so a snapshot holds one field and a run that reads only
-    psi never builds the others.
+    phi, e_field and sigma_bc are each built from psi, as reconstruct builds
+    it, when it is read, and are not kept, so a snapshot holds one field and
+    a read of one field builds that field alone.
     """
 
     t: float  # s
@@ -239,9 +244,9 @@ class Snapshot:
     params: MediumParams
     peak: float  # max |psi|
 
-    phi = property(lambda self: reconstruct(self.psi, self.theta, self.params)[0])
-    e_field = property(lambda self: reconstruct(self.psi, self.theta, self.params)[1])
-    sigma_bc = property(lambda self: reconstruct(self.psi, self.theta, self.params)[2])
+    phi = _reconstructed(0)
+    e_field = _reconstructed(1)
+    sigma_bc = _reconstructed(2)
 
 
 @dataclass(frozen=True)

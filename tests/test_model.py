@@ -13,7 +13,7 @@ from conftest import scaled_pass_scenario
 from eitmem.coefficients import bright_ratio, exponent_integrand
 from eitmem.control import ConstantSchedule
 from eitmem.errors import ConfigError, ValidityError
-from eitmem.grids import GridSpec, gaussian_field
+from eitmem.grids import GridSpec, gaussian_field, kept_modes
 from eitmem.model import (
     MIN_WIDTH_SPACINGS,
     SUPPORT_FLOOR,
@@ -210,9 +210,9 @@ def test_constant_schedule_has_infinite_turn_time():
 
 
 def _kept_band(sc) -> np.ndarray:
-    """The wavenumbers of the pulse's modes above 1e-14 of the largest: the band the oracle's start carries."""
+    """The wavenumbers of the pulse's kept_modes: the band the oracle's start carries."""
     modes = np.fft.fft(gaussian_field(sc.grid, sc.pulse.amplitude, sc.pulse.center_z, sc.pulse.width).values)
-    return sc.grid.k_array()[np.abs(modes) > 1e-14 * np.max(np.abs(modes))]
+    return sc.grid.k_array()[kept_modes(modes)]
 
 
 def _generators(params: MediumParams, omega: float, k: np.ndarray) -> np.ndarray:

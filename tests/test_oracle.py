@@ -19,10 +19,9 @@ import eitmem.oracle
 from eitmem.cli import main, oracle_initial_state
 from eitmem.control import ConstantSchedule, TabulatedSchedule, TanhSchedule
 from eitmem.errors import ConfigError, InvalidComparisonError, SimulationError
-from eitmem.grids import FieldGrid, GridSpec, gaussian_field, snapshot_times
+from eitmem.grids import KEPT_MODE_FLOOR, FieldGrid, GridSpec, gaussian_field, kept_modes, snapshot_times, whole_steps
 from eitmem.model import coupling_matrix
 from eitmem.oracle import (
-    KEPT_MODE_FLOOR,
     MAX_STEPS,
     ORACLE_FIELDS,
     OracleConfig,
@@ -304,37 +303,127 @@ def test_expm_survives_overflowing_powers():
         assert np.array_equal(got, np.zeros((2, 2)))
 
 
+def scipy_march(params, schedule, initial, dt, n_steps, per_snap) -> list[np.ndarray]:
+    """The (3, n) fields after every per_snap steps of the splitting, step by step with scipy's expm, on every mode."""
+    k = 2.0 * np.pi * np.fft.fftfreq(GRID.n_points, d=GRID.dz)
+    half_phase = np.exp(-1j * k * params.c * dt / 2.0)
+    stack = np.fft.fft(
+        np.vstack([initial.e_field.values, initial.sigma_ba.values, initial.sigma_bc.values]),
+        axis=1,
+    )
+    fields = []
+    for i in range(n_steps):
+        m = coupling_generator(params, schedule.eval(params, initial.t + (i + 0.5) * dt).omega)
+        stack[0] *= half_phase
+        stack = scipy.linalg.expm(m * dt) @ stack
+        stack[0] *= half_phase
+        if (i + 1) % per_snap == 0:
+            fields.append(np.fft.ifft(stack, axis=1))
+    return fields
+
+
+def assert_fields_follow(states, reference):
+    for state, fields in zip(states, reference, strict=True):
+        for got, ref in zip((state.e_field, state.sigma_ba, state.sigma_bc), fields):
+            assert np.max(np.abs(got.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+# A tanh switch inside a 1.05 horizon, marched in 105 steps of 0.01 with a
+# snapshot every 7 steps.
+SWITCH = TanhSchedule(scale=0.3, floor=0.02, steepness=10.0, t1=0.3, t2=0.8)
+
+
 def test_chunked_propagators_follow_step_midpoints(monkeypatch):
     # Chunks of 16 steps against snapshots every 7 steps: no chunk boundary
     # falls on a snapshot boundary, and the last chunk is partial.
     monkeypatch.setattr(eitmem.oracle, "CHUNK_STEPS", 16)
     p = scaled_medium()
-    sched = TanhSchedule(
-        scale=0.3, floor=0.02, steepness=10.0, t1=0.3, t2=0.8
-    )
-    dt, snapshot_dt, horizon = 0.01, 0.07, 1.05
     initial = probe_state()
-    states = integrate_reduced(
-        p, GRID, initial, sched, horizon, OracleConfig(dt=dt, snapshot_dt=snapshot_dt)
-    )
-    assert [s.t for s in states] == snapshot_times(horizon, snapshot_dt)
+    states = integrate_reduced(p, GRID, initial, SWITCH, 1.05, OracleConfig(dt=0.01, snapshot_dt=0.07))
+    assert [s.t for s in states] == snapshot_times(1.05, 0.07)
+    assert_fields_follow(states[1:], scipy_march(p, SWITCH, initial, 0.01, 105, 7))
 
-    k = 2.0 * np.pi * np.fft.fftfreq(GRID.n_points, d=GRID.dz)
-    half_phase = np.exp(-1j * k * p.c * dt / 2.0)
-    stack = np.fft.fft(
-        np.vstack([initial.e_field.values, initial.sigma_ba.values, initial.sigma_bc.values]),
-        axis=1,
-    )
-    for i in range(105):
-        m = coupling_generator(p, sched.eval(p, initial.t + (i + 0.5) * dt).omega)
-        stack[0] *= half_phase
-        stack = scipy.linalg.expm(m * dt) @ stack
-        stack[0] *= half_phase
-        if (i + 1) % 7 == 0:
-            state = states[(i + 1) // 7]
-            fields = np.fft.ifft(stack, axis=1)
-            for got, ref in zip((state.e_field, state.sigma_ba, state.sigma_bc), fields):
-                assert np.max(np.abs(got.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+def test_the_march_zeroes_the_blocks_that_hold_no_kept_mode(monkeypatch):
+    # On 64-column blocks the probe's band, |m| <= 72 of 512, lies in blocks
+    # 0, 1, 14 and 15 of 16. Every mode of the other twelve enters each
+    # snapshot's inverse transform as an exact zero, and the marched modes
+    # still follow the step-by-step reference on every mode.
+    monkeypatch.setattr(eitmem.oracle, "BLOCK_POINTS", 64)
+    p = scaled_medium()
+    initial = probe_state()
+    kept = kept_modes(np.fft.fft([initial.e_field.values, initial.sigma_ba.values, initial.sigma_bc.values], axis=-1))
+    marched = np.isin(np.arange(GRID.n_points) // 64, [0, 1, 14, 15])
+    assert np.all(marched[kept]) and np.any(kept[:64]) and np.any(kept[64:128])
+    transformed = []
+    ifft = np.fft.ifft
+
+    def recorded(a, *args, **kwargs):
+        transformed.append(np.array(a))
+        return ifft(a, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(np.fft, "ifft", recorded)
+        states = integrate_reduced(p, GRID, initial, SWITCH, 1.05, OracleConfig(dt=0.01, snapshot_dt=0.07))
+    assert len(transformed) == len(states) - 1 == 15
+    for modes in transformed:
+        assert np.all(modes[:, ~marched] == 0)
+        assert np.all(np.any(modes[:, marched] != 0, axis=-1))
+    assert_fields_follow(states[1:], scipy_march(p, SWITCH, initial, 0.01, 105, 7))
+
+
+def all_mode_march(params, grid, initial, schedule, horizon, cfg) -> list[np.ndarray]:
+    """The (3, n) fields at each snapshot of the march that multiplies and advects every mode on BLOCK_POINTS-wide blocks."""
+    n_steps, per_snap = step_count(horizon, cfg), whole_steps(cfg.snapshot_dt, cfg.dt)
+    k = grid.k_array()
+    stack = np.fft.fft([initial.e_field.values, initial.sigma_ba.values, initial.sigma_bc.values], axis=-1)
+    spare = np.empty_like(stack)
+    stack[0] *= np.exp(-1j * k * params.c * (cfg.dt / 2.0))
+    phase = np.exp(-1j * k * params.c * cfg.dt)
+    fields = []
+    for i, propagator in enumerate(eitmem.oracle._step_propagators(params, schedule, initial.t, cfg.dt, n_steps)):
+        for c in range(0, grid.n_points, eitmem.oracle.BLOCK_POINTS):
+            block = slice(c, c + eitmem.oracle.BLOCK_POINTS)
+            np.matmul(propagator, stack[:, block], out=spare[:, block])
+        stack, spare = spare, stack
+        if (i + 1) % per_snap == 0:
+            np.multiply(stack[0], np.exp(-1j * k * params.c * (cfg.dt / 2.0)), out=spare[0])
+            spare[1:] = stack[1:]
+            fields.append(np.fft.ifft(spare, axis=-1))
+            spare = np.empty_like(stack)
+        stack[0] *= phase
+    return fields
+
+
+def test_a_start_whose_band_fills_its_one_block_is_marched_as_every_mode_is():
+    sc = scaled_pass_scenario()
+    initial = oracle_initial_state(sc.medium, sc.grid, sc.pulse, sc.schedule)
+    assert sc.grid.n_points <= eitmem.oracle.BLOCK_POINTS
+    cfg = OracleConfig(dt=5e-4, snapshot_dt=sc.snapshot_dt)
+    states = integrate_reduced(sc.medium, sc.grid, initial, sc.schedule, sc.horizon, cfg)
+    reference = all_mode_march(sc.medium, sc.grid, initial, sc.schedule, sc.horizon, cfg)
+    for state, fields in zip(states[1:], reference, strict=True):
+        for name, values in zip(ORACLE_FIELDS, fields):
+            assert np.array_equal(getattr(state, name).values, values), (state.t, name)
+
+
+@pytest.mark.parametrize(("make", "dt", "n_points", "columns"), [(short_default_scenario, 1.5e-8, 16384, 4096), (scaled_pass_scenario, 5e-4, 1024, 1024)])
+def test_a_step_multiplies_the_columns_of_the_kept_blocks_alone(monkeypatch, make, dt, n_points, columns):
+    # The default band lies in blocks 0 and 7 of 8; the scaled one fills its one block.
+    sc = make()
+    assert sc.grid.n_points == n_points
+    initial = oracle_initial_state(sc.medium, sc.grid, sc.pulse, sc.schedule)
+    cfg = OracleConfig(dt=dt, snapshot_dt=sc.snapshot_dt)
+    multiplied = []
+    matmul = np.matmul
+
+    def counted(a, b, *args, **kwargs):
+        multiplied.append(np.shape(b)[-1])
+        return matmul(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    integrate_reduced(sc.medium, sc.grid, initial, sc.schedule, sc.horizon, cfg)
+    assert sum(multiplied) == columns * step_count(sc.horizon, cfg)
 
 
 def test_the_march_takes_one_transform_in_and_one_out_per_snapshot(monkeypatch):
