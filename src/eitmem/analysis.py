@@ -12,12 +12,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .coefficients import alpha1_slow_light, max_transit_time, v_g_min, weak_probe_ratio
+from .coefficients import max_transit_time, v_g_min, weak_probe_ratio
 from .control import ControlSchedule, TanhSchedule
 from .errors import ConfigError, InvalidComparisonError, UntrackableFieldError, require_finite
 from .grids import FieldGrid, squared_norm
 from .model import PASS_FACTOR, MediumParams
-from .solver import SimulationResult, Snapshot, accumulate_exponent, adaptive_simpson, mode_factor
+from .solver import SimulationResult, Snapshot, accumulate_exponent, mode_factor
 
 TRACK_AMPLITUDE_FLOOR = 1e-12
 DISTORTION_THRESHOLD = 0.1  # aligned_l2 above this reads as destroyed
@@ -122,25 +122,19 @@ def predict_output(
     input_peak: float,
     t0_duration: float,
 ) -> tuple[float, float]:
-    """Closed-form output peak after storage time T0 from t = 0: the input's peak, damped.
+    """Output peak after storage time T0 from t = 0: the input's peak, damped.
 
     The law moves the input without changing its shape, so the output peak
     is input_peak, the input's tracked peak amplitude, times a damping
     factor, taken two ways: the uniform exp(-gamma_bc T0) (simple), and
-    exp(-integral of alpha1 dt), the resonant damping rate with the
-    switching term (exact). Returns (simple, exact).
+    exp(-Re I_s), with I_s the law's exponent over [0, T0] from the
+    engine's own accumulate_exponent (exact), for any medium. Returns
+    (simple, exact).
     """
-    if not params.is_resonant():
-        raise ConfigError("output prediction is for resonant media only; detunings are set")
     if t0_duration < 0:
         raise ConfigError(f"storage duration must be nonnegative, got {t0_duration}")
-
-    def integrand(t: np.ndarray, _) -> np.ndarray:
-        theta, theta_dot, _ = schedule.eval(params, t)
-        return alpha1_slow_light(theta, theta_dot, params)
-
-    exact_exponent = adaptive_simpson(integrand, 0.0, t0_duration, schedule.breakpoints())
-    return input_peak * math.exp(-params.gamma_bc * t0_duration), input_peak * math.exp(-float(exact_exponent))
+    i_s = accumulate_exponent([params], schedule, 0.0, t0_duration)[0, 0]
+    return input_peak * math.exp(-params.gamma_bc * t0_duration), input_peak * math.exp(-i_s.real)
 
 
 @dataclass(frozen=True)
@@ -358,11 +352,12 @@ def assemble_summary(result: SimulationResult, output_time: float | None = None)
     snapshot, so a number `sweep` reports for a medium is the one here, and
     a sample below the tracking floor raises the error `run` exits 4 with.
     Velocity windows are derived from the schedule when it is the tanh
-    switch; otherwise only the whole-run velocity is reported. Each
-    predicted output peak is the first snapshot's peak times exp(-damping):
-    of the exponent integral Re I_s, and, in a resonant medium only, of
-    gamma_bc T0 and of the integral of alpha1 (predict_output). The
-    tracking floor applies to the measured samples, not to the predictions.
+    switch; otherwise only the whole-run velocity is reported. The output
+    peaks come from one predict_output call: predicted_peak is its exact
+    peak, of the exponent integral Re I_s; a resonant medium also gets its
+    simple peak, of gamma_bc T0, and the exact one again, under the
+    predicted_peak_simple and predicted_peak_exact keys. The tracking
+    floor applies to the measured samples, not to the predictions.
     """
     params = result.params
     schedule = result.schedule
@@ -383,23 +378,18 @@ def assemble_summary(result: SimulationResult, output_time: float | None = None)
             "predicted": params.gamma_bc,
         }
 
-    # One quadrature pass covers every fitted velocity window and the
-    # output-peak window. The predicted velocity is the model's mean over
-    # the same window, so switch curvature does not masquerade as
-    # disagreement.
+    # One quadrature pass covers every fitted velocity window. The
+    # predicted velocity is the model's mean over the same window, so
+    # switch curvature does not masquerade as disagreement.
+    windows = [m.windows[name] for name in m.velocity]
+    i_w = accumulate_exponent([params], schedule, *np.reshape(windows, (-1, 2)).T)[1, 0]
+    for (name, (v, resid)), (t0, t1), w in zip(m.velocity.items(), windows, i_w):
+        summary[name] = {"measured": v, "fit_residual_rms": resid, "predicted": w.real / (t1 - t0)}
     out_snap = snaps[m.out]
-    spans = [m.windows[name] for name in m.velocity] + [(snaps[0].t, out_snap.t)]
-    i_s, i_w = accumulate_exponent([params], schedule, *np.array(spans).T)[:, 0]
-    for j, (name, (v, resid)) in enumerate(m.velocity.items()):
-        t0, t1 = m.windows[name]
-        summary[name] = {"measured": v, "fit_residual_rms": resid, "predicted": i_w[j].real / (t1 - t0)}
-    output = {
-        "t": out_snap.t,
-        "measured_peak": m.output_peak,
-        "predicted_peak": track.peak_amp[0] * math.exp(-i_s[-1].real),
-    }
+    simple, exact = predict_output(params, schedule, track.peak_amp[0], out_snap.t)
+    output = {"t": out_snap.t, "measured_peak": m.output_peak, "predicted_peak": exact}
     if params.is_resonant():
-        output["predicted_peak_simple"], output["predicted_peak_exact"] = predict_output(params, schedule, track.peak_amp[0], out_snap.t)
+        output["predicted_peak_simple"], output["predicted_peak_exact"] = simple, exact
     summary["output_peak"] = output
     summary["distortion"] = asdict(measure_distortion(snaps[0].psi, [out_snap.psi])[0])
     summary["v_g_floor"] = v_g_min(params)

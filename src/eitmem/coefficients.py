@@ -8,8 +8,9 @@ The polariton spectral law multiplies each k-mode by exp(-I_s - i k I_w) with
 A0 and B0 carry the non-ideal corrections (decay and detunings). The real and
 imaginary parts of (s_part, w_part) are the damping alpha1, phase rate beta,
 k-linear gain alpha2, and group velocity v_g. This module holds the exact
-forms, the dark field's factors and the weak-probe ratio, and the resonance
-special cases: every closed form of the law that the engine and the checks read.
+forms, the dark field's factors, the weak-probe ratio, and the residual
+group velocity at resonance with the transit time it bounds: every closed
+form of the law that the engine and the checks read.
 The exact forms take a float or an array of mixing angles, elementwise.
 """
 
@@ -165,13 +166,3 @@ def max_transit_time(params: MediumParams) -> float:
         return math.inf
     return params.length / floor
 
-
-def alpha1_slow_light(theta, theta_dot, params: MediumParams):
-    """Resonant damping rate with the switching correction, 1/s.
-
-    gamma_bc, plus a small term active only while theta moves, scaled by
-    sin^2(theta).
-    """
-    switch = np.where(theta_dot != 0.0, np.tan(theta) * theta_dot, 0.0)
-    rate = params.gamma_bc + (params.gamma_bc * params.gamma_ba / params.g2n) * switch
-    return rate * np.sin(theta) ** 2

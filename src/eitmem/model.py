@@ -308,6 +308,7 @@ def check_regime(
     """
     from .coefficients import exponent_integrand, weak_probe_ratio  # local import, avoids a cycle
 
+    require_finite("horizon", horizon)
     d_ba, d_bc = params.coherence_factors()
     decoherence = abs(d_ba * d_bc)
     high_density = params.g2n / decoherence if decoherence > 0 else math.inf

@@ -57,11 +57,17 @@ def adaptive_simpson(f, a, b, breakpoints=()) -> np.ndarray:
     Accepted halves are summed pairwise back up the tree and the panels of
     an interval left to right, so on the same nodes the result equals the
     depth-first recursion bit for bit. Returns the component shape followed
-    by the shape of a. Raises QuadratureError, with the achieved estimate,
-    for the earliest panel still open when the depth budget runs out or the
-    next level would hold more open panels than the cap allows.
+    by the shape of a. Raises ConfigError, before any evaluation, for the
+    first interval with a non-finite end, then for the first reversed one;
+    and QuadratureError, with the achieved estimate, for the earliest panel
+    still open when the depth budget runs out or the next level would hold
+    more open panels than the cap allows.
     """
     a, b = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    not_finite = ~(np.isfinite(a) & np.isfinite(b))
+    if np.any(not_finite):
+        i = int(np.argmax(not_finite.ravel()))
+        raise ConfigError(f"integration interval not finite: [{a.flat[i]}, {b.flat[i]}]")
     if np.any(b < a):
         i = int(np.argmax(b.ravel() < a.ravel()))
         raise ConfigError(f"integration interval reversed: [{a.flat[i]}, {b.flat[i]}]")

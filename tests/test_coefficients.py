@@ -8,7 +8,6 @@ import pytest
 
 from eitmem.coefficients import (
     a0_b0,
-    alpha1_slow_light,
     bright_ratio,
     exponent_integrand,
     max_transit_time,
@@ -180,13 +179,3 @@ def test_degenerate_denominator_is_reported():
     )
     with pytest.raises(SingularParametersError):
         a0_b0(math.pi / 2, 0.0, p)
-
-
-def test_slow_light_attenuation_limit():
-    # with sin(theta) ~ 1 the attenuation rate collapses to gamma_bc
-    p = default_scenario().medium
-    rate = alpha1_slow_light(math.pi / 2 - 1e-8, 0.0, p)
-    assert rate == pytest.approx(p.gamma_bc, rel=1e-4)
-    # away from full rotation the sin^2(theta) factor stays
-    free = alpha1_slow_light(1.0, 0.0, p)
-    assert free == pytest.approx(p.gamma_bc * math.sin(1.0) ** 2, rel=1e-15)

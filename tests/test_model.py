@@ -138,6 +138,13 @@ def test_regime_report_default_scenario():
     assert any("adiabatic_length" in w for w in report.warnings())
 
 
+@pytest.mark.parametrize("horizon", [math.nan, math.inf, -math.inf])
+def test_regime_check_rejects_a_non_finite_horizon(horizon):
+    sc = default_scenario()
+    with pytest.raises(ConfigError, match="horizon must be finite"):
+        check_regime(sc.medium, sc.pulse, sc.schedule, horizon)
+
+
 def test_regime_report_flags_strong_probe():
     sc = default_scenario()
     hot = PulseSpec(amplitude=1e3, center_z=sc.pulse.center_z, width=sc.pulse.width)

@@ -783,6 +783,12 @@ def test_batched_simpson_skips_empty_and_rejects_reversed_intervals():
         adaptive_simpson(lambda t, _: t, 1.0, 0.0)
 
 
+@pytest.mark.parametrize("end", [math.nan, math.inf, -math.inf])
+def test_accumulate_exponent_rejects_a_non_finite_interval_end(default_sc, end):
+    with pytest.raises(ConfigError, match="not finite"):
+        accumulate_exponent([default_sc.medium], default_sc.schedule, 0.0, end)
+
+
 def test_snapshot_fields_are_built_on_each_read_as_reconstruct_builds_them(default_sc, monkeypatch):
     res = simulate(default_sc.medium, default_sc.grid, default_sc.pulse, default_sc.schedule, 30e-6, 15e-6)
     snap = res.snapshots[-1]
