@@ -29,18 +29,21 @@ DECAY_FIT_RMS_LIMIT = 0.05  # log-amplitude residual above which a decay fit rea
 BOUND_PREFACTOR = 0.01
 
 
+def _vertex(before, here, after) -> float:
+    """Offset in cells of the vertex of the parabola through three equally spaced samples; 0 where they are collinear."""
+    denom = before - 2.0 * here + after
+    return 0.0 if denom == 0.0 else 0.5 * (before - after) / denom
+
+
 def quadratic_peak(z: np.ndarray, a: np.ndarray) -> tuple[float, float]:
     """Sub-cell peak location and amplitude from a parabola through the maximum."""
     i = int(np.argmax(a))
     if i == 0 or i == len(a) - 1:
         return float(z[i]), float(a[i])
-    denom = a[i - 1] - 2.0 * a[i] + a[i + 1]
-    if denom == 0.0:
-        return float(z[i]), float(a[i])
-    offset = 0.5 * (a[i - 1] - a[i + 1]) / denom
-    dz = z[1] - z[0]
-    amp = a[i] - 0.25 * (a[i - 1] - a[i + 1]) * offset
-    return float(z[i] + offset * dz), float(amp)
+    before, here, after = a[i - 1 : i + 2]
+    offset = _vertex(before, here, after)
+    amp = here - 0.25 * (before - after) * offset
+    return float(z[i] + offset * (z[1] - z[0])), float(amp)
 
 
 @dataclass(frozen=True)
@@ -88,14 +91,17 @@ def _window(track: PulseTrack, t0: float, t1: float, least: int, fit: str) -> np
     return idx
 
 
+def _line(t: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Slope of the least-squares line through (t, y) and the rms of its residuals."""
+    slope, intercept = np.polyfit(t, y, 1)
+    resid = y - (slope * t + intercept)
+    return float(slope), float(np.sqrt(np.mean(resid**2)))
+
+
 def fit_velocity(track: PulseTrack, t0: float, t1: float) -> tuple[float, float]:
     """Least-squares velocity of the peak over [t0, t1] and its residual rms."""
     idx = _window(track, t0, t1, 2, "velocity")
-    t = np.asarray(track.times)[idx]
-    zpk = np.asarray(track.peak_z)[idx]
-    slope, intercept = np.polyfit(t, zpk, 1)
-    resid = zpk - (slope * t + intercept)
-    return float(slope), float(np.sqrt(np.mean(resid**2)))
+    return _line(np.asarray(track.times)[idx], np.asarray(track.peak_z)[idx])
 
 
 def fit_decay(track: PulseTrack, t0: float, t1: float) -> tuple[float, float]:
@@ -106,14 +112,11 @@ def fit_decay(track: PulseTrack, t0: float, t1: float) -> tuple[float, float]:
     report that instead of failing.
     """
     idx = _window(track, t0, t1, 3, "decay")
-    t = np.asarray(track.times)[idx]
     amp = np.asarray(track.peak_amp)[idx]
     if np.any(amp <= 0):
         raise UntrackableFieldError("peak amplitude hit zero inside the fit window")
-    log_amp = np.log(amp)
-    slope, intercept = np.polyfit(t, log_amp, 1)
-    resid = log_amp - (slope * t + intercept)
-    return float(-slope), float(np.sqrt(np.mean(resid**2)))
+    slope, rms = _line(np.asarray(track.times)[idx], np.log(amp))
+    return -slope, rms
 
 
 def predict_output(
@@ -153,12 +156,7 @@ def _correlation_shift(corr: np.ndarray) -> float:
     """
     n = corr.size
     m0 = int(np.argmax(corr))
-    before = corr[(m0 - 1) % n]
-    here = corr[m0]
-    after = corr[(m0 + 1) % n]
-    denom = before - 2.0 * here + after
-    frac = 0.0 if denom == 0.0 else 0.5 * (before - after) / denom
-    shift_cells = m0 + frac
+    shift_cells = m0 + _vertex(corr[(m0 - 1) % n], corr[m0], corr[(m0 + 1) % n])
     return shift_cells - n if shift_cells > n / 2 else shift_cells
 
 

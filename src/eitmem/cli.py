@@ -148,7 +148,11 @@ def cmd_run(args) -> int:
         states = oracle.integrate_reduced(
             sc.medium, sc.grid, start, sc.schedule, sc.horizon, cfg, _print_oracle_progress
         )
-        report = oracle.compare_to_adiabatic(states, result, observable="e_field")
+        report = oracle.compare_to_adiabatic(
+            states,
+            [(snap.t, solver.reconstruct(snap.psi, snap.theta, sc.medium)[1]) for snap in result.snapshots],
+            result.validity,
+        )
 
     out_dir = args.out_dir
     os.makedirs(out_dir, exist_ok=True)

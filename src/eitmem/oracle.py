@@ -24,7 +24,7 @@ import numpy as np
 from .control import INSTANT_RTOL, ConstantSchedule, ControlSchedule
 from .errors import ConfigError, InvalidComparisonError, SimulationError
 from .grids import FieldGrid, GridSpec, field_header, field_tables, gaussian_field, kept_modes, snapshot_intervals, snapshot_times, squared_norm, whole_steps, write_csv
-from .model import MediumParams, PulseSpec, coupling_matrix, dark_modes
+from .model import MediumParams, PulseSpec, ValidityReport, coupling_matrix, dark_modes
 
 # Coupling propagators are built for at most this many step midpoints at a
 # time, so memory stays flat however small dt is.
@@ -290,39 +290,40 @@ class ComparisonReport:
 
 
 def compare_to_adiabatic(
-    oracle_run: list[OracleState], adiabatic_run, observable: str = "e_field"
+    oracle_run: list[OracleState], adiabatic_fields: list[tuple[float, FieldGrid]], validity: ValidityReport
 ) -> ComparisonReport:
-    """Relative L-inf and L2 discrepancy of each state from the snapshot of its instant, to within INSTANT_RTOL.
+    """Relative L-inf and L2 discrepancy of each state's probe field from the engine's at the same instant.
 
-    adiabatic_run is any object with .snapshots carrying t/e_field/sigma_bc
-    and a .validity report; the validity ratios ride along so an
-    out-of-tolerance comparison points at which assumption broke.
+    adiabatic_fields holds the engine's (t, probe field) pair of each
+    snapshot. Both engines stamp their instants from grids.snapshot_times,
+    so state k pairs with pair k; InvalidComparisonError is raised unless
+    the counts match and each pair's instants agree to INSTANT_RTOL. The
+    validity ratios ride along so an out-of-tolerance comparison points at
+    which assumption broke.
     """
-    if observable not in ("e_field", "sigma_bc"):
-        raise InvalidComparisonError(f"observable must be e_field or sigma_bc, got {observable!r}")
-    snaps = list(adiabatic_run.snapshots)
-    if not oracle_run or not snaps:
+    if not oracle_run or not adiabatic_fields:
         raise InvalidComparisonError("nothing to compare: empty run")
-    if oracle_run[0].e_field.grid != snaps[0].psi.grid:
+    if oracle_run[0].e_field.grid != adiabatic_fields[0][1].grid:
         raise InvalidComparisonError("oracle and adiabatic runs use different grids")
-    times = []
+    if len(oracle_run) != len(adiabatic_fields):
+        raise InvalidComparisonError(
+            f"the oracle run holds {len(oracle_run)} states and the adiabatic run {len(adiabatic_fields)} snapshots; "
+            "both must be stamped from one snapshot clock"
+        )
     linf = []
     l2 = []
-    for ostate in oracle_run:
-        partner = min(snaps, key=lambda s: abs(s.t - ostate.t))
-        if abs(partner.t - ostate.t) > INSTANT_RTOL * abs(partner.t):
-            continue
-        o = getattr(ostate, observable).values
-        a = getattr(partner, observable).values
+    for ostate, (t, a_field) in zip(oracle_run, adiabatic_fields):
+        if abs(t - ostate.t) > INSTANT_RTOL * abs(t):
+            raise InvalidComparisonError(
+                f"the oracle state at {ostate.t!r} s and the snapshot at {t!r} s are not one instant of one snapshot clock"
+            )
+        o = ostate.e_field.values
+        a = a_field.values
         diff = o - a
         denom_inf = max(float(np.max(np.abs(o))), float(np.max(np.abs(a))), 1e-300)
         denom_l2 = max(math.sqrt(squared_norm(o)), math.sqrt(squared_norm(a)), 1e-300)
-        times.append(partner.t)
         linf.append(float(np.max(np.abs(diff))) / denom_inf)
         l2.append(math.sqrt(squared_norm(diff)) / denom_l2)
-    if not times:
-        raise InvalidComparisonError("no snapshot times matched between the two runs")
-    validity = adiabatic_run.validity
     failed = tuple(validity.failed())
     if failed:
         attribution = "discrepancy attributable to failed checks: " + ", ".join(
@@ -331,8 +332,8 @@ def compare_to_adiabatic(
     else:
         attribution = "all adiabaticity checks passed; runs should agree"
     return ComparisonReport(
-        observable=observable,
-        times=tuple(times),
+        observable="e_field",
+        times=tuple(t for t, _ in adiabatic_fields),
         linf_rel=tuple(linf),
         l2_rel=tuple(l2),
         max_linf=max(linf),

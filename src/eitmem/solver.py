@@ -4,12 +4,13 @@ The polariton field is evolved exactly in k-space: each snapshot's modes are
 the initial ones times exp(-S - i k W), with S and W the integrals of the
 closed-form coefficients from t = 0. Media that share grid, pulse, schedule
 and horizon evolve together as one block, and a single run is a block of
-one. The bright state, the probe field, and the lower-level coherence are
-each the dark field times a factor of the snapshot's mixing angle, and a
-snapshot builds one only when it is read. A row stops where its modes
-could overflow or where its pulse's support, moved by Re W, fails the edge
-rule that check_pulse_fits applies at t = 0; both limits are read from the
-exponents, so a snapshot no one reads builds no modes.
+one. A snapshot holds the dark field and its mixing angle alone; the
+bright state, the probe field, and the lower-level coherence are each the
+dark field times a factor of that angle, and reconstruct builds them. A
+row stops where its modes could overflow or where its pulse's support,
+moved by Re W, fails the edge rule that check_pulse_fits applies at t = 0;
+both limits are read from the exponents, so a snapshot no one reads builds
+no modes.
 """
 
 from __future__ import annotations
@@ -230,29 +231,14 @@ def reconstruct(psi: FieldGrid, theta: float, params: MediumParams) -> tuple[Fie
     return tuple(FieldGrid(psi.grid, factor * psi.values) for factor in field_factors(theta, params))
 
 
-def _reconstructed(index: int) -> property:
-    """A Snapshot property: reconstruct's field at index, built alone from its field_factors entry."""
-    return property(lambda self: FieldGrid(self.psi.grid, field_factors(self.theta, self.params)[index] * self.psi.values))
-
-
 @dataclass(frozen=True)
 class Snapshot:
-    """The dark field at one time, with the control sample that reconstructs the rest.
-
-    phi, e_field and sigma_bc are each built from psi, as reconstruct builds
-    it, when it is read, and are not kept, so a snapshot holds one field and
-    a read of one field builds that field alone.
-    """
+    """The dark field at one time, with the mixing angle that reconstruct reads to build the rest."""
 
     t: float  # s
     psi: FieldGrid
     theta: float  # rad
-    params: MediumParams
     peak: float  # max |psi|
-
-    phi = _reconstructed(0)
-    e_field = _reconstructed(1)
-    sigma_bc = _reconstructed(2)
 
 
 @dataclass(frozen=True)
@@ -399,7 +385,7 @@ class BlockEvolution:
             self._exponents[j] = (s[r], w[r], schedule.eval(self.media[j], t).theta)
 
     def _snapshot(self, j: int, i: int, psi: FieldGrid, peak: float) -> Snapshot:
-        return Snapshot(self.times[i], psi, float(self._exponents[j][2][i]), self.media[j], peak)
+        return Snapshot(self.times[i], psi, float(self._exponents[j][2][i]), peak)
 
     def evolve(self, read=None):
         """Run the block; yields, per snapshot read, its index and the (medium index, Snapshot) pairs of the rows still running.
@@ -472,7 +458,7 @@ def simulate(
     )
 
 
-# The Snapshot fields snapshots.csv holds, in column order: psi, then reconstruct's three.
+# The fields snapshots.csv holds, in column order: a snapshot's psi, then reconstruct's three.
 SNAPSHOT_FIELDS = ("psi", "phi", "e_field", "sigma_bc")
 # The CoefficientSample projections coefficients.csv holds after t, in column order.
 COEFFICIENT_COLUMNS = ("alpha1", "alpha2", "beta", "v_g")
@@ -481,7 +467,7 @@ COEFFICIENT_COLUMNS = ("alpha1", "alpha2", "beta", "v_g")
 def write_snapshots_csv(result: SimulationResult, path, stride: int = 1):
     """Dump every snapshot as rows of t, z, and Re/Im/abs of each of SNAPSHOT_FIELDS."""
     snapshots = (
-        (snap.t, [f.values for f in (snap.psi, *reconstruct(snap.psi, snap.theta, snap.params))])
+        (snap.t, [f.values for f in (snap.psi, *reconstruct(snap.psi, snap.theta, result.params))])
         for snap in result.snapshots
     )
     write_csv(path, field_header(SNAPSHOT_FIELDS), field_tables(result.grid.z_array(), snapshots, stride))

@@ -10,7 +10,7 @@ from eitmem.control import ConstantSchedule
 from eitmem.grids import GridSpec
 from eitmem.model import MediumParams, PulseSpec
 from eitmem.scenario import REQUIRED, Scenario, default_scenario
-from eitmem.solver import simulate
+from eitmem.solver import reconstruct, simulate
 
 # Scaled-down medium for reference-integrator comparisons: unit light speed
 # keeps every stiffness scale within reach of a brute-force time step.
@@ -56,6 +56,11 @@ def scaled_violating_scenario() -> Scenario:
         output_time=2.0,
         label="scaled_violating",
     )
+
+
+def probe_fields(result) -> list:
+    """The (t, probe field) pair of each snapshot of a run, as `run --oracle` hands them to compare_to_adiabatic."""
+    return [(snap.t, reconstruct(snap.psi, snap.theta, result.params)[1]) for snap in result.snapshots]
 
 
 def file_keys(rows) -> dict:

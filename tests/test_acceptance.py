@@ -34,7 +34,7 @@ from eitmem.oracle import OracleConfig, compare_to_adiabatic, integrate_reduced
 from eitmem.scenario import default_scenario
 from eitmem.solver import forward_transform, inverse_transform, reconstruct, simulate
 
-from conftest import coeffs_high_density, medium_with, scaled_pass_scenario, scaled_violating_scenario
+from conftest import coeffs_high_density, medium_with, probe_fields, scaled_pass_scenario, scaled_violating_scenario
 
 VELOCITY_SETS = ((1e8, 1e4), (1e8, 1e3), (1e9, 1e4))
 PLATEAU_HORIZON = 120e-6  # s, long enough to cover the storage plateau
@@ -164,7 +164,7 @@ def test_criterion_07_reference_integrator_agreement_and_attribution():
         oracle_initial_state(ok.medium, ok.grid, ok.pulse, ok.schedule),
         ok.schedule, ok.horizon, OracleConfig(dt=5e-4, snapshot_dt=ok.snapshot_dt),
     )
-    ok_report = compare_to_adiabatic(ok_states, ok_result, observable="e_field")
+    ok_report = compare_to_adiabatic(ok_states, probe_fields(ok_result), ok_result.validity)
 
     bad = scaled_violating_scenario()
     bad_result = simulate(bad.medium, bad.grid, bad.pulse, bad.schedule, bad.horizon, bad.snapshot_dt)
@@ -173,7 +173,7 @@ def test_criterion_07_reference_integrator_agreement_and_attribution():
         oracle_initial_state(bad.medium, bad.grid, bad.pulse, bad.schedule),
         bad.schedule, bad.horizon, OracleConfig(dt=2.5e-4, snapshot_dt=bad.snapshot_dt),
     )
-    bad_report = compare_to_adiabatic(bad_states, bad_result, observable="e_field")
+    bad_report = compare_to_adiabatic(bad_states, probe_fields(bad_result), bad_result.validity)
 
     print(
         f"criterion 7: compliant run L-inf {ok_report.max_linf:.3e}; "
@@ -296,7 +296,8 @@ def test_criterion_09_bright_field_stays_small_and_scales(default_sc, default_re
     def snapshot_ratio(t: float) -> float:
         snaps = default_result.snapshots
         snap = snaps[output_index([s.t for s in snaps], t)]
-        return float(np.max(np.abs(snap.phi.values)) / np.max(np.abs(snap.psi.values)))
+        phi = reconstruct(snap.psi, snap.theta, default_result.params)[0]
+        return float(np.max(np.abs(phi.values)) / np.max(np.abs(snap.psi.values)))
 
     def model_ratio(t: float) -> float:
         state = default_sc.schedule.eval(default_sc.medium, t)
@@ -312,14 +313,17 @@ def test_criterion_09_bright_field_stays_small_and_scales(default_sc, default_re
     )
     assert growth == pytest.approx(predicted_growth, rel=0.2)
     assert off < 0.01  # far below unity at the cot(theta) floor of 1e-5
-    worst_phi = max(float(np.max(np.abs(s.phi.values))) for s in no_spin_decay_result.snapshots)
+    worst_phi = max(
+        float(np.max(np.abs(reconstruct(s.psi, s.theta, no_spin_decay_result.params)[0].values)))
+        for s in no_spin_decay_result.snapshots
+    )
     assert worst_phi <= 1e-14
 
 
 def test_criterion_10_probe_amplitude_in_storage(default_sc, default_result):
     snaps = default_result.snapshots
     snap = snaps[output_index([s.t for s in snaps], 75e-6)]
-    peak = float(np.max(np.abs(snap.e_field.values)))
+    peak = float(np.max(np.abs(reconstruct(snap.psi, snap.theta, default_result.params)[1].values)))
     print(f"criterion 10: stored |E| peak {peak:.3e}")
     assert 1e-4 / 3.0 <= peak <= 3e-4
     report = check_low_intensity(default_result)

@@ -31,7 +31,7 @@ from eitmem.model import PASS_FACTOR, MediumParams
 from eitmem.oracle import OracleState, compare_to_adiabatic
 from eitmem.solver import accumulate_exponent, simulate
 
-from conftest import medium_with
+from conftest import medium_with, probe_fields
 
 SEED = 6021
 
@@ -222,6 +222,22 @@ def test_spectral_distortion_matches_the_spatial_algorithm():
         assert report.phase_shift == pytest.approx(phase_shift, rel=1e-11, abs=1e-15)
 
 
+@pytest.mark.parametrize("fraction", [0.25, 0.5, 0.73])
+def test_shift_and_peak_resolve_a_subcell_displacement(fraction):
+    # Checked against the displacement the fields were built with, not
+    # against another spelling of the vertex formula: with the vertex
+    # forced to 0 both readings are off by a quarter cell or more.
+    grid = GridSpec(-2.0, 2.0, 1024)
+    moved = (37 + fraction) * grid.dz
+    field = gaussian_field(grid, 0.2, -0.5, 0.1)
+    output = gaussian_field(grid, 0.2, -0.5 + moved, 0.1)
+    shift = measure_distortion(field, [output])[0].shift
+    z = grid.z_array()
+    peak_shift = quadratic_peak(z, np.abs(output.values))[0] - quadratic_peak(z, np.abs(field.values))[0]
+    assert abs(shift - moved) <= 1e-3 * grid.dz
+    assert abs(peak_shift - moved) <= 1e-3 * grid.dz
+
+
 def test_distortion_of_a_list_equals_one_call_per_output():
     grid = GridSpec(-10e-3, 10e-3, 2048)
     field = gaussian_field(grid, 0.2, -2e-3, 1e-3)
@@ -276,16 +292,12 @@ def test_distortion_and_oracle_comparison_call_no_blas_reduction(monkeypatch, de
     snaps = default_result.snapshots
     reports = measure_distortion(snaps[0].psi, [snap.psi for snap in snaps[:3]])
     assert reports[0].aligned_l2 < 1e-12
+    fields = probe_fields(default_result)
     states = [
-        OracleState(
-            e_field=FieldGrid(s.psi.grid, 1.01 * s.e_field.values),
-            sigma_ba=s.psi,
-            sigma_bc=s.sigma_bc,
-            t=s.t,
-        )
-        for s in snaps
+        OracleState(e_field=FieldGrid(e.grid, 1.01 * e.values), sigma_ba=s.psi, sigma_bc=s.psi, t=t)
+        for s, (t, e) in zip(snaps, fields)
     ]
-    report = compare_to_adiabatic(states, default_result)
+    report = compare_to_adiabatic(states, fields, default_result.validity)
     assert report.max_l2 == pytest.approx(0.01 / 1.01, rel=1e-12)
 
 
@@ -364,7 +376,7 @@ def test_low_intensity_check_passes_default_run(default_sc, default_result):
     snaps = default_result.snapshots
     omegas = default_sc.schedule.eval(default_sc.medium, np.array([s.t for s in snaps])).omega
     scale = default_sc.medium.g / omegas
-    e_peaks = np.array([np.max(np.abs(s.e_field.values)) for s in snaps])
+    e_peaks = np.array([np.max(np.abs(e.values)) for _, e in probe_fields(default_result)])
     assert report.worst_ratio == pytest.approx(np.max(scale * e_peaks), rel=1e-12)
     assert np.max(scale * np.array([s.peak for s in snaps])) > 10 * report.worst_ratio
 
@@ -387,7 +399,7 @@ def test_low_intensity_check_flags_hot_probe(default_sc):
     # the report reads no probe field; the fields built here must agree with it
     snaps = result.snapshots
     omegas = default_sc.schedule.eval(default_sc.medium, np.array([s.t for s in snaps])).omega
-    ratios = default_sc.medium.g * np.array([np.max(np.abs(s.e_field.values)) for s in snaps]) / omegas
+    ratios = default_sc.medium.g * np.array([np.max(np.abs(e.values)) for _, e in probe_fields(result)]) / omegas
     assert report.flagged_times == tuple(s.t for s, r in zip(snaps, ratios) if r > 1.0 / PASS_FACTOR)
     assert report.worst_ratio == pytest.approx(np.max(ratios), rel=1e-12)
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from eitmem.coefficients import exponent_integrand
 from eitmem.grids import FieldGrid, GridSpec, field_tables, write_csv
 from eitmem.oracle import OracleConfig, OracleState, write_oracle_csv
-from eitmem.solver import write_coefficient_csv, write_snapshots_csv
+from eitmem.solver import reconstruct, write_coefficient_csv, write_snapshots_csv
 
 from conftest import coefficient_times
 
@@ -55,7 +55,7 @@ def test_snapshot_csv_matches_the_per_value_writer(tmp_path, default_result, str
     write_snapshots_csv(result, path, stride)
     z = result.grid.z_array()
     tables = [
-        (s.t, z, (s.psi.values, s.phi.values, s.e_field.values, s.sigma_bc.values))
+        (s.t, z, (s.psi.values, *(f.values for f in reconstruct(s.psi, s.theta, result.params))))
         for s in result.snapshots
     ]
     assert rows_after_header(path, 1) == per_value_rows(tables, stride)

@@ -787,20 +787,3 @@ def test_batched_simpson_skips_empty_and_rejects_reversed_intervals():
 def test_accumulate_exponent_rejects_a_non_finite_interval_end(default_sc, end):
     with pytest.raises(ConfigError, match="not finite"):
         accumulate_exponent([default_sc.medium], default_sc.schedule, 0.0, end)
-
-
-def test_snapshot_fields_are_built_on_each_read_as_reconstruct_builds_them(default_sc, monkeypatch):
-    res = simulate(default_sc.medium, default_sc.grid, default_sc.pulse, default_sc.schedule, 30e-6, 15e-6)
-    snap = res.snapshots[-1]
-    built = []
-    check = FieldGrid.__post_init__
-    monkeypatch.setattr(FieldGrid, "__post_init__", lambda field: (built.append(field), check(field)))
-    fields = (snap.phi, snap.e_field, snap.sigma_bc)
-    # each read builds its own field alone
-    assert built == list(fields)
-    # nothing is kept: a second read builds a new field, and the snapshot holds only its own fields
-    assert snap.e_field is not fields[1]
-    assert set(vars(snap)) == {field.name for field in dataclasses.fields(snap)}
-    theta = default_sc.schedule.eval(default_sc.medium, snap.t).theta
-    for field, ref in zip(fields, reconstruct(snap.psi, float(theta), default_sc.medium)):
-        assert np.array_equal(field.values, ref.values)
