@@ -119,25 +119,17 @@ def fit_decay(track: PulseTrack, t0: float, t1: float) -> tuple[float, float]:
     return -slope, rms
 
 
-def predict_output(
-    params: MediumParams,
-    schedule: ControlSchedule,
-    input_peak: float,
-    t0_duration: float,
-) -> tuple[float, float]:
-    """Output peak after storage time T0 from t = 0: the input's peak, damped.
+def predict_output(params: MediumParams, output: Snapshot, input_peak: float) -> tuple[float, float]:
+    """Peak of a run's output snapshot: the input's peak, damped from t = 0 to the output's t.
 
     The law moves the input without changing its shape, so the output peak
     is input_peak, the input's tracked peak amplitude, times a damping
-    factor, taken two ways: the uniform exp(-gamma_bc T0) (simple), and
-    exp(-Re I_s), with I_s the law's exponent over [0, T0] from the
-    engine's own accumulate_exponent (exact), for any medium. Returns
-    (simple, exact).
+    factor, taken two ways: the uniform exp(-gamma_bc t) (simple), and
+    exp(-Re S), with S the law's exponent over [0, t] that the engine
+    applied to the output's modes (exact), for any medium. No quadrature
+    runs here. Returns (simple, exact).
     """
-    if t0_duration < 0:
-        raise ConfigError(f"storage duration must be nonnegative, got {t0_duration}")
-    i_s = accumulate_exponent([params], schedule, 0.0, t0_duration)[0, 0]
-    return input_peak * math.exp(-params.gamma_bc * t0_duration), input_peak * math.exp(-i_s.real)
+    return input_peak * math.exp(-params.gamma_bc * output.t), input_peak * math.exp(-output.s.real)
 
 
 @dataclass(frozen=True)
@@ -351,11 +343,11 @@ def assemble_summary(result: SimulationResult, output_time: float | None = None)
     a sample below the tracking floor raises the error `run` exits 4 with.
     Velocity windows are derived from the schedule when it is the tanh
     switch; otherwise only the whole-run velocity is reported. The output
-    peaks come from one predict_output call: predicted_peak is its exact
-    peak, of the exponent integral Re I_s; a resonant medium also gets its
-    simple peak, of gamma_bc T0, and the exact one again, under the
-    predicted_peak_simple and predicted_peak_exact keys. The tracking
-    floor applies to the measured samples, not to the predictions.
+    peaks come from one predict_output call on the output snapshot:
+    predicted_peak is its exact peak, of the Re S the engine applied; a
+    resonant medium also gets its simple peak, of gamma_bc t, and the exact
+    one again, under the predicted_peak_simple and predicted_peak_exact
+    keys. The tracking floor applies to the measured samples alone.
     """
     params = result.params
     schedule = result.schedule
@@ -384,7 +376,7 @@ def assemble_summary(result: SimulationResult, output_time: float | None = None)
     for (name, (v, resid)), (t0, t1), w in zip(m.velocity.items(), windows, i_w):
         summary[name] = {"measured": v, "fit_residual_rms": resid, "predicted": w.real / (t1 - t0)}
     out_snap = snaps[m.out]
-    simple, exact = predict_output(params, schedule, track.peak_amp[0], out_snap.t)
+    simple, exact = predict_output(params, out_snap, track.peak_amp[0])
     output = {"t": out_snap.t, "measured_peak": m.output_peak, "predicted_peak": exact}
     if params.is_resonant():
         output["predicted_peak_simple"], output["predicted_peak_exact"] = simple, exact

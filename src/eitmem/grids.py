@@ -17,9 +17,10 @@ from .errors import ConfigError, require_finite
 def whole_steps(span: float, step: float) -> int:
     """How many times step fits in span, or 0 unless it divides span evenly.
 
-    Evenly means to within 1e-9 of span; every cadence check uses this rule.
+    Evenly means to within 1e-9 of span, in a finite count; every cadence check uses this rule.
     """
-    n = int(round(span / step))
+    ratio = span / step
+    n = int(round(ratio)) if math.isfinite(ratio) else 0
     if n < 1 or abs(n * step - span) > 1e-9 * span:
         return 0
     return n
@@ -155,8 +156,8 @@ def field_tables(z: np.ndarray, snapshots, stride: int):
 
     Each table's columns are t, z, then Re, Im and |.| of each field. t
     stays one float, so write_csv formats it once per table, and z is
-    formatted here once for every table. Each field is taken at the stride
-    before its parts, so only the rows written are computed. |.| is np.hypot
+    formatted here once for every table. The caller takes each field at
+    the stride, so only the rows written are computed. |.| is np.hypot
     of the parts: numpy's vectorised complex abs can differ in the last bit
     from the scalar abs that earlier artifacts were written with, and hypot
     does not. Tables are made as they are read, so one snapshot's columns
@@ -169,7 +170,6 @@ def field_tables(z: np.ndarray, snapshots, stride: int):
     def columns(t, fields):
         cols = [float(t), z_text]
         for vals in fields:
-            vals = vals[::stride]
             re, im = vals.real, vals.imag
             cols += [re, im, np.hypot(re, im)]
         return cols

@@ -349,5 +349,5 @@ def write_oracle_csv(states: list[OracleState], path, cfg: OracleConfig, stride:
     if not states:
         raise ConfigError("no states to write")
     header = f"# scheme=splitting_spectral_advection dt={cfg.dt!r}\n" + field_header(ORACLE_FIELDS)
-    snapshots = ((st.t, [getattr(st, name).values for name in ORACLE_FIELDS]) for st in states)
+    snapshots = ((st.t, [getattr(st, name).values[::stride] for name in ORACLE_FIELDS]) for st in states)
     write_csv(path, header, field_tables(states[0].e_field.grid.z_array(), snapshots, stride))

@@ -4,7 +4,7 @@ The polariton field is evolved exactly in k-space: each snapshot's modes are
 the initial ones times exp(-S - i k W), with S and W the integrals of the
 closed-form coefficients from t = 0. Media that share grid, pulse, schedule
 and horizon evolve together as one block, and a single run is a block of
-one. A snapshot holds the dark field and its mixing angle alone; the
+one. A snapshot holds the dark field, its mixing angle and its S; the
 bright state, the probe field, and the lower-level coherence are each the
 dark field times a factor of that angle, and reconstruct builds them. A
 row stops where its modes could overflow or where its pulse's support,
@@ -233,12 +233,13 @@ def reconstruct(psi: FieldGrid, theta: float, params: MediumParams) -> tuple[Fie
 
 @dataclass(frozen=True)
 class Snapshot:
-    """The dark field at one time, with the mixing angle that reconstruct reads to build the rest."""
+    """The dark field at one time, with the mixing angle that reconstruct reads to build the rest and the S applied to its modes."""
 
     t: float  # s
     psi: FieldGrid
     theta: float  # rad
     peak: float  # max |psi|
+    s: complex  # I_s from t = 0: psi's modes are psi0's times exp(-s - i k W)
 
 
 @dataclass(frozen=True)
@@ -385,7 +386,8 @@ class BlockEvolution:
             self._exponents[j] = (s[r], w[r], schedule.eval(self.media[j], t).theta)
 
     def _snapshot(self, j: int, i: int, psi: FieldGrid, peak: float) -> Snapshot:
-        return Snapshot(self.times[i], psi, float(self._exponents[j][2][i]), peak)
+        s, _, theta = self._exponents[j]
+        return Snapshot(self.times[i], psi, float(theta[i]), peak, complex(s[i - 1]) if i else 0j)
 
     def evolve(self, read=None):
         """Run the block; yields, per snapshot read, its index and the (medium index, Snapshot) pairs of the rows still running.
@@ -465,11 +467,16 @@ COEFFICIENT_COLUMNS = ("alpha1", "alpha2", "beta", "v_g")
 
 
 def write_snapshots_csv(result: SimulationResult, path, stride: int = 1):
-    """Dump every snapshot as rows of t, z, and Re/Im/abs of each of SNAPSHOT_FIELDS."""
-    snapshots = (
-        (snap.t, [f.values for f in (snap.psi, *reconstruct(snap.psi, snap.theta, result.params))])
-        for snap in result.snapshots
-    )
+    """Dump every snapshot as rows of t, z, and Re/Im/abs of each of SNAPSHOT_FIELDS.
+
+    Only the rows written are built, each of reconstruct's fields bit for bit.
+    """
+
+    def fields(snap: Snapshot) -> list[np.ndarray]:
+        psi = snap.psi.values[::stride]  # the factors multiply elementwise, so at the stride they give the same bits
+        return [psi, *(factor * psi for factor in field_factors(snap.theta, result.params))]
+
+    snapshots = ((snap.t, fields(snap)) for snap in result.snapshots)
     write_csv(path, field_header(SNAPSHOT_FIELDS), field_tables(result.grid.z_array(), snapshots, stride))
 
 

@@ -92,7 +92,7 @@ def test_criterion_03_output_peak_matches_prediction(default_sc, default_result)
     assert out_snap.t == pytest.approx(165e-6, rel=1e-12)
     z = default_result.grid.z_array()
     _, _, measured = track_sample(z, out_snap)
-    simple, exact = predict_output(default_sc.medium, default_sc.schedule, track_sample(z, snaps[0])[2], out_snap.t)
+    simple, exact = predict_output(default_sc.medium, out_snap, track_sample(z, snaps[0])[2])
     rel = abs(measured - simple) / simple
     modes = abs(simple - exact) / exact
     print(

@@ -29,7 +29,7 @@ from eitmem.errors import ConfigError, InvalidComparisonError, UntrackableFieldE
 from eitmem.grids import ROOT_DBL_MAX, FieldGrid, GridSpec, gaussian_field
 from eitmem.model import PASS_FACTOR, MediumParams
 from eitmem.oracle import OracleState, compare_to_adiabatic
-from eitmem.solver import accumulate_exponent, simulate
+from eitmem.solver import simulate
 
 from conftest import medium_with, probe_fields
 
@@ -301,35 +301,28 @@ def test_distortion_and_oracle_comparison_call_no_blas_reduction(monkeypatch, de
     assert report.max_l2 == pytest.approx(0.01 / 1.01, rel=1e-12)
 
 
-def test_predict_output_with_zero_storage_is_identity(default_sc):
-    simple, exact = predict_output(default_sc.medium, default_sc.schedule, 0.2, 0.0)
+def test_predict_output_with_zero_storage_is_identity(default_result):
+    snap = default_result.snapshots[0]
+    assert snap.s == 0j
+    simple, exact = predict_output(default_result.params, snap, 0.2)
     assert simple == 0.2
     assert exact == 0.2
 
 
-def test_predict_output_rejects_bad_requests(default_sc):
-    with pytest.raises(ConfigError, match="nonnegative"):
-        predict_output(default_sc.medium, default_sc.schedule, 0.2, -1e-6)
-
-
-@pytest.mark.parametrize("t0", [math.nan, math.inf, -math.inf])
-def test_predict_output_rejects_a_non_finite_storage_time(default_sc, t0):
-    with pytest.raises(ConfigError):
-        predict_output(default_sc.medium, default_sc.schedule, 0.2, t0)
-
-
 @pytest.mark.parametrize("delta_p", [0.0, 200.0])
 def test_the_exact_prediction_damps_by_the_laws_own_exponent(default_sc, delta_p):
-    medium = medium_with(default_sc.medium, delta_p=delta_p)
-    _, exact = predict_output(medium, default_sc.schedule, 0.2, 165e-6)
-    i_s = accumulate_exponent([medium], default_sc.schedule, 0.0, 165e-6)[0, 0]
-    assert exact == 0.2 * math.exp(-i_s.real)
+    sc = default_sc
+    medium = medium_with(sc.medium, delta_p=delta_p)
+    out = simulate(medium, sc.grid, sc.pulse, sc.schedule, 165e-6, sc.snapshot_dt).snapshots[-1]
+    _, exact = predict_output(medium, out, 0.2)
+    assert exact == 0.2 * math.exp(-out.s.real)
 
 
-def test_predict_output_amplitude(default_sc):
-    t0 = 75e-6
-    simple, exact = predict_output(default_sc.medium, default_sc.schedule, 0.2, t0)
-    assert simple == pytest.approx(0.2 * math.exp(-default_sc.medium.gamma_bc * t0), rel=1e-12)
+def test_predict_output_amplitude(default_sc, default_result):
+    snap = default_result.snapshots[5]
+    assert snap.t == pytest.approx(75e-6, rel=1e-12)
+    simple, exact = predict_output(default_sc.medium, snap, 0.2)
+    assert simple == pytest.approx(0.2 * math.exp(-default_sc.medium.gamma_bc * 75e-6), rel=1e-12)
     # the law's departure from gamma_bc T0 is parts-per-million here
     assert exact == pytest.approx(simple, rel=1e-5)
 

@@ -582,9 +582,9 @@ def test_sweep_block_takes_one_quadrature_pass(tmp_path, monkeypatch):
     assert in_block == len(evaluations)
 
 
-def test_a_default_run_takes_three_quadrature_passes(tmp_path, monkeypatch):
-    # The run's exponent table, the summary's velocity windows, and the
-    # output prediction's exponent over [0, t].
+def test_a_default_run_takes_two_quadrature_passes(tmp_path, monkeypatch):
+    # The engine's exponent table and the summary's velocity windows; the
+    # output prediction reads the exponent of the output snapshot.
     passes = []
     quadrature = solver.adaptive_simpson
 
@@ -594,7 +594,7 @@ def test_a_default_run_takes_three_quadrature_passes(tmp_path, monkeypatch):
 
     monkeypatch.setattr(solver, "adaptive_simpson", counting)
     assert main(["run", "--out-dir", str(tmp_path), "--csv-stride", "256"]) == 0
-    assert len(passes) == 3
+    assert len(passes) == 2
 
 
 # A medium whose pulse reaches the domain edge: (scenario, medium change).
@@ -1089,6 +1089,42 @@ def test_a_value_at_any_scale_outside_medium_ends_in_an_exit_code_not_a_tracebac
             assert len(err.splitlines()) == (rc != 0), case
             if (key, value) in OVERFLOW_LEAKS:
                 assert rc == 2 and key.removesuffix("_re").removesuffix("_im") in err, case
+
+
+# Interval counts whose quotient overflows a double to inf, below the
+# any-scale values above: (verb, [run] keys of the INI or None for the
+# built-in scenario, extra argv, the key or flag the error names).
+COUNT_OVERFLOWS = {
+    "validate_ini": ("validate", {"snapshot_dt": "1e-320"}, [], "snapshot_dt 1e-320 "),
+    "run_ini": ("run", {"snapshot_dt": "1e-320"}, [], "snapshot_dt 1e-320 "),
+    "sweep_ini": ("sweep", {"snapshot_dt": "1e-320"}, ["--axis", "delta_p", "--values", "0"], "snapshot_dt 1e-320 "),
+    "validate_horizon": ("validate", {"horizon": "1e300", "snapshot_dt": "1e-9"}, [], "snapshot_dt 1e-09 "),
+    "run_snapshot_dt": ("run", None, ["--snapshot-dt", "1e-320"], "snapshot_dt 1e-320 "),
+    "run_oracle_dt": ("run", None, ["--oracle", "--oracle-dt", "1e-320"], "dt 1e-320 "),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COUNT_OVERFLOWS))
+def test_an_interval_count_past_the_largest_double_exits_2_naming_the_key(tmp_path, capsys, case):
+    verb, keys, extra, named = COUNT_OVERFLOWS[case]
+    argv = [verb]
+    if keys is not None:
+        ini = tmp_path / "tiny.ini"
+        save_scenario(default_scenario(), ini)
+        cp = configparser.ConfigParser()
+        cp.read(ini)
+        cp["run"].update(keys)
+        with open(ini, "w") as fh:
+            cp.write(fh)
+        argv.append(str(ini))
+    out = tmp_path / "out"
+    argv += extra + ([] if verb == "validate" else ["--out-dir", str(out)])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(f"config error: {named}")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("amplitude", [1e148, 1e300])

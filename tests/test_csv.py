@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,20 @@ def test_snapshot_csv_matches_the_per_value_writer(tmp_path, default_result, str
         for s in result.snapshots
     ]
     assert rows_after_header(path, 1) == per_value_rows(tables, stride)
+
+
+def test_snapshot_csv_builds_no_grid_length_derived_field(tmp_path, default_result):
+    # Each derived field is built at the stride alone, so z is the only
+    # grid-length array the writer makes: under two complex fields of the
+    # grid at peak, where three derived fields per snapshot took 1.65 MB.
+    path = tmp_path / "snapshots.csv"
+    tracemalloc.start()
+    try:
+        write_snapshots_csv(default_result, path, 256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 16 * default_result.grid.n_points
 
 
 def test_oracle_csv_matches_the_per_value_writer(tmp_path):
@@ -136,6 +151,7 @@ def test_write_csv_matches_the_per_value_writer_on_any_floats(case):
         path = Path(tmp) / "t.csv"
         # |.| of two parts near the largest double is inf in both writers.
         with np.errstate(over="ignore"):
-            write_csv(path, "h\n", field_tables(tables[0][1], [(t, f) for t, _, f in tables], stride))
+            strided = [(t, [vals[::stride] for vals in f]) for t, _, f in tables]
+            write_csv(path, "h\n", field_tables(tables[0][1], strided, stride))
             want = per_value_rows(tables, stride)
         assert rows_after_header(path, 1) == want

@@ -506,6 +506,7 @@ def test_whole_steps_counts_even_divisions_only():
     assert whole_steps(180e-6, 14e-6) == 0
     assert whole_steps(1.0, 3.0) == 0  # rounds to no step at all
     assert whole_steps(1.0, 1.0 / 3.0 * (1 + 2e-9)) == 0  # off by more than 1e-9
+    assert whole_steps(180e-6, 1e-320) == 0  # the quotient overflows to inf
 
 
 def test_snapshot_cadence_must_divide_horizon(default_sc):
@@ -764,6 +765,22 @@ def test_each_snapshot_is_psi0_modes_times_one_factor_of_the_exponents_since_t0(
         assert modes.shape == (len(media), k.size)
         for r in range(len(media)):
             assert modes[r].tobytes() == (modes0 * mode_factor(k, s[r, i], w[r, i])).tobytes()
+
+
+@pytest.mark.parametrize("delta_p", [0.0, 200.0])
+def test_a_snapshots_s_is_the_exponent_the_engine_applied(default_sc, delta_p):
+    # The k = 0 mode carries exp(-S) alone, whatever W is; and S is the
+    # law's exponent over [0, t], summed over the snapshot intervals.
+    sc = default_sc
+    medium = dataclasses.replace(sc.medium, delta_p=delta_p)
+    result = simulate(medium, sc.grid, sc.pulse, sc.schedule, sc.horizon, sc.snapshot_dt)
+    m0 = forward_transform(result.snapshots[0].psi)[0]
+    for snap in result.snapshots:
+        want = m0 * np.exp(-snap.s)
+        assert abs(forward_transform(snap.psi)[0] - want) <= 1e-14 * abs(want)
+        i_s = complex(accumulate_exponent([medium], sc.schedule, 0.0, snap.t)[0, 0])
+        assert abs(snap.s - i_s) <= 1e-12 * abs(i_s)
+    assert result.snapshots[0].s == 0j
 
 
 def test_batched_simpson_names_the_earliest_exhausted_panel(monkeypatch):
