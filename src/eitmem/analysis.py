@@ -69,7 +69,7 @@ def track_pulse(result: SimulationResult) -> PulseTrack:
     """Follow the |psi| peak across snapshots."""
     if len(result.snapshots) < 2:
         raise ConfigError("tracking needs at least 2 snapshots")
-    z = result.grid.z_array()
+    z = result.scenario.grid.z_array()
     return PulseTrack(*zip(*(track_sample(z, snap) for snap in result.snapshots)))
 
 
@@ -230,15 +230,24 @@ def design_limits(params: MediumParams, l_p: float, t0: float) -> DesignLimits:
     The two-photon detuning and the laser-bandwidth mismatch carry the tight
     bound (optical-coherence decay in the denominator); the one-photon
     detuning and the individual bandwidths carry the loose one. The transit
-    ceiling is how long the residual drift takes to cross the cell.
+    ceiling is how long the residual drift takes to cross the cell. Raises
+    ConfigError where a bound over- or underflows the float range, except
+    the loose one, which is unbounded (inf) at gamma_bc = 0.
     """
     require_finite("l_p", l_p)
     require_finite("t0", t0)
     if l_p <= 0 or t0 <= 0:
         raise ConfigError(f"l_p and t0 must be positive, got {l_p}, {t0}")
-    base = BOUND_PREFACTOR * params.g2n * l_p / (params.c * math.pi * t0)
+    scale = params.c * math.pi * t0  # 0 where it underflows, so base overflows
+    base = BOUND_PREFACTOR * params.g2n * l_p / scale if scale else math.inf
     tight = base / params.gamma_ba
     loose = base / params.gamma_bc if params.gamma_bc > 0 else math.inf
+    bounds = (base, tight, loose) if params.gamma_bc > 0 else (base, tight)
+    if not all(0.0 < b < math.inf for b in bounds):
+        raise ConfigError(
+            f"pulse length {l_p} m and storage time {t0} s put the detuning and bandwidth bounds "
+            f"outside the float range: base {base}, tight {tight}, loose {loose}"
+        )
     return DesignLimits(
         delta_p_max=tight,
         delta_max=loose,
@@ -267,10 +276,11 @@ def check_low_intensity(result: SimulationResult) -> LowIntensityReport:
     field is built; a snapshot whose ratio passes 1 / PASS_FACTOR is flagged.
     """
     snaps = result.snapshots
+    params = result.scenario.medium
     times = np.array([snap.t for snap in snaps])
-    omegas = result.schedule.eval(result.params, times).omega
+    omegas = result.scenario.schedule.eval(params, times).omega
     thetas = np.array([snap.theta for snap in snaps])
-    ratios = weak_probe_ratio(result.params, thetas, omegas, np.array([snap.peak for snap in snaps]))
+    ratios = weak_probe_ratio(params, thetas, omegas, np.array([snap.peak for snap in snaps]))
     flagged = tuple(times[ratios > 1.0 / PASS_FACTOR].tolist())
     return LowIntensityReport(worst_ratio=float(np.max(ratios, initial=0.0)), flagged_times=flagged, passed=not flagged)
 
@@ -335,7 +345,7 @@ def measured(track: PulseTrack, schedule: ControlSchedule, output_time: float) -
     return Measured(windows, velocity, decay, out, track.peak_amp[out])
 
 
-def assemble_summary(result: SimulationResult, output_time: float | None = None) -> dict:
+def assemble_summary(result: SimulationResult) -> dict:
     """Measured-vs-predicted digest of one run, JSON-compatible.
 
     The measured numbers come from `measured` on the track of every
@@ -343,23 +353,22 @@ def assemble_summary(result: SimulationResult, output_time: float | None = None)
     a sample below the tracking floor raises the error `run` exits 4 with.
     Velocity windows are derived from the schedule when it is the tanh
     switch; otherwise only the whole-run velocity is reported. The output
-    peaks come from one predict_output call on the output snapshot:
+    snapshot is the one nearest the scenario's output_time, and its
+    peaks come from one predict_output call:
     predicted_peak is its exact peak, of the Re S the engine applied; a
     resonant medium also gets its simple peak, of gamma_bc t, and the exact
     one again, under the predicted_peak_simple and predicted_peak_exact
     keys. The tracking floor applies to the measured samples alone.
     """
-    params = result.params
-    schedule = result.schedule
+    params = result.scenario.medium
+    schedule = result.scenario.schedule
     snaps = result.snapshots
-    if output_time is None:
-        output_time = snaps[-1].t
     track = track_pulse(result)
     summary: dict = {
         "validity": result.validity.to_dict(),
         "low_intensity": asdict(check_low_intensity(result)),
     }
-    m = measured(track, schedule, output_time)
+    m = measured(track, schedule, result.scenario.output_time)
     summary |= dict.fromkeys(m.windows)
     if "v_g_off" in m.velocity:
         summary["decay_rate"] = None if m.decay is None else {

@@ -24,9 +24,9 @@ import numpy as np
 from . import analysis, oracle, solver
 from .coefficients import exponent_integrand  # noqa: F401 - not called here; perfbench/spans.py counts calls through this binding
 from .errors import ConfigError, EitmemError, ValidityError
-from .model import BLOCKING_CHECKS, REGIME_CHECKS, check_regime
+from .model import BLOCKING_CHECKS, REGIME_CHECKS, MediumParams, check_regime
 from .oracle import initial_state as oracle_initial_state
-from .scenario import Scenario, default_scenario, load_scenario, with_medium
+from .scenario import Scenario, default_scenario, load_scenario
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -94,15 +94,7 @@ def cmd_run(args) -> int:
         dt = args.oracle_dt if args.oracle_dt is not None else sc.snapshot_dt / 1000.0
         cfg = oracle.OracleConfig(dt=dt, snapshot_dt=sc.snapshot_dt)
         oracle.step_count(sc.horizon, cfg)
-    result = solver.simulate(
-        sc.medium,
-        sc.grid,
-        sc.pulse,
-        sc.schedule,
-        sc.horizon,
-        sc.snapshot_dt,
-        force=args.force,
-    )
+    result = solver.simulate(sc, force=args.force)
     for note in sc.notes:
         print(f"note: {note}")
     validity = result.validity
@@ -114,7 +106,7 @@ def cmd_run(args) -> int:
         if not validity.blocking_pass:
             print("warning: blocking checks failed, run was forced")
 
-    summary = analysis.assemble_summary(result, sc.output_time)
+    summary = analysis.assemble_summary(result)
     summary["label"] = sc.label
     summary["notes"] = list(sc.notes)
 
@@ -239,32 +231,23 @@ def _decay_fit_warning(rms: float) -> str | None:
     )
 
 
-def _sweep_block(scenarios: list[Scenario], force: bool) -> list[tuple[dict, str | None]]:
-    """Per scenario, its sweep.csv fields and decay-fit warning as `run` reports them, or the error `run` exits with as status.
+def _sweep_block(sc: Scenario, media: list[MediumParams], force: bool) -> list[tuple[dict, str | None]]:
+    """Per medium, its sweep.csv fields and decay-fit warning as `run` reports them for sc with that medium, or the error `run` exits with as status.
 
-    The scenarios differ in their medium alone and run as one block
-    evolution, which transforms only the snapshots a row reads: those of
-    the stored window, whose peaks feed v_g_off and decay_rate, and the
-    output one. Snapshot 0, the input, takes no transform. Each medium's
-    track of those samples goes through `analysis.measured`, as in `run`,
-    so a read sample below the tracking floor gives the row `run`'s exit-4
-    error. The block's outputs are measured for distortion in one call.
+    The media run on sc's other parts as one block evolution, which
+    transforms only the snapshots a row reads: those of the stored window,
+    whose peaks feed v_g_off and decay_rate, and the output one. Snapshot
+    0, the input, takes no transform. Each medium's track of those samples
+    goes through `analysis.measured`, as in `run`, so a read sample below
+    the tracking floor gives the row `run`'s exit-4 error. The block's
+    outputs are measured for distortion in one call.
     """
-    sc = scenarios[0]
-    block = solver.BlockEvolution(
-        [s.medium for s in scenarios],
-        sc.grid,
-        sc.pulse,
-        sc.schedule,
-        sc.horizon,
-        sc.snapshot_dt,
-        force=force,
-    )
+    block = solver.BlockEvolution(media, sc, force=force)
     out = analysis.output_index(block.times, sc.output_time)
     window = analysis.stored_window(sc.schedule)
     read = {0, out} | {i for i, t in enumerate(block.times) if window and window[0] <= t <= window[1]}
     z = sc.grid.z_array()
-    samples = {j: [] for j in range(len(scenarios))}  # per medium, one track sample per snapshot read
+    samples = {j: [] for j in range(len(media))}  # per medium, one track sample per snapshot read
     outputs = {}
     for i, members in block.evolve(read):
         for j, snap in members:
@@ -282,7 +265,7 @@ def _sweep_block(scenarios: list[Scenario], force: bool) -> list[tuple[dict, str
     reports = dict(zip(found, reports))
 
     results = []
-    for j in range(len(scenarios)):
+    for j in range(len(media)):
         if j in errors:
             status = f"{type(errors[j]).__name__}: {errors[j]}"
             results.append(({name: "" for name in SWEEP_COLUMNS} | {"status": status}, None))
@@ -319,13 +302,13 @@ def cmd_sweep(args) -> int:
     if len(values) > MAX_SWEEP_VALUES:
         raise ConfigError(f"sweep asks for {len(values)} runs, limit is {MAX_SWEEP_VALUES}")
     # Every value is checked before anything runs or is written.
-    scenarios = [with_medium(sc, **{args.axis: value}) for value in values]
+    media = [dataclasses.replace(sc.medium, **{args.axis: value}) for value in values]
     os.makedirs(args.out_dir, exist_ok=True)
     path = os.path.join(args.out_dir, "sweep.csv")
     rows = []
     for start in range(0, len(values), SWEEP_BLOCK):
         stop = start + SWEEP_BLOCK
-        for value, (fields, warning) in zip(values[start:stop], _sweep_block(scenarios[start:stop], args.force)):
+        for value, (fields, warning) in zip(values[start:stop], _sweep_block(sc, media[start:stop], args.force)):
             row = fields | {"value": repr(value)}
             rows.append(row)
             print(

@@ -248,10 +248,3 @@ def load_scenario(path: str) -> Scenario:
         notes=notes,
         **_read_section(cp, "run", RUN_KEYS),
     )
-
-
-def with_medium(scenario: Scenario, **overrides) -> Scenario:
-    """New scenario whose medium differs in the given fields only."""
-    return dataclasses.replace(
-        scenario, medium=dataclasses.replace(scenario.medium, **overrides)
-    )

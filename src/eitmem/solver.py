@@ -2,21 +2,22 @@
 
 The polariton field is evolved exactly in k-space: each snapshot's modes are
 the initial ones times exp(-S - i k W), with S and W the integrals of the
-closed-form coefficients from t = 0. Media that share grid, pulse, schedule
-and horizon evolve together as one block, and a single run is a block of
-one. A snapshot holds the dark field, its mixing angle and its S; the
-bright state, the probe field, and the lower-level coherence are each the
-dark field times a factor of that angle, and reconstruct builds them. A
-row stops where its modes could overflow or where its pulse's support,
-moved by Re W, fails the edge rule that check_pulse_fits applies at t = 0;
-both limits are read from the exponents, so a snapshot no one reads builds
-no modes.
+closed-form coefficients from t = 0. Media that share one Scenario's grid,
+pulse, schedule and timing evolve together as one block, and a single run
+is a block of one. A snapshot holds the dark field, its mixing angle and
+its S; the bright state, the probe field, and the lower-level coherence
+are each the dark field times a factor of that angle, and reconstruct
+builds them. A row stops where its modes could overflow or where its
+pulse's support, moved by Re W, fails the edge rule that check_pulse_fits
+applies at t = 0; both limits are read from the exponents, so a snapshot
+no one reads builds no modes.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -30,8 +31,11 @@ from .errors import (
     QuadratureError,
     SimulationError,
 )
-from .grids import ROOT_DBL_MAX, FieldGrid, GridSpec, field_header, field_tables, gaussian_field, snapshot_times, squared_norm, write_csv
-from .model import SUPPORT_FLOOR, MediumParams, PulseSpec, ValidityReport, check_pulse_fits, check_regime, support_clear
+from .grids import ROOT_DBL_MAX, FieldGrid, field_header, field_tables, gaussian_field, snapshot_times, squared_norm, write_csv
+from .model import SUPPORT_FLOOR, MediumParams, ValidityReport, check_regime, support_clear
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from .scenario import Scenario
 
 # Adaptive Simpson controls for the coefficient time integrals, read at
 # call time.
@@ -246,9 +250,7 @@ class Snapshot:
 class SimulationResult:
     snapshots: tuple[Snapshot, ...]
     validity: ValidityReport
-    params: MediumParams
-    grid: GridSpec
-    schedule: ControlSchedule
+    scenario: Scenario  # the run's medium, grid, pulse, schedule and timing
 
 
 def _check_wraparound(
@@ -306,7 +308,9 @@ def _check_wraparound(
 
 
 class BlockEvolution:
-    """The spectral evolution of a block of media that share grid, pulse, schedule and horizon.
+    """The spectral evolution of a block of media on the grid, pulse, schedule, horizon and snapshot clock of one Scenario.
+
+    The block reads nothing of the scenario's own medium.
 
     The exponents of every medium come from one quadrature pass, which
     gives each medium the bits of a pass over it alone, summed from t = 0
@@ -321,8 +325,9 @@ class BlockEvolution:
     broadcast across rows they round differently, and a distorted row
     amplifies that round-off.
 
-    Checks of the shared arguments raise, check_pulse_fits and the snapshot
-    clock (grids.snapshot_times) among them. Each medium's own checks (regime,
+    The scenario ran the checks of the shared parts, check_pulse_fits and
+    the snapshot cadence among them, when it was built; an initial_field on
+    another grid raises ConfigError. Each medium's own checks (regime,
     quadrature, amplification bound, wraparound) run per row, in the order
     a run of that medium alone meets them. A medium that fails leaves the
     block with the exception its own run would raise, kept in `failed` by
@@ -333,33 +338,22 @@ class BlockEvolution:
     measure is the caller's decision.
     """
 
-    def __init__(
-        self,
-        media,
-        grid: GridSpec,
-        pulse: PulseSpec,
-        schedule: ControlSchedule,
-        horizon: float,
-        snapshot_dt: float,
-        force: bool = False,
-        initial_field: FieldGrid | None = None,
-    ):
-        self.times = snapshot_times(horizon, snapshot_dt)
+    def __init__(self, media, sc: Scenario, force: bool = False, initial_field: FieldGrid | None = None):
+        self.times = snapshot_times(sc.horizon, sc.snapshot_dt)
         if initial_field is None:
-            check_pulse_fits(grid, pulse)
-            self.psi0 = gaussian_field(grid, pulse.amplitude, pulse.center_z, pulse.width)
+            self.psi0 = gaussian_field(sc.grid, sc.pulse.amplitude, sc.pulse.center_z, sc.pulse.width)
+        elif initial_field.grid != sc.grid:
+            raise ConfigError("initial_field grid does not match the run grid")
         else:
-            if initial_field.grid != grid:
-                raise ConfigError("initial_field grid does not match the run grid")
             self.psi0 = initial_field
         self.media = tuple(media)
-        self.grid = grid
+        self.grid = sc.grid
         self.failed: dict[int, EitmemError] = {}
         self.validity: dict[int, ValidityReport] = {}
         self._exponents = {}  # medium index -> (S and W from t = 0 to times[1:], theta per snapshot)
         for j, params in enumerate(self.media):
             try:
-                validity = check_regime(params, pulse, schedule, horizon)
+                validity = check_regime(params, sc.pulse, sc.schedule, sc.horizon)
                 if not force:
                     validity.gate()
             except EitmemError as exc:
@@ -367,7 +361,7 @@ class BlockEvolution:
                 continue
             self.validity[j] = validity
         if self.validity:
-            self._integrate(list(self.validity), schedule)
+            self._integrate(list(self.validity), sc.schedule)
 
     def _integrate(self, group: list[int], schedule: ControlSchedule) -> None:
         """The exponents since t = 0 of the media in group from one quadrature pass, or if it raises, from one per medium."""
@@ -428,36 +422,21 @@ class BlockEvolution:
             ]
 
 
-def simulate(
-    params: MediumParams,
-    grid: GridSpec,
-    pulse: PulseSpec,
-    schedule: ControlSchedule,
-    horizon: float,
-    snapshot_dt: float,
-    force: bool = False,
-    initial_field: FieldGrid | None = None,
-) -> SimulationResult:
-    """Run the spectral evolution of one medium and take a snapshot every snapshot_dt.
+def simulate(sc: Scenario, force: bool = False, initial_field: FieldGrid | None = None) -> SimulationResult:
+    """Run the spectral evolution of sc's medium and take a snapshot every sc.snapshot_dt.
 
-    The initial dark field comes from the pulse spec unless initial_field
+    The initial dark field comes from sc's pulse unless initial_field
     overrides it (same grid required); the override exists for linearity and
     translation checks where the initial shape is not a fresh Gaussian.
     Regime checks run first and block the run unless force is set. The
     exponents of all snapshot intervals come from one quadrature pass. This
     is the block evolution on a block of one.
     """
-    block = BlockEvolution([params], grid, pulse, schedule, horizon, snapshot_dt, force, initial_field)
+    block = BlockEvolution([sc.medium], sc, force, initial_field)
     snapshots = tuple(snap for _, members in block.evolve() for _, snap in members)
     if block.failed:
         raise block.failed[0]
-    return SimulationResult(
-        snapshots=snapshots,
-        validity=block.validity[0],
-        params=params,
-        grid=grid,
-        schedule=schedule,
-    )
+    return SimulationResult(snapshots, block.validity[0], sc)
 
 
 # The fields snapshots.csv holds, in column order: a snapshot's psi, then reconstruct's three.
@@ -474,10 +453,10 @@ def write_snapshots_csv(result: SimulationResult, path, stride: int = 1):
 
     def fields(snap: Snapshot) -> list[np.ndarray]:
         psi = snap.psi.values[::stride]  # the factors multiply elementwise, so at the stride they give the same bits
-        return [psi, *(factor * psi for factor in field_factors(snap.theta, result.params))]
+        return [psi, *(factor * psi for factor in field_factors(snap.theta, result.scenario.medium))]
 
     snapshots = ((snap.t, fields(snap)) for snap in result.snapshots)
-    write_csv(path, field_header(SNAPSHOT_FIELDS), field_tables(result.grid.z_array(), snapshots, stride))
+    write_csv(path, field_header(SNAPSHOT_FIELDS), field_tables(result.scenario.grid.z_array(), snapshots, stride))
 
 
 def write_coefficient_csv(result: SimulationResult, path):
@@ -487,12 +466,13 @@ def write_coefficient_csv(result: SimulationResult, path):
     [0, horizon] not within INSTANT_RTOL of a snapshot time, in order, so the
     rows depend on the law alone and not on where the quadrature evaluated it.
     """
+    sc = result.scenario
     snap_times = np.array([snap.t for snap in result.snapshots])
-    scan = result.schedule.sample_times(snap_times[-1])
+    scan = sc.schedule.sample_times(snap_times[-1])
     after = np.searchsorted(snap_times, scan)  # 0 only for t = 0, which snap_times[0] matches exactly
     gap = np.minimum(np.abs(scan - snap_times[after - 1]), snap_times[after] - scan)  # to the nearest snapshot
     t = _sorted_distinct(np.concatenate([snap_times, scan[gap > INSTANT_RTOL * scan]]))
-    theta, theta_dot, _ = result.schedule.eval(result.params, t)
-    cs = exponent_integrand(theta, theta_dot, result.params)
+    theta, theta_dot, _ = sc.schedule.eval(sc.medium, t)
+    cs = exponent_integrand(theta, theta_dot, sc.medium)
     header = ",".join(("t",) + COEFFICIENT_COLUMNS) + "\n"
     write_csv(path, header, [[t] + [getattr(cs, name) for name in COEFFICIENT_COLUMNS]])

@@ -60,7 +60,24 @@ def scaled_violating_scenario() -> Scenario:
 
 def probe_fields(result) -> list:
     """The (t, probe field) pair of each snapshot of a run, as `run --oracle` hands them to compare_to_adiabatic."""
-    return [(snap.t, reconstruct(snap.psi, snap.theta, result.params)[1]) for snap in result.snapshots]
+    return [(snap.t, reconstruct(snap.psi, snap.theta, result.scenario.medium)[1]) for snap in result.snapshots]
+
+
+def scenario_with(sc: Scenario, **changes) -> Scenario:
+    """sc with the given fields replaced, checked as any Scenario is when built.
+
+    A new horizon also moves output_time to it unless output_time is given,
+    since the old one may lie past the new horizon; the engine reads no
+    output_time.
+    """
+    if "horizon" in changes:
+        changes.setdefault("output_time", changes["horizon"])
+    return dataclasses.replace(sc, **changes)
+
+
+def read_at_horizon(result):
+    """result with its scenario's output_time moved to the horizon, so a summary reads its last snapshot."""
+    return dataclasses.replace(result, scenario=dataclasses.replace(result.scenario, output_time=result.scenario.horizon))
 
 
 def file_keys(rows) -> dict:
@@ -90,20 +107,13 @@ def default_sc() -> Scenario:
 
 @pytest.fixture(scope="session")
 def default_result(default_sc):
-    return simulate(
-        default_sc.medium,
-        default_sc.grid,
-        default_sc.pulse,
-        default_sc.schedule,
-        default_sc.horizon,
-        default_sc.snapshot_dt,
-    )
+    return simulate(default_sc)
 
 
 def coefficient_times(result) -> list[float]:
     """The times of coefficients.csv, sorted: the snapshot times, and the schedule's sample_times over [0, horizon] not within 1e-12 relative of one."""
     snaps = [snap.t for snap in result.snapshots]
-    scan = result.schedule.sample_times(snaps[-1]).tolist()
+    scan = result.scenario.schedule.sample_times(snaps[-1]).tolist()
     return sorted(snaps + [t for t in scan if all(abs(t - u) > 1e-12 * t for u in snaps)])
 
 

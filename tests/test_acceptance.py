@@ -34,7 +34,7 @@ from eitmem.oracle import OracleConfig, compare_to_adiabatic, integrate_reduced
 from eitmem.scenario import default_scenario
 from eitmem.solver import forward_transform, inverse_transform, reconstruct, simulate
 
-from conftest import coeffs_high_density, medium_with, probe_fields, scaled_pass_scenario, scaled_violating_scenario
+from conftest import coeffs_high_density, medium_with, probe_fields, scaled_pass_scenario, scaled_violating_scenario, scenario_with
 
 VELOCITY_SETS = ((1e8, 1e4), (1e8, 1e3), (1e9, 1e4))
 PLATEAU_HORIZON = 120e-6  # s, long enough to cover the storage plateau
@@ -49,9 +49,7 @@ def plateau_runs():
     for g_ba, g_bc in VELOCITY_SETS:
         medium = medium_with(sc.medium, gamma_ba=g_ba, gamma_bc=g_bc)
         start = time.perf_counter()
-        result = simulate(
-            medium, sc.grid, sc.pulse, sc.schedule, PLATEAU_HORIZON, sc.snapshot_dt
-        )
+        result = simulate(scenario_with(sc, medium=medium, horizon=PLATEAU_HORIZON))
         runs[(g_ba, g_bc)] = (result, time.perf_counter() - start)
     return runs
 
@@ -60,12 +58,12 @@ def plateau_runs():
 def no_spin_decay_result():
     sc = default_scenario()
     medium = medium_with(sc.medium, gamma_bc=0.0)
-    return simulate(medium, sc.grid, sc.pulse, sc.schedule, PLATEAU_HORIZON, sc.snapshot_dt)
+    return simulate(scenario_with(sc, medium=medium, horizon=PLATEAU_HORIZON))
 
 
 def test_criterion_01_off_window_velocity_tracks_rate_product(plateau_runs):
     for (g_ba, g_bc), (result, elapsed) in plateau_runs.items():
-        expected = result.params.c * g_ba * g_bc / result.params.g2n + 0.03
+        expected = result.scenario.medium.c * g_ba * g_bc / result.scenario.medium.g2n + 0.03
         measured, _ = fit_velocity(track_pulse(result), *OFF_WINDOW)
         rel = abs(measured - expected) / expected
         print(
@@ -90,7 +88,7 @@ def test_criterion_03_output_peak_matches_prediction(default_sc, default_result)
     snaps = default_result.snapshots
     out_snap = snaps[output_index([s.t for s in snaps], 165e-6)]
     assert out_snap.t == pytest.approx(165e-6, rel=1e-12)
-    z = default_result.grid.z_array()
+    z = default_result.scenario.grid.z_array()
     _, _, measured = track_sample(z, out_snap)
     simple, exact = predict_output(default_sc.medium, out_snap, track_sample(z, snaps[0])[2])
     rel = abs(measured - simple) / simple
@@ -104,10 +102,7 @@ def test_criterion_03_output_peak_matches_prediction(default_sc, default_result)
 
 
 def test_criterion_04_on_window_velocity(default_sc):
-    result = simulate(
-        default_sc.medium, default_sc.grid, default_sc.pulse, default_sc.schedule,
-        horizon=15e-6, snapshot_dt=2.5e-6,
-    )
+    result = simulate(scenario_with(default_sc, horizon=15e-6, snapshot_dt=2.5e-6))
     measured, _ = fit_velocity(track_pulse(result), 0.0, 15e-6)
     expected = 75.0 + v_g_min(default_sc.medium)
     rel = abs(measured - expected) / expected
@@ -158,7 +153,7 @@ def test_criterion_06_design_limits_reproduce_detuning_bounds(tmp_path):
 
 def test_criterion_07_reference_integrator_agreement_and_attribution():
     ok = scaled_pass_scenario()
-    ok_result = simulate(ok.medium, ok.grid, ok.pulse, ok.schedule, ok.horizon, ok.snapshot_dt)
+    ok_result = simulate(ok)
     ok_states = integrate_reduced(
         ok.medium, ok.grid,
         oracle_initial_state(ok.medium, ok.grid, ok.pulse, ok.schedule),
@@ -167,7 +162,7 @@ def test_criterion_07_reference_integrator_agreement_and_attribution():
     ok_report = compare_to_adiabatic(ok_states, probe_fields(ok_result), ok_result.validity)
 
     bad = scaled_violating_scenario()
-    bad_result = simulate(bad.medium, bad.grid, bad.pulse, bad.schedule, bad.horizon, bad.snapshot_dt)
+    bad_result = simulate(bad)
     bad_states = integrate_reduced(
         bad.medium, bad.grid,
         oracle_initial_state(bad.medium, bad.grid, bad.pulse, bad.schedule),
@@ -244,14 +239,13 @@ def test_criterion_08_structural_invariants(default_sc, default_result, no_spin_
         assert sample.beta == 0.0
 
     # linearity and translation equivariance of the evolution
-    sched = default_sc.schedule
     f = gaussian_field(grid, 0.2, -2e-3, 1e-3)
     g = gaussian_field(grid, 0.1, -3e-3, 1.5e-3)
     combo = type(f)(grid, 2.0 * f.values + 1j * g.values)
-    kw = dict(horizon=60e-6, snapshot_dt=15e-6)
-    run_f = simulate(resonant, grid, default_sc.pulse, sched, initial_field=f, **kw)
-    run_g = simulate(resonant, grid, default_sc.pulse, sched, initial_field=g, **kw)
-    run_combo = simulate(resonant, grid, default_sc.pulse, sched, initial_field=combo, **kw)
+    short = scenario_with(default_sc, horizon=60e-6, snapshot_dt=15e-6)
+    run_f = simulate(short, initial_field=f)
+    run_g = simulate(short, initial_field=g)
+    run_combo = simulate(short, initial_field=combo)
     lin = np.max(
         np.abs(
             run_combo.snapshots[-1].psi.values
@@ -261,7 +255,7 @@ def test_criterion_08_structural_invariants(default_sc, default_result, no_spin_
     )
     assert lin <= 1e-10
     shifted = type(f)(grid, np.roll(f.values, 257))
-    run_shifted = simulate(resonant, grid, default_sc.pulse, sched, initial_field=shifted, **kw)
+    run_shifted = simulate(short, initial_field=shifted)
     trans = np.max(
         np.abs(
             run_shifted.snapshots[-1].psi.values
@@ -296,7 +290,7 @@ def test_criterion_09_bright_field_stays_small_and_scales(default_sc, default_re
     def snapshot_ratio(t: float) -> float:
         snaps = default_result.snapshots
         snap = snaps[output_index([s.t for s in snaps], t)]
-        phi = reconstruct(snap.psi, snap.theta, default_result.params)[0]
+        phi = reconstruct(snap.psi, snap.theta, default_result.scenario.medium)[0]
         return float(np.max(np.abs(phi.values)) / np.max(np.abs(snap.psi.values)))
 
     def model_ratio(t: float) -> float:
@@ -314,7 +308,7 @@ def test_criterion_09_bright_field_stays_small_and_scales(default_sc, default_re
     assert growth == pytest.approx(predicted_growth, rel=0.2)
     assert off < 0.01  # far below unity at the cot(theta) floor of 1e-5
     worst_phi = max(
-        float(np.max(np.abs(reconstruct(s.psi, s.theta, no_spin_decay_result.params)[0].values)))
+        float(np.max(np.abs(reconstruct(s.psi, s.theta, no_spin_decay_result.scenario.medium)[0].values)))
         for s in no_spin_decay_result.snapshots
     )
     assert worst_phi <= 1e-14
@@ -323,7 +317,7 @@ def test_criterion_09_bright_field_stays_small_and_scales(default_sc, default_re
 def test_criterion_10_probe_amplitude_in_storage(default_sc, default_result):
     snaps = default_result.snapshots
     snap = snaps[output_index([s.t for s in snaps], 75e-6)]
-    peak = float(np.max(np.abs(reconstruct(snap.psi, snap.theta, default_result.params)[1].values)))
+    peak = float(np.max(np.abs(reconstruct(snap.psi, snap.theta, default_result.scenario.medium)[1].values)))
     print(f"criterion 10: stored |E| peak {peak:.3e}")
     assert 1e-4 / 3.0 <= peak <= 3e-4
     report = check_low_intensity(default_result)

@@ -31,7 +31,7 @@ from eitmem.model import PASS_FACTOR, MediumParams
 from eitmem.oracle import OracleState, compare_to_adiabatic
 from eitmem.solver import simulate
 
-from conftest import medium_with, probe_fields
+from conftest import medium_with, probe_fields, read_at_horizon, scenario_with
 
 SEED = 6021
 
@@ -57,7 +57,7 @@ def test_a_peak_on_the_first_or_last_sample_is_that_sample(at):
 def test_track_pulse_recovers_width_and_rejects_bad_fields(default_result):
     track = track_pulse(default_result)
     assert len(track.times) == len(default_result.snapshots)
-    assert track.peak_z[0] == pytest.approx(-2e-3, abs=0.01 * default_result.grid.dz)
+    assert track.peak_z[0] == pytest.approx(-2e-3, abs=0.01 * default_result.scenario.grid.dz)
     assert track.peak_amp[0] == pytest.approx(0.2, rel=1e-4)
     one_snapshot = dataclasses.replace(default_result, snapshots=default_result.snapshots[:1])
     with pytest.raises(ConfigError, match="at least 2 snapshots"):
@@ -304,7 +304,7 @@ def test_distortion_and_oracle_comparison_call_no_blas_reduction(monkeypatch, de
 def test_predict_output_with_zero_storage_is_identity(default_result):
     snap = default_result.snapshots[0]
     assert snap.s == 0j
-    simple, exact = predict_output(default_result.params, snap, 0.2)
+    simple, exact = predict_output(default_result.scenario.medium, snap, 0.2)
     assert simple == 0.2
     assert exact == 0.2
 
@@ -313,7 +313,7 @@ def test_predict_output_with_zero_storage_is_identity(default_result):
 def test_the_exact_prediction_damps_by_the_laws_own_exponent(default_sc, delta_p):
     sc = default_sc
     medium = medium_with(sc.medium, delta_p=delta_p)
-    out = simulate(medium, sc.grid, sc.pulse, sc.schedule, 165e-6, sc.snapshot_dt).snapshots[-1]
+    out = simulate(scenario_with(sc, medium=medium, horizon=165e-6)).snapshots[-1]
     _, exact = predict_output(medium, out, 0.2)
     assert exact == 0.2 * math.exp(-out.s.real)
 
@@ -376,15 +376,7 @@ def test_low_intensity_check_passes_default_run(default_sc, default_result):
 
 def test_low_intensity_check_flags_hot_probe(default_sc):
     hot_pulse = dataclasses.replace(default_sc.pulse, amplitude=1e3)
-    result = simulate(
-        default_sc.medium,
-        default_sc.grid,
-        hot_pulse,
-        default_sc.schedule,
-        horizon=15e-6,
-        snapshot_dt=15e-6,
-        force=True,
-    )
+    result = simulate(scenario_with(default_sc, pulse=hot_pulse, horizon=15e-6, snapshot_dt=15e-6), force=True)
     report = check_low_intensity(result)
     assert not report.passed
     assert report.worst_ratio > 1.0 / PASS_FACTOR
@@ -398,7 +390,7 @@ def test_low_intensity_check_flags_hot_probe(default_sc):
 
 
 def test_summary_digest_of_default_run(default_sc, default_result):
-    summary = assemble_summary(default_result)
+    summary = assemble_summary(read_at_horizon(default_result))
     assert set(summary) == {
         "validity",
         "low_intensity",
@@ -430,7 +422,7 @@ def test_summary_fits_the_stored_window(default_sc, default_result):
     assert stored_window(ConstantSchedule(omega=1e9)) is None
     # the summary's off-window fits run over exactly that window
     track = track_pulse(default_result)
-    summary = assemble_summary(default_result)
+    summary = assemble_summary(read_at_horizon(default_result))
     v, resid = fit_velocity(track, *window)
     assert (summary["v_g_off"]["measured"], summary["v_g_off"]["fit_residual_rms"]) == (v, resid)
     assert summary["decay_rate"]["measured"] == fit_decay(track, *window)[0]
@@ -449,10 +441,10 @@ def _faint_copy(sc, result, amplitude):
 def test_summary_tests_the_floor_only_where_a_report_reads(default_sc, default_result):
     # At 5.6e-12 only the last snapshot, which no report reads, is below the floor.
     sc = dataclasses.replace(default_sc, pulse=dataclasses.replace(default_sc.pulse, amplitude=5.6e-12))
-    faint = simulate(sc.medium, sc.grid, sc.pulse, sc.schedule, sc.horizon, sc.snapshot_dt)
+    faint = simulate(sc)
     assert [s.t for s in faint.snapshots if s.peak < TRACK_AMPLITUDE_FLOOR] == [sc.horizon]
-    summary = assemble_summary(faint, sc.output_time)
-    reference = assemble_summary(default_result, default_sc.output_time)
+    summary = assemble_summary(faint)
+    reference = assemble_summary(default_result)
     for name in ("v_g_on", "v_g_off", "decay_rate"):
         assert summary[name]["measured"] == pytest.approx(reference[name]["measured"], rel=1e-9)
     track = track_pulse(faint)
@@ -460,14 +452,14 @@ def test_summary_tests_the_floor_only_where_a_report_reads(default_sc, default_r
     # At 2.3e-12 the stored window's last sample is below it, at 4e-12 the output one.
     for amplitude, t in ((2.3e-12, "9.000000e-05"), (4e-12, "1.650000e-04")):
         with pytest.raises(UntrackableFieldError, match=f"tracking floor at t = {t} s$"):
-            assemble_summary(_faint_copy(default_sc, default_result, amplitude), default_sc.output_time)
+            assemble_summary(_faint_copy(default_sc, default_result, amplitude))
 
 
 def test_summary_handles_constant_schedule():
     from conftest import scaled_pass_scenario
 
     sc = scaled_pass_scenario()
-    result = simulate(sc.medium, sc.grid, sc.pulse, sc.schedule, sc.horizon, sc.snapshot_dt)
+    result = simulate(sc)
     summary = assemble_summary(result)
     assert "v_g_overall" in summary
     assert "v_g_on" not in summary
@@ -478,6 +470,5 @@ def test_summary_handles_constant_schedule():
 def test_the_on_window_of_a_run_that_ends_before_the_switch_ends_with_the_run(default_sc):
     # a 15 us run ends before t1 = 30 us: the model's mean velocity is taken over the run, as the fit is
     sc = dataclasses.replace(default_sc, horizon=15e-6, snapshot_dt=15e-6, output_time=15e-6)
-    result = simulate(sc.medium, sc.grid, sc.pulse, sc.schedule, sc.horizon, sc.snapshot_dt)
-    on = assemble_summary(result, sc.output_time)["v_g_on"]
+    on = assemble_summary(simulate(sc))["v_g_on"]
     assert on["predicted"] == pytest.approx(on["measured"], rel=1e-9)

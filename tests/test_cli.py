@@ -19,10 +19,16 @@ from eitmem.cli import SWEEP_COLUMNS, _decay_fit_warning, main
 from eitmem.control import SCHEDULES, ConstantSchedule, TabulatedSchedule
 from eitmem.grids import field_header
 from eitmem.errors import EitmemError
-from eitmem.scenario import IGNORED_MEDIUM_KEYS, MEDIUM_KEYS, default_scenario, save_scenario, with_medium
+from eitmem.scenario import IGNORED_MEDIUM_KEYS, MEDIUM_KEYS, default_scenario, save_scenario
 from eitmem.solver import BlockEvolution, simulate
 
-from conftest import scaled_pass_scenario
+from conftest import medium_with, scaled_pass_scenario, scenario_with
+
+
+def default_with(**change):
+    """The default scenario with its medium changed in the given fields."""
+    sc = default_scenario()
+    return scenario_with(sc, medium=medium_with(sc.medium, **change))
 
 
 def read_sweep(path) -> list[dict]:
@@ -251,7 +257,7 @@ def test_an_unknown_or_missing_schedule_kind_exits_2_in_one_stderr_line(tmp_path
 
 def test_run_reports_runtime_failures(tmp_path, capsys):
     # tenfold faster off-window drift pushes the pulse off the grid mid-run
-    sc = with_medium(default_scenario(), gamma_ba=1e9)
+    sc = default_with(gamma_ba=1e9)
     ini = tmp_path / "drift.ini"
     save_scenario(sc, ini)
     rc = main(["run", str(ini), "--out-dir", str(tmp_path)])
@@ -343,12 +349,36 @@ def test_limits_writes_frozen_bounds(tmp_path, capsys):
 
     # With no storage decay two bounds are unbounded, which JSON writes as null.
     ini = tmp_path / "lossless.ini"
-    save_scenario(with_medium(default_scenario(), gamma_bc=0.0), ini)
+    save_scenario(default_with(gamma_bc=0.0), ini)
     lossless = tmp_path / "lossless"
     assert main(["limits", str(ini), "--out-dir", str(lossless)]) == 0
     unbounded = _strict_json(lossless / "limits.json")
     assert [unbounded[name] for name in ("delta_max", "bw_limit", "t_transit_max")] == [None] * 3
     assert unbounded["delta_p_max"] == payload["delta_p_max"]
+
+
+@pytest.mark.parametrize("pulse_length, storage_time", [("1e-3", "1e-320"), ("1e300", "1e-10"), ("1e-320", "1e300")])
+def test_limits_that_leave_the_float_range_exit_2_naming_both_inputs(tmp_path, capsys, pulse_length, storage_time):
+    # The first two overflow every bound to inf, which limits.json would
+    # write as null and README reads as unbounded; the third underflows
+    # every bound to 0.
+    out = tmp_path / "limits"
+    argv = ["limits", "--pulse-length", pulse_length, "--storage-time", storage_time, "--out-dir", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"config error: pulse length {float(pulse_length)} m and storage time {float(storage_time)} s ")
+    assert not out.exists()
+
+
+def test_limits_whose_bound_denominator_underflows_exit_2(tmp_path, capsys):
+    # c pi t0 underflows to 0 here, so every bound overflows as above.
+    ini = tmp_path / "slow.ini"
+    save_scenario(default_with(c=1e-300), ini)
+    assert main(["limits", str(ini), "--storage-time", "1e-30"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("config error: pulse length 0.001 m and storage time 1e-30 s ")
 
 
 def test_sweep_detunings_orders_rows_by_input(tmp_path):
@@ -379,6 +409,32 @@ def test_sweep_captures_per_row_failures(tmp_path):
     assert rows[1]["verdict"] == ""
 
 
+SCALES = (1e-300, 1e20, 1e150, 1e300)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("axis", cli.SWEEP_AXES)
+def test_a_sweep_at_every_scale_ends_each_value_as_a_row_or_a_config_error(tmp_path, capsys, axis, sign):
+    # One block per call. A tiny value runs as the resonant medium does,
+    # 1e20 and 1e150 fail the regime gate, and at 1e300 the bright ratio
+    # overflows. A negative decay rate exits 2, naming its key, before
+    # anything runs.
+    values = [sign * scale for scale in SCALES]
+    argv = ["sweep", "--axis", axis, "--values=" + ",".join(map(repr, values)), "--out-dir", str(tmp_path)]
+    if sign < 0 and axis.startswith("gamma"):
+        for given in [argv] + [argv[:3] + [f"--values={value!r}"] + argv[4:] for value in values]:
+            assert main(given) == 2
+            (line,) = capsys.readouterr().err.splitlines()
+            assert line.startswith(f"config error: {axis} must be ")
+        assert not (tmp_path / "sweep.csv").exists()
+        return
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+    rows = read_sweep(tmp_path / "sweep.csv")
+    assert [float(row["value"]) for row in rows] == values
+    assert [row["status"].split(":")[0] for row in rows] == [OK, VAL, VAL, "SingularParametersError"]
+
+
 def test_sweep_reports_a_poor_decay_fit_in_one_stderr_line(tmp_path, capsys):
     rc = main(["sweep", "--axis", "delta_p", "--values", "0,800", "--out-dir", str(tmp_path)])
     assert rc == 0
@@ -391,7 +447,7 @@ def test_sweep_reports_a_poor_decay_fit_in_one_stderr_line(tmp_path, capsys):
 
 def _reference_row(sc, result) -> tuple[dict, str | None]:
     """sweep.csv fields of one finished run and its decay-fit warning, read off `run`'s summary."""
-    summary = analysis.assemble_summary(result, sc.output_time)
+    summary = analysis.assemble_summary(result)
     out_snap = result.snapshots[analysis.output_index([s.t for s in result.snapshots], sc.output_time)]
     distortion = summary["distortion"]
     v_g_off = summary.get("v_g_off")
@@ -414,14 +470,12 @@ def _reference_sweep(sc, axis: str, values) -> tuple[list[dict], list[str], list
     """Rows, stdout lines and stderr lines of a sweep run as one simulate call per value."""
     rows, out, err = [], [], []
     for value in values:
-        sc_v = with_medium(sc, **{axis: value})
+        sc_v = scenario_with(sc, medium=medium_with(sc.medium, **{axis: value}))
         row = {name: "" for name in SWEEP_COLUMNS}
         row["value"] = repr(value)
         warning = None
         try:
-            result = simulate(
-                sc_v.medium, sc_v.grid, sc_v.pulse, sc_v.schedule, sc_v.horizon, sc_v.snapshot_dt
-            )
+            result = simulate(sc_v)
             fields, warning = _reference_row(sc_v, result)
             row.update(fields)
         except EitmemError as exc:
@@ -498,7 +552,7 @@ def test_blocked_sweep_matches_one_run_per_value(tmp_path, capsys, monkeypatch, 
     if case == "faint_pulse":
         # At gamma_bc = 1e4 the snapshot after the output one falls under the
         # floor. No report reads it, so the stored-window fits are filled.
-        faint = simulate(sc.medium, sc.grid, sc.pulse, sc.schedule, sc.horizon, sc.snapshot_dt)
+        faint = simulate(sc)
         below = [s.t for s in faint.snapshots if s.peak < analysis.TRACK_AMPLITUDE_FLOOR]
         assert below and all(t > sc.output_time for t in below)
         assert all(row["v_g_off"] != "" and row["decay_rate"] != "" for row in rows[:2])
@@ -536,8 +590,7 @@ def test_sweep_transforms_only_the_snapshots_a_row_reads(tmp_path, monkeypatch):
     # the three stored-window snapshots, at 60, 75 and 90 us, then the output one
     assert rows == [3, 3, 3, 3]
     rows.clear()
-    sc = default_scenario()
-    simulate(sc.medium, sc.grid, sc.pulse, sc.schedule, sc.horizon, sc.snapshot_dt)
+    simulate(default_scenario())
     assert rows == [1] * 12
     # Each faint run's last snapshot falls under the tracking floor, and the
     # 1.3e4 one's output too; no unread snapshot is transformed for that.
@@ -575,9 +628,8 @@ def test_sweep_block_takes_one_quadrature_pass(tmp_path, monkeypatch):
     passes.clear()
     evaluations.clear()
     sc = default_scenario()
-    args = (sc.grid, sc.pulse, sc.schedule, sc.horizon, sc.snapshot_dt)
     for value in values:
-        BlockEvolution([with_medium(sc, delta_p=value).medium], *args)
+        BlockEvolution([medium_with(sc.medium, delta_p=value)], sc)
     assert passes == [1, 1, 1]
     assert in_block == len(evaluations)
 
@@ -610,15 +662,15 @@ UNREAD_FALLBACKS = {
 @pytest.mark.parametrize("case", sorted(UNREAD_FALLBACKS))
 def test_unread_snapshots_fall_back_to_the_exact_checks(monkeypatch, case):
     make_scenario, change = UNREAD_FALLBACKS[case]
-    sc = with_medium(make_scenario(), **change)
-    args = (sc.grid, sc.pulse, sc.schedule, sc.horizon, sc.snapshot_dt)
+    base = make_scenario()
+    sc = scenario_with(base, medium=medium_with(base.medium, **change))
     rows = _count_transformed_rows(monkeypatch)
-    block = BlockEvolution([sc.medium], *args)
+    block = BlockEvolution([sc.medium], sc)
     assert list(block.evolve(())) == []
     assert rows == []
     monkeypatch.undo()
     with pytest.raises(EitmemError) as exc:
-        simulate(sc.medium, *args)
+        simulate(sc)
     assert (type(block.failed[0]), str(block.failed[0])) == (type(exc.value), str(exc.value))
 
 
@@ -635,9 +687,8 @@ def test_reading_no_snapshot_fails_the_rows_that_reading_every_snapshot_fails(ca
         make_scenario, change = UNREAD_FALLBACKS[case]
         changes = [change]
     sc = make_scenario()
-    media = [with_medium(sc, **change).medium for change in changes]
-    args = (sc.grid, sc.pulse, sc.schedule, sc.horizon, sc.snapshot_dt)
-    unread, read = BlockEvolution(media, *args), BlockEvolution(media, *args)
+    media = [medium_with(sc.medium, **change) for change in changes]
+    unread, read = BlockEvolution(media, sc), BlockEvolution(media, sc)
     assert list(unread.evolve(())) == []
     assert list(read.evolve(None))
     assert _failures(unread) == _failures(read)
@@ -680,7 +731,7 @@ def test_a_faint_snapshot_after_the_output_leaves_the_run_and_its_sweep_row_alik
     save_scenario(faint, ini)
     assert main(["run", str(ini), "--out-dir", str(tmp_path)]) == 0
     summary = json.loads((tmp_path / "summary.json").read_text())
-    result = simulate(faint.medium, faint.grid, faint.pulse, faint.schedule, faint.horizon, faint.snapshot_dt)
+    result = simulate(faint)
     track = analysis.track_pulse(result)
     assert np.isnan(track.peak_amp[-1])
     v, resid = analysis.fit_velocity(track, 0.0, 2.0)
@@ -749,7 +800,7 @@ def test_run_whose_modes_overflow_exits_4_without_numpy_warnings(tmp_path):
     # The modes would pass the largest double late in the run; the bound
     # stops the run at the 17th of 36 snapshots, before any mode is built there.
     ini = tmp_path / "overflow.ini"
-    save_scenario(with_medium(default_scenario(), delta_p=5500.0), ini)
+    save_scenario(default_with(delta_p=5500.0), ini)
     out_dir = tmp_path / "out"
     proc = _run_cli(["run", str(ini), "--snapshot-dt", "5e-6", "--out-dir", str(out_dir)])
     assert proc.returncode == 4
@@ -796,7 +847,7 @@ def test_a_coefficient_law_that_overflows_exits_4_in_one_line_naming_the_quantit
     # D_ba D_bc tan(theta) overflows at gamma_ba = 1e300; under
     # filterwarnings = error a numpy warning on the way would fail the test.
     ini = tmp_path / "absurd.ini"
-    save_scenario(with_medium(default_scenario(), gamma_ba=1e300), ini)
+    save_scenario(default_with(gamma_ba=1e300), ini)
     out = tmp_path / "out"
     argv = [verb, str(ini)] + (["--out-dir", str(out)] if verb == "run" else [])
     assert main(argv) == 4
@@ -1206,7 +1257,7 @@ def test_validate_prints_a_plain_pass_between_the_pass_and_strong_pass_factors(t
 
 def test_run_prints_a_poor_decay_fit_in_one_stderr_line(tmp_path, capsys):
     ini = tmp_path / "detuned.ini"
-    save_scenario(with_medium(default_scenario(), delta_p=800.0), ini)
+    save_scenario(default_with(delta_p=800.0), ini)
     assert main(["run", str(ini), "--out-dir", str(tmp_path), "--csv-stride", "1024"]) == 0
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1

@@ -54,9 +54,9 @@ def test_snapshot_csv_matches_the_per_value_writer(tmp_path, default_result, str
     )
     path = tmp_path / "snapshots.csv"
     write_snapshots_csv(result, path, stride)
-    z = result.grid.z_array()
+    z = result.scenario.grid.z_array()
     tables = [
-        (s.t, z, (s.psi.values, *(f.values for f in reconstruct(s.psi, s.theta, result.params))))
+        (s.t, z, (s.psi.values, *(f.values for f in reconstruct(s.psi, s.theta, result.scenario.medium))))
         for s in result.snapshots
     ]
     assert rows_after_header(path, 1) == per_value_rows(tables, stride)
@@ -73,7 +73,7 @@ def test_snapshot_csv_builds_no_grid_length_derived_field(tmp_path, default_resu
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 16 * default_result.grid.n_points
+    assert peak < 2 * 16 * default_result.scenario.grid.n_points
 
 
 def test_oracle_csv_matches_the_per_value_writer(tmp_path):
@@ -97,8 +97,8 @@ def test_coefficient_csv_matches_the_per_value_writer(tmp_path, default_result):
     path = tmp_path / "coefficients.csv"
     write_coefficient_csv(default_result, path)
     t = np.array(coefficient_times(default_result))
-    sample = default_result.schedule.eval(default_result.params, t)
-    cs = exponent_integrand(sample.theta, sample.theta_dot, default_result.params)
+    sample = default_result.scenario.schedule.eval(default_result.scenario.medium, t)
+    cs = exponent_integrand(sample.theta, sample.theta_dot, default_result.scenario.medium)
     columns = [t, cs.alpha1, cs.alpha2, cs.beta, cs.v_g]
     assert rows_after_header(path, 1) == per_value_rows([columns])
 

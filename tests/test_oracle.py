@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import SCALED_OMEGA, probe_fields, scaled_medium, scaled_pass_scenario
+from conftest import SCALED_OMEGA, probe_fields, scaled_medium, scaled_pass_scenario, scenario_with
 
 import eitmem.oracle
 from eitmem.cli import main, oracle_initial_state
@@ -615,9 +615,7 @@ def test_the_oracle_stamps_its_states_with_the_engine_instants(tmp_path):
 
 def test_comparison_error_paths():
     sc = scaled_pass_scenario()
-    result = simulate(
-        sc.medium, sc.grid, sc.pulse, sc.schedule, horizon=0.5, snapshot_dt=0.5
-    )
+    result = simulate(scenario_with(sc, horizon=0.5, snapshot_dt=0.5))
     fields = probe_fields(result)
     initial = oracle_initial_state(sc.medium, sc.grid, sc.pulse, sc.schedule)
     states = integrate_reduced(
@@ -650,7 +648,7 @@ def test_comparison_refuses_an_oracle_run_on_another_snapshot_clock():
     # An oracle run at twice the engine's snapshot interval shares 5 of the
     # engine's 9 instants; a comparison of those alone would pass unnoticed.
     sc = scaled_pass_scenario()
-    result = simulate(sc.medium, sc.grid, sc.pulse, sc.schedule, sc.horizon, sc.snapshot_dt)
+    result = simulate(sc)
     initial = oracle_initial_state(sc.medium, sc.grid, sc.pulse, sc.schedule)
     states = integrate_reduced(
         sc.medium, sc.grid, initial, sc.schedule, sc.horizon,
@@ -663,9 +661,7 @@ def test_comparison_refuses_an_oracle_run_on_another_snapshot_clock():
 
 def test_comparison_agrees_when_checks_pass():
     sc = scaled_pass_scenario()
-    result = simulate(
-        sc.medium, sc.grid, sc.pulse, sc.schedule, sc.horizon, sc.snapshot_dt
-    )
+    result = simulate(sc)
     initial = oracle_initial_state(sc.medium, sc.grid, sc.pulse, sc.schedule)
     states = integrate_reduced(
         sc.medium, sc.grid, initial, sc.schedule, sc.horizon,

@@ -25,7 +25,6 @@ from eitmem.scenario import (
     default_scenario,
     load_scenario,
     save_scenario,
-    with_medium,
 )
 
 from conftest import file_keys, required_keys, scaled_medium
@@ -76,8 +75,8 @@ def test_label_with_edge_whitespace_is_rejected(label):
 def test_constructors_reject_non_finite_values(bad):
     sc = default_scenario()
     cases = {
-        "gamma_bc": lambda: with_medium(sc, gamma_bc=bad),
-        "delta_p": lambda: with_medium(sc, delta_p=bad),
+        "gamma_bc": lambda: dataclasses.replace(sc.medium, gamma_bc=bad),
+        "delta_p": lambda: dataclasses.replace(sc.medium, delta_p=bad),
         "z_max": lambda: GridSpec(-1e-2, bad, 1024),
         "width": lambda: PulseSpec(amplitude=0.2, center_z=0.0, width=bad),
         "amplitude": lambda: PulseSpec(amplitude=complex(0.2, bad), center_z=0.0, width=1e-3),
@@ -317,17 +316,6 @@ def test_a_pulse_length_key_is_unrecognized(tmp_path):
     path.write_text(path.read_text().replace("[pulse]", "[pulse]\nl_p = 2e-3"))
     with pytest.raises(ConfigError, match=re.escape("[pulse] has unrecognized key 'l_p'")):
         load_scenario(path)
-
-
-def test_with_medium_overrides():
-    sc = default_scenario()
-    hot = with_medium(sc, gamma_bc=1e3, delta_p=50.0)
-    assert hot.medium.gamma_bc == 1e3
-    assert hot.medium.delta_p == 50.0
-    assert hot.medium.g == sc.medium.g
-    assert hot.grid == sc.grid
-    with pytest.raises(TypeError):
-        with_medium(sc, knob_that_does_not_exist=1.0)
 
 
 def test_scenario_accepts_scaled_media(tmp_path):

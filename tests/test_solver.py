@@ -37,7 +37,7 @@ from eitmem.solver import (
     write_snapshots_csv,
 )
 
-from conftest import coefficient_times
+from conftest import coefficient_times, scenario_with
 
 SEED = 90210
 
@@ -149,12 +149,12 @@ def test_a_detuned_run_has_one_outcome_at_every_snapshot_cadence(default_sc, del
     # cadence does not change: 67.64 e-folds at 500 rad/s, 692.57 at 5000.
     p = dataclasses.replace(default_sc.medium, delta_p=delta_p)
     for snapshot_dt in (5e-6, 1.5e-5, 1.8e-4):
-        args = (p, default_sc.grid, default_sc.pulse, default_sc.schedule, default_sc.horizon, snapshot_dt)
+        sc = scenario_with(default_sc, medium=p, snapshot_dt=snapshot_dt)
         if outcome is None:
-            assert simulate(*args).snapshots[-1].t == default_sc.horizon
+            assert simulate(sc).snapshots[-1].t == default_sc.horizon
         else:
             with pytest.raises(outcome):
-                simulate(*args)
+                simulate(sc)
 
 
 def test_solver_neither_suppresses_nor_outlives_overflow():
@@ -190,7 +190,7 @@ def test_adaptive_simpson_reports_depth_exhaustion(monkeypatch):
 
 def test_norm_conserved_without_spin_decay(default_sc):
     p = dataclasses.replace(default_sc.medium, gamma_bc=0.0)
-    res = simulate(p, default_sc.grid, default_sc.pulse, default_sc.schedule, 120e-6, 15e-6)
+    res = simulate(scenario_with(default_sc, medium=p, horizon=120e-6, snapshot_dt=15e-6))
     norms = [math.sqrt(squared_norm(s.psi.values) * s.psi.grid.dz) for s in res.snapshots]
     drift = max(abs(n - norms[0]) for n in norms) / norms[0]
     assert drift <= 1e-10
@@ -209,15 +209,7 @@ def test_simulate_is_linear(default_sc):
     combo = FieldGrid(grid, 2.0 * f.values + 1j * g.values)
 
     def run(field):
-        return simulate(
-            default_sc.medium,
-            grid,
-            default_sc.pulse,
-            default_sc.schedule,
-            60e-6,
-            15e-6,
-            initial_field=field,
-        )
+        return simulate(scenario_with(default_sc, horizon=60e-6, snapshot_dt=15e-6), initial_field=field)
 
     rf, rg, rc = run(f), run(g), run(combo)
     for sf, sg, scb in zip(rf.snapshots, rg.snapshots, rc.snapshots):
@@ -233,15 +225,7 @@ def test_simulate_translation_equivariance(default_sc):
     shifted = FieldGrid(grid, np.roll(f.values, cells))
 
     def run(field):
-        return simulate(
-            default_sc.medium,
-            grid,
-            default_sc.pulse,
-            default_sc.schedule,
-            60e-6,
-            15e-6,
-            initial_field=field,
-        )
+        return simulate(scenario_with(default_sc, horizon=60e-6, snapshot_dt=15e-6), initial_field=field)
 
     base, moved = run(f), run(shifted)
     for sb, sm in zip(base.snapshots, moved.snapshots):
@@ -250,14 +234,7 @@ def test_simulate_translation_equivariance(default_sc):
 
 
 def test_peak_moves_by_the_accumulated_displacement(default_sc):
-    res = simulate(
-        default_sc.medium,
-        default_sc.grid,
-        default_sc.pulse,
-        default_sc.schedule,
-        15e-6,
-        15e-6,
-    )
+    res = simulate(scenario_with(default_sc, horizon=15e-6, snapshot_dt=15e-6))
     _, (i_w,) = accumulate_exponent([default_sc.medium], default_sc.schedule, 0.0, 15e-6)
     z0 = default_sc.grid.z_array()[np.argmax(np.abs(res.snapshots[0].psi.values))]
     z1 = default_sc.grid.z_array()[np.argmax(np.abs(res.snapshots[-1].psi.values))]
@@ -298,20 +275,13 @@ def test_run_aborts_when_pulse_reaches_the_edge(default_sc):
     # gamma_ba = 1e9 raises the retrieval speed enough to cross the box
     p = dataclasses.replace(default_sc.medium, gamma_ba=1e9)
     with pytest.raises(DomainOverflowError) as err:
-        simulate(
-            p,
-            default_sc.grid,
-            default_sc.pulse,
-            default_sc.schedule,
-            default_sc.horizon,
-            default_sc.snapshot_dt,
-        )
+        simulate(scenario_with(default_sc, medium=p))
     assert err.value.t > 125e-6
 
 
 def test_edge_check_ignores_amplified_floor_of_distorted_run(default_sc):
     p = dataclasses.replace(default_sc.medium, delta_p=800.0)
-    res = simulate(p, default_sc.grid, default_sc.pulse, default_sc.schedule, default_sc.horizon, default_sc.snapshot_dt)
+    res = simulate(scenario_with(default_sc, medium=p))
     assert len(res.snapshots) == 13
 
 
@@ -335,12 +305,11 @@ EDGE_LADDER = (
 @pytest.mark.parametrize("section, name, value, t_stop", EDGE_LADDER, ids=lambda v: str(v))
 def test_a_pulse_stops_where_its_moved_support_reaches_an_edge(default_sc, section, name, value, t_stop):
     sc = dataclasses.replace(default_sc, **{section: dataclasses.replace(getattr(default_sc, section), **{name: value})})
-    args = (sc.medium, sc.grid, sc.pulse, sc.schedule, sc.horizon, sc.snapshot_dt)
     if t_stop is None:
-        assert len(simulate(*args, force=True).snapshots) == 13
+        assert len(simulate(sc, force=True).snapshots) == 13
         return
     with pytest.raises(DomainOverflowError) as err:
-        simulate(*args, force=True)
+        simulate(sc, force=True)
     assert err.value.t == pytest.approx(t_stop, rel=1e-12)
     assert str(err.value) == f"pulse support reached the domain edge at t = {t_stop:.6e} s"
 
@@ -365,7 +334,7 @@ def test_a_pulse_that_creeps_toward_the_edge_stops_before_an_edge_sample_reaches
     grid = GridSpec(-10e-3, 10e-3, 1024)
     schedule = ConstantSchedule(omega=1e5)
     pulse = PulseSpec(0.2, center_z, 1e-3)
-    block = BlockEvolution([medium], grid, pulse, schedule, default_sc.horizon, default_sc.snapshot_dt, force=True)
+    block = BlockEvolution([medium], scenario_with(default_sc, grid=grid, pulse=pulse, schedule=schedule), force=True)
     times = []
     for _, members in block.evolve():
         for _, snap in members:
@@ -399,24 +368,10 @@ def test_a_snapshot_past_both_limits_stops_its_row_with_the_amplification_error(
 
 def test_validity_gate_blocks_and_force_overrides(default_sc):
     hot = PulseSpec(amplitude=1e3, center_z=-2e-3, width=1e-3)
+    sc = scenario_with(default_sc, pulse=hot, horizon=15e-6, snapshot_dt=15e-6)
     with pytest.raises(ValidityError, match="low_intensity"):
-        simulate(
-            default_sc.medium,
-            default_sc.grid,
-            hot,
-            default_sc.schedule,
-            15e-6,
-            15e-6,
-        )
-    res = simulate(
-        default_sc.medium,
-        default_sc.grid,
-        hot,
-        default_sc.schedule,
-        15e-6,
-        15e-6,
-        force=True,
-    )
+        simulate(sc)
+    res = simulate(sc, force=True)
     assert not res.validity.blocking_pass
 
 
@@ -486,7 +441,7 @@ def test_coefficient_csv_tabulates_the_law_whatever_the_quadrature(tmp_path, mon
     written = []
     for tol in (1e-10, 1e-8):
         monkeypatch.setattr(solver_module, "QUAD_ABS_TOL", tol)
-        result = simulate(sc.medium, sc.grid, sc.pulse, schedule, sc.horizon, sc.snapshot_dt)
+        result = simulate(scenario_with(sc, schedule=schedule))
         path = tmp_path / f"{tol}.csv"
         write_coefficient_csv(result, path)
         written.append(path.read_bytes())
@@ -511,14 +466,7 @@ def test_whole_steps_counts_even_divisions_only():
 
 def test_snapshot_cadence_must_divide_horizon(default_sc):
     with pytest.raises(ConfigError):
-        simulate(
-            default_sc.medium,
-            default_sc.grid,
-            default_sc.pulse,
-            default_sc.schedule,
-            100e-6,
-            15e-6,
-        )
+        scenario_with(default_sc, horizon=100e-6, snapshot_dt=15e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -720,15 +668,13 @@ def test_a_medium_that_fails_the_block_quadrature_carries_its_own_error(default_
             return integrand(theta, theta_dot, params)
 
         monkeypatch.setattr(solver_module, "exponent_integrand", singular)
-    sc = default_sc
-    args = (sc.grid, sc.pulse, sc.schedule, sc.horizon, sc.snapshot_dt, True)
     nodes = _record_nodes(monkeypatch)
-    block = BlockEvolution(media, *args)
+    block = BlockEvolution(media, default_sc, force=True)
     block_nodes = dict(nodes)
     assert list(block.failed) == [2]
     assert isinstance(block.failed[2], (QuadratureError, SingularParametersError))
     for j, params in enumerate(media):
-        alone = BlockEvolution([params], *args)
+        alone = BlockEvolution([params], default_sc, force=True)
         if j == 2:
             assert (type(block.failed[j]), str(block.failed[j])) == (type(alone.failed[0]), str(alone.failed[0]))
             assert params not in block_nodes and j not in block.validity
@@ -737,6 +683,21 @@ def test_a_medium_that_fails_the_block_quadrature_carries_its_own_error(default_
         for got, want in zip(block._exponents[j], alone._exponents[0]):
             assert got.tobytes() == want.tobytes()
         assert [t.tobytes() for t in block_nodes[params]] == [t.tobytes() for t in nodes[params]]
+
+
+def test_a_block_reads_nothing_of_its_scenarios_medium(default_sc):
+    # The media run on the scenario's grid, pulse, schedule and clock alone:
+    # a scenario whose own medium has no spin decay evolves the same block
+    # to the bit, the row that overflows at 5500 rad/s included.
+    media = [dataclasses.replace(default_sc.medium, delta_p=delta_p) for delta_p in (0.0, 800.0, 5500.0)]
+    other = dataclasses.replace(default_sc, medium=dataclasses.replace(default_sc.medium, gamma_bc=0.0))
+    block, twin = BlockEvolution(media, default_sc), BlockEvolution(media, other)
+    for (i, members), (k, twin_members) in zip(block.evolve(), twin.evolve(), strict=True):
+        assert i == k and [j for j, _ in members] == [j for j, _ in twin_members]
+        for (_, snap), (_, twin_snap) in zip(members, twin_members):
+            assert np.array_equal(snap.psi.values, twin_snap.psi.values)
+            assert (snap.t, snap.s) == (twin_snap.t, twin_snap.s)
+    assert block.failed.keys() == twin.failed.keys() == {2}
 
 
 def test_each_snapshot_is_psi0_modes_times_one_factor_of_the_exponents_since_t0(default_sc, monkeypatch):
@@ -754,7 +715,7 @@ def test_each_snapshot_is_psi0_modes_times_one_factor_of_the_exponents_since_t0(
         return inverse(modes)
 
     monkeypatch.setattr(solver_module, "inverse_transform", traced)
-    block = BlockEvolution(media, sc.grid, sc.pulse, sc.schedule, sc.horizon, sc.snapshot_dt)
+    block = BlockEvolution(media, sc)
     assert len(list(block.evolve())) == len(block.times) and not block.failed
     t = np.array(block.times)
     s, w = np.cumsum(accumulate_exponent(media, sc.schedule, t[:-1], t[1:]), axis=-1)
@@ -773,7 +734,7 @@ def test_a_snapshots_s_is_the_exponent_the_engine_applied(default_sc, delta_p):
     # law's exponent over [0, t], summed over the snapshot intervals.
     sc = default_sc
     medium = dataclasses.replace(sc.medium, delta_p=delta_p)
-    result = simulate(medium, sc.grid, sc.pulse, sc.schedule, sc.horizon, sc.snapshot_dt)
+    result = simulate(scenario_with(sc, medium=medium))
     m0 = forward_transform(result.snapshots[0].psi)[0]
     for snap in result.snapshots:
         want = m0 * np.exp(-snap.s)
