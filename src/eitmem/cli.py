@@ -89,11 +89,12 @@ def _print_oracle_progress(steps_done: int, n_steps: int, t: float) -> None:
 def cmd_run(args) -> int:
     if args.csv_stride < 1:
         raise ConfigError(f"stride must be at least 1, got {args.csv_stride}")
+    if args.oracle_dt is not None and not args.oracle:
+        raise ConfigError(f"--oracle-dt {args.oracle_dt} needs --oracle")
     sc = _load_scenario(args)
     if args.oracle:
         dt = args.oracle_dt if args.oracle_dt is not None else sc.snapshot_dt / 1000.0
-        cfg = oracle.OracleConfig(dt=dt, snapshot_dt=sc.snapshot_dt)
-        oracle.step_count(sc.horizon, cfg)
+        oracle.step_count(sc, dt)
     result = solver.simulate(sc, force=args.force)
     for note in sc.notes:
         print(f"note: {note}")
@@ -136,10 +137,7 @@ def cmd_run(args) -> int:
     # The oracle runs before any artifact is written, so a run it rejects
     # leaves no partial set behind.
     if args.oracle:
-        start = oracle_initial_state(sc.medium, sc.grid, sc.pulse, sc.schedule)
-        states = oracle.integrate_reduced(
-            sc.medium, sc.grid, start, sc.schedule, sc.horizon, cfg, _print_oracle_progress
-        )
+        states = oracle.integrate_reduced(sc, oracle_initial_state(sc), dt, _print_oracle_progress)
         report = oracle.compare_to_adiabatic(
             states,
             [(snap.t, solver.reconstruct(snap.psi, snap.theta, sc.medium)[1]) for snap in result.snapshots],
@@ -157,7 +155,7 @@ def cmd_run(args) -> int:
 
     if args.oracle:
         oracle_path = os.path.join(out_dir, "oracle_snapshots.csv")
-        oracle.write_oracle_csv(states, oracle_path, cfg, stride=args.csv_stride)
+        oracle.write_oracle_csv(states, oracle_path, dt, stride=args.csv_stride)
         comparison_path = os.path.join(out_dir, "comparison.json")
         summary["oracle_comparison"] = dataclasses.asdict(report)
         _write_json(comparison_path, summary["oracle_comparison"])

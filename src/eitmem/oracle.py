@@ -8,9 +8,11 @@ atomic coherences respond locally,
     d sigma_bc / dt = -(i delta_p + gamma_bc) sigma_bc + i Omega* sigma_ba
 
 No adiabatic elimination, no closed-form coefficients: this module must stay
-independent of the spectral engine so the two can check each other. It only
-shares the grid containers, snapshot clock and CSV writer, the parameter
-record with its coupling block and dark eigenpairs, and the control schedule.
+independent of the spectral engine so the two can check each other. It reads
+its run from the engine's Scenario, named in annotations only, and picks only
+its own step dt. It shares the grid containers, snapshot clock and CSV
+writer, the parameter record with its coupling block and dark eigenpairs, and
+the control schedule.
 """
 
 from __future__ import annotations
@@ -18,13 +20,17 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .control import INSTANT_RTOL, ConstantSchedule, ControlSchedule
+from .control import INSTANT_RTOL, ConstantSchedule
 from .errors import ConfigError, InvalidComparisonError, SimulationError
-from .grids import FieldGrid, GridSpec, field_header, field_tables, gaussian_field, kept_modes, snapshot_intervals, snapshot_times, squared_norm, whole_steps, write_csv
-from .model import MediumParams, PulseSpec, ValidityReport, coupling_matrix, dark_modes
+from .grids import FieldGrid, field_header, field_tables, gaussian_field, kept_modes, snapshot_intervals, snapshot_times, squared_norm, whole_steps, write_csv
+from .model import MediumParams, ValidityReport, coupling_matrix, dark_modes
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from .scenario import Scenario
 
 # Coupling propagators are built for at most this many step midpoints at a
 # time, so memory stays flat however small dt is.
@@ -81,39 +87,30 @@ class OracleState:
 ORACLE_FIELDS = ("e_field", "sigma_ba", "sigma_bc")
 
 
-@dataclass(frozen=True)
-class OracleConfig:
-    dt: float  # s
-    snapshot_dt: float  # s
+def step_count(sc: Scenario, dt: float) -> int:
+    """Steps of a march over sc with step dt: snapshot intervals x steps per interval.
 
-    def __post_init__(self):
-        if not (math.isfinite(self.dt) and self.dt > 0):
-            raise ConfigError(f"dt must be positive and finite, got {self.dt}")
-        if not (math.isfinite(self.snapshot_dt) and self.snapshot_dt > 0):
-            raise ConfigError(f"snapshot_dt must be positive and finite, got {self.snapshot_dt}")
-        if not whole_steps(self.snapshot_dt, self.dt):
-            raise ConfigError(f"dt {self.dt} must divide snapshot_dt {self.snapshot_dt} evenly")
-
-
-def step_count(horizon: float, cfg: OracleConfig) -> int:
-    """Steps of a march to horizon: snapshot intervals x steps per interval.
-
-    Raises ConfigError unless cfg.snapshot_dt divides horizon evenly, and
-    when the count passes MAX_STEPS, so a caller can reject a step before
-    any long work.
+    Raises ConfigError unless dt is positive and finite and divides
+    sc.snapshot_dt evenly, and when the count passes MAX_STEPS, so a caller
+    can reject a step before any long work.
     """
-    n_steps = snapshot_intervals(horizon, cfg.snapshot_dt) * whole_steps(cfg.snapshot_dt, cfg.dt)
+    if not (math.isfinite(dt) and dt > 0):
+        raise ConfigError(f"dt must be positive and finite, got {dt}")
+    per_snap = whole_steps(sc.snapshot_dt, dt)
+    if not per_snap:
+        raise ConfigError(f"dt {dt} must divide snapshot_dt {sc.snapshot_dt} evenly")
+    n_steps = snapshot_intervals(sc.horizon, sc.snapshot_dt) * per_snap
     if n_steps > MAX_STEPS:
         raise ConfigError(
-            f"dt {cfg.dt} takes {n_steps} steps to the horizon {horizon}, more than "
+            f"dt {dt} takes {n_steps} steps to the horizon {sc.horizon}, more than "
             f"2^53 = {MAX_STEPS}, past which step midpoints are no longer distinct"
         )
     return n_steps
 
 
-def _substeps(horizon: float, cfg: OracleConfig) -> tuple[int, int]:
-    """The steps of a march to horizon and the steps per snapshot interval."""
-    return step_count(horizon, cfg), whole_steps(cfg.snapshot_dt, cfg.dt)
+def _substeps(sc: Scenario, dt: float) -> tuple[int, int]:
+    """The steps of a march over sc and the steps per snapshot interval."""
+    return step_count(sc, dt), whole_steps(sc.snapshot_dt, dt)
 
 
 def expm(a) -> np.ndarray:
@@ -187,30 +184,25 @@ def _advection(k: np.ndarray, c: float, tau: float) -> np.ndarray:
     return np.exp(-1j * k * c * tau)
 
 
-def initial_state(params: MediumParams, grid: GridSpec, pulse: PulseSpec, schedule: ControlSchedule) -> OracleState:
-    """The reduced system's dark state at t = 0 whose dark field is the pulse, read from no evolution law.
+def initial_state(sc: Scenario) -> OracleState:
+    """The reduced system's dark state at t = 0 whose dark field is sc's pulse, read from no evolution law.
 
     Each of the pulse's grids.kept_modes is carried by its dark_modes vector at Omega(0); the rest are zero.
     """
+    params, grid, pulse = sc.medium, sc.grid, sc.pulse
     modes = np.fft.fft(gaussian_field(grid, pulse.amplitude, pulse.center_z, pulse.width).values)
     kept = kept_modes(modes)
     stack = np.zeros((3, grid.n_points), dtype=complex)
-    stack[:, kept] = (dark_modes(params, schedule.eval(params, 0.0).omega, grid.k_array()[kept])[1] * modes[kept, None]).T
+    stack[:, kept] = (dark_modes(params, sc.schedule.eval(params, 0.0).omega, grid.k_array()[kept])[1] * modes[kept, None]).T
     fields = np.fft.ifft(stack, axis=-1)
     fields[1:] /= math.sqrt(params.n_atoms)
     return OracleState(*(FieldGrid(grid, values) for values in fields), t=0.0)
 
 
 def integrate_reduced(
-    params: MediumParams,
-    grid: GridSpec,
-    initial: OracleState,
-    schedule: ControlSchedule,
-    horizon: float,
-    cfg: OracleConfig,
-    progress: Callable[[int, int, float], None] | None = None,
+    sc: Scenario, initial: OracleState, dt: float, progress: Callable[[int, int, float], None] | None = None
 ) -> list[OracleState]:
-    """March the reduced system and return its states at the snapshot instants.
+    """March the reduced system of sc from initial in steps of dt, and return its states at the snapshot instants.
 
     Each state is stamped initial.t plus its instant of grids.snapshot_times,
     the spectral engine's clock, so both engines stamp an instant alike.
@@ -231,11 +223,11 @@ def integrate_reduced(
     progress, if given, is called as progress(steps_done, n_steps, t) after
     each snapshot.
     """
+    params, grid = sc.medium, sc.grid
     if initial.e_field.grid != grid:
         raise ConfigError("initial state grid does not match the run grid")
-    n_steps, per_snap = _substeps(horizon, cfg)
-    times = snapshot_times(horizon, cfg.snapshot_dt)
-    dt = cfg.dt
+    n_steps, per_snap = _substeps(sc, dt)
+    times = snapshot_times(sc.horizon, sc.snapshot_dt)
     stack = np.fft.fft([getattr(initial, name).values for name in ORACLE_FIELDS], axis=-1)
     block_of = np.arange(grid.n_points) // BLOCK_POINTS
     columns = np.flatnonzero(np.isin(block_of, block_of[kept_modes(stack)]))
@@ -250,7 +242,7 @@ def integrate_reduced(
     t0 = initial.t
 
     states = [initial]
-    for i, propagator in enumerate(_step_propagators(params, schedule, t0, dt, n_steps)):
+    for i, propagator in enumerate(_step_propagators(params, sc.schedule, t0, dt, n_steps)):
         for c in range(0, columns.size, BLOCK_POINTS):
             block = slice(c, c + BLOCK_POINTS)
             np.matmul(propagator, stack[:, block], out=spare[:, block])
@@ -344,10 +336,10 @@ def compare_to_adiabatic(
     )
 
 
-def write_oracle_csv(states: list[OracleState], path, cfg: OracleConfig, stride: int = 1):
-    """Snapshot rows in the solver CSV layout, with a provenance header."""
+def write_oracle_csv(states: list[OracleState], path, dt: float, stride: int = 1):
+    """Snapshot rows of a march in steps of dt, in the solver CSV layout, with a provenance header."""
     if not states:
         raise ConfigError("no states to write")
-    header = f"# scheme=splitting_spectral_advection dt={cfg.dt!r}\n" + field_header(ORACLE_FIELDS)
+    header = f"# scheme=splitting_spectral_advection dt={dt!r}\n" + field_header(ORACLE_FIELDS)
     snapshots = ((st.t, [getattr(st, name).values[::stride] for name in ORACLE_FIELDS]) for st in states)
     write_csv(path, header, field_tables(states[0].e_field.grid.z_array(), snapshots, stride))

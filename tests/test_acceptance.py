@@ -30,7 +30,7 @@ from eitmem.cli import main, oracle_initial_state
 from eitmem.coefficients import bright_ratio, exponent_integrand, v_g_min
 from eitmem.grids import gaussian_field, squared_norm
 from eitmem.model import MediumParams
-from eitmem.oracle import OracleConfig, compare_to_adiabatic, integrate_reduced
+from eitmem.oracle import compare_to_adiabatic, integrate_reduced
 from eitmem.scenario import default_scenario
 from eitmem.solver import forward_transform, inverse_transform, reconstruct, simulate
 
@@ -154,20 +154,12 @@ def test_criterion_06_design_limits_reproduce_detuning_bounds(tmp_path):
 def test_criterion_07_reference_integrator_agreement_and_attribution():
     ok = scaled_pass_scenario()
     ok_result = simulate(ok)
-    ok_states = integrate_reduced(
-        ok.medium, ok.grid,
-        oracle_initial_state(ok.medium, ok.grid, ok.pulse, ok.schedule),
-        ok.schedule, ok.horizon, OracleConfig(dt=5e-4, snapshot_dt=ok.snapshot_dt),
-    )
+    ok_states = integrate_reduced(ok, oracle_initial_state(ok), 5e-4)
     ok_report = compare_to_adiabatic(ok_states, probe_fields(ok_result), ok_result.validity)
 
     bad = scaled_violating_scenario()
     bad_result = simulate(bad)
-    bad_states = integrate_reduced(
-        bad.medium, bad.grid,
-        oracle_initial_state(bad.medium, bad.grid, bad.pulse, bad.schedule),
-        bad.schedule, bad.horizon, OracleConfig(dt=2.5e-4, snapshot_dt=bad.snapshot_dt),
-    )
+    bad_states = integrate_reduced(bad, oracle_initial_state(bad), 2.5e-4)
     bad_report = compare_to_adiabatic(bad_states, probe_fields(bad_result), bad_result.validity)
 
     print(

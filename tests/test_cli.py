@@ -954,13 +954,32 @@ def test_run_with_reference_comparison(tmp_path, capsys):
     assert comparison["ratios"]["adiabatic_time_ratio"] is None
 
 
-@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "0", "--oracle-dt=-1e-9"])
 def test_run_rejects_non_finite_oracle_dt(tmp_path, capsys, bad):
+    # argparse reads "-1e-9" as an option, so a negative step is given in the = form
     out = tmp_path / "out"
-    rc = main(["run", "--out-dir", str(out), "--oracle", "--oracle-dt", bad])
+    flag = [bad] if bad.startswith("--") else ["--oracle-dt", bad]
+    rc = main(["run", "--out-dir", str(out), "--oracle", *flag])
     assert rc == 2
-    assert f"dt must be positive and finite, got {bad}" in capsys.readouterr().err
+    assert f"dt must be positive and finite, got {float(bad.rpartition('=')[2])}" in capsys.readouterr().err
     # rejected before the spectral run writes anything
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("dt", ["nan", "1.5e-8"])
+def test_run_rejects_an_oracle_dt_without_the_oracle_before_any_work(tmp_path, capsys, monkeypatch, dt):
+    # Only the oracle reads the step, so a step given without it is a mistake
+    # to report, valid or not, and no scenario file is read.
+    def load(*args, **kwargs):
+        raise AssertionError("the scenario was loaded")
+
+    monkeypatch.setattr(cli, "_load_scenario", load)
+    out = tmp_path / "out"
+    rc = main(["run", "--out-dir", str(out), "--oracle-dt", dt])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == f"config error: --oracle-dt {float(dt)} needs --oracle\n"
     assert not out.exists()
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from eitmem.coefficients import exponent_integrand
 from eitmem.grids import FieldGrid, GridSpec, field_tables, write_csv
-from eitmem.oracle import OracleConfig, OracleState, write_oracle_csv
+from eitmem.oracle import OracleState, write_oracle_csv
 from eitmem.solver import reconstruct, write_coefficient_csv, write_snapshots_csv
 
 from conftest import coefficient_times
@@ -85,7 +85,7 @@ def test_oracle_csv_matches_the_per_value_writer(tmp_path):
 
     states = [OracleState(field(), field(), field(), t) for t in (0.0, 3 * 5e-6, 0.1 + 0.2)]
     path = tmp_path / "oracle.csv"
-    write_oracle_csv(states, path, OracleConfig(dt=5e-4, snapshot_dt=0.5), stride=3)
+    write_oracle_csv(states, path, 5e-4, stride=3)
     z = grid.z_array()
     tables = [
         (st.t, z, (st.e_field.values, st.sigma_ba.values, st.sigma_bc.values)) for st in states

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -25,7 +26,6 @@ from eitmem.model import coupling_matrix
 from eitmem.oracle import (
     MAX_STEPS,
     ORACLE_FIELDS,
-    OracleConfig,
     OracleState,
     compare_to_adiabatic,
     expm,
@@ -33,7 +33,7 @@ from eitmem.oracle import (
     step_count,
     write_oracle_csv,
 )
-from eitmem.scenario import default_scenario, save_scenario
+from eitmem.scenario import Scenario, default_scenario, save_scenario
 from eitmem.solver import simulate
 
 GRID = GridSpec(-2.0, 2.0, 1024)
@@ -61,45 +61,34 @@ def short_default_scenario():
     return dataclasses.replace(default_scenario(), horizon=15e-6, snapshot_dt=15e-6, output_time=15e-6)
 
 
-def test_config_rejects_bad_values():
-    with pytest.raises(ConfigError, match="dt"):
-        OracleConfig(dt=0.0, snapshot_dt=1.0)
-    with pytest.raises(ConfigError, match="snapshot_dt"):
-        OracleConfig(dt=1e-3, snapshot_dt=-1.0)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(ConfigError, match="dt must be positive and finite"):
-            OracleConfig(dt=bad, snapshot_dt=1.0)
-        with pytest.raises(ConfigError, match="snapshot_dt must be positive and finite"):
-            OracleConfig(dt=1e-3, snapshot_dt=bad)
+def probe_run(horizon: float, snapshot_dt: float, **changes) -> Scenario:
+    """The scaled pass scenario, whose grid is GRID and whose pulse is probe_state's, over horizon with snapshot_dt."""
+    return scenario_with(scaled_pass_scenario(), horizon=horizon, snapshot_dt=snapshot_dt, **changes)
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.0, -1e-9, math.nan, math.inf])
+def test_step_count_rejects_a_step_that_is_not_positive_and_finite(dt):
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'dt must be positive and finite, got {dt}')}$"):
+        step_count(scaled_pass_scenario(), dt)
 
 
 def test_step_cadence_must_divide():
-    p = scaled_medium()
     with pytest.raises(ConfigError, match="divide"):
-        integrate_reduced(
-            p, GRID, probe_state(), constant_schedule(), 1.0, OracleConfig(dt=0.3, snapshot_dt=0.1)
-        )
+        integrate_reduced(probe_run(1.0, 0.1), probe_state(), 0.3)
     with pytest.raises(ConfigError, match="divide"):
-        integrate_reduced(
-            p,
-            GRID,
-            probe_state(),
-            constant_schedule(),
-            1.0,
-            OracleConfig(dt=0.125, snapshot_dt=0.3),
-        )
+        probe_run(1.0, 0.3)
 
 
 def test_step_count_is_intervals_times_steps_per_interval():
     # Past about 1e15 steps horizon / dt and snapshot_dt / dt round apart: at
     # dt = 2e-20 s the first rounds to 9000000000000001 steps, which no
     # whole number of 15 us intervals holds.
-    assert step_count(180e-6, OracleConfig(dt=2e-20, snapshot_dt=1.5e-5)) == 12 * 750_000_000_000_000
-    assert step_count(2.0**53, OracleConfig(dt=1.0, snapshot_dt=2.0**52)) == MAX_STEPS == 2**53
+    assert step_count(default_scenario(), 2e-20) == 12 * 750_000_000_000_000
+    assert step_count(scenario_with(default_scenario(), horizon=2.0**53, snapshot_dt=2.0**52), 1.0) == MAX_STEPS == 2**53
     with pytest.raises(ConfigError, match=r"^dt 1.0 takes 13510798882111488 steps to the horizon"):
-        step_count(3 * 2.0**52, OracleConfig(dt=1.0, snapshot_dt=2.0**52))
+        step_count(scenario_with(default_scenario(), horizon=3 * 2.0**52, snapshot_dt=2.0**52), 1.0)
     with pytest.raises(ConfigError, match=r"^snapshot_dt 0.3 must divide the horizon 1.0 evenly$"):
-        step_count(1.0, OracleConfig(dt=0.1, snapshot_dt=0.3))
+        scenario_with(default_scenario(), horizon=1.0, snapshot_dt=0.3)
 
 
 def test_state_fields_must_share_grid():
@@ -112,14 +101,7 @@ def test_state_fields_must_share_grid():
             t=0.0,
         )
     with pytest.raises(ConfigError, match="grid"):
-        integrate_reduced(
-            scaled_medium(),
-            other,
-            probe_state(),
-            constant_schedule(),
-            1.0,
-            OracleConfig(dt=0.125, snapshot_dt=0.25),
-        )
+        integrate_reduced(probe_run(1.0, 0.25, grid=other), probe_state(), 0.125)
 
 
 def test_advection_only_limit_shifts_exactly():
@@ -127,9 +109,7 @@ def test_advection_only_limit_shifts_exactly():
     # the spectral half steps reproduce a whole-cell shift to roundoff.
     p = scaled_medium(g=1e-15, n_atoms=1.0)
     initial = probe_state()
-    states = integrate_reduced(
-        p, GRID, initial, constant_schedule(), 1.0, OracleConfig(dt=0.125, snapshot_dt=0.25)
-    )
+    states = integrate_reduced(probe_run(1.0, 0.25, medium=p), initial, 0.125)
     assert [s.t for s in states] == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
     shift_cells = int(round(p.c * 1.0 / GRID.dz))
     assert shift_cells == 256
@@ -139,12 +119,9 @@ def test_advection_only_limit_shifts_exactly():
 
 def test_zero_initial_state_stays_zero():
     states = integrate_reduced(
-        scaled_medium(),
-        GRID,
+        probe_run(1.0, 0.1),
         OracleState(e_field=zero_field(), sigma_ba=zero_field(), sigma_bc=zero_field(), t=0.0),
-        constant_schedule(),
-        1.0,
-        OracleConfig(dt=0.1, snapshot_dt=0.1),
+        0.1,
     )
     for s in states:
         assert np.max(np.abs(s.e_field.values)) == 0.0
@@ -153,13 +130,8 @@ def test_zero_initial_state_stays_zero():
 
 
 def test_splitting_converges_under_dt_halving():
-    p = scaled_medium()
-    runs = {
-        dt: integrate_reduced(
-            p, GRID, probe_state(), constant_schedule(), 2.0, OracleConfig(dt=dt, snapshot_dt=2.0)
-        )
-        for dt in (1e-3, 5e-4, 2.5e-4)
-    }
+    sc = probe_run(2.0, 2.0)
+    runs = {dt: integrate_reduced(sc, probe_state(), dt) for dt in (1e-3, 5e-4, 2.5e-4)}
     ref = runs[2.5e-4][-1].e_field.values
     err_coarse = np.max(np.abs(runs[1e-3][-1].e_field.values - ref))
     err_fine = np.max(np.abs(runs[5e-4][-1].e_field.values - ref))
@@ -209,10 +181,7 @@ def test_splitting_matches_exact_per_mode_reference(params, omega):
     ref = exact_per_mode(params, omega, initial, 1.0)
     errors = {}
     for dt in (5e-4, 2.5e-4):
-        final = integrate_reduced(
-            params, GRID, initial, constant_schedule(omega), 1.0,
-            OracleConfig(dt=dt, snapshot_dt=1.0),
-        )[-1]
+        final = integrate_reduced(probe_run(1.0, 1.0, medium=params, schedule=constant_schedule(omega)), initial, dt)[-1]
         errors[dt] = [
             np.max(np.abs(got.values - want)) / np.max(np.abs(want))
             for got, want in zip((final.e_field, final.sigma_ba, final.sigma_bc), ref)
@@ -235,10 +204,7 @@ def test_non_finite_values_name_their_snapshot_interval(monkeypatch):
     with pytest.raises(
         SimulationError, match=r"non-finite values in \[2\.500000e-01, 5\.000000e-01\] s"
     ):
-        integrate_reduced(
-            scaled_medium(), GRID, probe_state(), constant_schedule(), 1.0,
-            OracleConfig(dt=0.0625, snapshot_dt=0.25),
-        )
+        integrate_reduced(probe_run(1.0, 0.25), probe_state(), 0.0625)
 
 
 def rel_diff(got, ref) -> float:
@@ -340,7 +306,7 @@ def test_chunked_propagators_follow_step_midpoints(monkeypatch):
     monkeypatch.setattr(eitmem.oracle, "CHUNK_STEPS", 16)
     p = scaled_medium()
     initial = probe_state()
-    states = integrate_reduced(p, GRID, initial, SWITCH, 1.05, OracleConfig(dt=0.01, snapshot_dt=0.07))
+    states = integrate_reduced(probe_run(1.05, 0.07, schedule=SWITCH), initial, 0.01)
     assert [s.t for s in states] == snapshot_times(1.05, 0.07)
     assert_fields_follow(states[1:], scipy_march(p, SWITCH, initial, 0.01, 105, 7))
 
@@ -365,7 +331,7 @@ def test_the_march_zeroes_the_blocks_that_hold_no_kept_mode(monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(np.fft, "ifft", recorded)
-        states = integrate_reduced(p, GRID, initial, SWITCH, 1.05, OracleConfig(dt=0.01, snapshot_dt=0.07))
+        states = integrate_reduced(probe_run(1.05, 0.07, schedule=SWITCH), initial, 0.01)
     assert len(transformed) == len(states) - 1 == 15
     for modes in transformed:
         assert np.all(modes[:, ~marched] == 0)
@@ -373,22 +339,83 @@ def test_the_march_zeroes_the_blocks_that_hold_no_kept_mode(monkeypatch):
     assert_fields_follow(states[1:], scipy_march(p, SWITCH, initial, 0.01, 105, 7))
 
 
-def all_mode_march(params, grid, initial, schedule, horizon, cfg) -> list[np.ndarray]:
-    """The (3, n) fields at each snapshot of the march that multiplies and advects every mode on BLOCK_POINTS-wide blocks."""
-    n_steps, per_snap = step_count(horizon, cfg), whole_steps(cfg.snapshot_dt, cfg.dt)
+def field_rows(state: OracleState) -> np.ndarray:
+    """The (3, n) samples of a state's fields, in ORACLE_FIELDS order."""
+    return np.array([getattr(state, name).values for name in ORACLE_FIELDS])
+
+
+def start_of(grid: GridSpec, rows) -> OracleState:
+    return OracleState(*(FieldGrid(grid, values) for values in rows), t=0.0)
+
+
+def switch_run():
+    """The scaled scenario under SWITCH to 1.05, with a snapshot every 0.35."""
+    return scenario_with(scaled_pass_scenario(), schedule=SWITCH, horizon=1.05, snapshot_dt=0.35)
+
+
+def short_default_halves():
+    """The default scenario cut to 15 us, with a snapshot every 7.5 us."""
+    return scenario_with(default_scenario(), horizon=15e-6, snapshot_dt=7.5e-6)
+
+
+INVARIANT_RUNS = pytest.mark.parametrize(
+    ("make", "dt", "shift"), [(switch_run, 0.01, 37), (short_default_halves, 1.5e-7, 257)], ids=["scaled_switch", "default_15us"]
+)
+
+
+@INVARIANT_RUNS
+def test_the_march_is_linear(make, dt, shift):
+    # b, a dark start five times narrower, holds a wider band than a: on the
+    # default grid 361 kept modes against a's 73.
+    sc = make()
+    a = oracle_initial_state(sc)
+    b = oracle_initial_state(scenario_with(sc, pulse=dataclasses.replace(sc.pulse, width=sc.pulse.width / 5)))
+    bands = [np.count_nonzero(kept_modes(np.fft.fft(field_rows(x), axis=-1))) for x in (a, b)]
+    assert bands[1] > bands[0]
+    marched_a, marched_b = ([field_rows(st) for st in integrate_reduced(sc, x, dt)] for x in (a, b))
+    mixed = integrate_reduced(sc, start_of(sc.grid, 2 * field_rows(a) + 1j * field_rows(b)), dt)
+    assert_fields_follow(mixed, [2 * ra + 1j * rb for ra, rb in zip(marched_a, marched_b)])
+
+
+@INVARIANT_RUNS
+def test_the_march_is_translation_equivariant(make, dt, shift):
+    sc = make()
+    a = oracle_initial_state(sc)
+    rolled = integrate_reduced(sc, start_of(sc.grid, np.roll(field_rows(a), shift, axis=-1)), dt)
+    assert_fields_follow(rolled, [np.roll(field_rows(st), shift, axis=-1) for st in integrate_reduced(sc, a, dt)])
+
+
+def test_a_tabulated_switch_marches_as_the_switch_it_samples():
+    # 3201 knots hold the cubic to 8e-10 of each field's peak; 1601 knots
+    # give 1.6e-7, and 801 are rejected as too sparse.
+    sc = switch_run()
+    knots = np.linspace(0.0, sc.horizon, 3201)
+    table = TabulatedSchedule(times=tuple(knots), thetas=tuple(SWITCH.eval(sc.medium, knots).theta))
+    tabulated = scenario_with(sc, schedule=table)
+    states = integrate_reduced(tabulated, oracle_initial_state(tabulated), 0.01)
+    reference = [field_rows(st) for st in integrate_reduced(sc, oracle_initial_state(sc), 0.01)]
+    for state, fields in zip(states, reference, strict=True):
+        for got, ref in zip(field_rows(state), fields):
+            assert np.max(np.abs(got - ref)) <= 1e-8 * np.max(np.abs(ref)), state.t
+
+
+def all_mode_march(sc, initial, dt) -> list[np.ndarray]:
+    """The (3, n) fields at each snapshot of the march over sc that multiplies and advects every mode on BLOCK_POINTS-wide blocks."""
+    params, grid = sc.medium, sc.grid
+    n_steps, per_snap = step_count(sc, dt), whole_steps(sc.snapshot_dt, dt)
     k = grid.k_array()
     stack = np.fft.fft([initial.e_field.values, initial.sigma_ba.values, initial.sigma_bc.values], axis=-1)
     spare = np.empty_like(stack)
-    stack[0] *= np.exp(-1j * k * params.c * (cfg.dt / 2.0))
-    phase = np.exp(-1j * k * params.c * cfg.dt)
+    stack[0] *= np.exp(-1j * k * params.c * (dt / 2.0))
+    phase = np.exp(-1j * k * params.c * dt)
     fields = []
-    for i, propagator in enumerate(eitmem.oracle._step_propagators(params, schedule, initial.t, cfg.dt, n_steps)):
+    for i, propagator in enumerate(eitmem.oracle._step_propagators(params, sc.schedule, initial.t, dt, n_steps)):
         for c in range(0, grid.n_points, eitmem.oracle.BLOCK_POINTS):
             block = slice(c, c + eitmem.oracle.BLOCK_POINTS)
             np.matmul(propagator, stack[:, block], out=spare[:, block])
         stack, spare = spare, stack
         if (i + 1) % per_snap == 0:
-            np.multiply(stack[0], np.exp(-1j * k * params.c * (cfg.dt / 2.0)), out=spare[0])
+            np.multiply(stack[0], np.exp(-1j * k * params.c * (dt / 2.0)), out=spare[0])
             spare[1:] = stack[1:]
             fields.append(np.fft.ifft(spare, axis=-1))
             spare = np.empty_like(stack)
@@ -398,11 +425,10 @@ def all_mode_march(params, grid, initial, schedule, horizon, cfg) -> list[np.nda
 
 def test_a_start_whose_band_fills_its_one_block_is_marched_as_every_mode_is():
     sc = scaled_pass_scenario()
-    initial = oracle_initial_state(sc.medium, sc.grid, sc.pulse, sc.schedule)
+    initial = oracle_initial_state(sc)
     assert sc.grid.n_points <= eitmem.oracle.BLOCK_POINTS
-    cfg = OracleConfig(dt=5e-4, snapshot_dt=sc.snapshot_dt)
-    states = integrate_reduced(sc.medium, sc.grid, initial, sc.schedule, sc.horizon, cfg)
-    reference = all_mode_march(sc.medium, sc.grid, initial, sc.schedule, sc.horizon, cfg)
+    states = integrate_reduced(sc, initial, 5e-4)
+    reference = all_mode_march(sc, initial, 5e-4)
     for state, fields in zip(states[1:], reference, strict=True):
         for name, values in zip(ORACLE_FIELDS, fields):
             assert np.array_equal(getattr(state, name).values, values), (state.t, name)
@@ -413,8 +439,7 @@ def test_a_step_multiplies_the_columns_of_the_kept_blocks_alone(monkeypatch, mak
     # The default band lies in blocks 0 and 7 of 8; the scaled one fills its one block.
     sc = make()
     assert sc.grid.n_points == n_points
-    initial = oracle_initial_state(sc.medium, sc.grid, sc.pulse, sc.schedule)
-    cfg = OracleConfig(dt=dt, snapshot_dt=sc.snapshot_dt)
+    initial = oracle_initial_state(sc)
     multiplied = []
     matmul = np.matmul
 
@@ -423,8 +448,8 @@ def test_a_step_multiplies_the_columns_of_the_kept_blocks_alone(monkeypatch, mak
         return matmul(a, b, *args, **kwargs)
 
     monkeypatch.setattr(np, "matmul", counted)
-    integrate_reduced(sc.medium, sc.grid, initial, sc.schedule, sc.horizon, cfg)
-    assert sum(multiplied) == columns * step_count(sc.horizon, cfg)
+    integrate_reduced(sc, initial, dt)
+    assert sum(multiplied) == columns * step_count(sc, dt)
 
 
 def test_the_march_takes_one_transform_in_and_one_out_per_snapshot(monkeypatch):
@@ -438,7 +463,7 @@ def test_the_march_takes_one_transform_in_and_one_out_per_snapshot(monkeypatch):
 
         monkeypatch.setattr(np.fft, name, counted)
     sched = TanhSchedule(scale=0.3, floor=0.02, steepness=10.0, t1=0.3, t2=0.8)
-    states = integrate_reduced(scaled_medium(), GRID, probe_state(), sched, 1.05, OracleConfig(dt=0.01, snapshot_dt=0.07))
+    states = integrate_reduced(probe_run(1.05, 0.07, schedule=sched), probe_state(), 0.01)
     shape = (3, GRID.n_points)
     assert calls == [("fft", shape)] + [("ifft", shape)] * (len(states) - 1)
 
@@ -535,17 +560,9 @@ def test_the_integrator_and_the_scenario_loader_load_no_engine_module(module):
 
 
 def test_oracle_csv_provenance_and_layout(tmp_path):
-    states = integrate_reduced(
-        scaled_medium(g=1e-15, n_atoms=1.0),
-        GRID,
-        probe_state(),
-        constant_schedule(),
-        0.5,
-        OracleConfig(dt=0.125, snapshot_dt=0.25),
-    )
+    states = integrate_reduced(probe_run(0.5, 0.25, medium=scaled_medium(g=1e-15, n_atoms=1.0)), probe_state(), 0.125)
     path = tmp_path / "oracle.csv"
-    cfg = OracleConfig(dt=0.125, snapshot_dt=0.25)
-    write_oracle_csv(states, path, cfg, stride=64)
+    write_oracle_csv(states, path, 0.125, stride=64)
     lines = path.read_text().splitlines()
     assert lines[0] == "# scheme=splitting_spectral_advection dt=0.125"
     assert lines[1] == (
@@ -554,9 +571,9 @@ def test_oracle_csv_provenance_and_layout(tmp_path):
     )
     assert len(lines) == 2 + len(states) * (GRID.n_points // 64)
     with pytest.raises(ConfigError, match="stride"):
-        write_oracle_csv(states, path, cfg, stride=0)
+        write_oracle_csv(states, path, 0.125, stride=0)
     with pytest.raises(ConfigError, match="states"):
-        write_oracle_csv([], path, cfg)
+        write_oracle_csv([], path, 0.125)
 
 
 @pytest.mark.parametrize("make", [default_scenario, scaled_pass_scenario])
@@ -567,7 +584,7 @@ def test_the_start_carries_the_pulse_as_its_dark_field_on_the_kept_modes_alone(m
     assert oracle_initial_state is eitmem.oracle.initial_state
     sc = make()
     p = sc.medium
-    initial = oracle_initial_state(p, sc.grid, sc.pulse, sc.schedule)
+    initial = oracle_initial_state(sc)
     theta = sc.schedule.eval(p, 0.0).theta
     dark = np.fft.fft(math.cos(theta) * initial.e_field.values - math.sin(theta) * math.sqrt(p.n_atoms) * initial.sigma_bc.values)
     modes = np.fft.fft(gaussian_field(sc.grid, sc.pulse.amplitude, sc.pulse.center_z, sc.pulse.width).values)
@@ -586,8 +603,8 @@ def test_the_march_keeps_the_start_band(make, dt):
     modes = np.abs(np.fft.fft(gaussian_field(sc.grid, sc.pulse.amplitude, sc.pulse.center_z, sc.pulse.width).values))
     outside = modes <= KEPT_MODE_FLOOR * np.max(modes)
     assert np.any(outside)
-    initial = oracle_initial_state(sc.medium, sc.grid, sc.pulse, sc.schedule)
-    states = integrate_reduced(sc.medium, sc.grid, initial, sc.schedule, sc.horizon, OracleConfig(dt=dt, snapshot_dt=sc.snapshot_dt))
+    initial = oracle_initial_state(sc)
+    states = integrate_reduced(sc, initial, dt)
     for state in states:
         rows = np.abs(np.fft.fft([getattr(state, name).values for name in ORACLE_FIELDS], axis=-1))
         assert np.all(np.max(rows[:, outside], axis=-1) <= 1e-13 * np.max(rows, axis=-1)), state.t
@@ -614,13 +631,10 @@ def test_the_oracle_stamps_its_states_with_the_engine_instants(tmp_path):
 
 
 def test_comparison_error_paths():
-    sc = scaled_pass_scenario()
-    result = simulate(scenario_with(sc, horizon=0.5, snapshot_dt=0.5))
+    sc = scenario_with(scaled_pass_scenario(), horizon=0.5, snapshot_dt=0.5)
+    result = simulate(sc)
     fields = probe_fields(result)
-    initial = oracle_initial_state(sc.medium, sc.grid, sc.pulse, sc.schedule)
-    states = integrate_reduced(
-        sc.medium, sc.grid, initial, sc.schedule, 0.5, OracleConfig(dt=1e-3, snapshot_dt=0.5)
-    )
+    states = integrate_reduced(sc, oracle_initial_state(sc), 1e-3)
     with pytest.raises(InvalidComparisonError, match="empty"):
         compare_to_adiabatic([], fields, result.validity)
     shrunk = GridSpec(-2.0, 2.0, 512)
@@ -649,11 +663,7 @@ def test_comparison_refuses_an_oracle_run_on_another_snapshot_clock():
     # engine's 9 instants; a comparison of those alone would pass unnoticed.
     sc = scaled_pass_scenario()
     result = simulate(sc)
-    initial = oracle_initial_state(sc.medium, sc.grid, sc.pulse, sc.schedule)
-    states = integrate_reduced(
-        sc.medium, sc.grid, initial, sc.schedule, sc.horizon,
-        OracleConfig(dt=1e-2, snapshot_dt=2.0 * sc.snapshot_dt),
-    )
+    states = integrate_reduced(scenario_with(sc, snapshot_dt=2.0 * sc.snapshot_dt), oracle_initial_state(sc), 1e-2)
     assert (len(states), len(result.snapshots)) == (5, 9)
     with pytest.raises(InvalidComparisonError, match="5 states .* 9 snapshots; both must be stamped from one snapshot clock"):
         compare_to_adiabatic(states, probe_fields(result), result.validity)
@@ -662,11 +672,7 @@ def test_comparison_refuses_an_oracle_run_on_another_snapshot_clock():
 def test_comparison_agrees_when_checks_pass():
     sc = scaled_pass_scenario()
     result = simulate(sc)
-    initial = oracle_initial_state(sc.medium, sc.grid, sc.pulse, sc.schedule)
-    states = integrate_reduced(
-        sc.medium, sc.grid, initial, sc.schedule, sc.horizon,
-        OracleConfig(dt=1e-3, snapshot_dt=sc.snapshot_dt),
-    )
+    states = integrate_reduced(sc, oracle_initial_state(sc), 1e-3)
     report = compare_to_adiabatic(states, probe_fields(result), result.validity)
     assert report.max_linf < 0.01
     assert report.failed_checks == ()

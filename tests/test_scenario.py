@@ -49,6 +49,8 @@ def test_timing_validation():
         dataclasses.replace(sc, horizon=-1.0)
     with pytest.raises(ConfigError, match="snapshot_dt"):
         dataclasses.replace(sc, snapshot_dt=200e-6)
+    with pytest.raises(ConfigError, match="^snapshot_dt must be positive, got -1.0$"):
+        dataclasses.replace(sc, snapshot_dt=-1.0)
     with pytest.raises(ConfigError, match="divide"):
         dataclasses.replace(sc, snapshot_dt=14e-6)
     with pytest.raises(ConfigError, match="output_time"):
@@ -83,6 +85,7 @@ def test_constructors_reject_non_finite_values(bad):
         "t1": lambda: TanhSchedule(t1=bad),
         "thetas": lambda: TabulatedSchedule(times=(0.0, 1.0), thetas=(1.0, bad)),
         "horizon": lambda: dataclasses.replace(sc, horizon=bad),
+        "snapshot_dt": lambda: dataclasses.replace(sc, snapshot_dt=bad),
         "output_time": lambda: dataclasses.replace(sc, output_time=bad),
     }
     for name, build in cases.items():
